@@ -42,7 +42,6 @@ var (
 	retry      = flags.Int("retry", 0, "arm transient program/erase verify failures in the -faults mix, absorbed by a verify-retry budget of this many re-issues")
 	lifetime   = flags.Bool("lifetime", false, "run the endurance lifetime experiment and print writes-to-first-data-loss per configuration")
 	inflash    = flags.Bool("inflash", false, "run the in-flash query experiment and print pushdown-vs-host-scan results")
-	listExps   = flags.Bool("experiments", false, "list every bench experiment id with a one-line description, then exit")
 	cpuProfile = flags.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with 'go tool pprof')")
 	memProfile = flags.String("memprofile", "", "write a heap profile taken at exit to this file")
 )
@@ -95,12 +94,6 @@ func run() int {
 		}()
 	}
 
-	if *listExps {
-		for _, e := range bench.Registry() {
-			fmt.Printf("  %-20s %s\n", e.ID, e.What)
-		}
-		return 0
-	}
 	if *lifetime {
 		if err := runLifetime(cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "flipbit: lifetime: %v\n", err)
@@ -396,7 +389,6 @@ Regenerates the paper's tables and figures. Examples:
   flipbit -lifetime                           # writes-to-first-data-loss comparison
   flipbit -cell mlc writepath                 # device experiments on a derated MLC part
   flipbit -inflash                            # in-flash pushdown vs host scans
-  flipbit -experiments                        # list every experiment id
   flipbit -benchjson BENCH_writepath.json     # machine-readable bench artifacts
   flipbit -cpuprofile cpu.pprof -quick all    # profile the run for go tool pprof
 `

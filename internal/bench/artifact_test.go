@@ -56,21 +56,16 @@ func TestValidateArtifactRejects(t *testing.T) {
 		{"writepath missing host_scaling", "writepath",
 			`{"banks":4,"rows":[{"workers":1,"ops":10,"device_ops_per_sec":1,"speedup_vs_1_worker":1},
 			                    {"workers":4,"ops":10,"device_ops_per_sec":3,"speedup_vs_1_worker":3}]}`},
-		{"writepath async below 4x at 8 banks", "writepath",
+		{"writepath host_scaling unknown mode", "writepath",
 			`{"banks":4,"rows":[{"workers":1,"ops":10,"device_ops_per_sec":1,"speedup_vs_1_worker":1},
 			                    {"workers":4,"ops":10,"device_ops_per_sec":3,"speedup_vs_1_worker":3}],
 			  "host_scaling":[
-			    {"mode":"serial-legacy","banks":4,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1},
-			    {"mode":"serial-legacy","banks":8,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1},
-			    {"mode":"serial-legacy","banks":16,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1},
-			    {"mode":"async","banks":8,"workers":8,"depth":8,"ops":10,"ns_per_op":1,"ops_per_sec":3,"allocs_per_op":0,"host_speedup":3}]}`},
+			    {"mode":"turbo","banks":4,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1}]}`},
 		{"writepath host_scaling allocs regression", "writepath",
 			`{"banks":4,"rows":[{"workers":1,"ops":10,"device_ops_per_sec":1,"speedup_vs_1_worker":1},
 			                    {"workers":4,"ops":10,"device_ops_per_sec":3,"speedup_vs_1_worker":3}],
 			  "host_scaling":[
-			    {"mode":"serial-legacy","banks":4,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1},
-			    {"mode":"serial-legacy","banks":8,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1},
-			    {"mode":"serial-legacy","banks":16,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1},
+			    {"mode":"serial","banks":8,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1},
 			    {"mode":"async","banks":8,"workers":8,"depth":8,"ops":10,"ns_per_op":1,"ops_per_sec":5,"allocs_per_op":3,"host_speedup":5}]}`},
 		{"encode below 3x on nbit", "encode",
 			`{"seed":1,"span_bytes":4096,"e2e_ops":100,"e2e_scalar_ns_per_op":200,"e2e_kernel_ns_per_op":100,

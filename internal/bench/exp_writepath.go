@@ -32,16 +32,14 @@ type WritePathRow struct {
 }
 
 // HostScalingRow is one measured configuration of the host-throughput
-// section: a drive mode (pipeline generation) at a bank count. host_speedup
-// is relative to the serial-legacy row of the same bank count — the
-// pre-sharding write path with per-byte op events, which is what this
-// codebase shipped before the event bus was sharded. On a single-CPU host
-// the speedup therefore measures the pipeline restructuring itself (event
-// batching, group commit, batch-kernel amortization), not parallel
-// hardware; with more CPUs the concurrent and async modes additionally
-// scale across banks.
+// section: a drive mode at a bank count. host_speedup is relative to the
+// serial row of the same bank count — one caller committing page by page.
+// On a single-CPU host the speedup therefore measures what group commit
+// and batch-kernel amortization save over plain serial commit, not
+// parallel hardware; with more CPUs the concurrent and async modes
+// additionally scale across banks.
 type HostScalingRow struct {
-	Mode            string  `json:"mode"` // serial-legacy | serial | concurrent | async
+	Mode            string  `json:"mode"` // serial | concurrent | async
 	Banks           int     `json:"banks"`
 	Workers         int     `json:"workers"`
 	Depth           int     `json:"depth,omitempty"` // async queue depth
@@ -303,26 +301,23 @@ func RunWritePath(cfg Config) (*WritePathReport, error) {
 // that a Flush drains in microseconds.
 const writePathAsyncDepth = 8
 
-// runHostScaling measures the host-throughput section: the three pipeline
-// generations (per-byte events → sharded events → async group commit) at
-// bank counts 4, 8 and 16, each at GOMAXPROCS = NumCPU. The serial-legacy
-// row of each bank count is the baseline its host_speedup column divides
-// by.
+// runHostScaling measures the host-throughput section: serial, concurrent
+// and async group commit at bank counts 4, 8 and 16, each at GOMAXPROCS =
+// NumCPU. The serial row of each bank count is the baseline its
+// host_speedup column divides by.
 func runHostScaling(cfg Config, rep *WritePathReport) error {
 	totalOps := 40960
 	if cfg.Quick {
 		totalOps = 8192
 	}
 	modes := []struct {
-		mode    string
-		fanout  bool // workers = banks (otherwise 1)
-		depth   int
-		perByte bool
+		mode   string
+		fanout bool // workers = banks (otherwise 1)
+		depth  int
 	}{
-		{"serial-legacy", false, 0, true},
-		{"serial", false, 0, false},
-		{"concurrent", true, 0, false},
-		{"async", true, writePathAsyncDepth, false},
+		{"serial", false, 0},
+		{"concurrent", true, 0},
+		{"async", true, writePathAsyncDepth},
 	}
 	for _, banks := range []int{4, 8, 16} {
 		spec := cfg.applyCell(writePathSpec())
@@ -343,7 +338,6 @@ func runHostScaling(cfg Config, rep *WritePathReport) error {
 				return err
 			}
 			dev.SetThreshold(rep.Threshold)
-			dev.Flash().SetPerByteEvents(m.perByte)
 			workers := 1
 			if m.fanout {
 				workers = banks
@@ -368,7 +362,7 @@ func runHostScaling(cfg Config, rep *WritePathReport) error {
 				DeviceMillis:    float64(device.Nanoseconds()) / 1e6,
 				DeviceOpsPerSec: float64(ops) / device.Seconds(),
 			}
-			if m.mode == "serial-legacy" {
+			if m.mode == "serial" {
 				base = row.OpsPerSec
 			}
 			row.HostSpeedup = row.OpsPerSec / base
@@ -409,7 +403,7 @@ func ExpWritePath(cfg Config) (*Table, error) {
 		"8 workers saturate: two workers share each bank's serial execution unit")
 	for _, r := range rep.HostScaling {
 		t.Notes = append(t.Notes, fmt.Sprintf(
-			"host_scaling %-13s banks=%-2d workers=%-2d  %8.0f ops/s  %.2f allocs/op  %.2fx vs serial-legacy",
+			"host_scaling %-13s banks=%-2d workers=%-2d  %8.0f ops/s  %.2f allocs/op  %.2fx vs serial",
 			r.Mode, r.Banks, r.Workers, r.OpsPerSec, r.AllocsPerOp, r.HostSpeedup))
 	}
 	return t, nil

@@ -26,10 +26,12 @@ import (
 // order, and every per-page decision depends only on (array state, request)
 // — never on how the batch was assembled — so merged statistics and array
 // contents are identical to a serial run of the same per-bank sequences
-// regardless of batch boundaries (property-tested in async_test.go). While
-// faults are armed on the flash device, workers process one request per
-// lock hold instead of coalescing, so armed countdowns observe the same
-// operation sequence a serial run would show them.
+// regardless of batch boundaries (property-tested in async_test.go). The
+// same holds under armed program and erase faults: a window issues its
+// programs and erases in request order, so fault countdowns observe the
+// operation sequence a serial run would show them. Read-domain faults
+// (read disturb, retention) are the exception: a window loads all its
+// pages before programming any, so those draw the bank RNG in load order.
 
 // ErrAsyncClosed is returned by WriteAsync after Close.
 var ErrAsyncClosed = errors.New("core: async commit pipeline closed")
@@ -306,9 +308,7 @@ func newAsyncWorker(e *asyncEngine, bank int) *asyncWorker {
 }
 
 // run drains the bank's queue until it is closed: one blocking receive,
-// then an opportunistic non-blocking drain up to the configured depth —
-// unless faults are armed, in which case requests are committed one at a
-// time so fault countdowns observe serial-identical operation sequences.
+// then an opportunistic non-blocking drain up to the configured depth.
 func (w *asyncWorker) run() {
 	defer w.e.wg.Done()
 	q := w.e.queues[w.bank]
@@ -319,18 +319,16 @@ func (w *asyncWorker) run() {
 		}
 		w.batch = w.batch[:0]
 		w.batch = append(w.batch, req)
-		if !w.e.d.fl.FaultsLive() {
-		drain:
-			for len(w.batch) < w.e.depth {
-				select {
-				case r, ok := <-q:
-					if !ok {
-						break drain
-					}
-					w.batch = append(w.batch, r)
-				default:
+	drain:
+		for len(w.batch) < w.e.depth {
+			select {
+			case r, ok := <-q:
+				if !ok {
 					break drain
 				}
+				w.batch = append(w.batch, r)
+			default:
+				break drain
 			}
 		}
 		w.commitBatch(w.batch)

@@ -342,6 +342,122 @@ func TestAsyncErrorPropagation(t *testing.T) {
 	})
 }
 
+// TestAsyncWindowsUnderFaults: with a bank-scoped schedule of faults that
+// fire on programs and erases, writes that share an async group-commit
+// window must leave the same array, flash stats, controller stats, faults
+// fired and per-write errors as the same writes issued through serial
+// Write. The test holds the bank's commit lock while it enqueues each
+// round, so every round after the first is committed as multi-request
+// windows; the page loads of the bank's event stream show it.
+func TestAsyncWindowsUnderFaults(t *testing.T) {
+	spec := concSpec()
+	const bank, rounds = 0, 40
+	mix := flash.FaultMix{PowerLoss: 2, StuckBits: 1, TransientProgram: 2, TransientErase: 1,
+		MaxGap: spec.PageSize, MaxBits: 2, MaxRetries: 3}
+	var pages []int
+	for p := bank; p < spec.NumPages; p += spec.Banks {
+		pages = append(pages, p)
+	}
+	rng := xrand.New(0xA5)
+	plan := make([][]pageWrite, rounds)
+	for r := range plan {
+		for _, i := range rng.Perm(len(pages)) {
+			buf := make([]byte, spec.PageSize)
+			for j := range buf {
+				buf[j] = rng.Byte()
+			}
+			plan[r] = append(plan[r], pageWrite{page: pages[i], data: buf})
+		}
+	}
+	// newDevice also returns the longest run of back-to-back page loads
+	// in the bank's event stream: 1 when every load is followed by its
+	// commit, more when a window loads several pages first.
+	newDevice := func(opts ...Option) (*Device, *int) {
+		d := MustNewDevice(spec, opts...)
+		if err := d.SetApproxRegion(0, spec.Size()); err != nil {
+			t.Fatal(err)
+		}
+		d.SetThreshold(4)
+		d.Flash().SetBankFaultSchedule(bank, flash.NewRandomSchedule(0xFA, mix))
+		run, maxRun := 0, new(int)
+		d.Flash().Attach(flash.ObserverFunc(func(ev flash.OpEvent) {
+			if ev.Bank != bank {
+				return
+			}
+			if ev.Kind == flash.OpRead && ev.Bytes == spec.PageSize {
+				run++
+				*maxRun = max(*maxRun, run)
+			} else {
+				run = 0
+			}
+		}))
+		return d, maxRun
+	}
+
+	serial, serialRun := newDevice()
+	var serialErrs []error
+	for _, round := range plan {
+		for _, w := range round {
+			serialErrs = append(serialErrs, serial.Write(serial.Flash().PageBase(w.page), w.data))
+		}
+	}
+
+	async, asyncRun := newDevice(WithAsyncCommit(len(pages)))
+	var asyncErrs []error
+	commits := make([]*Commit, len(pages))
+	for _, round := range plan {
+		async.commitMu[bank].Lock()
+		for i, w := range round {
+			commits[i] = async.WriteAsync(async.Flash().PageBase(w.page), w.data)
+		}
+		async.commitMu[bank].Unlock()
+		for _, c := range commits {
+			asyncErrs = append(asyncErrs, c.Wait())
+		}
+	}
+	if err := async.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if *serialRun != 1 || *asyncRun < 2 {
+		t.Fatalf("longest page-load run: serial %d (want 1), async %d (want >= 2: multi-request windows)", *serialRun, *asyncRun)
+	}
+	fired := serial.Flash().FaultsFired()
+	if fired == 0 || fired != async.Flash().FaultsFired() {
+		t.Fatalf("faults fired: serial %d, async %d (want equal and > 0)", fired, async.Flash().FaultsFired())
+	}
+	failed := 0
+	for i := range serialErrs {
+		se, ae := serialErrs[i], asyncErrs[i]
+		for _, target := range []error{flash.ErrPowerLoss, flash.ErrTransient, flash.ErrWornOut} {
+			if errors.Is(se, target) != errors.Is(ae, target) {
+				t.Fatalf("write %d: serial error %v, async error %v", i, se, ae)
+			}
+		}
+		if (se == nil) != (ae == nil) {
+			t.Fatalf("write %d: serial error %v, async error %v", i, se, ae)
+		}
+		if se != nil {
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no write failed: the schedule never reached a commit")
+	}
+	t.Logf("%d writes, %d failed, %d faults fired, longest async load run %d", len(serialErrs), failed, fired, *asyncRun)
+	if s, a := serial.Flash().Stats(), async.Flash().Stats(); s != a {
+		t.Errorf("flash stats differ\nserial %+v\nasync  %+v", s, a)
+	}
+	if s, a := serial.Stats(), async.Stats(); s != a {
+		t.Errorf("controller stats differ\nserial %+v\nasync  %+v", s, a)
+	}
+	for addr := 0; addr < spec.Size(); addr++ {
+		if serial.Flash().Peek(addr) != async.Flash().Peek(addr) {
+			t.Fatalf("array differs at %#x", addr)
+		}
+	}
+}
+
 // TestAsyncCommitSteadyStateAllocs is the zero-alloc guard for the async
 // steady state: once the pools are warm, WriteAsync + Wait allocates
 // nothing — commits, page buffers and session buffers all recycle.

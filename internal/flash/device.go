@@ -106,8 +106,8 @@ type bank struct {
 	// out to exactly this list, under the bank's lock, so instrumentation
 	// never serializes concurrent banks on a shared subscription path.
 	obs []Observer
-	// prevScratch holds the pre-program page image while a batched
-	// page-program event is delivered (OpEvent.Prev aliases it).
+	// prevScratch holds the pre-program image of a span while its
+	// program events are delivered (OpEvent.Prev aliases it).
 	prevScratch []byte
 	// rng drives the stuck-bit failure model for worn-out pages in this
 	// bank. Per-bank so concurrent banks never share RNG state.
@@ -141,14 +141,6 @@ type Device struct {
 	// those pulses; the flag exists for the skip-unchanged ablation.
 	programAll bool
 
-	// perByteEvents forces page programs back onto the per-byte event
-	// path (one OpEvent per byte) instead of the batched page-program
-	// events. Fault-armed devices take the per-byte path automatically —
-	// fault countdowns observe individual pulses — so the flag exists for
-	// observers that depend on byte granularity and as the measured
-	// baseline of the host-scaling experiment.
-	perByteEvents bool
-
 	// atts records Attach calls so Detach can unhook the per-bank
 	// delivery handles (observer.go).
 	atts []attachment
@@ -160,8 +152,7 @@ type Device struct {
 	// Fault injection (faults.go): ftMu guards the shared scope and the
 	// per-bank scopes against concurrent arming and firing. faultsLive
 	// mirrors "any scope armed" so fault-free operations skip ftMu
-	// entirely — taking a device-wide mutex per byte was the scaling
-	// bottleneck of the per-byte event path.
+	// entirely: a device-wide mutex on every op would serialize the banks.
 	ftMu       sync.Mutex
 	faults     faultScope
 	faultsLive atomic.Bool
@@ -169,14 +160,6 @@ type Device struct {
 
 // SetProgramAll toggles charging program pulses for unchanged bytes.
 func (d *Device) SetProgramAll(v bool) { d.programAll = v }
-
-// SetPerByteEvents toggles per-byte event granularity for page programs.
-// When off (the default), a fault-free page program emits one batched
-// OpProgram event (with Data/Prev carrying the page images) and one batched
-// OpProgramSkip event instead of one event per byte; totals are identical,
-// only granularity changes. Must not be toggled concurrently with
-// operations.
-func (d *Device) SetPerByteEvents(v bool) { d.perByteEvents = v }
 
 // NewDevice builds a device from spec with every page erased (all ones),
 // which is how flash leaves the factory. A spec with Banks == 0 gets
@@ -215,6 +198,7 @@ func NewDevice(spec Spec) (*Device, error) {
 	}
 	for b := range d.banks {
 		d.banks[b].rng = xrand.New(0xF1A5 + uint64(b))
+		d.banks[b].prevScratch = make([]byte, spec.PageSize)
 	}
 	return d, nil
 }
@@ -420,7 +404,7 @@ func (d *Device) ReadPage(p int, dst []byte) error {
 // fails with ErrNeedsErase and nothing is charged (the controller checks
 // before issuing). Programming a byte to its current value is skipped and
 // charged nothing, matching buffered page programming where unchanged bytes
-// need no pulse.
+// need no pulse. It is a one-byte span of the page program path.
 func (d *Device) ProgramByte(addr int, v byte) error {
 	if err := d.checkAddr(addr, 1); err != nil {
 		return err
@@ -429,57 +413,8 @@ func (d *Device) ProgramByte(addr int, v byte) error {
 	bk := &d.banks[b]
 	bk.mu.Lock()
 	defer bk.mu.Unlock()
-	return d.programByteLocked(b, addr, v)
-}
-
-// programByteLocked is ProgramByte with bank b's lock held.
-func (d *Device) programByteLocked(b, addr int, v byte) error {
-	page := d.PageOf(addr)
-	if d.retired[page] {
-		return fmt.Errorf("page %d: %w", page, ErrPageRetired)
-	}
-	cur := d.array[addr]
-	if !d.spec.Cell.Reachable(cur, v) {
-		return fmt.Errorf("%w: addr %#x stored %08b want %08b (%v)", ErrNeedsErase, addr, cur, v, d.spec.Cell)
-	}
-	if v == cur && !d.programAll {
-		d.absorbDrift(page, addr-d.PageBase(page), v)
-		d.emit(OpEvent{Kind: OpProgramSkip, Bank: b, Addr: addr, Bytes: 1, Value: v})
-		return nil
-	}
-	if f, fired := d.faultHit(b, OpProgram); fired {
-		switch f.Kind {
-		case FaultPowerLoss:
-			// The pulse was cut short: some target bits cleared, the
-			// rest did not. Energy/latency for the partial pulse is
-			// still drawn from the supply.
-			d.tearProgram(b, addr, v)
-			d.emit(OpEvent{
-				Kind: OpProgram, Bank: b, Addr: addr, Bytes: 1, Value: d.array[addr],
-				Energy: d.spec.ProgramEnergy, Busy: d.spec.ProgramLatency,
-			})
-			return fmt.Errorf("program %#x: %w", addr, ErrPowerLoss)
-		case FaultTransientProgram:
-			// Verify failure: the pulse ran at full cost but left some
-			// target bits short of their level. Every bit that did move
-			// moved toward v, so the byte stays reachable and a re-issue
-			// can finish the job.
-			d.tearProgram(b, addr, v)
-			d.emit(OpEvent{
-				Kind: OpProgramFail, Bank: b, Addr: addr, Bytes: 1, Value: d.array[addr],
-				Energy: d.spec.ProgramEnergy, Busy: d.spec.ProgramLatency,
-			})
-			return fmt.Errorf("program %#x: %w", addr, ErrTransient)
-		}
-	}
-	d.array[addr] = v
-	d.absorbDrift(page, addr-d.PageBase(page), v)
-	d.absorbRise(page, addr-d.PageBase(page))
-	d.emit(OpEvent{
-		Kind: OpProgram, Bank: b, Addr: addr, Bytes: 1, Value: v,
-		Energy: d.spec.ProgramEnergy, Busy: d.spec.ProgramLatency,
-	})
-	return nil
+	buf := [1]byte{v}
+	return d.programLocked(b, addr, buf[:])
 }
 
 // ErasePage erases page p: every bit is set to 1 and the page's wear count
@@ -617,80 +552,105 @@ func (d *Device) ProgramPage(p int, buf []byte) error {
 	bk := &d.banks[b]
 	bk.mu.Lock()
 	defer bk.mu.Unlock()
-	return d.programPageLocked(b, p, buf)
+	return d.programLocked(b, d.PageBase(p), buf)
 }
 
-// programPageLocked is ProgramPage with bank b's lock held.
-func (d *Device) programPageLocked(b, p int, buf []byte) error {
+// programLocked programs the span buf at addr — one byte up to a whole
+// page, never crossing a page boundary — with bank b's lock held. It is the
+// device's one program path: ProgramByte is a one-byte span, ProgramPage and
+// EraseProgramPage a page span.
+//
+// A pulse is a byte whose value changes, or every byte under SetProgramAll.
+// The span's pulses walk the fault scopes in one step (faultFor). Without a
+// fault the span commits in one pass and emits at most two batched events:
+// an OpProgram over the pulsed bytes and an OpProgramSkip over the rest.
+// With a fault, the bytes before the victim pulse commit the same way, the
+// victim is torn, and its own one-byte OpProgram (power loss) or
+// OpProgramFail (transient) follows. Bytes after the victim are untouched.
+func (d *Device) programLocked(b, addr int, buf []byte) error {
+	p := d.PageOf(addr)
 	if d.retired[p] {
 		return fmt.Errorf("page %d: %w", p, ErrPageRetired)
 	}
-	base := d.PageBase(p)
+	span := d.array[addr : addr+len(buf)]
 	for i, v := range buf {
-		if !d.spec.Cell.Reachable(d.array[base+i], v) {
-			return fmt.Errorf("%w: page %d byte %d stored %08b want %08b (%v)",
-				ErrNeedsErase, p, i, d.array[base+i], v, d.spec.Cell)
+		if !d.spec.Cell.Reachable(span[i], v) {
+			return fmt.Errorf("%w: addr %#x stored %08b want %08b (%v)",
+				ErrNeedsErase, addr+i, span[i], v, d.spec.Cell)
 		}
 	}
-	if d.programAll || d.perByteEvents || d.faultsLive.Load() {
-		// Per-byte path: armed fault countdowns observe individual
-		// program pulses, and the ablation/compat modes want per-byte
-		// granularity. Costs and counters match the bulk path exactly.
+	all := d.programAll
+	n := len(buf) // bytes that commit: all of them, or those before the victim
+	var f Fault
+	if d.faultsLive.Load() {
+		pulses := 0
 		for i, v := range buf {
-			if err := d.programByteLocked(b, base+i, v); err != nil {
-				return err
+			if span[i] != v || all {
+				pulses++
 			}
 		}
-		return nil
-	}
-	return d.programPageBulkLocked(b, p, buf)
-}
-
-// programPageBulkLocked commits a whole reachable page in one pass and
-// emits at most two batched events (one OpProgram for the changed bytes,
-// one OpProgramSkip for the unchanged ones) instead of one event per byte.
-// Energy, busy time and the byte counters are identical to the per-byte
-// path; only event granularity differs. Called with bank b's lock held,
-// after the reachability pre-pass, with no faults armed.
-func (d *Device) programPageBulkLocked(b, p int, buf []byte) error {
-	base := d.PageBase(p)
-	bk := &d.banks[b]
-	page := d.array[base : base+d.spec.PageSize]
-	var prev []byte
-	if len(bk.obs) > 0 {
-		if bk.prevScratch == nil {
-			bk.prevScratch = make([]byte, d.spec.PageSize)
+		if k, ff := d.faultFor(b, OpProgram, pulses); k < pulses {
+			f = ff
+			for n = 0; ; n++ { // n stops at pulse k, the victim
+				if span[n] != buf[n] || all {
+					if k == 0 {
+						break
+					}
+					k--
+				}
+			}
 		}
-		prev = bk.prevScratch
-		copy(prev, page)
 	}
+	bk := &d.banks[b]
+	prev := bk.prevScratch[:len(buf)]
+	if len(bk.obs) > 0 {
+		copy(prev, span) // only observers read Prev
+	}
+	off := addr - d.PageBase(p)
+	m, rm := d.drift[p], d.rise[p]
 	programmed := 0
-	m := d.drift[p]
-	rm := d.rise[p]
-	for i, v := range buf {
-		if page[i] != v {
-			page[i] = v
+	for i, v := range buf[:n] {
+		if span[i] != v || all {
+			span[i] = v
 			programmed++
 			if rm != nil {
-				rm[i] = 0 // a real pulse recharges the byte's marginal cells
+				rm[off+i] = 0 // a real pulse recharges the byte's marginal cells
 			}
 		}
 		if m != nil {
-			m[i] &= v
+			m[off+i] &= v // bits the caller wants at 0 are no longer drift
 		}
 	}
 	if programmed > 0 {
 		d.emit(OpEvent{
-			Kind: OpProgram, Bank: b, Addr: base, Bytes: programmed,
-			Data: page, Prev: prev,
+			Kind: OpProgram, Bank: b, Addr: addr, Bytes: programmed,
+			Data: span[:n], Prev: prev[:n],
 			Energy: d.spec.ProgramEnergy * energy.Energy(programmed),
 			Busy:   d.spec.ProgramLatency * time.Duration(programmed),
 		})
 	}
-	if skipped := len(buf) - programmed; skipped > 0 {
-		d.emit(OpEvent{Kind: OpProgramSkip, Bank: b, Addr: base, Bytes: skipped})
+	if skipped := n - programmed; skipped > 0 {
+		d.emit(OpEvent{Kind: OpProgramSkip, Bank: b, Addr: addr, Bytes: skipped})
 	}
-	return nil
+	if f.Kind == FaultNone {
+		return nil
+	}
+	// The victim pulse: power loss cut it short, or verify found some
+	// target bits short of their level. Either way the full pulse cost is
+	// drawn and every bit that moved moved toward the target, so the byte
+	// stays reachable and a re-issue can finish the job.
+	d.tearProgram(b, addr+n, buf[n])
+	ev := OpEvent{
+		Kind: OpProgram, Bank: b, Addr: addr + n, Bytes: 1,
+		Data: span[n : n+1], Prev: prev[n : n+1],
+		Energy: d.spec.ProgramEnergy, Busy: d.spec.ProgramLatency,
+	}
+	err := ErrPowerLoss
+	if f.Kind == FaultTransientProgram {
+		ev.Kind, err = OpProgramFail, ErrTransient
+	}
+	d.emit(ev)
+	return fmt.Errorf("program %#x: %w", addr+n, err)
 }
 
 // EraseProgramPage erases page p and programs it from buf — the
@@ -713,7 +673,7 @@ func (d *Device) EraseProgramPage(p int, buf []byte) error {
 	if eraseErr != nil && !errors.Is(eraseErr, ErrWornOut) {
 		return eraseErr
 	}
-	if err := d.programPageLocked(b, p, buf); err != nil {
+	if err := d.programLocked(b, d.PageBase(p), buf); err != nil {
 		// Only possible on a worn-out page with stuck bits, or under
 		// a second injected power loss.
 		return errors.Join(eraseErr, err)

@@ -1,6 +1,8 @@
 package flash
 
 import (
+	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -111,47 +113,122 @@ func TestPerBankEventStreamsTotallyOrdered(t *testing.T) {
 	}
 }
 
-// TestBatchedEventsMatchPerByteTotals: the batched page-program events
-// (one OpProgram + one OpProgramSkip per page) must account for exactly
-// the same work as the legacy per-byte event stream — identical merged
-// stats including energy and busy time, and an identical trace.
-func TestBatchedEventsMatchPerByteTotals(t *testing.T) {
-	run := func(perByte bool) (Stats, []TraceEntry) {
-		d, err := NewDevice(DefaultSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.SetPerByteEvents(perByte)
-		tr := NewTrace(0)
-		d.SetTracer(tr)
-		for b := 0; b < d.Banks(); b++ {
-			eventWorkload(d, b, 150, 0xB0+uint64(b))
-		}
-		return d.Stats(), tr.Entries()
-	}
-	batchedStats, batchedTrace := run(false)
-	perByteStats, perByteTrace := run(true)
-	// Counts and (integer) busy time must be exact. Energy is compared
-	// within epsilon: a batched event carries n·E (one multiply) where the
-	// per-byte stream sums E n times, and those differ in the last float
-	// bits. Byte-identical energy is only guaranteed within one event mode
-	// (see TestCrossBankTraceMergeDeterministic and the core equivalence
-	// property), not across modes.
-	be, pe := batchedStats.Energy, perByteStats.Energy
-	batchedStats.Energy, perByteStats.Energy = 0, 0
-	if batchedStats != perByteStats {
-		t.Errorf("stats differ\nbatched  %+v\nper-byte %+v", batchedStats, perByteStats)
-	}
-	if diff := float64(be - pe); diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("energy differs beyond epsilon: batched %v, per-byte %v", be, pe)
-	}
-	if len(batchedTrace) != len(perByteTrace) {
-		t.Fatalf("trace length differs: batched %d, per-byte %d", len(batchedTrace), len(perByteTrace))
-	}
-	for i := range batchedTrace {
-		if batchedTrace[i] != perByteTrace[i] {
-			t.Fatalf("trace entry %d differs: batched %+v, per-byte %+v", i, batchedTrace[i], perByteTrace[i])
-		}
+// TestProgramPageMatchesByteLoop is the one-program-path differential:
+// ProgramPage on one device and a ProgramByte loop over the same buffer on
+// its twin must agree on the array, the drift and rise masks, the error of
+// every call, the faults fired, the trace and the stats. Both devices run
+// seeded power-loss and transient-program schedules in every bank scope and
+// in the shared scope, with gaps up to two pages of pulses so victims land
+// mid-page, with and without SetProgramAll.
+func TestProgramPageMatchesByteLoop(t *testing.T) {
+	for _, programAll := range []bool{false, true} {
+		t.Run(fmt.Sprintf("programAll=%v", programAll), func(t *testing.T) {
+			spec := smallSpec()
+			spec.EnduranceCycles = 1 << 20
+			mix := FaultMix{PowerLoss: 1, TransientProgram: 1, MaxGap: 2 * spec.PageSize, MaxRetries: 3}
+			var devs [2]*Device
+			var traces [2]*Trace
+			for i := range devs {
+				d := MustNewDevice(spec)
+				d.SetProgramAll(programAll)
+				d.SetFaultSchedule(NewRandomSchedule(0x5A, mix))
+				for b := 0; b < d.Banks(); b++ {
+					d.SetBankFaultSchedule(b, NewRandomSchedule(0xB0+uint64(b), mix))
+				}
+				traces[i] = NewTrace(0)
+				d.SetTracer(traces[i])
+				devs[i] = d
+			}
+			page, loop := devs[0], devs[1]
+			errText := func(err error) string {
+				if err == nil {
+					return "<nil>"
+				}
+				return err.Error()
+			}
+			rng := xrand.New(0xD1FF)
+			buf := make([]byte, spec.PageSize)
+			for op := 0; op < 1500; op++ {
+				p := rng.Intn(spec.NumPages)
+				base := page.PageBase(p)
+				var errs [2]error
+				switch r := rng.Intn(10); {
+				case r == 0:
+					errs[0], errs[1] = page.ErasePage(p), loop.ErasePage(p)
+				case r == 1:
+					// Seed drift and rise masks through the fault helpers;
+					// both draw from the bank RNG, which the twins share.
+					n := 1 + rng.Intn(2)
+					for _, d := range devs {
+						d.stickBits(d.BankOf(p), p, n)
+						d.markRetention(d.BankOf(p), p)
+					}
+				default:
+					// A reachable target: clear a random subset of the
+					// stored bits, or (1 in 4) rewrite the page as stored.
+					keep := rng.Intn(4) == 0
+					for i := range buf {
+						buf[i] = page.Peek(base + i)
+						if !keep {
+							buf[i] &^= rng.Byte() & rng.Byte()
+						}
+					}
+					errs[0] = page.ProgramPage(p, buf)
+					for i, v := range buf {
+						if errs[1] = loop.ProgramByte(base+i, v); errs[1] != nil {
+							break
+						}
+					}
+				}
+				if errText(errs[0]) != errText(errs[1]) {
+					t.Fatalf("op %d: page-path error %q, byte-loop error %q", op, errText(errs[0]), errText(errs[1]))
+				}
+				for i := 0; i < spec.PageSize; i++ {
+					if a, b := page.Peek(base+i), loop.Peek(base+i); a != b {
+						t.Fatalf("op %d: addr %#x holds %08b on the page path, %08b on the byte loop", op, base+i, a, b)
+					}
+				}
+			}
+
+			if page.FaultsFired() != loop.FaultsFired() || page.FaultsFired() == 0 {
+				t.Fatalf("faults fired: page path %d, byte loop %d (want equal and > 0)", page.FaultsFired(), loop.FaultsFired())
+			}
+			ps, ls := page.Stats(), loop.Stats()
+			if ps.ProgramFails == 0 {
+				t.Fatalf("no transient program failure fired: %+v", ps)
+			}
+			pe, le := ps.Energy, ls.Energy
+			if d := float64(pe - le); d > 1e-12*float64(le) || d < -1e-12*float64(le) {
+				t.Errorf("energy: page path %v, byte loop %v (beyond 1e-12 relative)", pe, le)
+			}
+			ps.Energy, ls.Energy = 0, 0
+			if ps != ls {
+				t.Errorf("stats differ\npage path %+v\nbyte loop %+v", ps, ls)
+			}
+			mask := [2][]byte{make([]byte, spec.PageSize), make([]byte, spec.PageSize)}
+			for p := 0; p < spec.NumPages; p++ {
+				for _, into := range []func(*Device, int, []byte) (int, error){(*Device).StuckMaskInto, (*Device).RiseMaskInto} {
+					for i, d := range devs {
+						clear(mask[i])
+						if _, err := into(d, p, mask[i]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if !bytes.Equal(mask[0], mask[1]) {
+						t.Fatalf("page %d: masks differ\npage path %x\nbyte loop %x", p, mask[0], mask[1])
+					}
+				}
+			}
+			pt, lt := traces[0].Entries(), traces[1].Entries()
+			if len(pt) != len(lt) {
+				t.Fatalf("trace length: page path %d, byte loop %d", len(pt), len(lt))
+			}
+			for i := range pt {
+				if pt[i] != lt[i] {
+					t.Fatalf("trace entry %d: page path %+v, byte loop %+v", i, pt[i], lt[i])
+				}
+			}
+		})
 	}
 }
 

@@ -223,9 +223,6 @@ func NewRandomSchedule(seed uint64, mix FaultMix) *RandomSchedule {
 	if err := mix.Validate(); err != nil {
 		panic(err)
 	}
-	if mix.MaxGap < mix.MinGap {
-		mix.MaxGap = mix.MinGap
-	}
 	return &RandomSchedule{rng: xrand.New(seed), mix: mix}
 }
 
@@ -308,22 +305,36 @@ func (fs *faultScope) setSchedule(s FaultSchedule) {
 	}
 }
 
-// match advances the countdown for an op of the given kind and reports
-// whether the pending fault fires on it. On firing, the next fault (if a
-// schedule is installed) is armed. Transient residue is consumed first:
-// while an incident's budget is draining, matching operations fail again
-// without advancing the armed fault's countdown.
-func (fs *faultScope) match(op OpKind) (Fault, bool) {
+// hitWithin returns the index of the first of the next n ops of kind op
+// that the scope would fire on, or n if it fires on none of them. It does
+// not change the scope. Transient residue claims the first op: while an
+// incident's budget is draining, matching operations fail again without
+// advancing the armed fault's countdown.
+func (fs *faultScope) hitWithin(op OpKind, n int) int {
+	if fs.residLeft > 0 && fs.residKind.appliesTo(op) {
+		return 0
+	}
+	if fs.armed && fs.cur.Kind.appliesTo(op) && fs.cur.After < n {
+		return fs.cur.After
+	}
+	return n
+}
+
+// pass lets n ops of kind op go by without firing; n must not exceed
+// hitWithin(op, n).
+func (fs *faultScope) pass(op OpKind, n int) {
+	if fs.armed && fs.cur.Kind.appliesTo(op) {
+		fs.cur.After -= n
+	}
+}
+
+// fire fires the scope on an op of kind op, which hitWithin(op, 1) must
+// claim: residue is consumed first, otherwise the armed fault fires and the
+// next fault (if a schedule is installed) is armed.
+func (fs *faultScope) fire(op OpKind) Fault {
 	if fs.residLeft > 0 && fs.residKind.appliesTo(op) {
 		fs.residLeft--
-		return Fault{Kind: fs.residKind}, true
-	}
-	if !fs.armed || !fs.cur.Kind.appliesTo(op) {
-		return Fault{}, false
-	}
-	if fs.cur.After > 0 {
-		fs.cur.After--
-		return Fault{}, false
+		return Fault{Kind: fs.residKind}
 	}
 	f := fs.cur
 	fs.armed = false
@@ -337,7 +348,7 @@ func (fs *faultScope) match(op OpKind) (Fault, bool) {
 			fs.arm(nf)
 		}
 	}
-	return f, true
+	return f
 }
 
 // ArmFault arms a one-shot fault in the device-wide shared scope. The
@@ -391,13 +402,6 @@ func (d *Device) ClearFaults() {
 	d.faultsLive.Store(false)
 }
 
-// FaultsLive reports whether any fault is currently armed in any scope.
-// Callers batching work (the async commit pipeline, the bulk page-program
-// path) use it to fall back to per-operation granularity while faults are
-// in flight, so armed countdowns observe exactly the operations a serial
-// run would show them.
-func (d *Device) FaultsLive() bool { return d.faultsLive.Load() }
-
 // anyArmedLocked reports whether any scope holds an armed fault. Called
 // with ftMu held.
 func (d *Device) anyArmedLocked() bool {
@@ -423,29 +427,47 @@ func (d *Device) FaultsFired() uint64 {
 	return n
 }
 
-// faultHit is the operation-path entry point for fault matching: a lock-free
-// liveness check first, the full scope walk only while something is armed.
-// Fault-free traffic — the overwhelmingly common case — never touches the
-// device-wide fault mutex, which would otherwise serialize every bank.
+// faultHit is the entry point for single operations: a lock-free liveness
+// check first, the scope walk only while something is armed. Fault-free
+// traffic — the overwhelmingly common case — never touches the device-wide
+// fault mutex, which would otherwise serialize every bank.
 func (d *Device) faultHit(b int, op OpKind) (Fault, bool) {
 	if !d.faultsLive.Load() {
 		return Fault{}, false
 	}
-	return d.faultFor(b, op)
+	k, f := d.faultFor(b, op, 1)
+	return f, k == 0
 }
 
-// faultFor consults bank b's scope first, then the shared scope, for an op
-// of the given kind, and refreshes the liveness flag (a fired one-shot with
-// no schedule behind it disarms the scope). Called with bank b's lock held.
-func (d *Device) faultFor(b int, op OpKind) (Fault, bool) {
+// faultFor walks a span of n consecutive ops of kind op on bank b through
+// the fault scopes in one step and returns the index of the op a fault
+// fires on (n if none does) with the fault. The result is that of issuing
+// the ops one at a time: bank b's scope is consulted first on each op, and
+// the shared scope does not advance on an op the bank scope claims. The
+// liveness flag is refreshed (a fired one-shot with no schedule behind it
+// disarms its scope). Called with bank b's lock held.
+func (d *Device) faultFor(b int, op OpKind, n int) (int, Fault) {
 	d.ftMu.Lock()
 	defer d.ftMu.Unlock()
-	f, ok := d.banks[b].faults.match(op)
-	if !ok {
-		f, ok = d.faults.match(op)
+	bs, ss := &d.banks[b].faults, &d.faults
+	kb := bs.hitWithin(op, n)
+	ks := ss.hitWithin(op, kb)
+	var f Fault
+	switch {
+	case ks < kb: // the bank scope counted the shared scope's victim too
+		bs.pass(op, ks+1)
+		ss.pass(op, ks)
+		f = ss.fire(op)
+	case kb < n:
+		bs.pass(op, kb)
+		ss.pass(op, kb)
+		f = bs.fire(op)
+	default:
+		bs.pass(op, n)
+		ss.pass(op, n)
 	}
 	d.faultsLive.Store(d.anyArmedLocked())
-	return f, ok
+	return min(kb, ks), f
 }
 
 // stickBits clears n cells at seeded-random positions in page p — the

@@ -3,6 +3,8 @@ package flash
 import (
 	"errors"
 	"testing"
+
+	"github.com/flipbit-sim/flipbit/internal/xrand"
 )
 
 // drainSchedule pulls n faults from a schedule.
@@ -241,5 +243,86 @@ func TestFaultedDeviceDeterministic(t *testing.T) {
 		if img1[a] != img2[a] {
 			t.Fatalf("array differs at %#x: %02x vs %02x", a, img1[a], img2[a])
 		}
+	}
+}
+
+// refMatch is the per-op rule of a fault scope, written out one op at a
+// time: transient residue fails the op first, otherwise the armed fault's
+// countdown observes the op and fires when it reaches zero.
+func refMatch(fs *faultScope, op OpKind) (Fault, bool) {
+	if fs.residLeft > 0 && fs.residKind.appliesTo(op) {
+		fs.residLeft--
+		return Fault{Kind: fs.residKind}, true
+	}
+	if !fs.armed || !fs.cur.Kind.appliesTo(op) {
+		return Fault{}, false
+	}
+	if fs.cur.After > 0 {
+		fs.cur.After--
+		return Fault{}, false
+	}
+	f := fs.cur
+	fs.armed = false
+	fs.fired++
+	if f.Kind.transient() && f.retries() > 1 {
+		fs.residKind, fs.residLeft = f.Kind, f.retries()-1
+	}
+	if nf, ok := fs.sched.Next(); ok {
+		fs.arm(nf)
+	}
+	return f, true
+}
+
+// TestFaultForSpanMatchesPerOpRule pins faultFor's one-step span walk to
+// the per-op rule: each op consults the bank scope first and reaches the
+// shared scope only if the bank scope did not claim it. The victim index,
+// the fault and both scopes' state must match an op-by-op walk of twin
+// scopes, for every op kind and span lengths from 0 to 40.
+func TestFaultForSpanMatchesPerOpRule(t *testing.T) {
+	mix := FaultMix{PowerLoss: 2, StuckBits: 1, ReadDisturb: 1, TransientProgram: 2, TransientErase: 1,
+		Retention: 1, MaxGap: 12, MaxRetries: 3}
+	d := MustNewDevice(smallSpec())
+	const b = 1
+	d.SetFaultSchedule(NewRandomSchedule(3, mix))
+	d.SetBankFaultSchedule(b, NewRandomSchedule(4, mix))
+	var bank, shared faultScope
+	shared.setSchedule(NewRandomSchedule(3, mix))
+	bank.setSchedule(NewRandomSchedule(4, mix))
+	rng := xrand.New(0xFA17)
+	ops := []OpKind{OpRead, OpProgram, OpErase, OpSense}
+	fired := 0
+	for step := 0; step < 4000; step++ {
+		op, n := ops[rng.Intn(len(ops))], rng.Intn(41)
+		want, wantF := n, Fault{}
+		for i := 0; i < n; i++ {
+			f, ok := refMatch(&bank, op)
+			if !ok {
+				f, ok = refMatch(&shared, op)
+			}
+			if ok {
+				want, wantF = i, f
+				break
+			}
+		}
+		got, gotF := d.faultFor(b, op, n)
+		if got != want || gotF != wantF {
+			t.Fatalf("step %d (%v × %d): faultFor = (%d, %+v), per-op walk = (%d, %+v)", step, op, n, got, gotF, want, wantF)
+		}
+		for _, s := range []struct {
+			name      string
+			got, want *faultScope
+		}{{"bank", &d.banks[b].faults, &bank}, {"shared", &d.faults, &shared}} {
+			g, w := *s.got, *s.want
+			g.sched, w.sched = nil, nil
+			if g != w {
+				t.Fatalf("step %d (%v × %d): %s scope %+v, per-op walk %+v", step, op, n, s.name, g, w)
+			}
+		}
+		if want < n {
+			fired++
+		}
+	}
+	if fired < 100 {
+		t.Fatalf("only %d spans fired a fault", fired)
 	}
 }

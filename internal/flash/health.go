@@ -53,15 +53,6 @@ func (d *Device) clearDrift(p int) {
 	}
 }
 
-// absorbDrift reconciles page p's mask with an intended program of value v
-// at offset off: bits the caller now wants at 0 are no longer drift. Called
-// with the bank lock held.
-func (d *Device) absorbDrift(p, off int, v byte) {
-	if m := d.drift[p]; m != nil {
-		m[off] &= v
-	}
-}
-
 // StuckBits returns how many cells of page p have drifted to 0 since the
 // last erase (fault flips of legitimate 1s, per the drift-mask contract).
 func (d *Device) StuckBits(p int) int {

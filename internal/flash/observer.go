@@ -69,8 +69,9 @@ type OpEvent struct {
 	Seq uint64
 
 	// Addr is the byte address for reads and programs, and the page
-	// number for erases. For a batched page program it is the page's
-	// base address.
+	// number for erases. For a program span it is the span's first byte
+	// (a page program's base address); a fault victim's own event carries
+	// the victim byte's address.
 	Addr int
 
 	// Bytes is the number of bytes the operation covered: the read
@@ -83,14 +84,13 @@ type OpEvent struct {
 	// operation, however many pages participated.
 	Pages int
 
-	// Value is the programmed value (per-byte OpProgram only).
-	Value byte
-
-	// Data and Prev are set on batched page-program events only: Data is
-	// the page's contents after the program and Prev the contents before,
-	// so observers can recover the per-byte writes (a byte was programmed
-	// iff Data[i] != Prev[i]). Both alias device-owned buffers and are
-	// only valid for the duration of the OnOp call — copy to retain.
+	// Data and Prev are set on the OpProgram and OpProgramFail events of
+	// a program span: Data is the span's contents after the program and
+	// Prev the contents before, starting at Addr, so observers can recover
+	// the per-byte writes (a byte changed iff Data[i] != Prev[i]). Both
+	// alias device-owned buffers and are only valid for the duration of
+	// the OnOp call — copy to retain. Retention refreshes (one OpProgram
+	// per recharged byte, no value change) carry neither.
 	Data []byte
 	Prev []byte
 

@@ -49,14 +49,6 @@ func (d *Device) clearRise(p int) {
 	}
 }
 
-// absorbRise clears the rise bits of one byte after a real program pulse
-// recharged it. Called with the bank lock held.
-func (d *Device) absorbRise(p, off int) {
-	if m := d.rise[p]; m != nil {
-		m[off] = 0
-	}
-}
-
 // flickerInto overlays retention noise on a host read of page p: each
 // marginal bit in the addressed range independently reads as 1 (its drifted
 // value) with probability 1/2 from the bank's RNG. dst holds the bytes read
@@ -202,7 +194,7 @@ func (d *Device) RefreshRetention(p int) (int, error) {
 		m[i] = 0
 		n++
 		d.emit(OpEvent{
-			Kind: OpProgram, Bank: b, Addr: base + i, Bytes: 1, Value: d.array[base+i],
+			Kind: OpProgram, Bank: b, Addr: base + i, Bytes: 1,
 			Energy: d.spec.ProgramEnergy, Busy: d.spec.ProgramLatency,
 		})
 	}

@@ -41,6 +41,11 @@ const DefaultTraceLimit = 1 << 20
 // replayed, diffed or analyzed offline. Attach with Device.SetTracer (it is
 // an Observer, so Device.Attach works too).
 //
+// A program is traced as one entry per byte whose value changed, erases as
+// one entry per page. Pulses that leave a byte's value as it was — a
+// SetProgramAll pulse on an unchanged byte, a retention refresh — are
+// charged in Stats but not traced: replaying them would change nothing.
+//
 // The trace is sharded to match the device's op-event bus: when attached,
 // each flash bank appends into its own ring under its own lock, so tracing
 // never serializes concurrent banks on one mutex. Read accessors merge the
@@ -135,9 +140,9 @@ type traceShardObs struct {
 	s *traceShard
 }
 
-// OnOp implements Observer for one shard: programs and erases are
-// recorded, reads and skipped programs are not. A batched page-program
-// event (Data/Prev set) expands to one entry per programmed byte under a
+// OnOp implements Observer for one shard: programmed bytes and erases are
+// recorded, reads and skipped programs are not. A program event expands to
+// one entry per byte whose value changed (Data[i] != Prev[i]) under a
 // single lock acquisition.
 func (o traceShardObs) OnOp(ev OpEvent) { o.s.onOp(ev) }
 
@@ -145,14 +150,10 @@ func (s *traceShard) onOp(ev OpEvent) {
 	switch ev.Kind {
 	case OpProgram:
 		s.mu.Lock()
-		if ev.Data != nil {
-			for i, v := range ev.Data {
-				if ev.Prev[i] != v {
-					s.appendLocked(TraceEntry{Op: TraceProgram, Addr: ev.Addr + i, Value: v})
-				}
+		for i, v := range ev.Data {
+			if ev.Prev[i] != v {
+				s.appendLocked(TraceEntry{Op: TraceProgram, Addr: ev.Addr + i, Value: v})
 			}
-		} else {
-			s.appendLocked(TraceEntry{Op: TraceProgram, Addr: ev.Addr, Value: ev.Value})
 		}
 		s.mu.Unlock()
 	case OpErase:
