@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"github.com/flipbit-sim/flipbit/internal/bench"
@@ -33,15 +34,13 @@ var (
 	quick      = flags.Bool("quick", false, "trim workloads for a fast run (shapes preserved)")
 	cellMode   = flags.String("cell", "slc", "cell density for device-level experiments: slc, mlc or tlc (derates latency, energy and endurance)")
 	csvDir     = flags.String("csv", "", "also write each table as <dir>/<id>.csv")
-	benchJSON  = flags.String("benchjson", "", "write the writepath JSON report to this path, plus BENCH_crashcampaign.json, BENCH_transient.json, BENCH_lifetime.json, BENCH_encode.json, BENCH_kvscale.json and BENCH_inflash.json next to it")
+	benchJSON  = flags.String("benchjson", "", "write the writepath JSON report to this path and every other BENCH_<kind>.json artifact next to it, each only if it passes its gate")
 	faults     = flags.Bool("faults", false, "run a fault-injection campaign against the key-value store and print its outcome")
 	seed       = flags.Uint64("seed", 1, "campaign seed for -faults (same seed replays byte-identically)")
 	cycles     = flags.Int("cycles", 1000, "crash/reboot cycles for -faults")
 	onFTL      = flags.Bool("ftl", false, "run the -faults campaign through the journaled FTL with read-back verification")
 	scrub      = flags.Bool("scrub", false, "arm the background scrubber (and a 2-page spare pool with -ftl) during the -faults campaign")
 	retry      = flags.Int("retry", 0, "arm transient program/erase verify failures in the -faults mix, absorbed by a verify-retry budget of this many re-issues")
-	lifetime   = flags.Bool("lifetime", false, "run the endurance lifetime experiment and print writes-to-first-data-loss per configuration")
-	inflash    = flags.Bool("inflash", false, "run the in-flash query experiment and print pushdown-vs-host-scan results")
 	cpuProfile = flags.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with 'go tool pprof')")
 	memProfile = flags.String("memprofile", "", "write a heap profile taken at exit to this file")
 )
@@ -94,24 +93,6 @@ func run() int {
 		}()
 	}
 
-	if *lifetime {
-		if err := runLifetime(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "flipbit: lifetime: %v\n", err)
-			return 1
-		}
-		if len(args) == 0 && *benchJSON == "" && !*faults && !*inflash {
-			return 0
-		}
-	}
-	if *inflash {
-		if err := runExp(cfg, "inflash"); err != nil {
-			fmt.Fprintf(os.Stderr, "flipbit: inflash: %v\n", err)
-			return 1
-		}
-		if len(args) == 0 && *benchJSON == "" && !*faults {
-			return 0
-		}
-	}
 	if *faults {
 		if err := runFaults(*seed, *cycles, *onFTL, *scrub, *retry); err != nil {
 			fmt.Fprintf(os.Stderr, "flipbit: faults: %v\n", err)
@@ -187,109 +168,47 @@ func parseCellMode(s string) (flash.CellMode, error) {
 	return flash.SLC, fmt.Errorf("unknown -cell mode %q (want slc, mlc or tlc)", s)
 }
 
+// writeBenchJSON runs every registered artifact's experiment and writes
+// its report: writepath to path, the others as BENCH_<kind>.json next to
+// it. A report that fails its gate is named on stderr and not written.
 func writeBenchJSON(path string, cfg bench.Config) error {
-	wp, err := bench.RunWritePath(cfg)
-	if err != nil {
-		return err
+	var failed []string
+	for _, a := range bench.Artifacts() {
+		rep, err := a.Run(cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", a.Kind, err)
+		}
+		if err := rep.Check(); err != nil {
+			fmt.Fprintf(os.Stderr, "flipbit: benchjson: %s fails its gate, not written: %v\n", a.Kind, err)
+			failed = append(failed, a.Kind)
+			continue
+		}
+		out := path
+		if a.Kind != "writepath" {
+			out = filepath.Join(filepath.Dir(path), "BENCH_"+a.Kind+".json")
+		}
+		if err := writeArtifact(out, rep); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s\n", out)
 	}
-	if err := writeJSONFile(path, wp.WriteJSON); err != nil {
-		return err
+	if len(failed) > 0 {
+		return fmt.Errorf("not written, gate failed: %s", strings.Join(failed, ", "))
 	}
-	fmt.Printf("wrote %s\n", path)
-
-	cc, err := bench.RunCrashCampaign(cfg)
-	if err != nil {
-		return err
-	}
-	ccPath := filepath.Join(filepath.Dir(path), "BENCH_crashcampaign.json")
-	if err := writeJSONFile(ccPath, cc.WriteJSON); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", ccPath)
-
-	tr, err := bench.RunTransient(cfg)
-	if err != nil {
-		return err
-	}
-	trPath := filepath.Join(filepath.Dir(path), "BENCH_transient.json")
-	if err := writeJSONFile(trPath, tr.WriteJSON); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", trPath)
-
-	lt, err := bench.RunLifetime(cfg)
-	if err != nil {
-		return err
-	}
-	ltPath := filepath.Join(filepath.Dir(path), "BENCH_lifetime.json")
-	if err := writeJSONFile(ltPath, lt.WriteJSON); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", ltPath)
-
-	ek, err := bench.RunEncodeKernel(cfg)
-	if err != nil {
-		return err
-	}
-	ekPath := filepath.Join(filepath.Dir(path), "BENCH_encode.json")
-	if err := writeJSONFile(ekPath, ek.WriteJSON); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", ekPath)
-
-	ks, err := bench.RunKVScale(cfg)
-	if err != nil {
-		return err
-	}
-	ksPath := filepath.Join(filepath.Dir(path), "BENCH_kvscale.json")
-	if err := writeJSONFile(ksPath, ks.WriteJSON); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", ksPath)
-
-	inf, err := bench.RunInflash(cfg)
-	if err != nil {
-		return err
-	}
-	infPath := filepath.Join(filepath.Dir(path), "BENCH_inflash.json")
-	if err := writeJSONFile(infPath, inf.WriteJSON); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", infPath)
 	return nil
 }
 
-// runLifetime runs the endurance lifetime experiment and renders its table.
-func runLifetime(cfg bench.Config) error {
-	start := time.Now()
-	tab, err := bench.ExpLifetime(cfg)
-	if err != nil {
-		return err
-	}
-	tab.Render(os.Stdout)
-	fmt.Printf("  (lifetime in %v)\n\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// runExp runs one registered experiment and renders its table.
-func runExp(cfg bench.Config, id string) error {
-	start := time.Now()
-	tab, err := bench.ByID(id).Run(cfg)
-	if err != nil {
-		return err
-	}
-	tab.Render(os.Stdout)
-	fmt.Printf("  (%s in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-func writeJSONFile(path string, render func(io.Writer) error) error {
+// writeArtifact writes rep to a new file at path.
+func writeArtifact(path string, rep bench.Report) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return render(f)
+	if err := bench.WriteArtifact(f, rep); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runFaults runs one seeded campaign and prints a human-readable summary.
@@ -386,9 +305,9 @@ Regenerates the paper's tables and figures. Examples:
   flipbit -faults -ftl                        # same through the journaled FTL
   flipbit -faults -ftl -scrub                 # same with the scrubber armed
   flipbit -faults -retry 3                    # with transient verify failures + retry
-  flipbit -lifetime                           # writes-to-first-data-loss comparison
+  flipbit lifetime                            # writes-to-first-data-loss comparison
   flipbit -cell mlc writepath                 # device experiments on a derated MLC part
-  flipbit -inflash                            # in-flash pushdown vs host scans
+  flipbit inflash                             # in-flash pushdown vs host scans
   flipbit -benchjson BENCH_writepath.json     # machine-readable bench artifacts
   flipbit -cpuprofile cpu.pprof -quick all    # profile the run for go tool pprof
 `

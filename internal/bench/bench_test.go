@@ -276,7 +276,7 @@ func TestWritePathShape(t *testing.T) {
 		t.Errorf("4-worker throughput %.0f ops/s is not ≥2× the 1-worker %.0f ops/s", at4, at1)
 	}
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := WriteArtifact(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "speedup_vs_1_worker") {
@@ -285,7 +285,7 @@ func TestWritePathShape(t *testing.T) {
 }
 
 // TestEncodeKernelShape runs the encodekernel experiment at quick scale and
-// requires the report to satisfy its own artifact schema: n-bit kernels
+// requires the report to pass its own artifact gate: n-bit kernels
 // ≥3× scalar, no end-to-end regression, and both paths in exact agreement.
 func TestEncodeKernelShape(t *testing.T) {
 	rep, err := RunEncodeKernel(quick)
@@ -296,20 +296,16 @@ func TestEncodeKernelShape(t *testing.T) {
 		t.Fatal("kernel and scalar paths diverged")
 	}
 	if raceEnabled {
-		t.Log("race detector on: skipping the schema's timing gates (instrumentation overhead swamps kernel-vs-scalar ratios)")
+		t.Log("race detector on: skipping the artifact's timing gates (instrumentation overhead swamps kernel-vs-scalar ratios)")
 		return
 	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateArtifact("encode", buf.Bytes()); err != nil {
-		t.Errorf("quick-scale report fails its own schema: %v", err)
+	if err := rep.Check(); err != nil {
+		t.Errorf("quick-scale report fails its own gate: %v", err)
 	}
 }
 
 // TestKVScaleShape runs the store-scale experiment at quick scale and
-// requires the report to satisfy its own artifact schema: GC fired under
+// requires the report to pass its own artifact gate: GC fired under
 // load, checkpoints committed, space amplification within the 2.0 gate, and
 // the checkpointed mount ≥10× the full scan in device time.
 func TestKVScaleShape(t *testing.T) {
@@ -328,12 +324,8 @@ func TestKVScaleShape(t *testing.T) {
 			r.Keys, r.Ops, r.Compactions, r.Checkpoints, r.SpaceAmp,
 			r.MountSpeedup, r.ScanMountDeviceMs, r.CkptMountDeviceMs)
 	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateArtifact("kvscale", buf.Bytes()); err != nil {
-		t.Errorf("quick-scale report fails its own schema: %v", err)
+	if err := rep.Check(); err != nil {
+		t.Errorf("quick-scale report fails its own gate: %v", err)
 	}
 }
 

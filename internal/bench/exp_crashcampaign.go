@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/flipbit-sim/flipbit/internal/faultcampaign"
@@ -80,11 +78,72 @@ func RunCrashCampaign(cfg Config) (*CrashCampaignReport, error) {
 	return rep, nil
 }
 
-// WriteJSON renders the report as indented JSON.
-func (r *CrashCampaignReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Check gates BENCH_crashcampaign.json: every row proved something
+// cleanly, the compact+ckpt row stressed the machinery it exists to crash,
+// and the async pipeline replayed the synchronous campaign byte for byte —
+// same seed, same fault schedule, same fingerprint.
+func (r *CrashCampaignReport) Check() error {
+	fps := map[string]uint64{}
+	sawCkpt := false
+	for i, row := range r.Rows {
+		if err := checkCampaignRow(i, row.Scenario, row.Result); err != nil {
+			return err
+		}
+		fps[row.Scenario] = row.Fingerprint
+		// The compact+ckpt scenario must see GC passes and committed
+		// checkpoints under power loss, with reboots restoring from a
+		// checkpoint.
+		if row.Scenario == "kvs/compact+ckpt" {
+			sawCkpt = true
+			if err := stressed(i, row.Scenario, counter{"compactions", row.Compactions},
+				counter{"checkpoints", row.Checkpoints}, counter{"checkpoint_mounts", row.CheckpointMounts}); err != nil {
+				return err
+			}
+		}
+	}
+	if !sawCkpt {
+		return fmt.Errorf("missing the kvs/compact+ckpt scenario row")
+	}
+	if syncFP, ok := fps["kvs/mixed"]; ok {
+		if asyncFP, ok := fps["kvs/mixed+async"]; ok && asyncFP != syncFP {
+			return fmt.Errorf("kvs/mixed+async fingerprint %d != kvs/mixed %d; async pipeline perturbed the campaign", asyncFP, syncFP)
+		}
+	}
+	return nil
+}
+
+// checkCampaignRow gates what every campaign row must show: the campaign
+// proved something (crashes happened, fingerprint pinned) and proved it
+// cleanly (no recovery-invariant violations).
+func checkCampaignRow(i int, scenario string, res *faultcampaign.Result) error {
+	switch {
+	case res == nil:
+		return fmt.Errorf("rows[%d] (%s): no campaign result", i, scenario)
+	case res.ViolationCount != 0:
+		return fmt.Errorf("rows[%d] (%s): %d recovery-invariant violations", i, scenario, res.ViolationCount)
+	case res.Crashes == 0:
+		return fmt.Errorf("rows[%d] (%s): campaign never crashed", i, scenario)
+	case res.Fingerprint == 0:
+		return fmt.Errorf("rows[%d] (%s): zero fingerprint", i, scenario)
+	}
+	return nil
+}
+
+// counter is a named campaign count that a scenario must drive above zero.
+type counter struct {
+	name string
+	n    uint64
+}
+
+// stressed requires every counter to be nonzero: a scenario that never
+// exercised the machinery it exists to crash proves nothing about it.
+func stressed(i int, scenario string, cs ...counter) error {
+	for _, c := range cs {
+		if c.n == 0 {
+			return fmt.Errorf("rows[%d] (%s): %s is 0; campaign never stressed it", i, scenario, c.name)
+		}
+	}
+	return nil
 }
 
 // ExpCrashCampaign is the registry wrapper: the report as a rendered table.

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 	"time"
 
@@ -30,9 +28,9 @@ import (
 //     derated to MLC with the n-cell encoder — the configuration that ran
 //     scalar-only before the cell kernels existed.
 //
-// Results land in BENCH_encode.json; validateEncode pins the acceptance
-// invariants (≥3× on an n-bit micro row, ≥5× on an n-cell micro row, SLC
-// e2e speedup ≥1, MLC e2e speedup ≥2, stats matched).
+// Results land in BENCH_encode.json; EncodeKernelReport.Check pins the
+// acceptance invariants (≥3× on an n-bit micro row, ≥5× on an n-cell micro
+// row, SLC e2e speedup ≥1, MLC e2e speedup ≥2, stats matched).
 
 // EncodeKernelRow is one micro-benchmark configuration.
 type EncodeKernelRow struct {
@@ -223,11 +221,38 @@ func RunEncodeKernel(cfg Config) (*EncodeKernelReport, error) {
 	return rep, nil
 }
 
-// WriteJSON renders the report as indented JSON.
-func (r *EncodeKernelReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Check gates BENCH_encode.json. The speedup claims are void unless both
+// paths computed identical outputs and identical controller statistics;
+// given that, at least one n-bit micro row shows a ≥3× kernel speedup, at
+// least one n-cell (MLC) micro row shows ≥5×, and neither end-to-end write
+// path regressed, with the MLC path (scalar-only before the cell kernels)
+// at least doubled.
+func (r *EncodeKernelReport) Check() error {
+	if !r.StatsMatch {
+		return fmt.Errorf("kernel and scalar paths diverged; artifact is invalid")
+	}
+	bestNBit, bestNCell := 0.0, 0.0
+	for _, row := range r.Rows {
+		if row.Family == "nbit" {
+			bestNBit = max(bestNBit, row.Speedup)
+		}
+		if row.Family == "ncell" {
+			bestNCell = max(bestNCell, row.Speedup)
+		}
+	}
+	if bestNBit < 3 {
+		return fmt.Errorf("best n-bit kernel speedup is %.2f, want >= 3", bestNBit)
+	}
+	if bestNCell < 5 {
+		return fmt.Errorf("best n-cell kernel speedup is %.2f, want >= 5", bestNCell)
+	}
+	if r.E2ESpeedup < 1 {
+		return fmt.Errorf("end-to-end write path regressed: e2e_speedup %.2f < 1", r.E2ESpeedup)
+	}
+	if r.E2EMLCSpeedup < 2 {
+		return fmt.Errorf("end-to-end MLC write path speedup %.2f, want >= 2", r.E2EMLCSpeedup)
+	}
+	return nil
 }
 
 // ExpEncodeKernel is the registry wrapper: the report as a rendered table.

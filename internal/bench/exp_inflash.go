@@ -2,10 +2,8 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/flipbit-sim/flipbit/internal/core"
@@ -417,11 +415,53 @@ func RunInflash(cfg Config) (*InflashReport, error) {
 	return rep, nil
 }
 
-// WriteJSON renders the report as indented JSON.
-func (r *InflashReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Check gates BENCH_inflash.json. Scan rows: the pushdown path returned
+// exactly the host-scan results (a speedup on a path that loses or invents
+// matches is void), was served in-flash from a candidate superset, won at
+// least 3× device energy at selective queries and never regressed even at
+// 50%; and since the workload re-bucketed keys, stale index bits surfaced
+// (and were filtered) somewhere, or the soundness machinery never ran.
+// Approx rows are bounded-error search: no intended reading missed, the
+// observed error inside its budget, refreshes erase-free, and both energy
+// comparisons in FlipBit's favour.
+func (r *InflashReport) Check() error {
+	var stale uint64
+	for i, row := range r.Rows {
+		switch {
+		case !row.Equal:
+			return fmt.Errorf("rows[%d] (%s): pushdown and host scans diverged", i, row.Predicate)
+		case row.Senses == 0:
+			return fmt.Errorf("rows[%d] (%s): no senses; the scan was not served in-flash", i, row.Predicate)
+		case row.Candidates < uint64(row.Matches):
+			return fmt.Errorf("rows[%d] (%s): %d candidates for %d matches; the plan was not a superset", i, row.Predicate, row.Candidates, row.Matches)
+		case row.SelectivityPct <= 10 && row.EnergyX < 3:
+			return fmt.Errorf("rows[%d]: energy_x %.2f at %.0f%% selectivity, want >= 3", i, row.EnergyX, row.SelectivityPct)
+		case row.EnergyX <= 1:
+			return fmt.Errorf("rows[%d]: energy_x %.2f; pushdown costs more than reading everything", i, row.EnergyX)
+		}
+		stale += row.FalsePositives
+	}
+	if stale == 0 {
+		return fmt.Errorf("no stale-bit false positives across rows; the re-check path went unexercised")
+	}
+	if len(r.Approx) == 0 {
+		return fmt.Errorf("approx is empty")
+	}
+	for i, a := range r.Approx {
+		switch {
+		case a.Missed != 0:
+			return fmt.Errorf("approx[%d]: %d intended readings missed; the widened window lost matches", i, a.Missed)
+		case a.MaxErr > a.ErrBudget:
+			return fmt.Errorf("approx[%d]: max_err %d exceeds budget %d", i, a.MaxErr, a.ErrBudget)
+		case a.FlipErases != 0:
+			return fmt.Errorf("approx[%d]: %d erases on the erase-free refresh path", i, a.FlipErases)
+		case a.UpdateEnergyX < 5:
+			return fmt.Errorf("approx[%d]: update_energy_x %.2f, want >= 5", i, a.UpdateEnergyX)
+		case a.QueryEnergyX <= 1:
+			return fmt.Errorf("approx[%d]: query_energy_x %.2f; in-flash search did not beat read-all", i, a.QueryEnergyX)
+		}
+	}
+	return nil
 }
 
 // ExpInflash is the registry wrapper: the report as a rendered table.

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/flipbit-sim/flipbit/internal/core"
@@ -225,11 +223,34 @@ func RunKVScale(cfg Config) (*KVScaleReport, error) {
 	return rep, nil
 }
 
-// WriteJSON renders the report as indented JSON.
-func (r *KVScaleReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Check gates BENCH_kvscale.json. Every row's workload actually forced GC
+// and committed checkpoints, kept space amplification within [1, 2.0], and
+// mounted from the checkpoint faster than the scan; and at the largest key
+// count the checkpointed mount is at least 10× faster (device time) than
+// the scan — the tentpole claim.
+func (r *KVScaleReport) Check() error {
+	maxKeys, speedupAtMax := 0, 0.0
+	for i, row := range r.Rows {
+		if row.Compactions == 0 {
+			return fmt.Errorf("rows[%d]: compactions is 0; workload never forced GC", i)
+		}
+		if row.Checkpoints < 1 {
+			return fmt.Errorf("rows[%d]: no checkpoint committed", i)
+		}
+		if row.SpaceAmp < 1 || row.SpaceAmp > 2.0 {
+			return fmt.Errorf("rows[%d]: space_amp %.2f outside [1, 2.0]", i, row.SpaceAmp)
+		}
+		if row.MountSpeedup <= 1 {
+			return fmt.Errorf("rows[%d]: mount_speedup %.2f; checkpointed mount did not beat the scan", i, row.MountSpeedup)
+		}
+		if row.Keys > maxKeys {
+			maxKeys, speedupAtMax = row.Keys, row.MountSpeedup
+		}
+	}
+	if speedupAtMax < 10 {
+		return fmt.Errorf("mount_speedup at %d keys is %.2f, want >= 10", maxKeys, speedupAtMax)
+	}
+	return nil
 }
 
 // ExpKVScale is the registry wrapper: the report as a rendered table.

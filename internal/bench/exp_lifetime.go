@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"github.com/flipbit-sim/flipbit/internal/approx"
 	"github.com/flipbit-sim/flipbit/internal/core"
@@ -381,11 +379,52 @@ func RunLifetime(cfg Config) (*LifetimeReport, error) {
 	return rep, nil
 }
 
-// WriteJSON renders the report as indented JSON.
-func (r *LifetimeReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Check gates BENCH_lifetime.json: the unmanaged baseline row has
+// lifetime_x exactly 1, every managed configuration at least doubles
+// writes-to-first-loss and never loses acknowledged data, and the density
+// sweep covers SLC, MLC and TLC, each with a capacity multiplier of exactly
+// its bits per cell, a derated endurance rating, and a workload that
+// survived some writes before first loss.
+func (r *LifetimeReport) Check() error {
+	var sawUnmanaged, sawManaged bool
+	for _, row := range r.Rows {
+		if row.Config == "unmanaged" {
+			sawUnmanaged = true
+			if row.LifetimeX != 1 {
+				return fmt.Errorf("unmanaged lifetime_x = %v, want 1 (it is the baseline)", row.LifetimeX)
+			}
+			continue
+		}
+		sawManaged = true
+		if row.LifetimeX < 2 {
+			return fmt.Errorf("%s lifetime_x = %v, want >= 2", row.Config, row.LifetimeX)
+		}
+		if row.DataLost {
+			return fmt.Errorf("%s lost acknowledged data; managed end of life must be a clean refusal", row.Config)
+		}
+	}
+	if !sawUnmanaged || !sawManaged {
+		return fmt.Errorf("need both an unmanaged baseline row and a managed row")
+	}
+	cells := map[string]bool{}
+	for i, d := range r.Density {
+		if d.CapacityX != float64(d.BitsPerCell) {
+			return fmt.Errorf("density[%d] (%s): capacity_x %v != bits_per_cell %d", i, d.Cell, d.CapacityX, d.BitsPerCell)
+		}
+		if d.Endurance < 1 {
+			return fmt.Errorf("density[%d] (%s): endurance_cycles %d, want >= 1", i, d.Cell, d.Endurance)
+		}
+		if d.WritesToFirstLoss <= 0 {
+			return fmt.Errorf("density[%d] (%s): writes_to_first_loss %d; the workload never survived a write", i, d.Cell, d.WritesToFirstLoss)
+		}
+		cells[d.Cell] = true
+	}
+	for _, c := range []string{"SLC", "MLC", "TLC"} {
+		if !cells[c] {
+			return fmt.Errorf("density sweep missing a %s row", c)
+		}
+	}
+	return nil
 }
 
 // ExpLifetime is the registry wrapper: the report as a rendered table.

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/flipbit-sim/flipbit/internal/faultcampaign"
@@ -100,11 +98,64 @@ func RunTransient(cfg Config) (*TransientReport, error) {
 	return rep, nil
 }
 
-// WriteJSON renders the report as indented JSON.
-func (r *TransientReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Check gates BENCH_transient.json: every row proved something cleanly
+// and actually injected transients and saved writes; the retry policy
+// recovers at least 90% of injected failures without retiring a page,
+// except in the under-budgeted exhaust row, which must retire; retention
+// rows age cells and exercise the hardened read path; and since retry
+// backoffs and retention aging are charged per bank in issue order, each
+// async row replays its sync twin byte for byte.
+func (r *TransientReport) Check() error {
+	fps := map[string]uint64{}
+	sawExhaust := false
+	for i, row := range r.Rows {
+		if err := checkCampaignRow(i, row.Scenario, row.Result); err != nil {
+			return err
+		}
+		fps[row.Scenario] = row.Fingerprint
+		if err := stressed(i, row.Scenario, counter{"transient_program_armed", uint64(row.TransientProgramArmed)},
+			counter{"retry_saves", row.RetrySaves}); err != nil {
+			return err
+		}
+		switch row.Scenario {
+		case "kvs/transient-exhaust":
+			sawExhaust = true
+			if row.RetryRetired == 0 {
+				return fmt.Errorf("rows[%d] (%s): no incident exhausted the retry budget", i, row.Scenario)
+			}
+		default:
+			if row.RecoveryRate < 0.9 {
+				return fmt.Errorf("rows[%d] (%s): recovery rate %.2f, want >= 0.9", i, row.Scenario, row.RecoveryRate)
+			}
+		}
+		if row.Scenario == "kvs/transient+retention" || row.Scenario == "kvs/transient+retention+async" {
+			if err := stressed(i, row.Scenario, counter{"retention_aged", row.RetentionAged},
+				counter{"sense_retries", row.SenseRetries}); err != nil {
+				return err
+			}
+		}
+	}
+	if !sawExhaust {
+		return fmt.Errorf("missing the kvs/transient-exhaust scenario row")
+	}
+	for _, pair := range [][2]string{
+		{"kvs/transient", "kvs/transient+async"},
+		{"kvs/transient+retention", "kvs/transient+retention+async"},
+	} {
+		syncFP, ok := fps[pair[0]]
+		if !ok {
+			return fmt.Errorf("missing the %s scenario row", pair[0])
+		}
+		asyncFP, ok := fps[pair[1]]
+		if !ok {
+			return fmt.Errorf("missing the %s scenario row", pair[1])
+		}
+		if syncFP != asyncFP {
+			return fmt.Errorf("%s fingerprint %d != %s %d; async pipeline perturbed the campaign",
+				pair[1], asyncFP, pair[0], syncFP)
+		}
+	}
+	return nil
 }
 
 // ExpTransient is the registry wrapper: the report as a rendered table.

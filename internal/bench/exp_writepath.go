@@ -1,10 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -372,11 +371,31 @@ func runHostScaling(cfg Config, rep *WritePathReport) error {
 	return nil
 }
 
-// WriteJSON renders the report as indented JSON.
-func (r *WritePathReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Check gates BENCH_writepath.json: the tentpole claim — at `banks`
+// workers the device-time speedup over 1 worker is at least 2× — and a
+// host-scaling section whose every row names a known mode and runs
+// allocation-free, since the steady-state commit paths are pooled end to
+// end and any per-op allocation is a regression.
+func (r *WritePathReport) Check() error {
+	i := slices.IndexFunc(r.Rows, func(row WritePathRow) bool { return row.Workers == r.Banks })
+	if i < 0 {
+		return fmt.Errorf("no row with workers == banks (%d)", r.Banks)
+	}
+	if sp := r.Rows[i].Speedup; sp < 2 {
+		return fmt.Errorf("speedup at %d workers is %.2f, want >= 2", r.Banks, sp)
+	}
+	if len(r.HostScaling) == 0 {
+		return fmt.Errorf("host_scaling is empty")
+	}
+	for i, h := range r.HostScaling {
+		if h.Mode != "serial" && h.Mode != "concurrent" && h.Mode != "async" {
+			return fmt.Errorf("host_scaling[%d]: unknown mode %q", i, h.Mode)
+		}
+		if h.AllocsPerOp > 0.5 {
+			return fmt.Errorf("host_scaling[%d] (%s, %d banks): %.2f allocs/op, want ~0", i, h.Mode, h.Banks, h.AllocsPerOp)
+		}
+	}
+	return nil
 }
 
 // ExpWritePath is the registry wrapper: the report as a rendered table.
