@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"github.com/flipbit-sim/flipbit/internal/bench"
-	"github.com/flipbit-sim/flipbit/internal/faultcampaign"
 	"github.com/flipbit-sim/flipbit/internal/flash"
 )
 
@@ -35,12 +34,6 @@ var (
 	cellMode   = flags.String("cell", "slc", "cell density for device-level experiments: slc, mlc or tlc (derates latency, energy and endurance)")
 	csvDir     = flags.String("csv", "", "also write each table as <dir>/<id>.csv")
 	benchJSON  = flags.String("benchjson", "", "write the writepath JSON report to this path and every other BENCH_<kind>.json artifact next to it, each only if it passes its gate")
-	faults     = flags.Bool("faults", false, "run a fault-injection campaign against the key-value store and print its outcome")
-	seed       = flags.Uint64("seed", 1, "campaign seed for -faults (same seed replays byte-identically)")
-	cycles     = flags.Int("cycles", 1000, "crash/reboot cycles for -faults")
-	onFTL      = flags.Bool("ftl", false, "run the -faults campaign through the journaled FTL with read-back verification")
-	scrub      = flags.Bool("scrub", false, "arm the background scrubber (and a 2-page spare pool with -ftl) during the -faults campaign")
-	retry      = flags.Int("retry", 0, "arm transient program/erase verify failures in the -faults mix, absorbed by a verify-retry budget of this many re-issues")
 	cpuProfile = flags.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with 'go tool pprof')")
 	memProfile = flags.String("memprofile", "", "write a heap profile taken at exit to this file")
 )
@@ -93,15 +86,6 @@ func run() int {
 		}()
 	}
 
-	if *faults {
-		if err := runFaults(*seed, *cycles, *onFTL, *scrub, *retry); err != nil {
-			fmt.Fprintf(os.Stderr, "flipbit: faults: %v\n", err)
-			return 1
-		}
-		if len(args) == 0 && *benchJSON == "" {
-			return 0
-		}
-	}
 	if *benchJSON != "" {
 		if err := writeBenchJSON(*benchJSON, cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "flipbit: benchjson: %v\n", err)
@@ -123,30 +107,31 @@ func run() int {
 		return 0
 	}
 
-	var ids []string
-	if args[0] == "all" {
-		for _, e := range bench.Registry() {
-			ids = append(ids, e.ID)
+	// Resolve every ID before running any, so a typo late in the list
+	// fails fast instead of after the experiments ahead of it.
+	exps := bench.Registry()
+	if args[0] != "all" {
+		exps = nil
+		for _, id := range args {
+			e := bench.ByID(id)
+			if e == nil {
+				fmt.Fprintf(os.Stderr, "flipbit: unknown experiment %q (try 'flipbit list')\n", id)
+				return 2
+			}
+			exps = append(exps, *e)
 		}
-	} else {
-		ids = args
 	}
-	for _, id := range ids {
-		e := bench.ByID(id)
-		if e == nil {
-			fmt.Fprintf(os.Stderr, "flipbit: unknown experiment %q (try 'flipbit list')\n", id)
-			return 2
-		}
+	for _, e := range exps {
 		start := time.Now()
 		tab, err := e.Run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "flipbit: %s: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "flipbit: %s: %v\n", e.ID, err)
 			return 1
 		}
 		tab.Render(os.Stdout)
-		fmt.Printf("  (%s in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("  (%s in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		if *csvDir != "" {
-			if err := writeCSV(*csvDir, id, tab); err != nil {
+			if err := writeCSV(*csvDir, e.ID, tab); err != nil {
 				fmt.Fprintf(os.Stderr, "flipbit: csv: %v\n", err)
 				return 1
 			}
@@ -211,65 +196,6 @@ func writeArtifact(path string, rep bench.Report) error {
 	return f.Close()
 }
 
-// runFaults runs one seeded campaign and prints a human-readable summary.
-// A non-zero violation count is a hard failure: it means a committed key
-// was lost or settled to a torn value after a crash.
-func runFaults(seed uint64, cycles int, onFTL, scrub bool, retry int) error {
-	cfg := faultcampaign.Config{Seed: seed, Cycles: cycles, UseFTL: onFTL, Verify: onFTL, Scrub: scrub}
-	if scrub && onFTL {
-		cfg.Spares = 2
-	}
-	if retry > 0 {
-		// Transient verify failures join the mix, with incidents bounded by
-		// the budget (MaxRetries <= retry) so every one recovers in place.
-		cfg.Retry = retry
-		cfg.Mix = flash.FaultMix{
-			PowerLoss: 4, TransientProgram: 3, TransientErase: 1,
-			MinGap: 0, MaxGap: 250, MaxRetries: retry,
-		}
-	}
-	start := time.Now()
-	res, err := faultcampaign.Run(cfg)
-	if err != nil {
-		return err
-	}
-	stack := "kvs on raw flash"
-	if onFTL {
-		stack = "kvs on journaled ftl (verify on)"
-	}
-	if scrub {
-		stack += " + scrubber"
-	}
-	fmt.Printf("fault campaign: seed %#x, %d cycles against %s (%v host time)\n",
-		seed, res.Cycles, stack, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("  crashes survived     %d (%d during recovery itself)\n", res.Crashes, res.CrashesDuringRecovery)
-	fmt.Printf("  faults fired         %d (armed: %d power-loss, %d stuck-bits, %d read-disturb)\n",
-		res.FaultsFired, res.PowerLossArmed, res.StuckBitsArmed, res.ReadDisturbArmed)
-	fmt.Printf("  mean recovery        %v flash busy, %s total recovery energy\n",
-		res.MeanRecoveryBusy.Round(time.Microsecond), res.RecoveryEnergy)
-	fmt.Printf("  wasted pages         %d (retired + quarantined), %d bits corrected, %d torn records skipped\n",
-		res.WastedPages, res.CorrectedBits, res.TornSkipped)
-	if scrub {
-		fmt.Printf("  scrubber             %d sampled, %d absorbed, %d refreshed, %d retired\n",
-			res.ScrubSampled, res.ScrubAbsorbed, res.ScrubRefreshed, res.ScrubRetired)
-	}
-	if retry > 0 {
-		fmt.Printf("  verify-retry         %d re-issues saved %d writes, %d pages retired on exhaustion (armed: %d program, %d erase)\n",
-			res.RetryAttempts, res.RetrySaves, res.RetryRetired,
-			res.TransientProgramArmed, res.TransientEraseArmed)
-	}
-	fmt.Printf("  fingerprint          %016x (replays byte-identically from the seed)\n", res.Fingerprint)
-	if res.ViolationCount != 0 {
-		fmt.Printf("  VIOLATIONS           %d\n", res.ViolationCount)
-		for _, v := range res.Violations {
-			fmt.Printf("    %s\n", v)
-		}
-		return fmt.Errorf("%d recovery-invariant violations", res.ViolationCount)
-	}
-	fmt.Printf("  violations           0 — every committed key survived every crash\n")
-	return nil
-}
-
 func writeCSV(dir, id string, tab *bench.Table) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -301,10 +227,7 @@ Regenerates the paper's tables and figures. Examples:
   flipbit list
   flipbit table2 fig10
   flipbit -quick all
-  flipbit -faults -seed 7 -cycles 2000        # crash/reboot campaign, raw flash
-  flipbit -faults -ftl                        # same through the journaled FTL
-  flipbit -faults -ftl -scrub                 # same with the scrubber armed
-  flipbit -faults -retry 3                    # with transient verify failures + retry
+  flipbit crashcampaign transient             # crash/reboot and verify-retry campaigns
   flipbit lifetime                            # writes-to-first-data-loss comparison
   flipbit -cell mlc writepath                 # device experiments on a derated MLC part
   flipbit inflash                             # in-flash pushdown vs host scans

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -47,4 +48,49 @@ func TestUsageGolden(t *testing.T) {
 			t.Errorf("flag -%s missing from usage output", f.Name)
 		}
 	})
+}
+
+// TestUnknownIDRunsNothing: an unknown ID anywhere in the argument list is
+// rejected with exit 2 before any experiment runs, so the valid table2
+// ahead of it must print nothing.
+func TestUnknownIDRunsNothing(t *testing.T) {
+	stdout, stderr, code := runCLI(t, "table2", "bogus")
+	if code != 2 {
+		t.Errorf("exit code %d, want 2", code)
+	}
+	if stdout != "" {
+		t.Errorf("experiments ran before the unknown ID was rejected:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, `unknown experiment "bogus"`) {
+		t.Errorf("stderr does not name the unknown ID: %q", stderr)
+	}
+}
+
+// runCLI runs the program with args and returns what it wrote to stdout
+// and stderr, and its exit code.
+func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	oldArgs, oldOut, oldErr := os.Args, os.Stdout, os.Stderr
+	defer func() { os.Args, os.Stdout, os.Stderr = oldArgs, oldOut, oldErr }()
+
+	capture := func(dst **os.File) <-chan string {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		*dst = w
+		done := make(chan string)
+		go func() {
+			b, _ := io.ReadAll(r)
+			r.Close()
+			done <- string(b)
+		}()
+		return done
+	}
+	os.Args = append([]string{"flipbit"}, args...)
+	outc, errc := capture(&os.Stdout), capture(&os.Stderr)
+	code = run()
+	os.Stdout.Close()
+	os.Stderr.Close()
+	return <-outc, <-errc, code
 }

@@ -5,42 +5,17 @@ import (
 	"testing"
 )
 
-// FuzzLZSSRoundTrip: Compress/Decompress must round-trip any input.
-func FuzzLZSSRoundTrip(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte("hello hello hello"))
-	f.Add(bytes.Repeat([]byte{0}, 300))
-	f.Add([]byte{0xFF, 0x00, 0xFF, 0x00})
-	f.Fuzz(func(t *testing.T, src []byte) {
-		got, err := Decompress(Compress(src))
+// FuzzStaticCoderRoundTrip: a coder trained on any data must round-trip
+// any input.
+func FuzzStaticCoderRoundTrip(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{7}, []byte{7, 7, 0xFF})
+	f.Add([]byte("aaaaabbbbcccdde"), []byte("edcbaxyz"))
+	f.Fuzz(func(t *testing.T, training, src []byte) {
+		c := NewStaticCoder(training)
+		got, err := c.Decode(c.Encode(src), len(src))
 		if err != nil {
-			t.Fatalf("decompress: %v", err)
-		}
-		if !bytes.Equal(got, src) {
-			t.Fatalf("round trip mismatch: %d in, %d out", len(src), len(got))
-		}
-	})
-}
-
-// FuzzLZSSDecompressRobust: arbitrary bytes must never panic the decoder;
-// errors are the acceptable outcome.
-func FuzzLZSSDecompressRobust(f *testing.F) {
-	f.Add([]byte{0x00, 0xFF, 0x00})
-	f.Add([]byte{0x01})
-	f.Fuzz(func(t *testing.T, src []byte) {
-		_, _ = Decompress(src) // must not panic
-	})
-}
-
-// FuzzHuffmanRoundTrip: the entropy coder must round-trip any input.
-func FuzzHuffmanRoundTrip(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{7})
-	f.Add([]byte("aaaaabbbbcccdde"))
-	f.Fuzz(func(t *testing.T, src []byte) {
-		got, err := HuffmanDecompress(HuffmanCompress(src))
-		if err != nil {
-			t.Fatalf("decompress: %v", err)
+			t.Fatalf("decode: %v", err)
 		}
 		if !bytes.Equal(got, src) {
 			t.Fatal("round trip mismatch")
@@ -48,10 +23,14 @@ func FuzzHuffmanRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzHuffmanDecompressRobust: hostile blocks must never panic.
-func FuzzHuffmanDecompressRobust(f *testing.F) {
-	f.Add(make([]byte, 261))
-	f.Fuzz(func(t *testing.T, src []byte) {
-		_, _ = HuffmanDecompress(src) // must not panic
+// FuzzStaticCoderDecodeRobust: hostile bitstreams must never panic the
+// decoder; an error is acceptable, a short result is not.
+func FuzzStaticCoderDecodeRobust(f *testing.F) {
+	f.Add([]byte("aaaaabbbbcccdde"), []byte{0x00, 0xFF, 0x5A}, uint16(9))
+	f.Fuzz(func(t *testing.T, training, src []byte, n uint16) {
+		got, err := NewStaticCoder(training).Decode(src, int(n))
+		if err == nil && len(got) != int(n) {
+			t.Fatalf("decoded %d symbols without error, want %d", len(got), n)
+		}
 	})
 }

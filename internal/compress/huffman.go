@@ -2,99 +2,13 @@ package compress
 
 import (
 	"container/heap"
-	"fmt"
 	"sort"
 )
 
-// Order-0 canonical Huffman coding. LZSS exploits repetition; sensor deltas
-// are usually low-entropy but non-repeating, which is exactly what an
-// entropy coder captures. HuffmanCompress produces a self-contained block:
-// a 256-entry code-length table (one byte per symbol), a 4-byte original
-// length, then the bitstream.
+// Order-0 canonical Huffman code construction for StaticCoder.
 
+// huffMaxCodeLen caps code lengths so every code fits huffCode's uint16.
 const huffMaxCodeLen = 15
-
-// HuffmanCompress encodes src as a canonical-Huffman block.
-func HuffmanCompress(src []byte) []byte {
-	var freq [256]uint64
-	for _, b := range src {
-		freq[b]++
-	}
-	lengths := huffmanCodeLengths(freq[:])
-	codes := canonicalCodes(lengths)
-
-	out := make([]byte, 0, len(src)/2+260)
-	out = append(out, lengths...)
-	out = append(out,
-		byte(len(src)), byte(len(src)>>8), byte(len(src)>>16), byte(len(src)>>24))
-
-	var acc uint32
-	var nbits uint
-	for _, b := range src {
-		c := codes[b]
-		acc |= uint32(c.code) << nbits
-		nbits += uint(c.len)
-		for nbits >= 8 {
-			out = append(out, byte(acc))
-			acc >>= 8
-			nbits -= 8
-		}
-	}
-	if nbits > 0 {
-		out = append(out, byte(acc))
-	}
-	return out
-}
-
-// HuffmanDecompress decodes a block produced by HuffmanCompress.
-func HuffmanDecompress(src []byte) ([]byte, error) {
-	if len(src) < 260 {
-		return nil, fmt.Errorf("%w: huffman header truncated", ErrCorrupt)
-	}
-	lengths := src[:256]
-	n := int(src[256]) | int(src[257])<<8 | int(src[258])<<16 | int(src[259])<<24
-	codes := canonicalCodes(lengths)
-
-	// Build a decode map from (len,code) to symbol.
-	type key struct {
-		l uint8
-		c uint16
-	}
-	decode := make(map[key]byte)
-	for sym, c := range codes {
-		if c.len > 0 {
-			decode[key{c.len, c.code}] = byte(sym)
-		}
-	}
-	// Single-symbol streams have a 1-bit code; handle zero-length
-	// streams immediately.
-	if n == 0 {
-		return []byte{}, nil
-	}
-
-	out := make([]byte, 0, n)
-	bits := src[260:]
-	var cur uint16
-	var curLen uint8
-	bitIdx := 0
-	for len(out) < n {
-		if bitIdx >= 8*len(bits) {
-			return nil, fmt.Errorf("%w: huffman bitstream exhausted at %d/%d", ErrCorrupt, len(out), n)
-		}
-		bit := bits[bitIdx/8] >> uint(bitIdx%8) & 1
-		bitIdx++
-		cur |= uint16(bit) << curLen
-		curLen++
-		if curLen > huffMaxCodeLen {
-			return nil, fmt.Errorf("%w: no code matches", ErrCorrupt)
-		}
-		if sym, ok := decode[key{curLen, cur}]; ok {
-			out = append(out, sym)
-			cur, curLen = 0, 0
-		}
-	}
-	return out, nil
-}
 
 // huffmanCodeLengths computes per-symbol code lengths via the standard
 // heap construction, then clamps to huffMaxCodeLen by flattening (rare for

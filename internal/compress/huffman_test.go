@@ -2,15 +2,25 @@ package compress
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"github.com/flipbit-sim/flipbit/internal/xrand"
 )
 
+// roundTrip encodes src with c and decodes it back.
+func roundTrip(c *StaticCoder, src []byte) ([]byte, []byte, error) {
+	enc := c.Encode(src)
+	got, err := c.Decode(enc, len(src))
+	return enc, got, err
+}
+
+// TestHuffmanRoundTripProperty: a coder trained on any data round-trips any
+// input — smoothing keeps every byte encodable, seen in training or not.
 func TestHuffmanRoundTripProperty(t *testing.T) {
-	f := func(src []byte) bool {
-		got, err := HuffmanDecompress(HuffmanCompress(src))
+	f := func(training, src []byte) bool {
+		_, got, err := roundTrip(NewStaticCoder(training), src)
 		return err == nil && bytes.Equal(got, src)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -19,75 +29,83 @@ func TestHuffmanRoundTripProperty(t *testing.T) {
 }
 
 func TestHuffmanEmpty(t *testing.T) {
-	got, err := HuffmanDecompress(HuffmanCompress(nil))
-	if err != nil || len(got) != 0 {
-		t.Errorf("empty round trip: %v, %v", got, err)
+	enc, got, err := roundTrip(NewStaticCoder(nil), nil)
+	if err != nil || len(enc) != 0 || len(got) != 0 {
+		t.Errorf("empty round trip: %d-byte stream, %v, %v", len(enc), got, err)
 	}
 }
 
+// TestHuffmanSingleSymbol: a symbol that dominates training gets a 1-bit
+// code.
 func TestHuffmanSingleSymbol(t *testing.T) {
 	src := bytes.Repeat([]byte{42}, 500)
-	c := HuffmanCompress(src)
-	got, err := HuffmanDecompress(c)
+	enc, got, err := roundTrip(NewStaticCoder(src), src)
 	if err != nil || !bytes.Equal(got, src) {
 		t.Fatal("single-symbol round trip failed")
 	}
-	// 500 × 1 bit ≈ 63 bytes of payload after the 260-byte header.
-	if len(c) > 260+70 {
-		t.Errorf("single-symbol stream uses %d bytes", len(c))
+	if len(enc) != (500+7)/8 {
+		t.Errorf("500 dominant symbols coded in %d bytes, want %d", len(enc), (500+7)/8)
 	}
 }
 
-// TestHuffmanCompressesLowEntropy: a 5-symbol delta stream must compress
-// close to its entropy (~2.3 bits/symbol), which LZSS cannot do.
+// TestHuffmanCompressesLowEntropy: trained on a 5-symbol delta stream, the
+// coder must code fresh data from the same source close to its entropy
+// (~2.3 bits/symbol).
 func TestHuffmanCompressesLowEntropy(t *testing.T) {
 	rng := xrand.New(11)
-	src := make([]byte, 8192)
-	for i := range src {
-		src[i] = byte(int8(rng.Intn(5) - 2)) // -2..2 as bytes
+	stream := func() []byte {
+		out := make([]byte, 8192)
+		for i := range out {
+			out[i] = byte(int8(rng.Intn(5) - 2)) // -2..2 as bytes
+		}
+		return out
 	}
-	c := HuffmanCompress(src)
-	payload := len(c) - 260
-	bitsPerSym := 8 * float64(payload) / float64(len(src))
-	if bitsPerSym > 2.7 {
-		t.Errorf("5-symbol stream coded at %.2f bits/symbol, want < 2.7", bitsPerSym)
-	}
-	lz := Compress(src)
-	if len(c) >= len(lz) {
-		t.Logf("note: LZSS %d vs Huffman %d on this input", len(lz), len(c))
-	}
-	got, err := HuffmanDecompress(c)
+	c := NewStaticCoder(stream())
+	src := stream()
+	enc, got, err := roundTrip(c, src)
 	if err != nil || !bytes.Equal(got, src) {
 		t.Fatal("round trip failed")
 	}
+	if bitsPerSym := 8 * float64(len(enc)) / float64(len(src)); bitsPerSym > 2.7 {
+		t.Errorf("5-symbol stream coded at %.2f bits/symbol, want < 2.7", bitsPerSym)
+	}
 }
 
+// TestHuffmanRandomData: uniform bytes cannot compress, but the smoothed
+// table keeps the expansion to a few percent.
 func TestHuffmanRandomData(t *testing.T) {
 	rng := xrand.New(13)
-	src := make([]byte, 4096)
-	for i := range src {
-		src[i] = rng.Byte()
+	random := func() []byte {
+		out := make([]byte, 4096)
+		for i := range out {
+			out[i] = rng.Byte()
+		}
+		return out
 	}
-	c := HuffmanCompress(src)
-	got, err := HuffmanDecompress(c)
+	c := NewStaticCoder(random())
+	src := random()
+	enc, got, err := roundTrip(c, src)
 	if err != nil || !bytes.Equal(got, src) {
 		t.Fatal("random round trip failed")
 	}
-	// Uniform bytes cannot compress; overhead is the 260-byte header.
-	if len(c) > len(src)+300 {
-		t.Errorf("random data blew up to %d bytes", len(c))
+	if len(enc) > len(src)+len(src)/20 {
+		t.Errorf("random data blew up to %d bytes", len(enc))
 	}
 }
 
+// TestHuffmanCorrupt: a bitstream cut short of the symbols the caller asks
+// for is rejected with ErrCorrupt, never padded out.
 func TestHuffmanCorrupt(t *testing.T) {
-	if _, err := HuffmanDecompress([]byte{1, 2, 3}); err == nil {
-		t.Error("truncated header accepted")
+	c := NewStaticCoder([]byte("aaaaabbbbcccdde"))
+	src := []byte("abcdeabcde")
+	enc := c.Encode(src)
+	for cut := 0; cut < len(enc); cut++ {
+		if _, err := c.Decode(enc[:cut], len(src)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("stream cut to %d/%d bytes: err = %v, want ErrCorrupt", cut, len(enc), err)
+		}
 	}
-	// Valid header claiming more symbols than the bitstream holds.
-	src := HuffmanCompress([]byte{1, 2, 3, 4})
-	src = src[:len(src)-1]
-	if _, err := HuffmanDecompress(src); err == nil {
-		t.Error("truncated bitstream accepted")
+	if _, err := c.Decode(enc, len(src)+8*len(enc)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("more symbols than the stream holds: err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -1,6 +1,21 @@
+// Package compress implements the MCU-grade compression the paper's
+// related work applies to flash traffic (§VII: "compression has been
+// explored to reduce the total memory traffic, and therefore number of
+// erases needed"): a static Huffman coder whose table is trained once and
+// shared out of band, applied to temporal deltas of sensor records.
+//
+// The exp-related experiment uses it as another exact baseline against
+// FlipBit: compression shrinks the bytes written, FlipBit removes erases —
+// different levers, composable in principle.
 package compress
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// ErrCorrupt is returned when decoding a malformed bitstream.
+var ErrCorrupt = errors.New("compress: corrupt bitstream")
 
 // StaticCoder is a Huffman coder with a table trained once and shared
 // between encoder and decoder out of band — the configuration embedded

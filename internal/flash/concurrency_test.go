@@ -210,7 +210,7 @@ func TestConcurrentOverlappingBanks(t *testing.T) {
 	spec := concurrencySpec()
 	d := MustNewDevice(spec)
 	tr := NewTrace(1 << 16)
-	d.SetTracer(tr)
+	d.Attach(tr)
 
 	const workers = 8
 	const perWorker = 300

@@ -124,8 +124,8 @@ type bank struct {
 // Device is safe for concurrent use. Pages are partitioned across
 // Spec.Banks banks (interleaved round-robin); operations on pages in
 // different banks run in parallel, operations within one bank serialize on
-// the bank's lock. Attach/Detach, SetTracer and SetProgramAll configure the
-// device and must not race in-flight operations.
+// the bank's lock. Attach (and the detach function it returns) and
+// SetProgramAll configure the device and must not race in-flight operations.
 type Device struct {
 	spec    Spec
 	array   []byte
@@ -141,13 +141,10 @@ type Device struct {
 	// those pulses; the flag exists for the skip-unchanged ablation.
 	programAll bool
 
-	// atts records Attach calls so Detach can unhook the per-bank
-	// delivery handles (observer.go).
-	atts []attachment
-
-	// tracer is the trace installed by SetTracer, kept so a later
-	// SetTracer can detach it.
-	tracer *Trace
+	// subs holds one ID per live Attach, in attach order, so a detach
+	// function can find its per-bank delivery handles (observer.go).
+	subs    []uint64
+	nextSub uint64
 
 	// Fault injection (faults.go): ftMu guards the shared scope and the
 	// per-bank scopes against concurrent arming and firing. faultsLive

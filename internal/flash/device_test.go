@@ -337,8 +337,7 @@ func TestBankStatsShardAndMerge(t *testing.T) {
 func TestObserverSeesEveryOp(t *testing.T) {
 	d := MustNewDevice(smallSpec())
 	var events []OpEvent
-	obs := ObserverFunc(func(ev OpEvent) { events = append(events, ev) })
-	d.Attach(obs)
+	detach := d.Attach(ObserverFunc(func(ev OpEvent) { events = append(events, ev) }))
 	_, _ = d.ReadByteAt(0)
 	_ = d.ProgramByte(0, 0x0F)
 	_ = d.ProgramByte(0, 0x0F) // skipped
@@ -355,10 +354,29 @@ func TestObserverSeesEveryOp(t *testing.T) {
 	if events[3].Addr != 0 || events[3].Bank != 0 {
 		t.Errorf("erase event = %+v", events[3])
 	}
-	d.Detach(obs)
+	detach()
 	_ = d.ProgramByte(1, 0x00)
 	if len(events) != len(want) {
 		t.Error("detached observer still received events")
+	}
+}
+
+// TestDetachRemovesOnlyItsObserver: closures built from one func literal
+// share a code pointer, so they are indistinguishable by value; detaching
+// the second must still leave the first subscribed. Detaching twice is a
+// no-op.
+func TestDetachRemovesOnlyItsObserver(t *testing.T) {
+	d := MustNewDevice(smallSpec())
+	var seen [2]int
+	var detach [2]func()
+	for i := range detach {
+		detach[i] = d.Attach(ObserverFunc(func(OpEvent) { seen[i]++ }))
+	}
+	detach[1]()
+	detach[1]()
+	_, _ = d.ReadByteAt(0)
+	if seen != [2]int{1, 0} {
+		t.Errorf("events seen per observer = %v, want [1 0] (only the first still attached)", seen)
 	}
 }
 

@@ -84,8 +84,8 @@ func TestPerBankEventStreamsTotallyOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := &bankEventLog{}
-	d.Attach(log)
-	defer d.Detach(log)
+	detach := d.Attach(log)
+	defer detach()
 
 	var wg sync.WaitGroup
 	for b := 0; b < d.Banks(); b++ {
@@ -136,7 +136,7 @@ func TestProgramPageMatchesByteLoop(t *testing.T) {
 					d.SetBankFaultSchedule(b, NewRandomSchedule(0xB0+uint64(b), mix))
 				}
 				traces[i] = NewTrace(0)
-				d.SetTracer(traces[i])
+				d.Attach(traces[i])
 				devs[i] = d
 			}
 			page, loop := devs[0], devs[1]
@@ -244,7 +244,7 @@ func TestCrossBankTraceMergeDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := NewTrace(0)
-		d.SetTracer(tr)
+		d.Attach(tr)
 		if concurrent {
 			var wg sync.WaitGroup
 			for b := 0; b < d.Banks(); b++ {

@@ -1,7 +1,6 @@
 package flash
 
 import (
-	"reflect"
 	"time"
 
 	"github.com/flipbit-sim/flipbit/internal/energy"
@@ -126,20 +125,16 @@ type ObserverFunc func(OpEvent)
 // OnOp implements Observer.
 func (f ObserverFunc) OnOp(e OpEvent) { f(e) }
 
-// attachment records one Attach call: the observer as the caller knows it,
-// kept so Detach can find the per-bank delivery handles installed for it.
-type attachment struct {
-	src Observer
-}
-
-// Attach subscribes o to the device's operation events. The subscription is
-// sharded: if o implements ShardObserver each bank delivers to o's shard
-// for that bank, otherwise every bank delivers to o directly. Attach must
-// not be called concurrently with device operations (configure observers
-// before starting traffic, like the trace).
-func (d *Device) Attach(o Observer) {
+// Attach subscribes o to the device's operation events and returns the
+// function that removes exactly this subscription; calling it more than
+// once is harmless. The subscription is sharded: if o implements
+// ShardObserver each bank delivers to o's shard for that bank, otherwise
+// every bank delivers to o directly. Neither Attach nor the detach function
+// may be called concurrently with device operations (configure observers
+// before starting traffic).
+func (d *Device) Attach(o Observer) (detach func()) {
 	if o == nil {
-		return
+		return func() {}
 	}
 	shards := []Observer(nil)
 	if so, ok := o.(ShardObserver); ok {
@@ -152,41 +147,23 @@ func (d *Device) Attach(o Observer) {
 		}
 		d.banks[b].obs = append(d.banks[b].obs, h)
 	}
-	d.atts = append(d.atts, attachment{src: o})
-}
-
-// Detach removes a previously attached observer. Attachments keep their
-// relative order, so the i-th attachment owns the i-th delivery handle in
-// every bank's subscriber list.
-func (d *Device) Detach(o Observer) {
-	for i, at := range d.atts {
-		if sameObserver(at.src, o) {
-			d.atts = append(d.atts[:i], d.atts[i+1:]...)
-			for b := range d.banks {
-				obs := d.banks[b].obs
-				d.banks[b].obs = append(obs[:i], obs[i+1:]...)
+	// Subscriptions keep their relative order, so the i-th live ID owns
+	// the i-th delivery handle in every bank's list.
+	d.nextSub++
+	id := d.nextSub
+	d.subs = append(d.subs, id)
+	return func() {
+		for i, s := range d.subs {
+			if s == id {
+				d.subs = append(d.subs[:i], d.subs[i+1:]...)
+				for b := range d.banks {
+					obs := d.banks[b].obs
+					d.banks[b].obs = append(obs[:i], obs[i+1:]...)
+				}
+				return
 			}
-			return
 		}
 	}
-}
-
-// sameObserver reports whether two observers are the same subscription.
-// Comparable observers (pointers, structs of pointers) compare directly;
-// func-typed observers compare by code pointer, which is the best identity
-// a func value has.
-func sameObserver(a, b Observer) bool {
-	ta, tb := reflect.TypeOf(a), reflect.TypeOf(b)
-	if ta != tb {
-		return false
-	}
-	if ta.Comparable() {
-		return a == b
-	}
-	if ta.Kind() == reflect.Func {
-		return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
-	}
-	return false
 }
 
 // statsShard is one bank's slice of the operation ledger. Counters live in

@@ -38,8 +38,8 @@ type TraceEntry struct {
 const DefaultTraceLimit = 1 << 20
 
 // Trace records the state-changing operations of a device so a run can be
-// replayed, diffed or analyzed offline. Attach with Device.SetTracer (it is
-// an Observer, so Device.Attach works too).
+// replayed, diffed or analyzed offline. Attach with Device.Attach, which
+// installs one shard per bank.
 //
 // A program is traced as one entry per byte whose value changed, erases as
 // one entry per page. Pulses that leave a byte's value as it was — a
@@ -327,17 +327,4 @@ func (t *Trace) ProgramBytes() int {
 		}
 	}
 	return n
-}
-
-// SetTracer attaches (or detaches, with nil) an operation trace to the
-// device. Tracing records programs and erases only, sharded per bank.
-// SetTracer must not be called concurrently with device operations.
-func (d *Device) SetTracer(t *Trace) {
-	if d.tracer != nil {
-		d.Detach(d.tracer)
-	}
-	d.tracer = t
-	if t != nil {
-		d.Attach(t)
-	}
 }

@@ -12,7 +12,7 @@ func TestTraceReplayReproducesState(t *testing.T) {
 	spec := smallSpec()
 	d := MustNewDevice(spec)
 	var tr Trace
-	d.SetTracer(&tr)
+	d.Attach(&tr)
 
 	rng := xrand.New(21)
 	// A random mix of programs and erases.
@@ -42,7 +42,7 @@ func TestTraceEraseHeat(t *testing.T) {
 	spec := smallSpec()
 	d := MustNewDevice(spec)
 	var tr Trace
-	d.SetTracer(&tr)
+	d.Attach(&tr)
 	_ = d.ErasePage(1)
 	_ = d.ErasePage(1)
 	_ = d.ErasePage(3)
@@ -55,7 +55,7 @@ func TestTraceEraseHeat(t *testing.T) {
 func TestTraceProgramBytes(t *testing.T) {
 	d := MustNewDevice(smallSpec())
 	var tr Trace
-	d.SetTracer(&tr)
+	d.Attach(&tr)
 	_ = d.ProgramByte(0, 0x0F)
 	_ = d.ProgramByte(0, 0x0F) // skipped: unchanged
 	_ = d.ProgramByte(1, 0x00)
@@ -67,9 +67,9 @@ func TestTraceProgramBytes(t *testing.T) {
 func TestTraceDetach(t *testing.T) {
 	d := MustNewDevice(smallSpec())
 	var tr Trace
-	d.SetTracer(&tr)
+	detach := d.Attach(&tr)
 	_ = d.ProgramByte(0, 0)
-	d.SetTracer(nil)
+	detach()
 	_ = d.ProgramByte(1, 0)
 	if tr.Len() != 1 {
 		t.Errorf("entries after detach = %d, want 1", tr.Len())
@@ -81,7 +81,7 @@ func TestTraceDetach(t *testing.T) {
 func TestTraceRingBufferCaps(t *testing.T) {
 	d := MustNewDevice(smallSpec())
 	tr := NewTrace(4)
-	d.SetTracer(tr)
+	d.Attach(tr)
 	for i := 0; i < 10; i++ {
 		_ = d.ProgramByte(i, byte(i)) // distinct values, all reachable
 	}
@@ -119,7 +119,7 @@ func TestTraceZeroValueUsesDefaultLimit(t *testing.T) {
 }
 
 // TestTraceAsObserver: a Trace attached through the generic observer bus
-// records the same operations as SetTracer.
+// records programs and erases only.
 func TestTraceAsObserver(t *testing.T) {
 	d := MustNewDevice(smallSpec())
 	tr := NewTrace(0)

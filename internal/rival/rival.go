@@ -6,15 +6,11 @@
 //     of Fazackerley et al. [25] — each record lands in fresh (still-ones)
 //     bytes of the page, and the erase only comes once the page has been
 //     consumed.
-//   - StrikeCounter: a MicroVault-style [4] encoded counter whose
-//     increments only clear bits (one strike per increment), trading
-//     footprint for erase-free counting. Works only for counters, as the
-//     paper notes.
 //   - WOM: the Rivest–Shamir write-once-memory code — two writes of 2 bits
 //     into 3 cells between erases, at a 1.5× footprint cost (the "coding
 //     increases the memory footprint" critique of §VII).
 //
-// All three are exact (lossless); FlipBit's distinguishing move is spending
+// Both are exact (lossless); FlipBit's distinguishing move is spending
 // *accuracy* instead of footprint. The exp-related experiment quantifies
 // the trade on a shared workload.
 package rival

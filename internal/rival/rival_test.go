@@ -86,82 +86,6 @@ func TestLogWriterValidation(t *testing.T) {
 	}
 }
 
-// --- StrikeCounter ---
-
-func TestStrikeCounterCounts(t *testing.T) {
-	dev := newDev(t)
-	c, err := NewStrikeCounter(dev, 0, 4) // 32 increments per erase
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 100; i++ {
-		if err := c.Increment(); err != nil {
-			t.Fatal(err)
-		}
-		if c.Value() != uint64(i) {
-			t.Fatalf("after %d increments Value() = %d", i, c.Value())
-		}
-	}
-	// 100 increments at 32/erase: erases at increments 33 and 65 and 97.
-	if got := dev.Flash().Stats().Erases; got != 3 {
-		t.Errorf("erases = %d, want 3", got)
-	}
-}
-
-func TestStrikeCounterLoad(t *testing.T) {
-	dev := newDev(t)
-	c, _ := NewStrikeCounter(dev, 0, 4)
-	for i := 0; i < 10; i++ {
-		if err := c.Increment(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Simulate reboot: rebuild from flash.
-	c2, _ := NewStrikeCounter(dev, 0, 4)
-	if err := c2.Load(0); err != nil {
-		t.Fatal(err)
-	}
-	if c2.Value() != 10 {
-		t.Errorf("recovered value = %d, want 10", c2.Value())
-	}
-}
-
-// TestStrikeVsBinaryCounter: the strike encoding must need far fewer erases
-// than rewriting the binary value.
-func TestStrikeVsBinaryCounter(t *testing.T) {
-	devS := newDev(t)
-	strike, _ := NewStrikeCounter(devS, 0, 8) // 64/erase
-	devB := newDev(t)
-	binary := NewBinaryCounter(devB, 0)
-	const n = 300
-	for i := 0; i < n; i++ {
-		if err := strike.Increment(); err != nil {
-			t.Fatal(err)
-		}
-		if err := binary.Increment(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	se := devS.Flash().Stats().Erases
-	be := devB.Flash().Stats().Erases
-	if se*10 > be {
-		t.Errorf("strike erases %d not ≪ binary erases %d", se, be)
-	}
-	if strike.Value() != n || binary.Value() != n {
-		t.Error("counter values diverged")
-	}
-}
-
-func TestStrikeCounterValidation(t *testing.T) {
-	dev := newDev(t)
-	if _, err := NewStrikeCounter(dev, 0, 0); err == nil {
-		t.Error("zero field accepted")
-	}
-	if _, err := NewStrikeCounter(dev, 0, 1000); err == nil {
-		t.Error("oversized field accepted")
-	}
-}
-
 // --- WOM ---
 
 func TestWOMCapacityAndOverhead(t *testing.T) {
