@@ -198,13 +198,16 @@ func TestScrubberConcurrentWithWrites(t *testing.T) {
 	sc.Start()
 	sc.Start() // idempotent
 
+	// Writers keep going past their 200 writes until the scrubber's first
+	// sample: fast writes can otherwise all finish before its first tick.
+	deadline := time.Now().Add(10 * time.Second)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			buf := make([]byte, 8)
-			for i := 0; i < 200; i++ {
+			for i := 0; i < 200 || (sc.Stats().Sampled == 0 && time.Now().Before(deadline)); i++ {
 				for j := range buf {
 					buf[j] = byte(w*31 + i + j)
 				}

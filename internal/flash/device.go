@@ -1,8 +1,10 @@
 package flash
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -564,31 +566,42 @@ func (d *Device) ProgramPage(p int, buf []byte) error {
 // With a fault, the bytes before the victim pulse commit the same way, the
 // victim is torn, and its own one-byte OpProgram (power loss) or
 // OpProgramFail (transient) follows. Bytes after the victim are untouched.
+//
+// Only the dirty window [lo, hi) — first to last byte that differs from the
+// array — needs the per-byte walk: a byte equal to its target is reachable,
+// pulses nothing and commits nothing. The exceptions walk the whole span:
+// SetProgramAll pulses every byte, and a drift mask is updated for every
+// byte (m[off+i] &= v), changed or not.
 func (d *Device) programLocked(b, addr int, buf []byte) error {
 	p := d.PageOf(addr)
 	if d.retired[p] {
 		return fmt.Errorf("page %d: %w", p, ErrPageRetired)
 	}
 	span := d.array[addr : addr+len(buf)]
-	for i, v := range buf {
-		if !d.spec.Cell.Reachable(span[i], v) {
-			return fmt.Errorf("%w: addr %#x stored %08b want %08b (%v)",
-				ErrNeedsErase, addr+i, span[i], v, d.spec.Cell)
-		}
-	}
 	all := d.programAll
+	off := addr - d.PageBase(p)
+	m, rm := d.drift[p], d.rise[p]
+	lo, hi := 0, len(buf)
+	if !all && m == nil {
+		lo, hi = dirtyWindow(span, buf)
+	}
+	win, want := span[lo:hi], buf[lo:hi]
+	if i := firstUnreachable(d.spec.Cell, win, want); i >= 0 {
+		return fmt.Errorf("%w: addr %#x stored %08b want %08b (%v)",
+			ErrNeedsErase, addr+lo+i, win[i], want[i], d.spec.Cell)
+	}
 	n := len(buf) // bytes that commit: all of them, or those before the victim
 	var f Fault
 	if d.faultsLive.Load() {
 		pulses := 0
-		for i, v := range buf {
-			if span[i] != v || all {
+		for i, v := range want {
+			if win[i] != v || all {
 				pulses++
 			}
 		}
 		if k, ff := d.faultFor(b, OpProgram, pulses); k < pulses {
 			f = ff
-			for n = 0; ; n++ { // n stops at pulse k, the victim
+			for n = lo; ; n++ { // n stops at pulse k, the victim
 				if span[n] != buf[n] || all {
 					if k == 0 {
 						break
@@ -603,21 +616,7 @@ func (d *Device) programLocked(b, addr int, buf []byte) error {
 	if len(bk.obs) > 0 {
 		copy(prev, span) // only observers read Prev
 	}
-	off := addr - d.PageBase(p)
-	m, rm := d.drift[p], d.rise[p]
-	programmed := 0
-	for i, v := range buf[:n] {
-		if span[i] != v || all {
-			span[i] = v
-			programmed++
-			if rm != nil {
-				rm[off+i] = 0 // a real pulse recharges the byte's marginal cells
-			}
-		}
-		if m != nil {
-			m[off+i] &= v // bits the caller wants at 0 are no longer drift
-		}
-	}
+	programmed := commitWindow(win, want[:min(hi, n)-lo], m, rm, off+lo, all)
 	if programmed > 0 {
 		d.emit(OpEvent{
 			Kind: OpProgram, Bank: b, Addr: addr, Bytes: programmed,
@@ -648,6 +647,79 @@ func (d *Device) programLocked(b, addr int, buf []byte) error {
 	}
 	d.emit(ev)
 	return fmt.Errorf("program %#x: %w", addr+n, err)
+}
+
+// firstUnreachable returns the index of the first byte of want that win
+// cannot reach without an erase, or -1.
+func firstUnreachable(c CellMode, win, want []byte) int {
+	want = want[:len(win)]
+	for i, v := range want {
+		if !c.Reachable(win[i], v) {
+			return i
+		}
+	}
+	return -1
+}
+
+// commitWindow stores want over win and returns the pulses: the bytes that
+// change, or every byte under all. A pulse zeroes the byte's rise-mask
+// entry, recharging its marginal cells; every byte clears the drift-mask
+// bits it holds at 0, since the caller now means those cells to read 0.
+// The masks may be nil; byte i of the window is entry moff+i of each.
+func commitWindow(win, want, m, rm []byte, moff int, all bool) int {
+	win = win[:len(want)]
+	pulses := len(want)
+	if !all {
+		pulses = 0
+		for i, v := range want {
+			if win[i] != v {
+				pulses++
+			}
+		}
+	}
+	if rm != nil {
+		for i, v := range want {
+			if win[i] != v || all {
+				rm[moff+i] = 0
+			}
+		}
+	}
+	if m != nil {
+		for i, v := range want {
+			m[moff+i] &= v
+		}
+	}
+	copy(win, want)
+	return pulses
+}
+
+// dirtyWindow returns [lo, hi): lo is the first and hi-1 the last index at
+// which a and b differ, or lo == hi when they are equal. It compares eight
+// bytes at a time.
+func dirtyWindow(a, b []byte) (lo, hi int) {
+	n := len(a)
+	for ; lo+8 <= n; lo += 8 {
+		if x := binary.LittleEndian.Uint64(a[lo:]) ^ binary.LittleEndian.Uint64(b[lo:]); x != 0 {
+			lo += bits.TrailingZeros64(x) / 8
+			break
+		}
+	}
+	for lo < n && a[lo] == b[lo] {
+		lo++
+	}
+	if lo == n {
+		return n, n
+	}
+	// a[lo] differs, so both backward scans stop at lo+1 at the latest.
+	for hi = n; hi-8 >= lo; hi -= 8 {
+		if x := binary.LittleEndian.Uint64(a[hi-8:]) ^ binary.LittleEndian.Uint64(b[hi-8:]); x != 0 {
+			return lo, hi - bits.LeadingZeros64(x)/8
+		}
+	}
+	for a[hi-1] == b[hi-1] {
+		hi--
+	}
+	return lo, hi
 }
 
 // EraseProgramPage erases page p and programs it from buf — the

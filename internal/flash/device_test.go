@@ -502,3 +502,77 @@ func TestPageOfPageBase(t *testing.T) {
 		t.Error("PageBase wrong")
 	}
 }
+
+// TestDirtyWindow checks the word-at-a-time search against a byte loop for
+// every length up to 40 and every pair of differing positions.
+func TestDirtyWindow(t *testing.T) {
+	for n := 0; n <= 40; n++ {
+		a := make([]byte, n)
+		for i := range a {
+			a[i] = byte(i * 37)
+		}
+		b := make([]byte, n)
+		check := func() {
+			t.Helper()
+			wantLo, wantHi := n, n
+			for i := range a {
+				if a[i] != b[i] {
+					if wantLo == n {
+						wantLo = i
+					}
+					wantHi = i + 1
+				}
+			}
+			if lo, hi := dirtyWindow(a, b); lo != wantLo || hi != wantHi {
+				t.Fatalf("n=%d %x vs %x: window [%d,%d), want [%d,%d)", n, a, b, lo, hi, wantLo, wantHi)
+			}
+		}
+		copy(b, a)
+		check()
+		for i := 0; i < n; i++ {
+			for j := i; j < n; j++ {
+				copy(b, a)
+				b[i] ^= 0x80
+				b[j] ^= 0x01
+				check()
+			}
+		}
+	}
+}
+
+// BenchmarkProgramPage programs a 4 KiB page: "record" changes one 128-byte
+// record per op (the store's append), "page" rewrites every byte.
+func BenchmarkProgramPage(b *testing.B) {
+	spec := DefaultSpec()
+	spec.PageSize = 4096
+	spec.NumPages = 4
+	for _, width := range []int{128, spec.PageSize} {
+		name := "record"
+		if width == spec.PageSize {
+			name = "page"
+		}
+		b.Run(name, func(b *testing.B) {
+			d := MustNewDevice(spec)
+			buf := make([]byte, spec.PageSize)
+			off := spec.PageSize // force an erase on the first op
+			for i := 0; i < b.N; i++ {
+				if off+width > spec.PageSize {
+					if err := d.ErasePage(0); err != nil {
+						b.Fatal(err)
+					}
+					for j := range buf {
+						buf[j] = 0xFF
+					}
+					off = 0
+				}
+				for j := off; j < off+width; j++ {
+					buf[j] = byte(i + j)
+				}
+				if err := d.ProgramPage(0, buf); err != nil {
+					b.Fatal(err)
+				}
+				off += width
+			}
+		})
+	}
+}

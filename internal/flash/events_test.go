@@ -2,6 +2,7 @@ package flash
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -120,116 +121,197 @@ func TestPerBankEventStreamsTotallyOrdered(t *testing.T) {
 // seeded power-loss and transient-program schedules in every bank scope and
 // in the shared scope, with gaps up to two pages of pulses so victims land
 // mid-page, with and without SetProgramAll.
+//
+// The targets cover the dirty-window search of the page path: whole-page
+// rewrites, pages rewritten as stored, narrow targets of 0–200 changed
+// bytes that reach the first and last byte of the page, and targets with
+// a byte only an erase could reach somewhere inside them (the page path must
+// then fail with the byte loop's error for that byte, and change nothing).
+// It runs on tiny SLC pages and on 256-byte SLC, MLC and TLC pages, and
+// programs pages that carry drift masks.
 func TestProgramPageMatchesByteLoop(t *testing.T) {
+	small := smallSpec()
+	wide := smallSpec()
+	wide.PageSize = 256
+	specs := []Spec{small, wide, DensitySpec(wide, MLC), DensitySpec(wide, TLC)}
 	for _, programAll := range []bool{false, true} {
 		t.Run(fmt.Sprintf("programAll=%v", programAll), func(t *testing.T) {
-			spec := smallSpec()
-			spec.EnduranceCycles = 1 << 20
-			mix := FaultMix{PowerLoss: 1, TransientProgram: 1, MaxGap: 2 * spec.PageSize, MaxRetries: 3}
-			var devs [2]*Device
-			var traces [2]*Trace
-			for i := range devs {
-				d := MustNewDevice(spec)
-				d.SetProgramAll(programAll)
-				d.SetFaultSchedule(NewRandomSchedule(0x5A, mix))
-				for b := 0; b < d.Banks(); b++ {
-					d.SetBankFaultSchedule(b, NewRandomSchedule(0xB0+uint64(b), mix))
-				}
-				traces[i] = NewTrace(0)
-				d.Attach(traces[i])
-				devs[i] = d
-			}
-			page, loop := devs[0], devs[1]
-			errText := func(err error) string {
-				if err == nil {
-					return "<nil>"
-				}
-				return err.Error()
-			}
-			rng := xrand.New(0xD1FF)
-			buf := make([]byte, spec.PageSize)
-			for op := 0; op < 1500; op++ {
-				p := rng.Intn(spec.NumPages)
-				base := page.PageBase(p)
-				var errs [2]error
-				switch r := rng.Intn(10); {
-				case r == 0:
-					errs[0], errs[1] = page.ErasePage(p), loop.ErasePage(p)
-				case r == 1:
-					// Seed drift and rise masks through the fault helpers;
-					// both draw from the bank RNG, which the twins share.
-					n := 1 + rng.Intn(2)
-					for _, d := range devs {
-						d.stickBits(d.BankOf(p), p, n)
-						d.markRetention(d.BankOf(p), p)
-					}
-				default:
-					// A reachable target: clear a random subset of the
-					// stored bits, or (1 in 4) rewrite the page as stored.
-					keep := rng.Intn(4) == 0
-					for i := range buf {
-						buf[i] = page.Peek(base + i)
-						if !keep {
-							buf[i] &^= rng.Byte() & rng.Byte()
-						}
-					}
-					errs[0] = page.ProgramPage(p, buf)
-					for i, v := range buf {
-						if errs[1] = loop.ProgramByte(base+i, v); errs[1] != nil {
-							break
-						}
-					}
-				}
-				if errText(errs[0]) != errText(errs[1]) {
-					t.Fatalf("op %d: page-path error %q, byte-loop error %q", op, errText(errs[0]), errText(errs[1]))
-				}
-				for i := 0; i < spec.PageSize; i++ {
-					if a, b := page.Peek(base+i), loop.Peek(base+i); a != b {
-						t.Fatalf("op %d: addr %#x holds %08b on the page path, %08b on the byte loop", op, base+i, a, b)
-					}
-				}
-			}
-
-			if page.FaultsFired() != loop.FaultsFired() || page.FaultsFired() == 0 {
-				t.Fatalf("faults fired: page path %d, byte loop %d (want equal and > 0)", page.FaultsFired(), loop.FaultsFired())
-			}
-			ps, ls := page.Stats(), loop.Stats()
-			if ps.ProgramFails == 0 {
-				t.Fatalf("no transient program failure fired: %+v", ps)
-			}
-			pe, le := ps.Energy, ls.Energy
-			if d := float64(pe - le); d > 1e-12*float64(le) || d < -1e-12*float64(le) {
-				t.Errorf("energy: page path %v, byte loop %v (beyond 1e-12 relative)", pe, le)
-			}
-			ps.Energy, ls.Energy = 0, 0
-			if ps != ls {
-				t.Errorf("stats differ\npage path %+v\nbyte loop %+v", ps, ls)
-			}
-			mask := [2][]byte{make([]byte, spec.PageSize), make([]byte, spec.PageSize)}
-			for p := 0; p < spec.NumPages; p++ {
-				for _, into := range []func(*Device, int, []byte) (int, error){(*Device).StuckMaskInto, (*Device).RiseMaskInto} {
-					for i, d := range devs {
-						clear(mask[i])
-						if _, err := into(d, p, mask[i]); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if !bytes.Equal(mask[0], mask[1]) {
-						t.Fatalf("page %d: masks differ\npage path %x\nbyte loop %x", p, mask[0], mask[1])
-					}
-				}
-			}
-			pt, lt := traces[0].Entries(), traces[1].Entries()
-			if len(pt) != len(lt) {
-				t.Fatalf("trace length: page path %d, byte loop %d", len(pt), len(lt))
-			}
-			for i := range pt {
-				if pt[i] != lt[i] {
-					t.Fatalf("trace entry %d: page path %+v, byte loop %+v", i, pt[i], lt[i])
-				}
+			for _, spec := range specs {
+				t.Run(fmt.Sprintf("%v/page=%d", spec.Cell, spec.PageSize), func(t *testing.T) {
+					programPageDifferential(t, spec, programAll)
+				})
 			}
 		})
 	}
+}
+
+func programPageDifferential(t *testing.T, spec Spec, programAll bool) {
+	spec.EnduranceCycles = 1 << 20
+	ps := spec.PageSize
+	mix := FaultMix{PowerLoss: 1, TransientProgram: 1, MaxGap: 2 * ps, MaxRetries: 3}
+	var devs [2]*Device
+	var traces [2]*Trace
+	for i := range devs {
+		d := MustNewDevice(spec)
+		d.SetProgramAll(programAll)
+		d.SetFaultSchedule(NewRandomSchedule(0x5A, mix))
+		for b := 0; b < d.Banks(); b++ {
+			d.SetBankFaultSchedule(b, NewRandomSchedule(0xB0+uint64(b), mix))
+		}
+		traces[i] = NewTrace(0)
+		d.Attach(traces[i])
+		devs[i] = d
+	}
+	page, loop := devs[0], devs[1]
+	errText := func(err error) string {
+		if err == nil {
+			return "<nil>"
+		}
+		return err.Error()
+	}
+	rng := xrand.New(0xD1FF)
+	buf := make([]byte, ps)
+	var narrow, edges, unreachable, drifted int
+	for op := 0; op < 1500; op++ {
+		p := rng.Intn(spec.NumPages)
+		base := page.PageBase(p)
+		for i := range buf {
+			buf[i] = page.Peek(base + i)
+		}
+		var errs [2]error
+		switch r := rng.Intn(10); {
+		case r == 0:
+			errs[0], errs[1] = page.ErasePage(p), loop.ErasePage(p)
+		case r == 1:
+			// Seed drift and rise masks through the fault helpers;
+			// both draw from the bank RNG, which the twins share.
+			n := 1 + rng.Intn(2)
+			for _, d := range devs {
+				d.stickBits(d.BankOf(p), p, n)
+				d.markRetention(d.BankOf(p), p)
+			}
+		default:
+			// A reachable target: clear a random subset of the stored
+			// bits of the whole page, of up to 200 bytes (1 in 2), or of
+			// none (1 in 8, the page rewritten as stored).
+			switch shape := rng.Intn(8); {
+			case shape == 0:
+			case shape < 4:
+				for i := range buf {
+					buf[i] &^= rng.Byte() & rng.Byte()
+				}
+			default:
+				narrow++
+				for k := rng.Intn(min(201, ps+1)); k > 0; k-- {
+					i := rng.Intn(ps)
+					switch rng.Intn(8) {
+					case 0:
+						i = 0
+					case 1:
+						i = ps - 1
+					}
+					buf[i] &^= rng.Byte() | 1
+				}
+				if buf[0] != page.Peek(base) || buf[ps-1] != page.Peek(base+ps-1) {
+					edges++
+				}
+			}
+			// One in six targets also raises a cell level somewhere: only
+			// an erase reaches that byte.
+			bad := -1
+			if rng.Intn(6) == 0 {
+				j := rng.Intn(ps)
+				if field := lowField(spec.Cell, page.Peek(base+j)); field != 0 {
+					bad = j
+					buf[j] |= field
+					unreachable++
+				}
+			}
+			if page.drift[p] != nil {
+				drifted++
+			}
+			errs[0] = page.ProgramPage(p, buf)
+			if bad >= 0 {
+				// Every other byte is reachable, so the byte loop's first
+				// failure is this one; issuing it alone changes nothing.
+				errs[1] = loop.ProgramByte(base+bad, buf[bad])
+				if !errors.Is(errs[1], ErrNeedsErase) {
+					t.Fatalf("op %d: raised byte %d programmed: %v", op, bad, errs[1])
+				}
+				break
+			}
+			for i, v := range buf {
+				if errs[1] = loop.ProgramByte(base+i, v); errs[1] != nil {
+					break
+				}
+			}
+		}
+		if errText(errs[0]) != errText(errs[1]) {
+			t.Fatalf("op %d: page-path error %q, byte-loop error %q", op, errText(errs[0]), errText(errs[1]))
+		}
+		for i := 0; i < ps; i++ {
+			if a, b := page.Peek(base+i), loop.Peek(base+i); a != b {
+				t.Fatalf("op %d: addr %#x holds %08b on the page path, %08b on the byte loop", op, base+i, a, b)
+			}
+		}
+	}
+	if narrow == 0 || edges == 0 || unreachable == 0 || drifted == 0 {
+		t.Fatalf("target shapes not covered: %d narrow, %d touching a page edge, %d unreachable, %d on drifted pages",
+			narrow, edges, unreachable, drifted)
+	}
+
+	if page.FaultsFired() != loop.FaultsFired() || page.FaultsFired() == 0 {
+		t.Fatalf("faults fired: page path %d, byte loop %d (want equal and > 0)", page.FaultsFired(), loop.FaultsFired())
+	}
+	pst, lst := page.Stats(), loop.Stats()
+	if pst.ProgramFails == 0 {
+		t.Fatalf("no transient program failure fired: %+v", pst)
+	}
+	pe, le := pst.Energy, lst.Energy
+	if d := float64(pe - le); d > 1e-12*float64(le) || d < -1e-12*float64(le) {
+		t.Errorf("energy: page path %v, byte loop %v (beyond 1e-12 relative)", pe, le)
+	}
+	pst.Energy, lst.Energy = 0, 0
+	if pst != lst {
+		t.Errorf("stats differ\npage path %+v\nbyte loop %+v", pst, lst)
+	}
+	mask := [2][]byte{make([]byte, ps), make([]byte, ps)}
+	for p := 0; p < spec.NumPages; p++ {
+		for _, into := range []func(*Device, int, []byte) (int, error){(*Device).StuckMaskInto, (*Device).RiseMaskInto} {
+			for i, d := range devs {
+				clear(mask[i])
+				if _, err := into(d, p, mask[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(mask[0], mask[1]) {
+				t.Fatalf("page %d: masks differ\npage path %x\nbyte loop %x", p, mask[0], mask[1])
+			}
+		}
+	}
+	pt, lt := traces[0].Entries(), traces[1].Entries()
+	if len(pt) != len(lt) {
+		t.Fatalf("trace length: page path %d, byte loop %d", len(pt), len(lt))
+	}
+	for i := range pt {
+		if pt[i] != lt[i] {
+			t.Fatalf("trace entry %d: page path %+v, byte loop %+v", i, pt[i], lt[i])
+		}
+	}
+}
+
+// lowField returns the bit mask of the lowest cell field of v that is below
+// its top level, or 0 when every field is at the top. Raising that field to
+// the top is a change only an erase can make.
+func lowField(m CellMode, v byte) byte {
+	w := uint(m.Bits())
+	for shift := uint(0); shift < 8; shift += w {
+		field := (byte(1)<<w - 1) << shift
+		if v&field != field {
+			return field
+		}
+	}
+	return 0
 }
 
 // TestCrossBankTraceMergeDeterministic: the sharded trace's merge order

@@ -154,6 +154,7 @@ func (f *FTL) retirePhys(pp int, blank bool) error {
 		}
 	}
 	f.l2p[lp] = sp
+	f.coldOK = false
 	f.p2l[sp] = lp
 	f.p2l[pp] = -1
 	_ = fl.Retire(pp)

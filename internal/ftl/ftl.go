@@ -67,6 +67,14 @@ type FTL struct {
 	// swap between the hottest and coldest pages.
 	swapDelta uint32
 
+	// cold is levelWear's cached pick: the first least-worn usable page in
+	// l2p order, whose wear was coldW when it was picked. coldOK is false
+	// until the first scan and after every l2p write (applySwap,
+	// retirePhys); see coldest for why the cache is exact.
+	cold   int
+	coldW  uint32
+	coldOK bool
+
 	// Journaled mode (journal.go). A volatile FTL built with New keeps
 	// journaled false and maps the whole device; Open reserves the tail
 	// of the device for the journal and survives crashes.
@@ -235,7 +243,8 @@ func (f *FTL) SensePage(lp int, dst []byte) error {
 // once on the healthy page.
 func (f *FTL) Write(laddr int, data []byte) error {
 	ps := f.dev.Flash().Spec().PageSize
-	var touched []int
+	var buf [4]int // room for the usual one- or two-page write, on the stack
+	touched := buf[:0]
 	off := 0
 	n := len(data)
 	for n > 0 {
@@ -309,34 +318,54 @@ func (f *FTL) forEachPage(laddr, n int, fn func(paddr, off, n int) error) error 
 // levelWear swaps the just-written physical page with the coldest mapped
 // page when their wear gap exceeds the threshold. Only mapped pages are
 // candidates: journal metadata is not remappable, free spares must stay
-// blank for retirement, and retired pages are out of service. The wear
-// figures come from one consistent WearSnapshot rather than per-page lock
-// round-trips.
+// blank for retirement, and retired pages are out of service.
 func (f *FTL) levelWear(hot int) error {
 	fl := f.dev.Flash()
-	snap := fl.WearSnapshot()
-	cold := -1
-	var coldW uint32
-	for _, pp := range f.l2p {
-		if fl.Degraded(pp) || fl.AtRating(pp) {
-			continue
-		}
-		if cold < 0 || snap[pp] < coldW {
-			cold, coldW = pp, snap[pp]
-		}
-	}
+	cold, coldW := f.coldest()
 	// A swap rewrites both pages, so a degraded endpoint could tear the
 	// exchange mid-way (the health gate refuses the second write after the
 	// first landed). An at-rating endpoint is as bad: the erase the swap
 	// needs is the one that corrupts it — that page's future is retirement,
 	// not relocation. Leveling is an optimisation; skip rather than risk it.
-	if cold < 0 || hot == cold || fl.Degraded(hot) || fl.AtRating(hot) || snap[hot]-coldW < f.swapDelta {
+	if cold < 0 || hot == cold || fl.Degraded(hot) || fl.AtRating(hot) || fl.Wear(hot)-coldW < f.swapDelta {
 		return nil
 	}
 	if f.journaled {
 		return f.journalSwap(hot, cold)
 	}
 	return f.swap(hot, cold)
+}
+
+// coldest returns the first least-worn usable (neither degraded nor at
+// rating) page in l2p order and its wear, or -1 when no page is usable.
+//
+// The pick is cached, and reused while the page is not degraded and its
+// wear still equals the wear it was picked at. That is exact while l2p is
+// unchanged: wear only grows, and a page only ever goes from usable to
+// unusable (dead, retired and at-rating are never cleared). Every page
+// before the cached one in l2p order was worn strictly more, or unusable,
+// at the scan and still is; every page after it was worn at least as much
+// and still is. The cached page itself can only turn dead or at-rating by
+// being erased, which changes its wear; retirement is the one change the
+// wear does not show. So only a write to l2p (which clears coldOK), an
+// erase of the cached page or its retirement forces the full scan.
+func (f *FTL) coldest() (int, uint32) {
+	fl := f.dev.Flash()
+	if f.coldOK && fl.Wear(f.cold) == f.coldW && !fl.Degraded(f.cold) {
+		return f.cold, f.coldW
+	}
+	cold := -1
+	var coldW uint32
+	for _, pp := range f.l2p {
+		if fl.Degraded(pp) || fl.AtRating(pp) {
+			continue
+		}
+		if w := fl.Wear(pp); cold < 0 || w < coldW {
+			cold, coldW = pp, w
+		}
+	}
+	f.cold, f.coldW, f.coldOK = cold, coldW, cold >= 0
+	return cold, coldW
 }
 
 // swap exchanges the contents and logical mappings of two physical pages.
@@ -357,9 +386,7 @@ func (f *FTL) swap(a, b int) error {
 	if err := f.dev.Write(fl.PageBase(b), bufA); err != nil {
 		return err
 	}
-	la, lb := f.p2l[a], f.p2l[b]
-	f.l2p[la], f.l2p[lb] = b, a
-	f.p2l[a], f.p2l[b] = lb, la
+	f.applySwap(a, b)
 	f.stats.Swaps++
 	f.stats.SwapReads += 2
 	f.stats.SwapWrites += 2

@@ -242,8 +242,9 @@ func (f *FTL) repairIntent(it intentRec) error {
 }
 
 // applySwap exchanges the logical owners of physical pages a and b in the
-// RAM map.
+// RAM map, invalidating levelWear's cached pick.
 func (f *FTL) applySwap(a, b int) {
+	f.coldOK = false
 	la, lb := f.p2l[a], f.p2l[b]
 	f.l2p[la], f.l2p[lb] = b, a
 	f.p2l[a], f.p2l[b] = lb, la

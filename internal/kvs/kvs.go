@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"github.com/flipbit-sim/flipbit/internal/core"
@@ -159,7 +160,13 @@ type Store struct {
 	ps int // page size
 	np int // data page count (excludes the checkpoint region, when configured)
 
-	index    map[string]location
+	index map[string]location
+	// pageKeys lists, per page, every key whose index entry pointed at the
+	// page since it was last erased — a superset of the page's live keys,
+	// filtered against the index when the page is compacted (victimKeys).
+	// nil until the first compaction builds it from the index, so every
+	// mount path (a fresh Store) replays without it.
+	pageKeys [][]string
 	pageSeq  []uint32 // sequence per page (freeSeq = free)
 	pageUsed []int    // bytes consumed per page (including header)
 	pageLive []int    // live record bytes per page
@@ -431,7 +438,7 @@ func (s *Store) replayPageFrom(page int, seq uint32, buf []byte, start int) {
 		// copying them forward; dropping one while an older copy of
 		// the key survived elsewhere would resurrect the old value
 		// at the next mount.
-		s.index[key] = loc
+		s.setLocation(key, loc)
 		s.pageLive[page] += size
 		off += size
 	}
@@ -536,6 +543,36 @@ func (s *Store) repairRecord(buf []byte, off int) (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// setLocation points key's index entry at loc and, once the per-page key
+// lists exist, notes the key on loc's page.
+func (s *Store) setLocation(key string, loc location) {
+	s.index[key] = loc
+	if s.pageKeys != nil {
+		s.pageKeys[loc.page] = append(s.pageKeys[loc.page], key)
+	}
+}
+
+// victimKeys returns, sorted, the keys whose index entry points at page p:
+// its list filtered against the index and deduplicated (a key re-put on
+// the same page is listed twice). The first call builds every page's list
+// with one walk of the index.
+func (s *Store) victimKeys(p int) []string {
+	if s.pageKeys == nil {
+		s.pageKeys = make([][]string, s.np)
+		for k, loc := range s.index {
+			s.pageKeys[loc.page] = append(s.pageKeys[loc.page], k)
+		}
+	}
+	keys := make([]string, 0, len(s.pageKeys[p]))
+	for _, k := range s.pageKeys[p] {
+		if loc, ok := s.index[k]; ok && loc.page == p {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return slices.Compact(keys)
 }
 
 // supersede removes the previous copy of key (if any) from its page's
@@ -929,10 +966,10 @@ func (s *Store) commit(key string, page, off int, rec []byte, flags byte) error 
 	}
 	s.pageUsed[page] = off + len(rec)
 	s.supersede(key)
-	s.index[key] = location{
+	s.setLocation(key, location{
 		seq: s.pageSeq[page], page: page, off: off, size: len(rec),
 		dead: flags&flagTombstone != 0,
-	}
+	})
 	s.pageLive[page] += len(rec)
 	return nil
 }
@@ -996,13 +1033,7 @@ func (s *Store) compactPage(victim int) error {
 	// Copy the victim's must-preserve records (live values AND
 	// tombstones) to the log head; copies carry later sequence numbers,
 	// so a crash between copy and erase resolves in their favour.
-	keys := make([]string, 0)
-	for k, loc := range s.index {
-		if loc.page == victim {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
+	keys := s.victimKeys(victim)
 	for _, key := range keys {
 		loc := s.index[key]
 		if loc.dead {
@@ -1030,6 +1061,7 @@ func (s *Store) compactPage(victim int) error {
 		s.pageSeq[victim] = freeSeq
 		s.pageUsed[victim] = s.ps
 		s.pageLive[victim] = 0
+		s.pageKeys[victim] = nil
 		s.stats.QuarantinedPages++
 		if s.head == victim {
 			s.head = -1
@@ -1040,6 +1072,7 @@ func (s *Store) compactPage(victim int) error {
 	s.pageSeq[victim] = freeSeq
 	s.pageUsed[victim] = 0
 	s.pageLive[victim] = 0
+	s.pageKeys[victim] = nil
 	if s.head == victim {
 		s.head = -1
 	}
