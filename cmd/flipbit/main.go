@@ -33,7 +33,7 @@ var (
 	quick      = flags.Bool("quick", false, "trim workloads for a fast run (shapes preserved)")
 	cellMode   = flags.String("cell", "slc", "cell density for device-level experiments: slc, mlc or tlc (derates latency, energy and endurance)")
 	csvDir     = flags.String("csv", "", "also write each table as <dir>/<id>.csv")
-	benchJSON  = flags.String("benchjson", "", "write the writepath JSON report to this path and every other BENCH_<kind>.json artifact next to it, each only if it passes its gate")
+	benchJSON  = flags.String("benchjson", "", "write the writepath JSON report to this path and every other BENCH_<kind>.json artifact next to it, each only if it passes its gate (full-scale SLC only: -quick and -cell mlc|tlc are rejected)")
 	cpuProfile = flags.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with 'go tool pprof')")
 	memProfile = flags.String("memprofile", "", "write a heap profile taken at exit to this file")
 )
@@ -51,6 +51,13 @@ func run() int {
 	cell, err := parseCellMode(*cellMode)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "flipbit: %v\n", err)
+		return 2
+	}
+	// The committed artifacts are the full-scale SLC reports; a trimmed or
+	// derated run would overwrite them with reports that still pass their
+	// gates.
+	if *benchJSON != "" && (*quick || cell != flash.SLC) {
+		fmt.Fprintln(os.Stderr, "flipbit: -benchjson writes the full-scale SLC artifacts; drop -quick and -cell")
 		return 2
 	}
 	cfg := bench.Config{Quick: *quick, Cell: cell}

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -66,10 +67,35 @@ func TestUnknownIDRunsNothing(t *testing.T) {
 	}
 }
 
+// TestBenchJSONRejectsTrimmedRuns: -benchjson writes the committed
+// artifacts, so a -quick or non-SLC run is rejected with exit 2 before any
+// experiment runs or any file is written.
+func TestBenchJSONRejectsTrimmedRuns(t *testing.T) {
+	for _, extra := range [][]string{{"-quick"}, {"-cell", "mlc"}, {"-cell", "tlc"}} {
+		dir := t.TempDir()
+		out := filepath.Join(dir, "BENCH_writepath.json")
+		stdout, stderr, code := runCLI(t, append(extra, "-benchjson", out)...)
+		if code != 2 {
+			t.Errorf("%v: exit code %d, want 2", extra, code)
+		}
+		if stdout != "" {
+			t.Errorf("%v: ran before rejecting:\n%s", extra, stdout)
+		}
+		if !strings.Contains(stderr, "-benchjson") {
+			t.Errorf("%v: stderr does not explain the rejection: %q", extra, stderr)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Errorf("%v: wrote %d files", extra, len(entries))
+		}
+	}
+}
+
 // runCLI runs the program with args and returns what it wrote to stdout
-// and stderr, and its exit code.
+// and stderr, and its exit code. Every flag starts at its default, so one
+// call's flags do not leak into the next.
 func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
+	flags.VisitAll(func(f *flag.Flag) { _ = f.Value.Set(f.DefValue) })
 	oldArgs, oldOut, oldErr := os.Args, os.Stdout, os.Stderr
 	defer func() { os.Args, os.Stdout, os.Stderr = oldArgs, oldOut, oldErr }()
 

@@ -2,6 +2,7 @@ package approx
 
 import (
 	"testing"
+	"time"
 
 	"github.com/flipbit-sim/flipbit/internal/bits"
 	"github.com/flipbit-sim/flipbit/internal/xrand"
@@ -74,15 +75,20 @@ func benchEncodeSlice(b *testing.B, enc BatchEncoder, w bits.Width) {
 func benchEncodeScalarSpan(b *testing.B, enc Encoder, w bits.Width) {
 	b.Helper()
 	prev, exact, approx := benchSpans(4096)
-	vb := w.Bytes()
 	b.SetBytes(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := 0; j+vb <= len(exact); j += vb {
-			p := bits.LoadLE(prev[j:], w)
-			e := bits.LoadLE(exact[j:], w)
-			bits.StoreLE(approx[j:], enc.Approximate(p, e, w), w)
-		}
+		encodeScalarSpan(enc, prev, exact, approx, w)
+	}
+}
+
+// encodeScalarSpan is the per-value reference loop the kernels replace.
+func encodeScalarSpan(enc Encoder, prev, exact, approx []byte, w bits.Width) {
+	vb := w.Bytes()
+	for j := 0; j+vb <= len(exact); j += vb {
+		p := bits.LoadLE(prev[j:], w)
+		e := bits.LoadLE(exact[j:], w)
+		bits.StoreLE(approx[j:], enc.Approximate(p, e, w), w)
 	}
 }
 
@@ -104,3 +110,52 @@ func BenchmarkEncodeSliceNCell4W32(b *testing.B) { benchEncodeSlice(b, MustNCell
 func BenchmarkEncodeScalarNCell2W8(b *testing.B)  { benchEncodeScalarSpan(b, MustNCell(2), bits.W8) }
 func BenchmarkEncodeScalarNCell2W32(b *testing.B) { benchEncodeScalarSpan(b, MustNCell(2), bits.W32) }
 func BenchmarkEncodeScalarNCell4W32(b *testing.B) { benchEncodeScalarSpan(b, MustNCell(4), bits.W32) }
+
+// TestEncodeSliceSpeedup gates the batch kernels' host-time win over the
+// scalar loop on the encoder/width pairs the benchmarks above measure: the
+// best n-bit pair must encode a 4 KiB span at least 3× faster than the
+// scalar loop, and the best n-cell (MLC) pair at least 5×. Each side takes
+// the best of three timed rounds, so one descheduled round cannot fail it.
+func TestEncodeSliceSpeedup(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector on: instrumentation overhead swamps kernel-vs-scalar ratios")
+	}
+	const reps = 50
+	bestOf3 := func(f func()) time.Duration {
+		best := time.Duration(1<<63 - 1)
+		for round := 0; round < 3; round++ {
+			start := time.Now()
+			for r := 0; r < reps; r++ {
+				f()
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	type pair struct {
+		enc BatchEncoder
+		w   bits.Width
+	}
+	prev, exact, out := benchSpans(4096)
+	for _, g := range []struct {
+		family string
+		want   float64
+		pairs  []pair
+	}{
+		{"n-bit", 3, []pair{{MustNBit(2), bits.W8}, {MustNBit(2), bits.W32}, {MustNBit(8), bits.W32}}},
+		{"n-cell", 5, []pair{{MustNCell(1), bits.W32}, {MustNCell(2), bits.W8}, {MustNCell(2), bits.W32}, {MustNCell(4), bits.W32}}},
+	} {
+		best := 0.0
+		for _, p := range g.pairs {
+			p.enc.EncodeSlice(prev, exact, out, p.w) // derive lazy LUTs up front
+			kernel := bestOf3(func() { p.enc.EncodeSlice(prev, exact, out, p.w) })
+			scalar := bestOf3(func() { encodeScalarSpan(p.enc, prev, exact, out, p.w) })
+			speedup := float64(scalar) / float64(kernel)
+			t.Logf("%s W%d: kernel %v, scalar %v per %d spans (%.1fx)", p.enc.Name(), p.w, kernel, scalar, reps, speedup)
+			best = max(best, speedup)
+		}
+		if best < g.want {
+			t.Errorf("best %s kernel speedup is %.2f, want >= %g", g.family, best, g.want)
+		}
+	}
+}

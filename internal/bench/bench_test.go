@@ -285,22 +285,30 @@ func TestWritePathShape(t *testing.T) {
 }
 
 // TestEncodeKernelShape runs the encodekernel experiment at quick scale and
-// requires the report to pass its own artifact gate: n-bit kernels
-// ≥3× scalar, no end-to-end regression, and both paths in exact agreement.
+// requires the report to pass its own artifact gate — both paths in exact
+// agreement — and, outside the race detector, the host-time gates the
+// artifact does not carry: no end-to-end regression on the SLC write path
+// (kernel ≥1× scalar), and the MLC write path, scalar-only before the cell
+// kernels, at least doubled.
 func TestEncodeKernelShape(t *testing.T) {
 	rep, err := RunEncodeKernel(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.StatsMatch {
-		t.Fatal("kernel and scalar paths diverged")
+	if err := rep.Check(); err != nil {
+		t.Fatalf("quick-scale report fails its own gate: %v", err)
 	}
 	if raceEnabled {
-		t.Log("race detector on: skipping the artifact's timing gates (instrumentation overhead swamps kernel-vs-scalar ratios)")
+		t.Log("race detector on: skipping the host-time gates (instrumentation overhead swamps kernel-vs-scalar ratios)")
 		return
 	}
-	if err := rep.Check(); err != nil {
-		t.Errorf("quick-scale report fails its own gate: %v", err)
+	if rep.E2ESpeedup < 1 {
+		t.Errorf("end-to-end write path regressed: kernel %.0f ns/op vs scalar %.0f ns/op (%.2fx), want >= 1",
+			rep.E2EKernelNsPerOp, rep.E2EScalarNsPerOp, rep.E2ESpeedup)
+	}
+	if rep.E2EMLCSpeedup < 2 {
+		t.Errorf("end-to-end MLC write path: kernel %.0f ns/op vs scalar %.0f ns/op (%.2fx), want >= 2",
+			rep.E2EMLCKernelNsPerOp, rep.E2EMLCScalarNsPerOp, rep.E2EMLCSpeedup)
 	}
 }
 

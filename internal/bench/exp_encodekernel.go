@@ -13,13 +13,12 @@ import (
 	"github.com/flipbit-sim/flipbit/internal/xrand"
 )
 
-// The encodekernel experiment measures the table-driven batch encode
-// kernels (internal/approx/kernel.go) against the per-value scalar
-// reference path, at two levels:
+// The encodekernel experiment checks the table-driven batch encode kernels
+// (internal/approx/kernel.go) against the per-value scalar reference path,
+// at two levels:
 //
-//   - micro: EncodeSlice versus a LoadLE/Approximate/StoreLE loop over the
-//     same random span, per encoder and width — the encode stage in
-//     isolation;
+//   - per encoder and width: EncodeSlice versus a LoadLE/Approximate/StoreLE
+//     loop over the same random span, whose outputs must be identical;
 //   - end-to-end: the serial write-path workload replayed on two devices,
 //     one on the kernels (the default) and one forced onto the scalar path
 //     with core.WithScalarEncode, with the controller statistics of both
@@ -28,77 +27,65 @@ import (
 //     derated to MLC with the n-cell encoder — the configuration that ran
 //     scalar-only before the cell kernels existed.
 //
-// Results land in BENCH_encode.json; EncodeKernelReport.Check pins the
-// acceptance invariants (≥3× on an n-bit micro row, ≥5× on an n-cell micro
-// row, SLC e2e speedup ≥1, MLC e2e speedup ≥2, stats matched).
-
-// EncodeKernelRow is one micro-benchmark configuration.
-type EncodeKernelRow struct {
-	Encoder          string  `json:"encoder"`
-	Family           string  `json:"family"` // "nbit", "ncell", "onebit" or "exact"
-	WidthBits        int     `json:"width_bits"`
-	Values           int     `json:"values"`
-	ScalarNsPerValue float64 `json:"scalar_ns_per_value"`
-	KernelNsPerValue float64 `json:"kernel_ns_per_value"`
-	Speedup          float64 `json:"speedup"`
-}
+// Results land in BENCH_encode.json, which holds only what is the same on
+// every host: the workload and whether both paths agreed. The end-to-end
+// host timings are printed in the table and gated by TestEncodeKernelShape
+// (SLC ≥1×, MLC ≥2×); the per-encoder speedups are measured by
+// BenchmarkEncodeSlice*/BenchmarkEncodeScalar* and gated by
+// TestEncodeSliceSpeedup in internal/approx.
 
 // EncodeKernelReport is the machine-readable result written to
 // BENCH_encode.json.
 type EncodeKernelReport struct {
-	Seed      uint64            `json:"seed"`
-	SpanBytes int               `json:"span_bytes"`
-	GoMaxProc int               `json:"gomaxprocs"`
-	Rows      []EncodeKernelRow `json:"rows"`
+	Seed      uint64 `json:"seed"`
+	SpanBytes int    `json:"span_bytes"`
+	GoMaxProc int    `json:"-"`
 
 	E2EOps           int     `json:"e2e_ops"`
-	E2EScalarNsPerOp float64 `json:"e2e_scalar_ns_per_op"`
-	E2EKernelNsPerOp float64 `json:"e2e_kernel_ns_per_op"`
-	E2ESpeedup       float64 `json:"e2e_speedup"`
+	E2EScalarNsPerOp float64 `json:"-"`
+	E2EKernelNsPerOp float64 `json:"-"`
+	E2ESpeedup       float64 `json:"-"`
 
 	// The MLC twin of the end-to-end comparison: the same workload on the
 	// part derated to MLC with the n-cell encoder, where the scalar device
 	// is exactly the pre-kernel MLC write path.
 	E2EMLCOps           int     `json:"e2e_mlc_ops"`
-	E2EMLCScalarNsPerOp float64 `json:"e2e_mlc_scalar_ns_per_op"`
-	E2EMLCKernelNsPerOp float64 `json:"e2e_mlc_kernel_ns_per_op"`
-	E2EMLCSpeedup       float64 `json:"e2e_mlc_speedup"`
+	E2EMLCScalarNsPerOp float64 `json:"-"`
+	E2EMLCKernelNsPerOp float64 `json:"-"`
+	E2EMLCSpeedup       float64 `json:"-"`
 
 	StatsMatch bool `json:"stats_match"`
 }
 
-// encodeKernelConfigs are the measured (encoder, width) pairs: the hot
-// n-bit encoders at the widths the workloads use, plus OneBit and Exact.
+// encodeKernelConfigs are the checked (encoder, width) pairs: the hot
+// n-bit and n-cell encoders at the widths the workloads use, plus OneBit
+// and Exact.
 func encodeKernelConfigs() []struct {
-	enc    approx.Encoder
-	family string
-	w      bits.Width
+	enc approx.Encoder
+	w   bits.Width
 } {
 	return []struct {
-		enc    approx.Encoder
-		family string
-		w      bits.Width
+		enc approx.Encoder
+		w   bits.Width
 	}{
-		{approx.OneBit{}, "onebit", bits.W32},
-		{approx.MustNBit(2), "nbit", bits.W8},
-		{approx.MustNBit(2), "nbit", bits.W32},
-		{approx.MustNBit(8), "nbit", bits.W32},
-		{approx.Exact{}, "exact", bits.W32},
-		{approx.MustNCell(1), "ncell", bits.W32},
-		{approx.MustNCell(2), "ncell", bits.W8},
-		{approx.MustNCell(2), "ncell", bits.W32},
-		{approx.MustNCell(4), "ncell", bits.W32},
+		{approx.OneBit{}, bits.W32},
+		{approx.MustNBit(2), bits.W8},
+		{approx.MustNBit(2), bits.W32},
+		{approx.MustNBit(8), bits.W32},
+		{approx.Exact{}, bits.W32},
+		{approx.MustNCell(1), bits.W32},
+		{approx.MustNCell(2), bits.W8},
+		{approx.MustNCell(2), bits.W32},
+		{approx.MustNCell(4), bits.W32},
 	}
 }
 
-// RunEncodeKernel measures the kernels and returns the report.
+// RunEncodeKernel runs both encode paths and returns the report.
 func RunEncodeKernel(cfg Config) (*EncodeKernelReport, error) {
 	const seed = 0xE4C0
 	const span = 4096
-	reps := 400
 	e2eOps := 8192
 	if cfg.Quick {
-		reps = 50
 		e2eOps = 2048
 	}
 	rep := &EncodeKernelReport{
@@ -122,41 +109,18 @@ func RunEncodeKernel(cfg Config) (*EncodeKernelReport, error) {
 		if !ok {
 			return nil, fmt.Errorf("%s has no batch kernel", c.enc.Name())
 		}
+		be.EncodeSlice(prev, exact, kernelOut, c.w)
 		vb := c.w.Bytes()
-		values := span / vb
-
-		be.EncodeSlice(prev, exact, kernelOut, c.w) // derive lazy LUTs up front
-		kStart := time.Now()
-		for r := 0; r < reps; r++ {
-			be.EncodeSlice(prev, exact, kernelOut, c.w)
+		for i := 0; i+vb <= span; i += vb {
+			p := bits.LoadLE(prev[i:], c.w)
+			e := bits.LoadLE(exact[i:], c.w)
+			bits.StoreLE(scalarOut[i:], c.enc.Approximate(p, e, c.w), c.w)
 		}
-		kernelNs := float64(time.Since(kStart).Nanoseconds()) / float64(reps*values)
-
-		sStart := time.Now()
-		for r := 0; r < reps; r++ {
-			for i := 0; i+vb <= span; i += vb {
-				p := bits.LoadLE(prev[i:], c.w)
-				e := bits.LoadLE(exact[i:], c.w)
-				bits.StoreLE(scalarOut[i:], c.enc.Approximate(p, e, c.w), c.w)
-			}
-		}
-		scalarNs := float64(time.Since(sStart).Nanoseconds()) / float64(reps*values)
-
-		// The speedup claim is only meaningful if both paths computed the
-		// same thing; a mismatch poisons the whole artifact.
+		// Any speedup is only meaningful if both paths computed the same
+		// thing; a mismatch poisons the whole artifact.
 		if !bytes.Equal(kernelOut, scalarOut) {
 			rep.StatsMatch = false
 		}
-
-		rep.Rows = append(rep.Rows, EncodeKernelRow{
-			Encoder:          c.enc.Name(),
-			Family:           c.family,
-			WidthBits:        int(c.w),
-			Values:           values,
-			ScalarNsPerValue: scalarNs,
-			KernelNsPerValue: kernelNs,
-			Speedup:          scalarNs / kernelNs,
-		})
 	}
 
 	// End-to-end: the serial write-path workload on a kernel device versus
@@ -164,8 +128,8 @@ func RunEncodeKernel(cfg Config) (*EncodeKernelReport, error) {
 	// compares kernel (no extra options) against scalar (WithScalarEncode)
 	// on the given spec and returns (kernel ns/op, scalar ns/op, ops).
 	e2e := func(spec flash.Spec, opts ...core.Option) (float64, float64, int, error) {
-		plan := newWritePathPlan(spec, spec.Banks, e2eOps)
-		warm := newWritePathPlan(spec, spec.Banks, 256*spec.Banks)
+		plan := newWritePathPlan(spec, e2eOps)
+		warm := newWritePathPlan(spec, 256*spec.Banks)
 		run := func(extra ...core.Option) (time.Duration, core.Stats, error) {
 			d, err := core.NewDevice(spec, append(append([]core.Option{}, opts...), extra...)...)
 			if err != nil {
@@ -221,36 +185,11 @@ func RunEncodeKernel(cfg Config) (*EncodeKernelReport, error) {
 	return rep, nil
 }
 
-// Check gates BENCH_encode.json. The speedup claims are void unless both
-// paths computed identical outputs and identical controller statistics;
-// given that, at least one n-bit micro row shows a ≥3× kernel speedup, at
-// least one n-cell (MLC) micro row shows ≥5×, and neither end-to-end write
-// path regressed, with the MLC path (scalar-only before the cell kernels)
-// at least doubled.
+// Check gates BENCH_encode.json: both encode paths computed identical
+// outputs and identical controller statistics.
 func (r *EncodeKernelReport) Check() error {
 	if !r.StatsMatch {
 		return fmt.Errorf("kernel and scalar paths diverged; artifact is invalid")
-	}
-	bestNBit, bestNCell := 0.0, 0.0
-	for _, row := range r.Rows {
-		if row.Family == "nbit" {
-			bestNBit = max(bestNBit, row.Speedup)
-		}
-		if row.Family == "ncell" {
-			bestNCell = max(bestNCell, row.Speedup)
-		}
-	}
-	if bestNBit < 3 {
-		return fmt.Errorf("best n-bit kernel speedup is %.2f, want >= 3", bestNBit)
-	}
-	if bestNCell < 5 {
-		return fmt.Errorf("best n-cell kernel speedup is %.2f, want >= 5", bestNCell)
-	}
-	if r.E2ESpeedup < 1 {
-		return fmt.Errorf("end-to-end write path regressed: e2e_speedup %.2f < 1", r.E2ESpeedup)
-	}
-	if r.E2EMLCSpeedup < 2 {
-		return fmt.Errorf("end-to-end MLC write path speedup %.2f, want >= 2", r.E2EMLCSpeedup)
 	}
 	return nil
 }
@@ -263,20 +202,17 @@ func ExpEncodeKernel(cfg Config) (*Table, error) {
 	}
 	t := &Table{
 		ID:      "encodekernel",
-		Title:   "batch encode kernels vs scalar per-value encoding",
-		Columns: []string{"encoder", "width", "scalar ns/val", "kernel ns/val", "speedup"},
+		Title:   "batch encode kernels vs scalar per-value encoding, end to end",
+		Columns: []string{"write path", "ops", "scalar ns/op", "kernel ns/op", "speedup"},
 	}
-	for _, r := range rep.Rows {
-		t.AddRow(r.Encoder, fmt.Sprintf("%d", r.WidthBits),
-			f2(r.ScalarNsPerValue), f2(r.KernelNsPerValue),
-			fmt.Sprintf("%.1fx", r.Speedup))
-	}
+	t.AddRow("SLC (n-bit)", fmt.Sprintf("%d", rep.E2EOps),
+		f1(rep.E2EScalarNsPerOp), f1(rep.E2EKernelNsPerOp), fmt.Sprintf("%.2fx", rep.E2ESpeedup))
+	t.AddRow("MLC (n-cell)", fmt.Sprintf("%d", rep.E2EMLCOps),
+		f1(rep.E2EMLCScalarNsPerOp), f1(rep.E2EMLCKernelNsPerOp), fmt.Sprintf("%.2fx", rep.E2EMLCSpeedup))
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("end-to-end serial write path: scalar %.0f ns/op, kernel %.0f ns/op (%.2fx), stats match: %v",
-			rep.E2EScalarNsPerOp, rep.E2EKernelNsPerOp, rep.E2ESpeedup, rep.StatsMatch),
-		fmt.Sprintf("end-to-end MLC write path (n-cell encoder): scalar %.0f ns/op, kernel %.0f ns/op (%.2fx)",
-			rep.E2EMLCScalarNsPerOp, rep.E2EMLCKernelNsPerOp, rep.E2EMLCSpeedup),
+		fmt.Sprintf("stats match: %v (%d encoder/width spans and both write paths); host: GOMAXPROCS %d",
+			rep.StatsMatch, len(encodeKernelConfigs()), rep.GoMaxProc),
 		"kernel path: one EncodeSlice per page span with in-kernel stats; scalar path: LoadLE + Approximate + StoreLE per value",
-		"outputs of both paths are compared in-run; a divergence clears stats_match and invalidates the artifact")
+		"per-encoder kernel timings: go test ./internal/approx -bench 'EncodeSlice|EncodeScalar'")
 	return t, nil
 }

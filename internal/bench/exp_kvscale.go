@@ -16,8 +16,8 @@ import (
 // claims: sustained write throughput with GC running inline, bounded
 // live-vs-physical space amplification, and O(tail) mount versus the full
 // scan. Device-time numbers (simulated busy time, from the datasheet
-// latency model) are deterministic; host times are machine-dependent and
-// informational.
+// latency model) are deterministic and are the artifact; host times are
+// machine-dependent, so they are printed in the table and never committed.
 
 // KVScaleRow is one key-count configuration's outcome.
 type KVScaleRow struct {
@@ -26,7 +26,7 @@ type KVScaleRow struct {
 	SlotPages int `json:"slot_pages"` // per checkpoint slot
 
 	Ops       int     `json:"ops"` // populate + churn + tail appends
-	OpsPerSec float64 `json:"ops_per_sec"`
+	OpsPerSec float64 `json:"-"`
 
 	Compactions uint64  `json:"compactions"`
 	Checkpoints uint64  `json:"checkpoints"`
@@ -38,8 +38,8 @@ type KVScaleRow struct {
 	ScanMountDeviceMs float64 `json:"scan_mount_device_ms"`
 	CkptMountDeviceMs float64 `json:"ckpt_mount_device_ms"`
 	MountSpeedup      float64 `json:"mount_speedup"` // device-time ratio
-	ScanMountHostMs   float64 `json:"scan_mount_host_ms"`
-	CkptMountHostMs   float64 `json:"ckpt_mount_host_ms"`
+	ScanMountHostMs   float64 `json:"-"`
+	CkptMountHostMs   float64 `json:"-"`
 	TailPagesReplayed uint64  `json:"tail_pages_replayed"`
 }
 
@@ -282,5 +282,9 @@ func ExpKVScale(cfg Config) (*Table, error) {
 		"hot/cold skew: 10% of keys take 90% of churn writes; the log is sized at 1.6× the live set so churn forces GC",
 		"mount columns are simulated device busy time (deterministic); speedup is scan/checkpointed — the O(device) vs O(tail) gap",
 		"space amp is physical bytes consumed over live record bytes; the 0.45 garbage-ratio ceiling bounds it under 2.0")
+	for _, r := range rep.Rows {
+		t.Notes = append(t.Notes, fmt.Sprintf("%d keys: host mount time, best of 2: scan %.1fms, checkpointed %.1fms",
+			r.Keys, r.ScanMountHostMs, r.CkptMountHostMs))
+	}
 	return t, nil
 }

@@ -135,8 +135,8 @@ func BenchmarkWritePathConcurrent(b *testing.B) {
 }
 
 // BenchmarkWritePathAsync measures the async pipeline: one producer keeps a
-// window of writePathAsyncDepth commits in flight so per-bank group commit
-// can form batches.
+// window of depth commits in flight so per-bank group commit can form
+// batches.
 func BenchmarkWritePathAsync(b *testing.B) {
 	const depth = 8
 	spec := flash.DefaultSpec()

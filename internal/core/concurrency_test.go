@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -213,5 +214,76 @@ func TestConcurrentEnergyLedgerMatchesStats(t *testing.T) {
 	}
 	if led.Busy() != st.Busy {
 		t.Errorf("ledger busy %v != stats busy %v", led.Busy(), st.Busy)
+	}
+}
+
+// TestConcurrentCommitSteadyStateAllocs is the zero-alloc guard for
+// concurrent commit: one worker per bank, each cycling its own bank's
+// pages between two payloads, allocates nothing per op once the pools are
+// warm. Workers are spawned and parked on a start gate before the count
+// starts, so goroutine stacks are not charged to the commit path.
+func TestConcurrentCommitSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; allocation counts are meaningless")
+	}
+	const opsPerWorker = 512
+	for _, banks := range []int{4, 8, 16} {
+		spec := flash.DefaultSpec()
+		spec.NumPages = 256
+		spec.Banks = banks
+		d := MustNewDevice(spec)
+		if err := d.SetApproxRegion(0, spec.Size()); err != nil {
+			t.Fatal(err)
+		}
+		d.SetThreshold(4)
+		rng := xrand.New(11)
+		a := make([]byte, spec.PageSize)
+		b := make([]byte, spec.PageSize)
+		for i := range a {
+			a[i] = rng.Byte()
+			b[i] = byte(int(a[i]) + rng.Intn(5) - 2)
+		}
+		round := func(ready <-chan struct{}, wg *sync.WaitGroup) {
+			for w := 0; w < banks; w++ {
+				wg.Add(1)
+				go func(bank int) {
+					defer wg.Done()
+					<-ready
+					perBank := spec.NumPages / banks
+					for i := 0; i < opsPerWorker; i++ {
+						// Each pass over the bank's pages flips every
+						// page to the other payload.
+						buf := a
+						if (i/perBank)%2 == 1 {
+							buf = b
+						}
+						p := bank + banks*(i%perBank)
+						if err := d.Write(d.Flash().PageBase(p), buf); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+		}
+		var wg sync.WaitGroup
+		warm := make(chan struct{})
+		round(warm, &wg)
+		close(warm)
+		wg.Wait()
+
+		ready := make(chan struct{})
+		round(ready, &wg)
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		close(ready)
+		wg.Wait()
+		runtime.ReadMemStats(&after)
+		perOp := float64(after.Mallocs-before.Mallocs) / float64(banks*opsPerWorker)
+		t.Logf("%d banks: %.4f allocs/op", banks, perOp)
+		if perOp > 0.5 {
+			t.Errorf("%d banks: concurrent commit allocates %.2f objects per op, want ~0", banks, perOp)
+		}
 	}
 }
