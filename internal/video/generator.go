@@ -86,69 +86,120 @@ func (v *Video) Size() int { return v.Width * v.Height }
 // Frame renders frame t. Pixels are generated from a static background,
 // optional global pan, water shimmer, moving objects, and per-frame sensor
 // noise; everything is seeded so two calls agree exactly.
-func (v *Video) Frame(t int) Frame {
+func (v *Video) Frame(t int) Frame { return v.render(t, true) }
+
+// BackgroundFrame renders frame t without objects or sensor noise — the
+// background model a deployed detector maintains (pan, shimmer and gain
+// steps included, so only objects and noise differ from Frame(t)).
+func (v *Video) BackgroundFrame(t int) Frame { return v.render(t, false) }
+
+// placed is an object placed at frame t: its centre, squared radius, and
+// the squared vertical distance from the row being filled.
+type placed struct {
+	cx, cy, r2, brightness, dy2 float64
+}
+
+// render fills frame t row by row. The background texture is a sum of
+// sinusoids in the column, the row and their sum, so each term is tabled
+// once per frame; object centres are placed once per frame. Every pixel
+// still sums the same operands in the same order, and draws the same
+// noise in raster order, so output is identical to evaluating the scene
+// per pixel. The foreground (objects and sensor noise) is drawn only when
+// asked for.
+func (v *Video) render(t int, foreground bool) Frame {
+	w, h := v.Width, v.Height
 	f := make(Frame, v.Size())
-	// Per-frame noise stream; the background pattern stream is fixed.
-	noise := xrand.New(v.seed*1000003 + uint64(t)*7919)
+	if w <= 0 || h <= 0 {
+		return f
+	}
 	pan := v.panSpeed * float64(t)
 	gain := 0.0
-	if v.flickerEvery > 0 {
+	if v.flickerEvery > 0 && (t/v.flickerEvery)%2 == 1 {
 		// Gain alternates between two steps, so each flicker boundary
 		// shifts every pixel by flickerAmp at once.
-		if (t/v.flickerEvery)%2 == 1 {
-			gain = v.flickerAmp
+		gain = v.flickerAmp
+	}
+
+	// Smooth deterministic texture from a few sinusoids keyed by seed:
+	// 110 + 35·sin(0.11·x+s) + 25·cos(0.07·y+0.5·s) + 15·sin(0.05·(x+y)+2·s)
+	// at scene coordinates x = column+pan, y = row.
+	s := float64(v.seed%97) * 0.13
+	tab := make([]float64, 3*w+2*h-1)
+	sx, col, row, diag := tab[:w], tab[w:2*w], tab[2*w:2*w+h], tab[2*w+h:]
+	for x := range sx {
+		sx[x] = float64(x) + pan
+		col[x] = 110 + 35*math.Sin(0.11*sx[x]+s)
+	}
+	for y := range row {
+		row[y] = 25 * math.Cos(0.07*float64(y)+0.5*s)
+	}
+	if pan == 0 {
+		// Unpanned, x+y is an exact small integer: table by it.
+		for k := range diag {
+			diag[k] = 15 * math.Sin(0.05*float64(k)+2*s)
 		}
 	}
-	for y := 0; y < v.Height; y++ {
-		for x := 0; x < v.Width; x++ {
-			val := v.background(float64(x)+pan, float64(y), t) + gain
-			for _, o := range v.objects {
-				val = o.render(val, x, y, t, v.Width, v.Height)
+
+	// Water-like shimmer: spatial waves drifting every frame, below the
+	// waterline only (the sky stays still).
+	ph := float64(t) * 0.9
+	waterline := v.waterline * float64(h)
+
+	var discs []placed
+	var noise *xrand.RNG
+	if foreground {
+		discs = make([]placed, len(v.objects))
+		for i, o := range v.objects {
+			cx, cy := o.pos(t, w, h)
+			discs[i] = placed{cx: cx, cy: cy, r2: o.radius * o.radius, brightness: o.brightness}
+		}
+		if v.noiseSigma > 0 {
+			// Per-frame noise stream; the background pattern is fixed.
+			noise = xrand.New(v.seed*1000003 + uint64(t)*7919)
+		}
+	}
+
+	for y := 0; y < h; y++ {
+		yf := float64(y)
+		out := f[y*w : (y+1)*w]
+		water := v.shimmer > 0 && yf >= waterline
+		for i := range discs {
+			dy := yf - discs[i].cy
+			discs[i].dy2 = dy * dy
+		}
+		for x := range out {
+			val := col[x] + row[y]
+			if pan == 0 {
+				val += diag[x+y]
+			} else {
+				val += 15 * math.Sin(0.05*(sx[x]+yf)+2*s)
 			}
-			if v.noiseSigma > 0 {
+			if water {
+				val += v.shimmer * math.Sin(0.45*sx[x]+0.31*yf+ph)
+				val += 0.6 * v.shimmer * math.Sin(0.23*sx[x]-0.51*yf-1.7*ph)
+			}
+			val += gain
+			for _, d := range discs {
+				dx := float64(x) - d.cx
+				d2 := dx*dx + d.dy2
+				if d2 < d.r2 {
+					// Soft edge to avoid single-pixel aliasing artifacts.
+					edge := 1 - d2/d.r2
+					if edge > 0.25 {
+						edge = 1
+					} else {
+						edge *= 4
+					}
+					val = val*(1-edge) + d.brightness*edge
+				}
+			}
+			if noise != nil {
 				val += noise.NormFloat64() * v.noiseSigma
 			}
-			f[y*v.Width+x] = clampByte(val)
+			out[x] = clampByte(val)
 		}
 	}
 	return f
-}
-
-// background returns the scene luminance at (fractional) scene coordinates.
-func (v *Video) background(x, y float64, t int) float64 {
-	// Smooth deterministic texture from a few sinusoids keyed by seed.
-	s := float64(v.seed%97) * 0.13
-	val := 110 +
-		35*math.Sin(0.11*x+s) +
-		25*math.Cos(0.07*y+0.5*s) +
-		15*math.Sin(0.05*(x+y)+2*s)
-	if v.shimmer > 0 && y >= v.waterline*float64(v.Height) {
-		// Water-like shimmer: spatial waves drifting every frame,
-		// below the waterline only (the sky stays still).
-		ph := float64(t) * 0.9
-		val += v.shimmer * math.Sin(0.45*x+0.31*y+ph)
-		val += 0.6 * v.shimmer * math.Sin(0.23*x-0.51*y-1.7*ph)
-	}
-	return val
-}
-
-// render draws the object's disc over the pixel value if covered.
-func (o object) render(val float64, x, y, t, w, h int) float64 {
-	cx, cy := o.pos(t, w, h)
-	dx, dy := float64(x)-cx, float64(y)-cy
-	d2 := dx*dx + dy*dy
-	r2 := o.radius * o.radius
-	if d2 < r2 {
-		// Soft edge to avoid single-pixel aliasing artifacts.
-		edge := 1 - d2/r2
-		if edge > 0.25 {
-			edge = 1
-		} else {
-			edge *= 4
-		}
-		return val*(1-edge) + o.brightness*edge
-	}
-	return val
 }
 
 // pos returns the object centre at frame t, bouncing off frame edges.
@@ -171,24 +222,6 @@ func bounce(x, limit float64) float64 {
 		x = period - x
 	}
 	return x
-}
-
-// BackgroundFrame renders frame t without objects or sensor noise — the
-// background model a deployed detector maintains (pan, shimmer and gain
-// steps included, so only objects and noise differ from Frame(t)).
-func (v *Video) BackgroundFrame(t int) Frame {
-	f := make(Frame, v.Size())
-	pan := v.panSpeed * float64(t)
-	gain := 0.0
-	if v.flickerEvery > 0 && (t/v.flickerEvery)%2 == 1 {
-		gain = v.flickerAmp
-	}
-	for y := 0; y < v.Height; y++ {
-		for x := 0; x < v.Width; x++ {
-			f[y*v.Width+x] = clampByte(v.background(float64(x)+pan, float64(y), t) + gain)
-		}
-	}
-	return f
 }
 
 // ObjectBoxes returns the ground-truth bounding boxes of all objects at

@@ -38,12 +38,5 @@ func PSNR(ref, got Frame) float64 {
 	if math.IsNaN(mse) {
 		return math.NaN()
 	}
-	if mse == 0 {
-		return PSNRCap
-	}
-	p := 10 * math.Log10(255*255/mse)
-	if p > PSNRCap {
-		return PSNRCap
-	}
-	return p
+	return psnrFromMSE(mse)
 }

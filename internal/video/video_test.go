@@ -91,6 +91,33 @@ func TestPSNRMismatchedFrames(t *testing.T) {
 	}
 }
 
+// TestPSNRCases: PSNR caps identical frames, converts the MSE of degraded
+// ones, and is NaN when the frames cannot be compared.
+func TestPSNRCases(t *testing.T) {
+	ramp := make(Frame, 64)
+	off := make(Frame, 64)
+	for i := range ramp {
+		ramp[i] = byte(4 * i)
+		off[i] = byte(4*i + i%3)
+	}
+	cases := []struct {
+		name     string
+		ref, got Frame
+		want     float64
+	}{
+		{"identical", ramp, ramp, PSNRCap},
+		{"degraded", ramp, off, 10 * math.Log10(255*255/(105.0/64))}, // 21 off by 1, 21 by 2
+		{"empty", Frame{}, Frame{}, math.NaN()},
+		{"mismatched length", ramp, ramp[:63], math.NaN()},
+	}
+	for _, c := range cases {
+		got := PSNR(c.ref, c.got)
+		if got != c.want && !(math.IsNaN(got) && math.IsNaN(c.want)) {
+			t.Errorf("%s: PSNR = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestBoxIoU(t *testing.T) {
 	a := Box{0, 0, 10, 10}
 	if a.IoU(a) != 1 {
