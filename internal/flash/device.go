@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -693,11 +694,20 @@ func commitWindow(win, want, m, rm []byte, moff int, all bool) int {
 	return pulses
 }
 
+// dirtyBlock is the stride dirtyWindow skips equal bytes in before it
+// narrows the edges: long enough for bytes.Equal's vectorised compare to
+// pay off, short enough that a record-sized window wastes little of it.
+const dirtyBlock = 256
+
 // dirtyWindow returns [lo, hi): lo is the first and hi-1 the last index at
-// which a and b differ, or lo == hi when they are equal. It compares eight
-// bytes at a time.
+// which a and b differ, or lo == hi when they are equal. It skips equal
+// dirtyBlock-byte blocks from each end with bytes.Equal, then narrows
+// eight bytes at a time and finally byte by byte.
 func dirtyWindow(a, b []byte) (lo, hi int) {
 	n := len(a)
+	for lo+dirtyBlock <= n && bytes.Equal(a[lo:lo+dirtyBlock], b[lo:lo+dirtyBlock]) {
+		lo += dirtyBlock
+	}
 	for ; lo+8 <= n; lo += 8 {
 		if x := binary.LittleEndian.Uint64(a[lo:]) ^ binary.LittleEndian.Uint64(b[lo:]); x != 0 {
 			lo += bits.TrailingZeros64(x) / 8
@@ -710,8 +720,12 @@ func dirtyWindow(a, b []byte) (lo, hi int) {
 	if lo == n {
 		return n, n
 	}
-	// a[lo] differs, so both backward scans stop at lo+1 at the latest.
-	for hi = n; hi-8 >= lo; hi -= 8 {
+	// a[lo] differs, so every backward scan stops at lo+1 at the latest.
+	hi = n
+	for hi-dirtyBlock >= lo && bytes.Equal(a[hi-dirtyBlock:hi], b[hi-dirtyBlock:hi]) {
+		hi -= dirtyBlock
+	}
+	for ; hi-8 >= lo; hi -= 8 {
 		if x := binary.LittleEndian.Uint64(a[hi-8:]) ^ binary.LittleEndian.Uint64(b[hi-8:]); x != 0 {
 			return lo, hi - bits.LeadingZeros64(x)/8
 		}

@@ -503,8 +503,9 @@ func TestPageOfPageBase(t *testing.T) {
 	}
 }
 
-// TestDirtyWindow checks the word-at-a-time search against a byte loop for
-// every length up to 40 and every pair of differing positions.
+// TestDirtyWindow checks the search against a byte loop for every length
+// up to 40 and every pair of differing positions, then at the lengths where
+// the 256-byte block skip runs (checkDirtyWindowBlocks).
 func TestDirtyWindow(t *testing.T) {
 	for n := 0; n <= 40; n++ {
 		a := make([]byte, n)
@@ -538,20 +539,80 @@ func TestDirtyWindow(t *testing.T) {
 			}
 		}
 	}
+	checkDirtyWindowBlocks(t)
 }
 
-// BenchmarkProgramPage programs a 4 KiB page: "record" changes one 128-byte
-// record per op (the store's append), "page" rewrites every byte.
-func BenchmarkProgramPage(b *testing.B) {
-	spec := DefaultSpec()
-	spec.PageSize = 4096
-	spec.NumPages = 4
-	for _, width := range []int{128, spec.PageSize} {
-		name := "record"
-		if width == spec.PageSize {
-			name = "page"
+// checkDirtyWindowBlocks covers the lengths where dirtyWindow's 256-byte
+// block skip runs: one or two differing bytes at and beside every block
+// edge and every 8-byte word edge, and fully equal buffers.
+func checkDirtyWindowBlocks(t *testing.T) {
+	for _, n := range []int{255, 256, 257, 512, 4096, 4097} {
+		a := make([]byte, n)
+		for i := range a {
+			a[i] = byte(i * 37)
 		}
-		b.Run(name, func(b *testing.B) {
+		b := append([]byte(nil), a...)
+		if lo, hi := dirtyWindow(a, b); lo != n || hi != n {
+			t.Fatalf("n=%d equal buffers: window [%d,%d), want [%d,%d)", n, lo, hi, n, n)
+		}
+		var blockEdges, edges []int
+		seen := make(map[int]bool)
+		for e := 0; e <= n; e += 8 {
+			for _, i := range []int{e - 1, e, e + 1} {
+				if i < 0 || i >= n || seen[i] {
+					continue
+				}
+				seen[i] = true
+				edges = append(edges, i)
+				if e%dirtyBlock == 0 || e == n {
+					blockEdges = append(blockEdges, i)
+				}
+			}
+		}
+		if !seen[n-1] {
+			edges = append(edges, n-1)
+			blockEdges = append(blockEdges, n-1)
+		}
+		check := func(i, j int) {
+			t.Helper()
+			if lo, hi := dirtyWindow(a, b); lo != min(i, j) || hi != max(i, j)+1 {
+				t.Fatalf("n=%d bytes %d and %d differ: window [%d,%d), want [%d,%d)",
+					n, i, j, lo, hi, min(i, j), max(i, j)+1)
+			}
+		}
+		for _, i := range edges {
+			b[i] ^= 0x80
+			check(i, i)
+			for _, j := range blockEdges {
+				if j != i {
+					b[j] ^= 0x01
+					check(i, j)
+					b[j] ^= 0x01
+				}
+			}
+			b[i] ^= 0x80
+		}
+	}
+}
+
+// BenchmarkProgramPage programs one page per op: on 4 KiB pages "record"
+// changes one 128-byte record (the store's append) and "page" rewrites
+// every byte; "page256" rewrites a whole 256-byte page (the camera's
+// geometry), where the dirty window is too short for the block skip.
+func BenchmarkProgramPage(b *testing.B) {
+	for _, c := range []struct {
+		name            string
+		pageSize, width int
+	}{
+		{"record", 4096, 128},
+		{"page", 4096, 4096},
+		{"page256", 256, 256},
+	} {
+		spec := DefaultSpec()
+		spec.PageSize = c.pageSize
+		spec.NumPages = 4
+		width := c.width
+		b.Run(c.name, func(b *testing.B) {
 			d := MustNewDevice(spec)
 			buf := make([]byte, spec.PageSize)
 			off := spec.PageSize // force an erase on the first op

@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"github.com/flipbit-sim/flipbit/internal/bits"
 	"github.com/flipbit-sim/flipbit/internal/flash"
 )
 
@@ -344,7 +345,7 @@ func (f *FTL) parseIntents() ([]intentRec, int) {
 			break
 		}
 		if crc32.ChecksumIEEE(rec[:17]) != readU32(rec[17:]) || rec[0] != intentMagic {
-			if n, ok := correctSingleBit(rec, 17); ok && rec[0] == intentMagic {
+			if n, ok := bits.CorrectSingleBit(rec, 17); ok && rec[0] == intentMagic {
 				f.stats.CorrectedBits += uint64(n)
 			} else {
 				// Torn record: it is always the last one written.
@@ -441,7 +442,7 @@ func (f *FTL) readSlot(slot int) ([]int, uint32, bool) {
 	}
 	blob = blob[:mapBlobSize(f.lay.nl)]
 	if crc32.ChecksumIEEE(blob[:len(blob)-4]) != readU32(blob[len(blob)-4:]) {
-		n, ok := correctSingleBit(blob, len(blob)-4)
+		n, ok := bits.CorrectSingleBit(blob, len(blob)-4)
 		if !ok {
 			return nil, 0, false
 		}
@@ -519,24 +520,6 @@ func (f *FTL) pageCRC(p int) uint32 {
 		return 0
 	}
 	return crc32.ChecksumIEEE(buf)
-}
-
-// correctSingleBit brute-forces a single-bit repair of a CRC-protected
-// buffer whose checksum trailer starts at crcOff: flip each bit (including
-// the stored CRC's own bits) and keep the flip that makes the checksum
-// pass. Returns the number of corrected bits (1) and success. This is the
-// read-disturb defence: a drifted cell is a single 1 → 0 flip.
-func correctSingleBit(buf []byte, crcOff int) (int, bool) {
-	for i := range buf {
-		for bit := 0; bit < 8; bit++ {
-			buf[i] ^= 1 << uint(bit)
-			if crc32.ChecksumIEEE(buf[:crcOff]) == readU32(buf[crcOff:]) {
-				return 1, true
-			}
-			buf[i] ^= 1 << uint(bit)
-		}
-	}
-	return 0, false
 }
 
 // allFF reports whether every byte is erased.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"github.com/flipbit-sim/flipbit/internal/flash"
@@ -185,13 +186,11 @@ func (s *Store) maybeCheckpoint() error {
 // encodeCheckpoint serializes the store state. Keys are emitted sorted so
 // the blob bytes are a deterministic function of the logical state.
 func (s *Store) encodeCheckpoint(cpSeq uint64) []byte {
-	keys := make([]string, 0, len(s.index))
+	keys := s.checkpointKeys()
 	n := ckptHdrSize + s.np*ckptPageSize + crcSize
-	for k := range s.index {
-		keys = append(keys, k)
+	for _, k := range keys {
 		n += ckptKeyFixed + len(k)
 	}
-	sort.Strings(keys)
 
 	blob := make([]byte, n)
 	copy(blob, ckptMagic)
@@ -227,6 +226,42 @@ func (s *Store) encodeCheckpoint(cpSeq uint64) []byte {
 	}
 	putLEU32(blob[off:], crc32.ChecksumIEEE(blob[:off]))
 	return blob
+}
+
+// checkpointKeys returns every index key, sorted. The list is kept
+// between checkpoints: the keys setLocation added since the last call are
+// sorted and merged in, so a checkpoint sorts only its new keys. The first
+// call, and the first after dropPageEntries or an index replacement
+// cleared the list, sorts the whole index.
+func (s *Store) checkpointKeys() []string {
+	if s.ckptKeys == nil {
+		s.ckptKeys = make([]string, 0, len(s.index))
+		for k := range s.index {
+			s.ckptKeys = append(s.ckptKeys, k)
+		}
+		sort.Strings(s.ckptKeys)
+		s.ckptNew = s.ckptNew[:0]
+		return s.ckptKeys
+	}
+	if len(s.ckptNew) == 0 {
+		return s.ckptKeys
+	}
+	sort.Strings(s.ckptNew)
+	// Merge from the back, so the list grows in place.
+	keys := slices.Grow(s.ckptKeys, len(s.ckptNew))
+	i, j := len(keys)-1, len(s.ckptNew)-1
+	keys = keys[:len(keys)+len(s.ckptNew)]
+	for k := len(keys) - 1; j >= 0; k-- {
+		if i >= 0 && keys[i] > s.ckptNew[j] {
+			keys[k] = keys[i]
+			i--
+		} else {
+			keys[k] = s.ckptNew[j]
+			j--
+		}
+	}
+	s.ckptKeys, s.ckptNew = keys, s.ckptNew[:0]
+	return keys
 }
 
 // ckptImage is a decoded, validated checkpoint blob.
@@ -430,6 +465,7 @@ func (s *Store) applyCheckpoint(img *ckptImage) (ok bool, err error) {
 	copy(s.pageLive, img.pageLive)
 	copy(s.pageBad, img.pageBad)
 	s.index = img.entries
+	s.ckptKeys = nil
 	s.nextSeq = img.nextSeq
 
 	var partial, tail []pageInfo
@@ -559,6 +595,7 @@ func (s *Store) dropPageEntries(p int) {
 			delete(s.index, k)
 		}
 	}
+	s.ckptKeys = nil
 	s.pageLive[p] = 0
 }
 

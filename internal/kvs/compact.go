@@ -125,13 +125,20 @@ func (s *Store) compactionNeeded() bool {
 // of the page an erase would reclaim net of the live bytes that must be
 // copied out, plus a bias toward pages the device has erased least — so
 // sustained collection spreads erases instead of hammering one page.
+//
+// Each page's wear is read once per pass, into s.wear: every read is a
+// bank-lock round trip, and the maximum and the scores need the same
+// values.
 func (s *Store) pickVictim() int {
 	var maxWear uint32 = 1
-	if s.wb != nil && s.comp.WearWeight > 0 {
-		for p := 0; p < s.np; p++ {
-			if w := s.wb.PageWear(p); w > maxWear {
-				maxWear = w
-			}
+	useWear := s.wb != nil && s.comp.WearWeight > 0
+	if useWear {
+		if s.wear == nil {
+			s.wear = make([]uint32, s.np)
+		}
+		for p := range s.wear {
+			s.wear[p] = s.wb.PageWear(p)
+			maxWear = max(maxWear, s.wear[p])
 		}
 	}
 	victim, best := -1, 0.0
@@ -148,8 +155,8 @@ func (s *Store) pickVictim() int {
 			continue
 		}
 		score := float64(s.ps-s.pageLive[p]) / float64(s.ps)
-		if s.wb != nil && s.comp.WearWeight > 0 {
-			score += s.comp.WearWeight * (1 - float64(s.wb.PageWear(p))/float64(maxWear))
+		if useWear {
+			score += s.comp.WearWeight * (1 - float64(s.wear[p])/float64(maxWear))
 		}
 		if score > best {
 			victim, best = p, score

@@ -144,10 +144,8 @@ func TestReclaimEraseVerifyRejectsResidue(t *testing.T) {
 	if got := s2.Stats().QuarantinedPages; got != 1 {
 		t.Fatalf("QuarantinedPages = %d after rejected reclaim, want 1", got)
 	}
-	for _, p := range s2.freePages() {
-		if p == 0 {
-			t.Fatal("rejected page listed as free")
-		}
+	if s2.nextFree(0) == 0 {
+		t.Fatal("rejected page listed as free")
 	}
 
 	// A second reclaim with a clean erase succeeds.

@@ -10,7 +10,7 @@
 //
 // The CRC covers magic..value, so a record torn by power loss is detected
 // and skipped at mount, and a record with a single drifted cell (read
-// disturb, stuck bit) is repaired by brute-force single-bit correction.
+// disturb, stuck bit) is repaired by single-bit correction.
 // Updates append a new record; the highest-sequence copy of a key wins, and
 // a flags bit marks tombstones. Garbage collection copies a victim page's
 // live records to the log head and erases the victim — crash-safe, because
@@ -23,12 +23,14 @@
 package kvs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
 	"sort"
 
+	"github.com/flipbit-sim/flipbit/internal/bits"
 	"github.com/flipbit-sim/flipbit/internal/core"
 	"github.com/flipbit-sim/flipbit/internal/flash"
 )
@@ -48,10 +50,10 @@ const (
 	verifyRetries = 4
 
 	// senseRetries bounds the extra reads a CRC failure earns before the
-	// store falls back to brute-force single-bit repair. A marginal
-	// retention cell (flash/retention.go) resolves randomly per read, so a
-	// re-sense usually comes back clean and — unlike a repair — tells the
-	// store the on-flash copy is still intact.
+	// store falls back to single-bit repair. A marginal retention cell
+	// (flash/retention.go) resolves randomly per read, so a re-sense
+	// usually comes back clean and — unlike a repair — tells the store the
+	// on-flash copy is still intact.
 	senseRetries = 2
 )
 
@@ -167,6 +169,12 @@ type Store struct {
 	// nil until the first compaction builds it from the index, so every
 	// mount path (a fresh Store) replays without it.
 	pageKeys [][]string
+	// ckptKeys is every index key, sorted, as the last checkpoint encode
+	// left it; ckptNew queues the keys added to the index since. nil until
+	// the first encode builds it, and cleared by every change that removes
+	// keys from the index or replaces it (checkpointKeys).
+	ckptKeys []string
+	ckptNew  []string
 	pageSeq  []uint32 // sequence per page (freeSeq = free)
 	pageUsed []int    // bytes consumed per page (including header)
 	pageLive []int    // live record bytes per page
@@ -174,9 +182,11 @@ type Store struct {
 	head     int      // page currently being appended to (-1 = none)
 	nextSeq  uint32
 	inGC     bool
-	verify   bool // read back every committed record
+	verify   bool   // read back every committed record
+	zone     []byte // commit's landing-zone and read-back scratch
 
 	wb      WearBackend // b, when it exposes per-page wear (else nil)
+	wear    []uint32    // pickVictim's per-pass wear reads, one per page
 	comp    *CompactionConfig
 	ckpt    *checkpointState
 	scanIdx *scanIndexState
@@ -359,6 +369,7 @@ func (s *Store) scanMount() error {
 // half-built, so scanMount starts from a clean slate.
 func (s *Store) resetMountState() {
 	s.index = make(map[string]location)
+	s.ckptKeys = nil
 	for p := 0; p < s.np; p++ {
 		s.pageSeq[p] = 0
 		s.pageUsed[p] = 0
@@ -384,7 +395,7 @@ func parsePageHeader(buf []byte, st *Stats) (uint32, int) {
 		return freeSeq, pageFree
 	}
 	if crc32.ChecksumIEEE(hdr[:4]) != leU32(hdr[4:]) {
-		if n, ok := correctSingleBit(hdr, 4); ok {
+		if n, ok := bits.CorrectSingleBit(hdr, 4); ok {
 			st.CorrectedBits += uint64(n)
 		} else {
 			return freeSeq, pageQuarantined
@@ -545,10 +556,16 @@ func (s *Store) repairRecord(buf []byte, off int) (int, bool) {
 	return 0, false
 }
 
-// setLocation points key's index entry at loc and, once the per-page key
-// lists exist, notes the key on loc's page.
+// setLocation points key's index entry at loc, queues a key new to the
+// index for the kept checkpoint key list (checkpointKeys) once that list
+// exists, and, once the per-page key lists exist, notes the key on loc's
+// page.
 func (s *Store) setLocation(key string, loc location) {
+	n := len(s.index)
 	s.index[key] = loc
+	if s.ckptKeys != nil && len(s.index) != n {
+		s.ckptNew = append(s.ckptNew, key)
+	}
 	if s.pageKeys != nil {
 		s.pageKeys[loc.page] = append(s.pageKeys[loc.page], key)
 	}
@@ -586,7 +603,7 @@ func (s *Store) supersede(key string) {
 // Get returns the value stored for key, verifying the record CRC. A CRC
 // failure first earns a bounded re-sense — a marginal retention cell reads
 // differently on the next try, and a clean re-read proves the on-flash copy
-// is intact — before falling back to brute-force single-bit repair of the
+// is intact — before falling back to single-bit repair of the
 // returned copy.
 func (s *Store) Get(key string) ([]byte, error) {
 	loc, ok := s.index[key]
@@ -624,7 +641,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 			}
 		}
 		if !sensed {
-			if _, ok := correctSingleBit(rec, len(rec)-crcSize); ok {
+			if _, ok := bits.CorrectSingleBit(rec, len(rec)-crcSize); ok {
 				s.stats.CorrectedBits++
 				repaired = true
 			} else {
@@ -787,7 +804,7 @@ func (s *Store) fullErr() error {
 			bad++
 		}
 	}
-	if bad > 0 && len(s.freePages()) == 0 {
+	if bad > 0 && !s.hasFree(1) {
 		return fmt.Errorf("%w: %d of %d pages out of service", ErrDeviceReadOnly, bad, s.np)
 	}
 	return ErrFull
@@ -809,29 +826,38 @@ func (s *Store) reserve(size int) (page, off int, err error) {
 	if s.inGC {
 		minFree = 1
 	}
-	free := s.freePages()
-	if len(free) < minFree {
+	if !s.hasFree(minFree) {
 		s.reclaimQuarantined()
-		free = s.freePages()
+		if !s.hasFree(minFree) {
+			return 0, 0, ErrFull
+		}
 	}
-	if len(free) < minFree {
-		return 0, 0, ErrFull
-	}
-	if err := s.openPage(free[0]); err != nil {
+	if err := s.openPage(); err != nil {
 		return 0, 0, err
 	}
 	return s.head, s.pageUsed[s.head], nil
 }
 
-// freePages lists usable free pages.
-func (s *Store) freePages() []int {
-	var free []int
-	for p := range s.pageSeq {
+// hasFree reports whether at least n usable pages are free, walking the
+// page table only until it has found them.
+func (s *Store) hasFree(n int) bool {
+	for p := 0; n > 0; p++ {
+		if p = s.nextFree(p); p < 0 {
+			return false
+		}
+		n--
+	}
+	return true
+}
+
+// nextFree returns the first usable free page at or after from, or -1.
+func (s *Store) nextFree(from int) int {
+	for p := from; p < s.np; p++ {
 		if s.pageSeq[p] == freeSeq && !s.pageBad[p] {
-			free = append(free, p)
+			return p
 		}
 	}
-	return free
+	return -1
 }
 
 // reclaimQuarantined erases quarantined pages back into the free pool. A
@@ -866,15 +892,12 @@ func (s *Store) reclaimQuarantined() {
 	}
 }
 
-// openPage stamps a free page with the next sequence number. Under
-// WithVerify a header that does not read back intact quarantines the page
-// and tries the next free one.
-func (s *Store) openPage(p int) error {
-	free := s.freePages()
-	for _, cand := range free {
-		if cand < p {
-			continue
-		}
+// openPage stamps the first free page with the next sequence number.
+// Under WithVerify a header that does not read back intact quarantines the
+// page and tries the next free one; a failed try changes no other page's
+// state, so the walk on from it still visits every free page in order.
+func (s *Store) openPage() error {
+	for cand := s.nextFree(0); cand >= 0; cand = s.nextFree(cand + 1) {
 		var hdr [pageHeaderSize]byte
 		putLEU32(hdr[:], s.nextSeq)
 		putLEU32(hdr[4:], crc32.ChecksumIEEE(hdr[:4]))
@@ -931,7 +954,10 @@ func (s *Store) commit(key string, page, off int, rec []byte, flags byte) error 
 	// fall back to a read-modify-write erase of the whole page, and a
 	// power loss during that erase destroys every committed record on it.
 	// The store never erases in place through the write path.
-	zone := make([]byte, len(rec))
+	if cap(s.zone) < len(rec) {
+		s.zone = make([]byte, len(rec))
+	}
+	zone := s.zone[:len(rec)]
 	if err := s.b.Read(base+off, zone); err != nil {
 		return err
 	}
@@ -952,16 +978,13 @@ func (s *Store) commit(key string, page, off int, rec []byte, flags byte) error 
 		return err
 	}
 	if s.verify {
-		got := make([]byte, len(rec))
-		if err := s.b.Read(base+off, got); err != nil {
+		if err := s.b.Read(base+off, zone); err != nil {
 			return err
 		}
-		for i := range rec {
-			if got[i] != rec[i] {
-				s.stats.VerifyFailures++
-				s.retireTail(page)
-				return errVerifyMismatch
-			}
+		if !bytes.Equal(zone, rec) {
+			s.stats.VerifyFailures++
+			s.retireTail(page)
+			return errVerifyMismatch
 		}
 	}
 	s.pageUsed[page] = off + len(rec)
@@ -1078,22 +1101,6 @@ func (s *Store) compactPage(victim int) error {
 	}
 	s.stats.Compactions++
 	return nil
-}
-
-// correctSingleBit brute-forces a single-bit repair of a CRC-protected
-// buffer whose CRC32 trailer starts at crcOff: flip each bit (including
-// the stored CRC's own) and keep the flip that makes the checksum pass.
-func correctSingleBit(buf []byte, crcOff int) (int, bool) {
-	for i := range buf {
-		for bit := 0; bit < 8; bit++ {
-			buf[i] ^= 1 << uint(bit)
-			if crc32.ChecksumIEEE(buf[:crcOff]) == leU32(buf[crcOff:]) {
-				return 1, true
-			}
-			buf[i] ^= 1 << uint(bit)
-		}
-	}
-	return 0, false
 }
 
 // allFF reports whether every byte is erased.

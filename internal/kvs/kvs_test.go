@@ -262,3 +262,42 @@ func TestErasesAmortized(t *testing.T) {
 		t.Errorf("%d erases for %d updates; log structure not amortizing", erases, updates)
 	}
 }
+
+// TestPutSteadyStateAllocs pins a Put's allocations on a store with room
+// to spare: one, the record buffer. Page opens allocate nothing, and
+// commit reads the landing zone into a store-owned scratch buffer.
+func TestPutSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; allocation counts are meaningless")
+	}
+	spec := flash.DefaultSpec()
+	spec.PageSize = 4096
+	spec.NumPages = 32
+	spec.Banks = 1
+	s, err := Open(core.MustNewDevice(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 128)
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key%03d", i)
+		if err := s.Put(keys[i], val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i, opened := 0, s.head
+	allocs := testing.AllocsPerRun(200, func() {
+		val[0] = byte(i)
+		if err := s.Put(keys[i%len(keys)], val); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if s.head == opened || s.Stats().Compactions != 0 {
+		t.Fatalf("no page opened, or a compaction ran (head %d → %d, %d compactions)", opened, s.head, s.Stats().Compactions)
+	}
+	if allocs > 1 {
+		t.Errorf("Put allocates %.1f times, want at most 1", allocs)
+	}
+}
