@@ -153,22 +153,30 @@ func (d *Device) NoteScrub(p int) {
 	d.emit(OpEvent{Kind: OpScrub, Bank: b, Addr: p, Bytes: d.spec.PageSize})
 }
 
-// WearSnapshot returns a consistent copy of every page's erase count. Each
-// bank's pages are copied under one acquisition of that bank's lock, so the
-// snapshot is internally consistent per bank — unlike a loop over Wear(p),
-// which re-acquires the lock per page and can interleave with writers.
+// WearSnapshot returns a consistent copy of every page's erase count (see
+// WearInto).
 func (d *Device) WearSnapshot() []uint32 {
 	out := make([]uint32, len(d.wear))
+	d.WearInto(out)
+	return out
+}
+
+// WearInto copies the erase count of every page p < min(len(dst),
+// NumPages) into dst[p], leaving the rest of dst untouched. Each bank's
+// pages are copied under one acquisition of that bank's lock, so the copy
+// is internally consistent per bank — unlike a loop over Wear(p), which
+// re-acquires the lock per page and can interleave with writers.
+func (d *Device) WearInto(dst []uint32) {
+	n := min(len(dst), len(d.wear))
 	nb := len(d.banks)
 	for b := 0; b < nb; b++ {
 		bk := &d.banks[b]
 		bk.mu.Lock()
-		for p := b; p < len(d.wear); p += nb {
-			out[p] = d.wear[p]
+		for p := b; p < n; p += nb {
+			dst[p] = d.wear[p]
 		}
 		bk.mu.Unlock()
 	}
-	return out
 }
 
 // HealthHistogramBuckets is the number of wear buckets in a BankHealth

@@ -188,6 +188,42 @@ func TestWearSnapshot(t *testing.T) {
 	}
 }
 
+// TestWearIntoMatchesWear: the bulk read returns Wear(p) for every page on
+// one and four banks, fills only the prefix a short dst has room for, and
+// leaves the entries of a long dst past the last page untouched.
+func TestWearIntoMatchesWear(t *testing.T) {
+	for _, banks := range []int{1, 4} {
+		spec := healthSpec()
+		spec.NumPages = 12
+		spec.Banks = banks
+		d := MustNewDevice(spec)
+		for p := 0; p < spec.NumPages; p++ {
+			for i := 0; i < (p*7)%5; i++ {
+				if err := d.ErasePage(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		const sentinel = ^uint32(0)
+		for _, n := range []int{0, 1, banks + 1, spec.NumPages - 1, spec.NumPages, spec.NumPages + 3} {
+			dst := make([]uint32, n)
+			for i := range dst {
+				dst[i] = sentinel
+			}
+			d.WearInto(dst)
+			for p, w := range dst {
+				want := sentinel
+				if p < spec.NumPages {
+					want = d.Wear(p)
+				}
+				if w != want {
+					t.Errorf("banks=%d len(dst)=%d: dst[%d] = %d, want %d", banks, n, p, w, want)
+				}
+			}
+		}
+	}
+}
+
 func TestHealthReport(t *testing.T) {
 	s := healthSpec()
 	s.EnduranceCycles = 4

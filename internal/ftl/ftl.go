@@ -75,6 +75,9 @@ type FTL struct {
 	coldW  uint32
 	coldOK bool
 
+	// wearPhys is WearInto's physical wear snapshot, reused across calls.
+	wearPhys []uint32
+
 	// Journaled mode (journal.go). A volatile FTL built with New keeps
 	// journaled false and maps the whole device; Open reserves the tail
 	// of the device for the journal and survives crashes.
@@ -402,6 +405,22 @@ func (f *FTL) PageWear(lp int) uint32 {
 		return 0
 	}
 	return f.dev.Flash().Wear(f.l2p[lp])
+}
+
+// WearInto copies the erase count of the physical page backing every
+// logical page lp < min(len(dst), logical pages) into dst[lp], leaving the
+// rest of dst untouched: one device wear snapshot (one lock acquisition per
+// bank) into a buffer the FTL keeps, mapped through l2p. It gives the
+// store's victim scan PageWear's values without a lock round trip per page.
+func (f *FTL) WearInto(dst []uint32) {
+	if f.wearPhys == nil {
+		f.wearPhys = make([]uint32, len(f.p2l))
+	}
+	f.dev.Flash().WearInto(f.wearPhys)
+	n := min(len(dst), len(f.l2p))
+	for lp, pp := range f.l2p[:n] {
+		dst[lp] = f.wearPhys[pp]
+	}
 }
 
 // WearSpread returns (max wear, mean wear) across physical pages — the

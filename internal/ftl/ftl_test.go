@@ -98,6 +98,68 @@ func TestWearLevelingSpreadsHotspot(t *testing.T) {
 	_ = dev
 }
 
+// TestWearIntoMatchesPageWear: the bulk wear read equals PageWear for every
+// logical page once swaps and a retirement have moved logical pages onto
+// other physical pages; a short dst gets only its prefix; and after the
+// first call (which sizes the physical snapshot) the read allocates
+// nothing.
+func TestWearIntoMatchesPageWear(t *testing.T) {
+	f, _ := newFTL(t, 16, WithSwapDelta(2), WithSpares(4))
+	a := make([]byte, 32)
+	b := make([]byte, 32)
+	for i := range a {
+		a[i], b[i] = 0x55, 0xAA // alternating forces an erase per write
+	}
+	check := func(when string) {
+		t.Helper()
+		n := f.NumPages()
+		for _, size := range []int{n, n - 3, n + 2} {
+			dst := make([]uint32, size)
+			for i := range dst {
+				dst[i] = 7777
+			}
+			f.WearInto(dst)
+			for lp, w := range dst {
+				want := uint32(7777)
+				if lp < n {
+					want = f.PageWear(lp)
+				}
+				if w != want {
+					t.Fatalf("%s, len(dst)=%d: dst[%d] = %d, want %d", when, size, lp, w, want)
+				}
+			}
+		}
+	}
+	for i := 0; i < 120; i++ {
+		buf := a
+		if i%2 == 1 {
+			buf = b
+		}
+		if err := f.Write((i%3)*32, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f.Stats().Swaps == 0 {
+		t.Fatal("no wear-leveling swaps happened")
+	}
+	check("after swaps")
+	if err := f.RetirePage(f.l2p[1]); err != nil {
+		t.Fatal(err)
+	}
+	if f.Stats().Retirements != 1 || f.l2p[1] < f.poolBase {
+		t.Fatalf("retirement did not remap logical page 1 onto a spare (l2p[1] = %d)", f.l2p[1])
+	}
+	check("after a retirement")
+
+	if raceEnabled {
+		return
+	}
+	dst := make([]uint32, f.NumPages())
+	if allocs := testing.AllocsPerRun(50, func() { f.WearInto(dst) }); allocs != 0 {
+		t.Errorf("FTL.WearInto allocates %.1f times per call after the first, want 0", allocs)
+	}
+}
+
 // TestNoLevelingBaseline: with a huge swap threshold the hotspot stays on
 // one page — the contrast case for the test above.
 func TestNoLevelingBaseline(t *testing.T) {

@@ -566,6 +566,7 @@ func (s *Store) applyCheckpoint(img *ckptImage) (ok bool, err error) {
 	if newest >= 0 && s.pageUsed[newest] < s.ps {
 		s.head = newest
 	}
+	s.recount()
 	return true, nil
 }
 

@@ -96,27 +96,12 @@ func (s *Store) maybeCompact() error {
 }
 
 // compactionNeeded reports whether the free pool is short or the garbage
-// ratio has drifted past the configured ceiling.
+// ratio has drifted past the configured ceiling, from the running totals.
 func (s *Store) compactionNeeded() bool {
-	free := 0
-	for p := 0; p < s.np; p++ {
-		if s.pageSeq[p] == freeSeq && !s.pageBad[p] {
-			free++
-		}
-	}
-	if free < s.comp.TriggerFreePages {
+	if s.nFree < s.comp.TriggerFreePages {
 		return true
 	}
-	var used, live int
-	for p := 0; p < s.np; p++ {
-		if s.pageSeq[p] == freeSeq {
-			continue
-		}
-		if u := s.pageUsed[p] - pageHeaderSize; u > 0 {
-			used += u
-		}
-		live += s.pageLive[p]
-	}
+	used, live := s.recBytes, s.liveBytes
 	return used > 0 && float64(used-live)/float64(used) > s.comp.MaxGarbageRatio
 }
 
@@ -126,9 +111,10 @@ func (s *Store) compactionNeeded() bool {
 // copied out, plus a bias toward pages the device has erased least — so
 // sustained collection spreads erases instead of hammering one page.
 //
-// Each page's wear is read once per pass, into s.wear: every read is a
-// bank-lock round trip, and the maximum and the scores need the same
-// values.
+// Each page's wear is read once per pass, into s.wear, since the maximum
+// and the scores need the same values: in bulk when the backend implements
+// BulkWearBackend (one lock acquisition per bank), else one PageWear per
+// page.
 func (s *Store) pickVictim() int {
 	var maxWear uint32 = 1
 	useWear := s.wb != nil && s.comp.WearWeight > 0
@@ -136,9 +122,15 @@ func (s *Store) pickVictim() int {
 		if s.wear == nil {
 			s.wear = make([]uint32, s.np)
 		}
-		for p := range s.wear {
-			s.wear[p] = s.wb.PageWear(p)
-			maxWear = max(maxWear, s.wear[p])
+		if s.bw != nil {
+			s.bw.WearInto(s.wear)
+		} else {
+			for p := range s.wear {
+				s.wear[p] = s.wb.PageWear(p)
+			}
+		}
+		for _, w := range s.wear {
+			maxWear = max(maxWear, w)
 		}
 	}
 	victim, best := -1, 0.0

@@ -214,6 +214,8 @@ func checkMountInvariants(t testing.TB, s *Store) {
 //  2. Damage anywhere: mount must not panic and must establish the
 //     structural invariants; when the checkpointed mount fell back to a
 //     scan, it must again match the scan-only mount exactly.
+//
+// Every mount's running page-table totals must also match a walk.
 func FuzzMountReplay(f *testing.F) {
 	f.Add(byte(1), byte(40), byte(30), []byte{})
 	f.Add(byte(2), byte(90), byte(80), []byte{0x00, 0x00, 0x00})
@@ -234,6 +236,8 @@ func FuzzMountReplay(f *testing.F) {
 		b := mountImage(t, img, true)
 		checkMountInvariants(t, a)
 		checkMountInvariants(t, b)
+		checkTotals(t, a, "checkpoint-damage mount")
+		checkTotals(t, b, "checkpoint-damage scan-only mount")
 		compareMountStates(t, a, b)
 
 		// Oracle 2: damage anywhere in the image.
@@ -246,6 +250,8 @@ func FuzzMountReplay(f *testing.F) {
 		d := mountImage(t, img, true)
 		checkMountInvariants(t, c)
 		checkMountInvariants(t, d)
+		checkTotals(t, c, "damaged-image mount")
+		checkTotals(t, d, "damaged-image scan-only mount")
 		if c.stats.ScanMounts == 1 {
 			compareMountStates(t, c, d)
 		}

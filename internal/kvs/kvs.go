@@ -103,6 +103,7 @@ func (c coreBackend) ErasePage(p int) error             { return c.dev.ErasePage
 func (c coreBackend) PageSize() int                     { return c.dev.Flash().Spec().PageSize }
 func (c coreBackend) NumPages() int                     { return c.dev.Flash().Spec().NumPages }
 func (c coreBackend) PageWear(p int) uint32             { return c.dev.Flash().Wear(p) }
+func (c coreBackend) WearInto(dst []uint32)             { c.dev.Flash().WearInto(dst) }
 func (c coreBackend) SensePage(p int, dst []byte) error { return c.dev.SensePage(p, dst) }
 func (c coreBackend) ProgramByte(addr int, v byte) error {
 	return c.dev.Flash().ProgramByte(addr, v)
@@ -119,6 +120,15 @@ func (c coreBackend) SenseMulti(op flash.SenseOp, pages []int, invert []bool, ds
 // backends get garbage-ratio-only selection.
 type WearBackend interface {
 	PageWear(p int) uint32
+}
+
+// BulkWearBackend is an optional WearBackend extension that reads every
+// page's erase count at once: WearInto fills dst[p] with PageWear(p) for
+// each p < len(dst). Victim selection reads wear once per GC pass; with
+// this extension that read takes one bank-lock acquisition per bank
+// instead of one per page. Without it the store calls PageWear per page.
+type BulkWearBackend interface {
+	WearInto(dst []uint32)
 }
 
 // Stats counts the store's resilience events.
@@ -179,20 +189,30 @@ type Store struct {
 	pageUsed []int    // bytes consumed per page (including header)
 	pageLive []int    // live record bytes per page
 	pageBad  []bool   // quarantined: header unrepairable, erase before reuse
-	head     int      // page currently being appended to (-1 = none)
+	// Running page-table totals, kept by setPage and recounted at mount:
+	// nFree counts usable free pages; recBytes sums pageUsed-pageHeaderSize
+	// (when positive) and liveBytes sums pageLive over in-use pages.
+	nFree, recBytes, liveBytes int
+	// freeHint is a lower bound on the first usable free page: no page
+	// below it is usable and free. setPage lowers it when a page turns
+	// free, openPage raises it to the first free page it finds.
+	freeHint int
+	head     int // page currently being appended to (-1 = none)
 	nextSeq  uint32
 	inGC     bool
 	verify   bool   // read back every committed record
 	zone     []byte // commit's landing-zone and read-back scratch
 
-	wb      WearBackend // b, when it exposes per-page wear (else nil)
-	wear    []uint32    // pickVictim's per-pass wear reads, one per page
+	wb      WearBackend     // b, when it exposes per-page wear (else nil)
+	bw      BulkWearBackend // b, when it also reads wear in bulk (else nil)
+	wear    []uint32        // pickVictim's per-pass wear reads, one per page
 	comp    *CompactionConfig
 	ckpt    *checkpointState
 	scanIdx *scanIndexState
-	// compactDue gates the O(np) proactive-compaction check: the free-page
-	// count and garbage ratio only move meaningfully when a page opens, so
-	// the check runs once per opened page, not once per append.
+	// compactDue limits proactive compaction to once per opened page. The
+	// check itself is O(1) (the running totals); the gate exists for
+	// behaviour, not cost: checking after every append would run GC at
+	// other points and change the device's op sequence.
 	compactDue bool
 
 	stats Stats
@@ -246,6 +266,7 @@ func OpenOn(b Backend, opts ...Option) (*Store, error) {
 	s.pageLive = make([]int, s.np)
 	s.pageBad = make([]bool, s.np)
 	s.wb, _ = b.(WearBackend)
+	s.bw, _ = b.(BulkWearBackend)
 	s.compactDue = true
 
 	// With checkpointing configured, read both slots up front: the newest
@@ -362,7 +383,44 @@ func (s *Store) scanMount() error {
 			s.head = last.page
 		}
 	}
+	s.recount()
 	return nil
+}
+
+// recount rebuilds the running page-table totals and resets the first-free
+// hint with one walk of the page table. Mount fills the table directly and
+// calls it once at the end; every later change goes through setPage.
+func (s *Store) recount() {
+	s.nFree, s.recBytes, s.liveBytes, s.freeHint = 0, 0, 0, 0
+	for p := 0; p < s.np; p++ {
+		s.tally(p, 1)
+	}
+}
+
+// tally adds sign times page p's share to the running totals.
+func (s *Store) tally(p, sign int) {
+	if s.pageSeq[p] == freeSeq {
+		if !s.pageBad[p] {
+			s.nFree += sign
+		}
+		return
+	}
+	if u := s.pageUsed[p] - pageHeaderSize; u > 0 {
+		s.recBytes += sign * u
+	}
+	s.liveBytes += sign * s.pageLive[p]
+}
+
+// setPage sets page p's table entry, moving the page's share of the
+// running totals from its old state to its new one, and lowers the
+// first-free hint when the page turns usable and free.
+func (s *Store) setPage(p int, seq uint32, used, live int, bad bool) {
+	s.tally(p, -1)
+	s.pageSeq[p], s.pageUsed[p], s.pageLive[p], s.pageBad[p] = seq, used, live, bad
+	s.tally(p, 1)
+	if seq == freeSeq && !bad && p < s.freeHint {
+		s.freeHint = p
+	}
 }
 
 // resetMountState discards everything a rejected checkpoint mount may have
@@ -596,7 +654,8 @@ func (s *Store) victimKeys(p int) []string {
 // must-preserve accounting.
 func (s *Store) supersede(key string) {
 	if old, ok := s.index[key]; ok {
-		s.pageLive[old.page] -= old.size
+		p := old.page
+		s.setPage(p, s.pageSeq[p], s.pageUsed[p], s.pageLive[p]-old.size, s.pageBad[p])
 	}
 }
 
@@ -838,17 +897,8 @@ func (s *Store) reserve(size int) (page, off int, err error) {
 	return s.head, s.pageUsed[s.head], nil
 }
 
-// hasFree reports whether at least n usable pages are free, walking the
-// page table only until it has found them.
-func (s *Store) hasFree(n int) bool {
-	for p := 0; n > 0; p++ {
-		if p = s.nextFree(p); p < 0 {
-			return false
-		}
-		n--
-	}
-	return true
-}
+// hasFree reports whether at least n usable pages are free.
+func (s *Store) hasFree(n int) bool { return s.nFree >= n }
 
 // nextFree returns the first usable free page at or after from, or -1.
 func (s *Store) nextFree(from int) int {
@@ -884,10 +934,7 @@ func (s *Store) reclaimQuarantined() {
 			s.stats.ReclaimRejected++
 			continue
 		}
-		s.pageBad[p] = false
-		s.pageSeq[p] = freeSeq
-		s.pageUsed[p] = 0
-		s.pageLive[p] = 0
+		s.setPage(p, freeSeq, 0, 0, false)
 		s.stats.QuarantinedPages--
 	}
 }
@@ -896,8 +943,15 @@ func (s *Store) reclaimQuarantined() {
 // Under WithVerify a header that does not read back intact quarantines the
 // page and tries the next free one; a failed try changes no other page's
 // state, so the walk on from it still visits every free page in order.
+// The walk starts at the first-free hint, which it raises to the first
+// free page: no usable free page lies below the hint, so the candidates
+// come in the same order as a walk from page 0.
 func (s *Store) openPage() error {
-	for cand := s.nextFree(0); cand >= 0; cand = s.nextFree(cand + 1) {
+	first := s.nextFree(s.freeHint)
+	if first >= 0 {
+		s.freeHint = first
+	}
+	for cand := first; cand >= 0; cand = s.nextFree(cand + 1) {
 		var hdr [pageHeaderSize]byte
 		putLEU32(hdr[:], s.nextSeq)
 		putLEU32(hdr[4:], crc32.ChecksumIEEE(hdr[:4]))
@@ -930,9 +984,7 @@ func (s *Store) openPage() error {
 				continue
 			}
 		}
-		s.pageSeq[cand] = s.nextSeq
-		s.pageUsed[cand] = pageHeaderSize
-		s.pageLive[cand] = 0
+		s.setPage(cand, s.nextSeq, pageHeaderSize, 0, false)
 		s.nextSeq++
 		s.head = cand
 		s.compactDue = true
@@ -987,13 +1039,12 @@ func (s *Store) commit(key string, page, off int, rec []byte, flags byte) error 
 			return errVerifyMismatch
 		}
 	}
-	s.pageUsed[page] = off + len(rec)
 	s.supersede(key)
 	s.setLocation(key, location{
 		seq: s.pageSeq[page], page: page, off: off, size: len(rec),
 		dead: flags&flagTombstone != 0,
 	})
-	s.pageLive[page] += len(rec)
+	s.setPage(page, s.pageSeq[page], off+len(rec), s.pageLive[page]+len(rec), s.pageBad[page])
 	return nil
 }
 
@@ -1011,8 +1062,7 @@ func degradedWriteErr(err error) bool {
 func (s *Store) quarantineFree(p int) {
 	s.stats.VerifyFailures++
 	s.stats.QuarantinedPages++
-	s.pageBad[p] = true
-	s.pageUsed[p] = s.ps
+	s.setPage(p, s.pageSeq[p], s.ps, s.pageLive[p], true)
 	s.nextSeq++
 }
 
@@ -1022,7 +1072,7 @@ func (s *Store) quarantineFree(p int) {
 // page's committed records stay valid and are recycled by GC later.
 func (s *Store) retireTail(page int) {
 	s.stats.RetiredPages++
-	s.pageUsed[page] = s.ps
+	s.setPage(page, s.pageSeq[page], s.ps, s.pageLive[page], s.pageBad[page])
 	if s.head == page {
 		s.head = -1
 	}
@@ -1080,10 +1130,7 @@ func (s *Store) compactPage(victim int) error {
 		// The victim cannot be erased (worn out, fenced): its live records
 		// are already copied forward, so quarantine it as lost capacity
 		// instead of failing the append that triggered this GC.
-		s.pageBad[victim] = true
-		s.pageSeq[victim] = freeSeq
-		s.pageUsed[victim] = s.ps
-		s.pageLive[victim] = 0
+		s.setPage(victim, freeSeq, s.ps, 0, true)
 		s.pageKeys[victim] = nil
 		s.stats.QuarantinedPages++
 		if s.head == victim {
@@ -1092,9 +1139,7 @@ func (s *Store) compactPage(victim int) error {
 		s.stats.Compactions++
 		return nil
 	}
-	s.pageSeq[victim] = freeSeq
-	s.pageUsed[victim] = 0
-	s.pageLive[victim] = 0
+	s.setPage(victim, freeSeq, 0, 0, false)
 	s.pageKeys[victim] = nil
 	if s.head == victim {
 		s.head = -1
