@@ -2,6 +2,8 @@ package flipbit_test
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	flipbit "github.com/flipbit-sim/flipbit"
 )
@@ -62,4 +64,49 @@ func ExampleDevice_Write() {
 	_ = dev.Write(0, second)
 	fmt.Println("erases:", dev.Flash().Stats().Erases)
 	// Output: erases: 0
+}
+
+// Banks, concurrency and the observer bus: Spec.Banks partitions the array
+// into independently locked banks, Device is safe for concurrent use, and
+// every observer sees every flash operation.
+func ExampleNewDevice_banks() {
+	spec := flipbit.DefaultSpec()
+	spec.Banks = 8
+	var ledger flipbit.Ledger // energy accounting, per op kind
+	var erases atomic.Int64
+	dev, err := flipbit.NewDevice(spec,
+		flipbit.WithObserver(flipbit.NewLedgerObserver(&ledger)),
+		flipbit.WithObserver(flipbit.ObserverFunc(func(ev flipbit.OpEvent) {
+			if ev.Kind == flipbit.OpErase {
+				erases.Add(1)
+			}
+		})))
+	if err != nil {
+		panic(err)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ { // concurrent writers, 16 pages each
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			data := make([]byte, 4096)
+			for _, v := range []byte{0x0F, 0xF0} { // 0x0F → 0xF0 needs an erase
+				for i := range data {
+					data[i] = v
+				}
+				if err := dev.Write(w*4096, data); err != nil {
+					panic(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	fmt.Println("banks:", dev.Flash().Banks())
+	fmt.Println("erases:", erases.Load(), dev.Flash().Stats().Erases)
+	fmt.Println("energy metered:", ledger.Total() > 0)
+	// Output:
+	// banks: 8
+	// erases: 64 64
+	// energy metered: true
 }

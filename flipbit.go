@@ -8,15 +8,24 @@
 // the closest value reachable using only 1 → 0 transitions, as long as the
 // page's mean absolute error stays under a programmer-supplied threshold.
 //
-// The package re-exports the stable public surface of the internal
-// implementation:
+// The package covers what an application drives:
 //
 //   - Device: a NOR flash chip with the FlipBit controller attached
-//     (configuration registers, dual-buffer commit path, statistics);
-//   - Spec: the flash part model (geometry, Table I latency/energy,
-//     endurance);
+//     (configuration registers, commit path, statistics), with the
+//     encoder, observer and health-gate options;
+//   - Spec: the flash part model (geometry and bank count, Table I
+//     latency/energy, endurance);
 //   - the approximation encoders of §III-A (1-bit, n-bit, optimal, and the
-//     MLC n-cell variant of §VI).
+//     MLC n-cell variant of §VI);
+//   - the op-event bus and its subscribers (Observer, Ledger, Trace);
+//   - endurance management: the synchronous Scrubber and the wear-leveling
+//     FTL with a spare pool;
+//   - the log-structured key-value store with GC, checkpoints and
+//     in-flash predicate scans.
+//
+// Fault injection, cell-density derating, the async commit pipeline and
+// the controller ablation knobs stay internal; the experiment harness
+// drives them directly.
 //
 // Quickstart:
 //
@@ -58,24 +67,9 @@ type Spec = flash.Spec
 // FlashStats counts flash operations and their energy/latency cost.
 type FlashStats = flash.Stats
 
-// ControllerStats aggregates the FlipBit controller's page decisions.
-type ControllerStats = core.Stats
-
 // Encoder produces an erase-free approximation of a value given the
 // previous cell contents.
 type Encoder = approx.Encoder
-
-// BatchEncoder is an Encoder with a compiled byte-at-a-time batch kernel:
-// EncodeSlice encodes a whole span in one call with statistics accumulated
-// in-kernel. The built-in 1-bit, n-bit, n-cell (MLC) and exact encoders
-// implement it; the controller engages a kernel automatically on every
-// cell mode where its output and reachability semantics are sound (the
-// subset-producing bit kernels everywhere, the n-cell kernel on MLC, the
-// exact kernel on SLC).
-type BatchEncoder = approx.BatchEncoder
-
-// BatchStats are the aggregates a batch kernel computes while encoding.
-type BatchStats = approx.BatchStats
 
 // Width is the logical width of values stored in the approximatable region.
 type Width = bits.Width
@@ -85,20 +79,6 @@ const (
 	W8  = bits.W8
 	W16 = bits.W16
 	W32 = bits.W32
-)
-
-// Error metrics and fallback policies for the page gate.
-const (
-	MetricMAE        = core.MetricMAE
-	MetricMSE        = core.MetricMSE
-	FallbackPerPage  = core.FallbackPerPage
-	FallbackPerValue = core.FallbackPerValue
-)
-
-// Energy is an amount of energy in joules; Power is watts.
-type (
-	Energy = energy.Energy
-	Power  = energy.Power
 )
 
 // Observer receives one OpEvent per flash operation from the op-event bus.
@@ -151,18 +131,9 @@ func DefaultSpec() Spec { return flash.DefaultSpec() }
 // WithEncoder selects the approximation encoder (default: 2-bit).
 func WithEncoder(e Encoder) Option { return core.WithEncoder(e) }
 
-// WithBanks overrides the flash bank count (parallelism domains) regardless
-// of what spec.Banks says. Pages interleave round-robin across banks;
-// operations on different banks may proceed concurrently.
-func WithBanks(n int) Option { return core.WithBanks(n) }
-
 // WithObserver attaches an observer to the device's op-event bus at
 // construction, before any operation can be missed.
 func WithObserver(o Observer) Option { return core.WithObserver(o) }
-
-// WithScalarEncode forces the per-value reference encode path even when the
-// encoder has a batch kernel — for differential testing and benchmarking.
-func WithScalarEncode() Option { return core.WithScalarEncode() }
 
 // NewNBitEncoder returns the n-bit approximation encoder of Algorithm 2
 // (1 <= n <= 8). n = 2 is the paper's headline configuration.
@@ -179,84 +150,16 @@ func NewOptimalEncoder() Encoder { return approx.Optimal{} }
 // cell flash (§VI).
 func NewMLCEncoder(nCells int) (Encoder, error) { return approx.NewNCell(nCells) }
 
-// NewFloat32Encoder returns the §VI floating-point encoder: the low m
-// mantissa bits (1..23) may be approximated by inner (nil = the 2-bit
-// algorithm); sign and exponent stay exact, with unreachable values forcing
-// the controller's erase fallback. Use with width W32 over IEEE-754 bit
-// patterns.
-func NewFloat32Encoder(m int, inner Encoder) (Encoder, error) {
-	return approx.NewFloat32(m, inner)
-}
-
-// Fault is one scheduled flash failure: power loss tearing the victim
-// program or erase, cells left stuck at 0 by an erase, or read-disturb
-// drift. Arm one with Device.Flash().ArmFault or a schedule via
-// WithFaultSchedule.
-type Fault = flash.Fault
-
-// FaultKind discriminates Fault records.
-type FaultKind = flash.FaultKind
-
-// Fault kinds for Fault.Kind.
-const (
-	FaultNone        = flash.FaultNone
-	FaultPowerLoss   = flash.FaultPowerLoss
-	FaultStuckBits   = flash.FaultStuckBits
-	FaultReadDisturb = flash.FaultReadDisturb
-)
-
-// FaultSchedule supplies faults to re-arm the device after each firing;
-// implementations must be deterministic so campaigns replay from a seed.
-type FaultSchedule = flash.FaultSchedule
-
-// FaultMix parameterises NewRandomFaultSchedule: relative weights per fault
-// kind and the ranges gaps and bit counts are drawn from.
-type FaultMix = flash.FaultMix
-
 // ErrPowerLoss is reported by an operation interrupted by an injected
-// power-loss fault; the flash array is left in the torn state the real
-// event would leave.
+// power loss (Device.Flash().InjectPowerLoss); the flash array is left in
+// the torn state the real event would leave.
 var ErrPowerLoss = flash.ErrPowerLoss
-
-// NewRandomFaultSchedule returns the endless deterministic fault stream for
-// (seed, mix) — the same seed always produces the same schedule.
-func NewRandomFaultSchedule(seed uint64, mix FaultMix) FaultSchedule {
-	return flash.NewRandomSchedule(seed, mix)
-}
-
-// WithFaultSchedule installs a deterministic fault schedule on the device at
-// construction, before any operation can escape it.
-func WithFaultSchedule(s FaultSchedule) Option { return core.WithFaultSchedule(s) }
-
-// CellMode selects the cell density — SLC (default), MLC or TLC — and
-// with it the per-cell programming semantics on a Spec.
-type CellMode = flash.CellMode
-
-// Cell modes for Spec.Cell.
-const (
-	SLC = flash.SLC
-	MLC = flash.MLC
-	TLC = flash.TLC
-)
-
-// DensitySpec re-parameterises a Spec for the given cell density: program,
-// read and sense costs scale with bits per cell, endurance drops one
-// decade per extra bit, erase is unchanged. Use it to run the same part at
-// SLC, MLC or TLC in a density sweep.
-func DensitySpec(base Spec, mode CellMode) Spec { return flash.DensitySpec(base, mode) }
 
 // CortexM0Plus returns the reference MCU power model used throughout the
 // paper's energy comparisons (2.275 mW @ 48 MHz).
 func CortexM0Plus() energy.CPUModel { return energy.CortexM0Plus() }
 
 // --- Endurance management: health, scrubbing, retirement ---
-
-// HealthReport is a device-wide endurance snapshot: per-bank wear
-// histograms, dead/retired page counts, and drifted-cell totals.
-type HealthReport = flash.HealthReport
-
-// BankHealth is one bank's slice of a HealthReport.
-type BankHealth = flash.BankHealth
 
 // Additional operation kinds emitted on the op-event bus by the
 // endurance-management layer.
@@ -279,17 +182,15 @@ var ErrPageRetired = flash.ErrPageRetired
 // longer be erased reliably.
 var ErrWornOut = flash.ErrWornOut
 
-// ScrubConfig parameterises the background scrubber: tick rate, pages per
-// tick, the stuck-cell budget approximatable pages may absorb, and optional
-// Refresh/Retire hooks for managed (FTL) devices.
+// ScrubConfig parameterises a Scrubber: the stuck-cell budget
+// approximatable pages may absorb, and optional Refresh/Retire hooks for
+// managed (FTL) devices.
 type ScrubConfig = core.ScrubConfig
 
-// Scrubber is the background scrub engine: one rate-limited goroutine per
-// bank sampling drift and refreshing, absorbing, or retiring pages.
+// Scrubber samples pages for drift and refreshes, absorbs, or retires
+// them. The caller drives it with ScrubBank(bank, n); it is safe to call
+// alongside writes.
 type Scrubber = core.Scrubber
-
-// ScrubStats counts scrubber decisions.
-type ScrubStats = core.ScrubStats
 
 // WithHealthGate makes the commit path consult page health: exact data is
 // refused on degraded (or about-to-die) pages with ErrExactDegraded, while
@@ -297,59 +198,21 @@ type ScrubStats = core.ScrubStats
 // of silent corruption.
 func WithHealthGate() Option { return core.WithHealthGate() }
 
-// WithScrubber builds a background scrubber over the device at
-// construction; retrieve it with Device.Scrubber and call Start.
-func WithScrubber(cfg ScrubConfig) Option { return core.WithScrubber(cfg) }
-
-// NewScrubber builds a stopped scrubber over an existing device.
+// NewScrubber builds a scrubber over an existing device.
 func NewScrubber(d *Device, cfg ScrubConfig) *Scrubber { return core.NewScrubber(d, cfg) }
-
-// --- Async commit pipeline and sharded instrumentation ---
-
-// Commit is the completion future returned by Device.WriteAsync: Wait
-// blocks until every chunk of the write committed and returns the first
-// hard error (or a best-effort ErrWornOut). Wait at most once per Commit.
-type Commit = core.Commit
-
-// ShardObserver is an Observer that can split itself into per-bank shards:
-// when attached to a device, each flash bank delivers its events to its own
-// shard under the bank's lock, so the observer needs no cross-bank
-// synchronization of its own. Trace implements it.
-type ShardObserver = flash.ShardObserver
-
-// ErrAsyncClosed is returned by commits enqueued after Device.Close.
-var ErrAsyncClosed = core.ErrAsyncClosed
-
-// WithAsyncCommit enables the asynchronous write pipeline: Device.WriteAsync
-// enqueues page commits onto per-bank queues of the given depth, where
-// per-bank workers coalesce same-bank neighbours into group commits (one
-// load→apply→encode→gate→program pass with a single batch-kernel call).
-// Write/Read stay synchronous and may be mixed freely; Flush drains, Close
-// shuts the pipeline down. Per-bank order is enqueue order, so results —
-// stats included, bit for bit — match the serial path.
-func WithAsyncCommit(depth int) Option { return core.WithAsyncCommit(depth) }
 
 // --- Wear-leveling FTL with a spare pool ---
 
 // FTL is a page-mapped flash translation layer providing wear-leveling,
 // bad-page retirement onto a spare pool, and crash-consistent scrub
-// refresh. Construct with NewFTL (RAM-only map) or OpenFTL (journaled,
-// remounts after power loss).
+// refresh. Construct with NewFTL.
 type FTL = ftl.FTL
 
 // FTLOption configures an FTL at construction.
 type FTLOption = ftl.Option
 
-// FTLHealthReport extends the flash HealthReport with the FTL's spare-pool
-// accounting.
-type FTLHealthReport = ftl.HealthReport
-
 // NewFTL builds a volatile (RAM-mapped) wear-leveling FTL over dev.
 func NewFTL(dev *Device, opts ...FTLOption) *FTL { return ftl.New(dev, opts...) }
-
-// OpenFTL mounts the journaled FTL on dev, recovering the translation map,
-// any in-flight swap or refresh, and the retirement remap from flash.
-func OpenFTL(dev *Device, opts ...FTLOption) (*FTL, error) { return ftl.Open(dev, opts...) }
 
 // WithSparePages reserves n physical pages as a retirement pool: worn or
 // health-refused pages are remapped onto spares with their data intact.
@@ -361,10 +224,10 @@ func WithSwapDelta(d uint32) FTLOption { return ftl.WithSwapDelta(d) }
 
 // --- Log-structured key-value store ---
 
-// KVStore is the crash-safe log-structured key-value store over a device
-// (or any KVBackend): append-only record log, single-bit read repair,
-// proactive garbage collection, and journaled index checkpoints for O(tail)
-// mounts. See internal/kvs for the record and checkpoint formats.
+// KVStore is the crash-safe log-structured key-value store over a device:
+// append-only record log, single-bit read repair, proactive garbage
+// collection, and journaled index checkpoints for O(tail) mounts. See
+// internal/kvs for the record and checkpoint formats.
 type KVStore = kvs.Store
 
 // KVOption configures a KVStore at mount.
@@ -373,10 +236,6 @@ type KVOption = kvs.Option
 // KVStats counts store operations, recovery events, GC passes, and
 // checkpoint activity.
 type KVStats = kvs.Stats
-
-// KVBackend is the flat address space a KVStore runs on; OpenKVS adapts a
-// Device, OpenKVSOn accepts anything page-erasable (an FTL, a fake).
-type KVBackend = kvs.Backend
 
 // CompactionConfig tunes the store's garbage collector: free-page trigger,
 // store-wide garbage-ratio trigger, the per-victim garbage floor, and the
@@ -409,11 +268,6 @@ var (
 // newest valid checkpoint plus the log tail, when WithKVCheckpoint is armed).
 func OpenKVS(dev *Device, opts ...KVOption) (*KVStore, error) {
 	return kvs.Open(dev, opts...)
-}
-
-// OpenKVSOn mounts the store on an arbitrary backend.
-func OpenKVSOn(b KVBackend, opts ...KVOption) (*KVStore, error) {
-	return kvs.OpenOn(b, opts...)
 }
 
 // WithKVCompaction arms proactive garbage collection: when free pages run

@@ -1,13 +1,78 @@
 package flipbit_test
 
 import (
+	"bytes"
 	"errors"
+	"flag"
 	"fmt"
-
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"sort"
+	"strings"
 	"testing"
 
 	flipbit "github.com/flipbit-sim/flipbit"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/api.golden")
+
+// TestPublicSurface pins the façade's exported names, one per line in
+// sorted order, so a name added to or removed from flipbit.go shows up as
+// a reviewed diff. A name belongs in the façade only if an example, a
+// façade test or the README drives it, or it completes such a name (a
+// parameter or result type, a constant group, a sentinel error a kept call
+// returns). Regenerate with:
+//
+//	go test . -run TestPublicSurface -update
+func TestPublicSurface(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "flipbit.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, decl := range f.Decls {
+		switch decl := decl.(type) {
+		case *ast.FuncDecl:
+			if decl.Recv == nil && decl.Name.IsExported() {
+				names = append(names, decl.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range decl.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					if spec.Name.IsExported() {
+						names = append(names, spec.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						if n.IsExported() {
+							names = append(names, n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(names)
+	got := []byte(strings.Join(names, "\n") + "\n")
+
+	const golden = "testdata/api.golden"
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("public surface drifted from golden (run with -update after reviewing):\ngot:\n%s\nwant:\n%s",
+			got, want)
+	}
+}
 
 // TestPublicAPIQuickstart exercises the façade exactly as the package doc
 // advertises it.

@@ -147,20 +147,13 @@ type Device struct {
 	retryMax     int
 	retryBackoff time.Duration
 
-	// scrubber is the background scrubber built by WithScrubber (scrub.go);
-	// nil unless configured. It is constructed stopped — call Start.
-	scrubber *Scrubber
-
 	// async is the opt-in per-bank commit pipeline built by
 	// WithAsyncCommit (async.go); nil for the default serial path.
 	async *asyncEngine
 
 	// Construction-time option state.
-	banksOverride int
-	asyncDepth    int
-	observers     []flash.Observer
-	faultSched    flash.FaultSchedule
-	scrubCfg      *ScrubConfig
+	asyncDepth int
+	observers  []flash.Observer
 }
 
 // commitBuffers is the SRAM triple one page commit works on: the page's
@@ -185,24 +178,12 @@ func WithErrorMetric(m ErrorMetric) Option { return func(d *Device) { d.metric =
 // WithFallbackPolicy selects per-page (default) or per-value fallback.
 func WithFallbackPolicy(p FallbackPolicy) Option { return func(d *Device) { d.fallback = p } }
 
-// WithBanks overrides the flash spec's bank count (n independently
-// lockable banks; commits to different banks run in parallel).
-func WithBanks(n int) Option { return func(d *Device) { d.banksOverride = n } }
-
 // WithObserver attaches an operation-event observer to the underlying
 // flash device at construction. The observer receives every flash
 // operation the controller issues; it must be safe for concurrent use if
 // the device is driven from multiple goroutines.
 func WithObserver(o flash.Observer) Option {
 	return func(d *Device) { d.observers = append(d.observers, o) }
-}
-
-// WithFaultSchedule installs a fault schedule on the underlying flash
-// device at construction, so faults are armed before the first operation.
-// The schedule's first fault is armed immediately; use
-// Flash().SetFaultSchedule to change it later.
-func WithFaultSchedule(s flash.FaultSchedule) Option {
-	return func(d *Device) { d.faultSched = s }
 }
 
 // WithHealthGate makes the commit path consult page health: commits that
@@ -231,13 +212,6 @@ func WithRetry(max int, backoff time.Duration) Option {
 	}
 }
 
-// WithScrubber builds a background scrubber (scrub.go) over the device at
-// construction. The scrubber is returned by Device.Scrubber and starts
-// stopped — call Start to launch its per-bank goroutines.
-func WithScrubber(cfg ScrubConfig) Option {
-	return func(d *Device) { d.scrubCfg = &cfg }
-}
-
 // WithScalarEncode forces the commit pipeline's per-value reference encode
 // path even when the configured encoder has a compiled batch kernel
 // (approx.BatchEncoder). The kernels are bit-identical to the scalar
@@ -257,9 +231,6 @@ func NewDevice(spec flash.Spec, opts ...Option) (*Device, error) {
 	for _, o := range opts {
 		o(d)
 	}
-	if d.banksOverride > 0 {
-		spec.Banks = d.banksOverride
-	}
 	fl, err := flash.NewDevice(spec)
 	if err != nil {
 		return nil, err
@@ -268,9 +239,6 @@ func NewDevice(spec flash.Spec, opts ...Option) (*Device, error) {
 	d.cell = fl.Spec().Cell
 	for _, o := range d.observers {
 		fl.Attach(o)
-	}
-	if d.faultSched != nil {
-		fl.SetFaultSchedule(d.faultSched)
 	}
 	nb := fl.Banks()
 	d.commitMu = make([]sync.Mutex, nb)
@@ -282,9 +250,6 @@ func NewDevice(spec flash.Spec, opts ...Option) (*Device, error) {
 			exact:    make([]byte, ps),
 			approx:   make([]byte, ps),
 		}
-	}
-	if d.scrubCfg != nil {
-		d.scrubber = NewScrubber(d, *d.scrubCfg)
 	}
 	if d.asyncDepth > 0 {
 		d.async = newAsyncEngine(d, d.asyncDepth)
@@ -303,10 +268,6 @@ func MustNewDevice(spec flash.Spec, opts ...Option) *Device {
 
 // Flash exposes the underlying flash device for statistics and inspection.
 func (d *Device) Flash() *flash.Device { return d.fl }
-
-// Scrubber returns the background scrubber configured with WithScrubber, or
-// nil when none was requested.
-func (d *Device) Scrubber() *Scrubber { return d.scrubber }
 
 // Stats returns a snapshot of the controller's decision counters: the
 // per-bank shards merged in bank order. All counters are integers, so the

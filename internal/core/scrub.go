@@ -4,15 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/flipbit-sim/flipbit/internal/flash"
 )
 
-// Background scrubbing. Flash cells drift: repeated reads disturb
-// neighbouring cells and worn erases leave cells stuck at 0. The scrubber
-// walks the device bank by bank, samples each page's drift mask (the fault
-// model's ground truth, flash/health.go) and acts by page class:
+// Scrubbing. Flash cells drift: repeated reads disturb neighbouring cells
+// and worn erases leave cells stuck at 0. The scrubber walks the device
+// bank by bank, samples each page's drift mask (the fault model's ground
+// truth, flash/health.go) and acts by page class:
 //
 //   - clean pages are left alone;
 //   - approximatable pages absorb drift up to MaxStuck cells — stuck bits
@@ -26,23 +25,13 @@ import (
 //     retired, by default fencing them off at the flash layer, or through a
 //     caller-supplied Retire hook (the FTL's spare-pool remap).
 //
-// Each bank is scrubbed by its own rate-limited goroutine; sampling and the
-// raw refresh hold the bank's commit lock so an in-flight commit never
+// The caller drives the scrubber with ScrubBank, one bank and a page count
+// at a time. Sampling and the raw refresh hold the bank's commit lock, so
+// ScrubBank may run alongside writes: an in-flight commit never
 // interleaves with a refresh of the same page.
-
-// DefaultScrubInterval is the per-bank tick period when ScrubConfig leaves
-// Interval zero.
-const DefaultScrubInterval = 10 * time.Millisecond
 
 // ScrubConfig parameterises a Scrubber.
 type ScrubConfig struct {
-	// Interval is the delay between scrub ticks per bank (the rate limit);
-	// zero or negative selects DefaultScrubInterval.
-	Interval time.Duration
-
-	// PagesPerTick is how many pages one bank tick samples (minimum 1).
-	PagesPerTick int
-
 	// MaxStuck is the stuck-cell budget an approximatable page may absorb
 	// before it is refreshed or retired. Zero means approximatable pages
 	// are refreshed as soon as any cell drifts (no absorption).
@@ -75,9 +64,8 @@ type ScrubStats struct {
 	RetentionRefreshed uint64 // pages recharged in place (program cost, no erase)
 }
 
-// Scrubber is the background scrub engine for one device. Construct with
-// NewScrubber (or the WithScrubber device option), then Start. Safe for
-// concurrent use with device commits.
+// Scrubber is the scrub engine for one device. Construct with NewScrubber
+// and drive with ScrubBank. Safe for concurrent use with device commits.
 type Scrubber struct {
 	d   *Device
 	cfg ScrubConfig
@@ -85,14 +73,9 @@ type Scrubber struct {
 	mu     sync.Mutex
 	stats  ScrubStats
 	cursor []int // per-bank index of the next page to sample
-
-	runMu   sync.Mutex
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	running bool
 }
 
-// NewScrubber builds a stopped scrubber over d.
+// NewScrubber builds a scrubber over d.
 func NewScrubber(d *Device, cfg ScrubConfig) *Scrubber {
 	return &Scrubber{d: d, cfg: cfg, cursor: make([]int, d.fl.Banks())}
 }
@@ -104,67 +87,9 @@ func (s *Scrubber) Stats() ScrubStats {
 	return s.stats
 }
 
-func (s *Scrubber) interval() time.Duration {
-	if s.cfg.Interval <= 0 {
-		return DefaultScrubInterval
-	}
-	return s.cfg.Interval
-}
-
-func (s *Scrubber) pagesPerTick() int {
-	if s.cfg.PagesPerTick < 1 {
-		return 1
-	}
-	return s.cfg.PagesPerTick
-}
-
-// Start launches one rate-limited goroutine per bank. Starting a running
-// scrubber is a no-op.
-func (s *Scrubber) Start() {
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
-	if s.running {
-		return
-	}
-	s.running = true
-	s.stop = make(chan struct{})
-	for b := 0; b < s.d.fl.Banks(); b++ {
-		s.wg.Add(1)
-		go s.run(b, s.stop)
-	}
-}
-
-// Stop halts the per-bank goroutines and waits for in-flight scrubs to
-// finish. Stopping a stopped scrubber is a no-op.
-func (s *Scrubber) Stop() {
-	s.runMu.Lock()
-	if !s.running {
-		s.runMu.Unlock()
-		return
-	}
-	s.running = false
-	close(s.stop)
-	s.runMu.Unlock()
-	s.wg.Wait()
-}
-
-func (s *Scrubber) run(bank int, stop chan struct{}) {
-	defer s.wg.Done()
-	t := time.NewTicker(s.interval())
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			s.ScrubBank(bank, s.pagesPerTick())
-		}
-	}
-}
-
 // ScrubBank synchronously scrubs the next n pages of one bank, advancing
-// the bank's cursor. It is the deterministic entry point the fault-campaign
-// engine drives directly (no goroutines, no timers).
+// the bank's cursor. It is the scrubber's only entry point; it may be
+// called from several goroutines and alongside writes.
 func (s *Scrubber) ScrubBank(bank, n int) {
 	nb := s.d.fl.Banks()
 	pages := s.d.fl.Spec().NumPages

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/flipbit-sim/flipbit/internal/flash"
 )
@@ -176,38 +175,45 @@ func TestScrubRetiresWornPage(t *testing.T) {
 	}
 }
 
-// TestScrubberConcurrentWithWrites: the scrubber's goroutines must coexist
-// with a concurrent write load (exercised under -race in CI).
+// TestScrubberConcurrentWithWrites: ScrubBank, driven from one goroutine
+// per bank, must coexist with a concurrent write load (exercised under
+// -race in CI). Sampling holds the bank's commit lock, so a scrub never
+// interleaves with a commit to the same bank.
 func TestScrubberConcurrentWithWrites(t *testing.T) {
 	s := scrubSpec()
 	s.NumPages = 16
 	s.Banks = 4
-	d := MustNewDevice(s, WithScrubber(ScrubConfig{
-		Interval:     200 * time.Microsecond,
-		PagesPerTick: 2,
-		MaxStuck:     8,
-	}))
+	d := MustNewDevice(s)
 	if err := d.SetApproxRegion(0, s.PageSize*s.NumPages/2); err != nil {
 		t.Fatal(err)
 	}
 	d.SetThreshold(4)
-	sc := d.Scrubber()
-	if sc == nil {
-		t.Fatal("WithScrubber did not build a scrubber")
-	}
-	sc.Start()
-	sc.Start() // idempotent
+	sc := NewScrubber(d, ScrubConfig{MaxStuck: 8})
 
-	// Writers keep going past their 200 writes until the scrubber's first
-	// sample: fast writes can otherwise all finish before its first tick.
-	deadline := time.Now().Add(10 * time.Second)
-	var wg sync.WaitGroup
+	done := make(chan struct{})
+	var scrubbers sync.WaitGroup
+	for b := 0; b < s.Banks; b++ {
+		scrubbers.Add(1)
+		go func(b int) {
+			defer scrubbers.Done()
+			for {
+				sc.ScrubBank(b, 2)
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}(b)
+	}
+
+	var writers sync.WaitGroup
 	for w := 0; w < 4; w++ {
-		wg.Add(1)
+		writers.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer writers.Done()
 			buf := make([]byte, 8)
-			for i := 0; i < 200 || (sc.Stats().Sampled == 0 && time.Now().Before(deadline)); i++ {
+			for i := 0; i < 200; i++ {
 				for j := range buf {
 					buf[j] = byte(w*31 + i + j)
 				}
@@ -220,10 +226,10 @@ func TestScrubberConcurrentWithWrites(t *testing.T) {
 			}
 		}(w)
 	}
-	wg.Wait()
-	sc.Stop()
-	sc.Stop() // idempotent
+	writers.Wait()
+	close(done)
+	scrubbers.Wait()
 	if st := sc.Stats(); st.Sampled == 0 {
-		t.Error("scrubber never sampled a page while running")
+		t.Error("scrubber never sampled a page")
 	}
 }

@@ -1,7 +1,6 @@
 package energy
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -52,18 +51,6 @@ func (l *Ledger) ByOp() map[string]Energy {
 	for k, v := range l.byOp {
 		out[k] = v
 	}
-	return out
-}
-
-// Kinds returns the recorded operation kinds in sorted order.
-func (l *Ledger) Kinds() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.byOp))
-	for k := range l.byOp {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
 

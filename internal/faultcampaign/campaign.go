@@ -92,9 +92,8 @@ type Config struct {
 	// Spares reserves a retirement pool in the FTL (requires UseFTL), so
 	// worn pages are remapped instead of quarantined.
 	Spares int
-	// Scrub arms the background scrubber, driven synchronously (one
-	// deterministic pass per cycle, before the workload) so campaigns stay
-	// replayable. With UseFTL the scrubber routes refreshes and
+	// Scrub arms the scrubber: one deterministic ScrubBank pass per cycle,
+	// before the workload, so campaigns stay replayable. With UseFTL the scrubber routes refreshes and
 	// retirements through the FTL's crash-consistent paths — power loss
 	// mid-scrub exercises the refresh-intent recovery.
 	Scrub bool
@@ -339,8 +338,8 @@ func (c *campaign) mount() error {
 
 // rebuildScrubber replaces the scrubber after a (re)mount: its hooks must
 // capture the freshly mounted FTL. The outgoing scrubber's stats fold into
-// the campaign totals. The scrubber is never Started — runCycle drives it
-// synchronously, keeping the op stream deterministic.
+// the campaign totals. runCycle drives it with ScrubBank before each
+// cycle's workload, keeping the op stream deterministic.
 func (c *campaign) rebuildScrubber() {
 	if c.scr != nil {
 		c.scrubTotals = addScrubStats(c.scrubTotals, c.scr.Stats())

@@ -70,9 +70,7 @@ type node struct {
 type Circuit struct {
 	nodes   []node
 	inputs  []Signal
-	inNames []string
 	outputs []Signal
-	outName []string
 	hash    map[node]Signal
 }
 
@@ -81,11 +79,11 @@ func New() *Circuit {
 	return &Circuit{hash: make(map[node]Signal)}
 }
 
-// Input declares a primary input and returns its signal.
+// Input declares a primary input and returns its signal. The name only
+// labels the netlist at the call site; the circuit does not keep it.
 func (c *Circuit) Input(name string) Signal {
 	s := c.add(node{op: OpInput, a: Signal(len(c.inputs))})
 	c.inputs = append(c.inputs, s)
-	c.inNames = append(c.inNames, name)
 	return s
 }
 
@@ -228,10 +226,10 @@ func (c *Circuit) OrN(ss ...Signal) Signal {
 	return out
 }
 
-// Output registers s as a primary output.
+// Output registers s as a primary output. Like Input's, the name only
+// labels the call site.
 func (c *Circuit) Output(name string, s Signal) {
 	c.outputs = append(c.outputs, s)
-	c.outName = append(c.outName, name)
 }
 
 func (c *Circuit) add(n node) Signal {
@@ -246,15 +244,6 @@ func (c *Circuit) add(n node) Signal {
 
 // NumInputs returns the number of primary inputs.
 func (c *Circuit) NumInputs() int { return len(c.inputs) }
-
-// NumOutputs returns the number of primary outputs.
-func (c *Circuit) NumOutputs() int { return len(c.outputs) }
-
-// InputNames returns the declared input names in order.
-func (c *Circuit) InputNames() []string { return append([]string(nil), c.inNames...) }
-
-// OutputNames returns the declared output names in order.
-func (c *Circuit) OutputNames() []string { return append([]string(nil), c.outName...) }
 
 // Eval evaluates the circuit for one input vector (in declaration order)
 // and returns the outputs (in declaration order). DFFs are transparent.

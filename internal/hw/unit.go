@@ -3,7 +3,6 @@ package hw
 import (
 	"fmt"
 
-	"github.com/flipbit-sim/flipbit/internal/bits"
 	"github.com/flipbit-sim/flipbit/internal/gates"
 )
 
@@ -111,7 +110,3 @@ func (u *Unit) Approximate(previous, exact uint32, n int) uint32 {
 	}
 	return v
 }
-
-// WidthOf returns the bits.Width matching the unit, for cross-checks
-// against the algorithmic encoders.
-func (u *Unit) WidthOf() bits.Width { return bits.Width(u.Width) }
