@@ -23,9 +23,8 @@
 //   - the log-structured key-value store with GC, checkpoints and
 //     in-flash predicate scans.
 //
-// Fault injection, cell-density derating, the async commit pipeline and
-// the controller ablation knobs stay internal; the experiment harness
-// drives them directly.
+// Fault injection, cell-density derating and the controller ablation
+// knobs stay internal; the experiment harness drives them directly.
 //
 // Quickstart:
 //

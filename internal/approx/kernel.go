@@ -306,23 +306,3 @@ func (Exact) EncodeSlice(prev, exact, approx []byte, w bits.Width) BatchStats {
 	st.Unreachable = !bits.SubsetBytes(exact[:end], prev[:end])
 	return st
 }
-
-// Segment is one (previous, exact, approx) buffer triple of a group-commit
-// batch: the aligned dirty span of one queued page commit. All three slices
-// must be the same length, a multiple of the width's byte count.
-type Segment struct {
-	Prev, Exact, Approx []byte
-}
-
-// EncodeSegments is the group-commit entry point into the batch kernels:
-// one call encodes every segment of a coalesced bank batch, writing each
-// segment's approximation into its Approx slice and its page statistics
-// into out (which must be at least len(segs) long — per-segment statistics
-// are kept separate because the error gate decides per page). Segments are
-// processed in order, so per-page results are independent of how the batch
-// was assembled.
-func EncodeSegments(be BatchEncoder, segs []Segment, w bits.Width, out []BatchStats) {
-	for i, s := range segs {
-		out[i] = be.EncodeSlice(s.Prev, s.Exact, s.Approx, w)
-	}
-}

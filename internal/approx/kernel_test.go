@@ -241,56 +241,3 @@ func TestEncodeSliceZeroAlloc(t *testing.T) {
 		}
 	}
 }
-
-// TestEncodeSegmentsMatchesPerSliceCalls: the group-commit entry point is
-// exactly per-segment EncodeSlice — same outputs, same per-segment stats,
-// independent of batch assembly.
-func TestEncodeSegmentsMatchesPerSliceCalls(t *testing.T) {
-	rng := xrand.New(0x5E65)
-	encoders := []BatchEncoder{Exact{}, OneBit{}, MustNBit(2), MustNBit(4), MustNCell(2)}
-	for _, enc := range encoders {
-		for _, w := range []bits.Width{bits.W8, bits.W16, bits.W32} {
-			const nseg = 5
-			segs := make([]Segment, nseg)
-			want := make([][]byte, nseg)
-			wantStats := make([]BatchStats, nseg)
-			for i := range segs {
-				n := (1 + rng.Intn(8)) * w.Bytes() * 4
-				prev := make([]byte, n)
-				exact := make([]byte, n)
-				for j := 0; j < n; j++ {
-					prev[j] = rng.Byte()
-					exact[j] = prev[j] & rng.Byte() // mostly reachable
-					if rng.Intn(4) == 0 {
-						exact[j] = rng.Byte()
-					}
-				}
-				segs[i] = Segment{Prev: prev, Exact: exact, Approx: make([]byte, n)}
-				want[i] = make([]byte, n)
-				wantStats[i] = enc.EncodeSlice(prev, exact, want[i], w)
-			}
-			got := make([]BatchStats, nseg)
-			EncodeSegments(enc, segs, w, got)
-			for i := range segs {
-				if !bytesEqual(segs[i].Approx, want[i]) {
-					t.Errorf("%s w%d segment %d: output differs", enc.Name(), int(w), i)
-				}
-				if got[i] != wantStats[i] {
-					t.Errorf("%s w%d segment %d: stats %+v != %+v", enc.Name(), int(w), i, got[i], wantStats[i])
-				}
-			}
-		}
-	}
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -86,7 +86,6 @@ func runKVScaleRow(keys int) (*KVScaleRow, error) {
 	spec.NumPages = dataPages + 2*slotPages
 	spec.Banks = 1
 	dev := core.MustNewDevice(spec)
-	defer dev.Close()
 
 	mountOpts := func(scanOnly bool) []kvs.Option {
 		return []kvs.Option{

@@ -50,6 +50,34 @@ func bankWorkload(d *Device, bank, rounds int, seed uint64) {
 	}
 }
 
+// pageWrite is one scripted page commit of a bank's workload.
+type pageWrite struct {
+	page int
+	data []byte
+}
+
+// bankPlan scripts a deterministic sequence of page writes against the
+// pages of one bank. The plan depends only on (spec, bank, seed), so the
+// same per-bank sequences can be driven serially and concurrently.
+func bankPlan(spec flash.Spec, banks, bank, rounds int, seed uint64) []pageWrite {
+	rng := xrand.New(seed)
+	var pages []int
+	for p := 0; p < spec.NumPages; p++ {
+		if p%banks == bank {
+			pages = append(pages, p)
+		}
+	}
+	plan := make([]pageWrite, rounds)
+	for r := range plan {
+		buf := make([]byte, spec.PageSize)
+		for i := range buf {
+			buf[i] = rng.Byte()
+		}
+		plan[r] = pageWrite{page: pages[rng.Intn(len(pages))], data: buf}
+	}
+	return plan
+}
+
 // TestShardedStatsPropertyMergedEqualsSerial is the tentpole's correctness
 // property: for identical per-bank workloads, a concurrent run (one
 // goroutine per bank) must report byte-identical merged flash stats

@@ -147,13 +147,8 @@ type Device struct {
 	retryMax     int
 	retryBackoff time.Duration
 
-	// async is the opt-in per-bank commit pipeline built by
-	// WithAsyncCommit (async.go); nil for the default serial path.
-	async *asyncEngine
-
 	// Construction-time option state.
-	asyncDepth int
-	observers  []flash.Observer
+	observers []flash.Observer
 }
 
 // commitBuffers is the SRAM triple one page commit works on: the page's
@@ -250,9 +245,6 @@ func NewDevice(spec flash.Spec, opts ...Option) (*Device, error) {
 			exact:    make([]byte, ps),
 			approx:   make([]byte, ps),
 		}
-	}
-	if d.asyncDepth > 0 {
-		d.async = newAsyncEngine(d, d.asyncDepth)
 	}
 	return d, nil
 }
@@ -514,18 +506,6 @@ func (d *Device) commitPage(page, off int, data []byte) error {
 	// Stage 2: apply the CPU's stores.
 	s.apply()
 
-	return d.finishLocked(bank, s, encodeResult{}, false)
-}
-
-// finishLocked runs the back half of the pipeline — health gate, encode,
-// error gate, program/erase, stats fold — for one loaded-and-applied
-// session. The group-commit path (async.go) precomputes the encode stage
-// for a whole bank batch in one kernel call and passes encoded == true; the
-// serial path lets the session encode itself. Called with the page's bank
-// commit lock held.
-func (d *Device) finishLocked(bank int, s *session, enc encodeResult, encoded bool) error {
-	page := s.page
-
 	// Health gate (§II-B graceful degradation): a degraded page — worn
 	// out or retired — must not receive exact data. Even a program-only
 	// exact write is unsafe there: stuck cells silently corrupt the next
@@ -548,11 +528,8 @@ func (d *Device) finishLocked(bank int, s *session, enc encodeResult, encoded bo
 		return d.retryOp(bank, page, s.programExact)
 	}
 
-	// Stage 3: encode the approximation candidate (unless group commit
-	// already ran the batch kernel over this session's span).
-	if !encoded {
-		enc = s.encode()
-	}
+	// Stage 3: encode the approximation candidate.
+	enc := s.encode()
 
 	// Stage 4: gate on the error threshold (Fig. 9 hardware).
 	if s.gate(enc) {
@@ -710,8 +687,7 @@ func kernelEngages(enc approx.Encoder, cell flash.CellMode) bool {
 // kernelSpan returns the value-aligned dirty span the encode stage covers
 // and whether the compiled batch kernel applies to it (a batch encoder
 // sound for the cell mode, no scalar override, and a whole number of
-// values). Sync, concurrent, and async group commits all route through
-// this decision.
+// values).
 func (s *session) kernelSpan(w bits.Width) (lo, hi int, batch bool) {
 	d := s.d
 	vb := w.Bytes()
@@ -726,26 +702,21 @@ func (s *session) kernelSpan(w bits.Width) (lo, hi int, batch bool) {
 }
 
 // encodeBatch runs the compiled kernel over the aligned dirty span and
-// converts its in-kernel statistics to an encodeResult.
+// converts its in-kernel statistics to an encodeResult. BatchStats carries
+// exactly the aggregates the scalar loop accumulates: the error sums feed
+// the tracker, MaxAbs reproduces the per-value threshold test (some value
+// exceeds the threshold iff the largest one does), and Unreachable mirrors
+// the per-value reachability check (approx kernel outputs are reachable by
+// construction under the cell mode they engage on, so it only fires for
+// Exact on an unreachable span).
 func (s *session) encodeBatch(be approx.BatchEncoder, lo, hi int, w bits.Width) encodeResult {
 	st := be.EncodeSlice(s.bufs.previous[lo:hi], s.bufs.exact[lo:hi], s.bufs.approx[lo:hi], w)
-	return s.d.batchResult(st)
-}
-
-// batchResult converts in-kernel batch statistics to an encodeResult.
-// BatchStats carries exactly the aggregates the scalar loop accumulates:
-// the error sums feed the tracker, MaxAbs reproduces the per-value
-// threshold test (some value exceeds the threshold iff the largest one
-// does), and Unreachable mirrors the per-value reachability check (approx
-// kernel outputs are reachable by construction under the cell mode they
-// engage on, so it only fires for Exact on an unreachable span).
-func (d *Device) batchResult(st approx.BatchStats) encodeResult {
 	var res encodeResult
 	res.tracker.AddBatch(st.Count, st.SumAbs, st.SumSq)
 	res.approximated = st.Approximated
 	res.unreachable = st.Unreachable
-	if d.fallback == FallbackPerValue {
-		threshold := d.regs[RegThreshold]
+	if s.d.fallback == FallbackPerValue {
+		threshold := s.d.regs[RegThreshold]
 		res.exceeded = threshold != ThresholdUnlimited &&
 			uint64(st.MaxAbs)<<ThresholdFracBits > uint64(threshold)
 	}

@@ -263,12 +263,11 @@ func TestDenseCellKernelMatchesScalarDevice(t *testing.T) {
 }
 
 // TestMLCKernelCommitModeEquivalence drives identical per-bank write
-// sequences through an MLC scalar-path oracle and three kernel-path drive
-// modes — serial Write, one goroutine per bank, and the async group-commit
-// pipeline — and requires byte-identical flash stats (global and per
-// bank), controller stats, and array contents from all of them. This is
-// the device-level proof that the NCell kernel wiring covers the sync,
-// concurrent, and async commit paths alike.
+// sequences through an MLC scalar-path oracle and two kernel-path drive
+// modes — serial Write and one goroutine per bank — and requires
+// byte-identical flash stats (global and per bank), controller stats, and
+// array contents from all of them. This is the device-level proof that the
+// NCell kernel wiring covers the serial and concurrent commit paths alike.
 func TestMLCKernelCommitModeEquivalence(t *testing.T) {
 	spec := concSpec()
 	spec.Cell = flash.MLC
@@ -315,22 +314,10 @@ func TestMLCKernelCommitModeEquivalence(t *testing.T) {
 		}
 		wg.Wait()
 
-		async := mk(WithAsyncCommit(8))
-		for r := 0; r < rounds; r++ {
-			for b := range plans {
-				pw := plans[b][r]
-				async.WriteAsync(async.Flash().PageBase(pw.page), pw.data)
-			}
-		}
-		async.Flush()
-		if err := async.Close(); err != nil {
-			t.Fatal(err)
-		}
-
 		for _, m := range []struct {
 			name string
 			d    *Device
-		}{{"serial-kernel", serial}, {"concurrent-kernel", conc}, {"async-kernel", async}} {
+		}{{"serial-kernel", serial}, {"concurrent-kernel", conc}} {
 			if s, c := oracle.Flash().Stats(), m.d.Flash().Stats(); s != c {
 				t.Errorf("threshold %v %s: flash stats differ\nscalar %+v\nkernel %+v", threshold, m.name, s, c)
 			}

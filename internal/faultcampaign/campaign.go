@@ -65,16 +65,6 @@ type Config struct {
 	// Verify mounts the store with read-back verification of commits.
 	Verify bool
 
-	// AsyncCommit > 0 routes the store's writes through the async commit
-	// pipeline (WithAsyncCommit) at the given queue depth, with each store
-	// write waiting on its completion future. The campaign stays fully
-	// deterministic: while a fault is armed the pipeline commits one
-	// request at a time, and the per-op wait means each bank observes the
-	// same operation sequence as the synchronous path — so the fingerprint
-	// must match the AsyncCommit == 0 run bit for bit. Raw-kvs campaigns
-	// only (the FTL drives the device directly).
-	AsyncCommit int
-
 	// Compact arms the store's proactive garbage collector
 	// (kvs.WithCompaction, default tuning), so space is reclaimed under the
 	// cycle workload — and power loss lands mid-compaction — instead of GC
@@ -276,14 +266,10 @@ func Run(cfg Config) (*Result, error) {
 	c.fp = 14695981039346656037 // FNV-1a offset basis
 
 	var opts []core.Option
-	if cfg.AsyncCommit > 0 {
-		opts = append(opts, core.WithAsyncCommit(cfg.AsyncCommit))
-	}
 	if cfg.Retry > 0 {
 		opts = append(opts, core.WithRetry(cfg.Retry, retryBackoff))
 	}
 	c.dev = core.MustNewDevice(cfg.Spec, opts...)
-	defer c.dev.Close()
 	c.fl = c.dev.Flash()
 	c.dev.SetThreshold(cfg.Threshold)
 	if err := c.mount(); err != nil {
@@ -400,27 +386,8 @@ func (c *campaign) openStore(f *ftl.FTL) (*kvs.Store, error) {
 	if f != nil {
 		return kvs.OpenOn(f, opts...)
 	}
-	if c.cfg.AsyncCommit > 0 {
-		return kvs.OpenOn(asyncBackend{c.dev}, opts...)
-	}
 	return kvs.Open(c.dev, opts...)
 }
-
-// asyncBackend routes the store's writes through the async commit pipeline,
-// waiting on each completion future so error semantics — and therefore the
-// campaign's recovery behaviour — match the synchronous backend exactly.
-type asyncBackend struct{ dev *core.Device }
-
-func (a asyncBackend) Read(addr int, dst []byte) error { return a.dev.Read(addr, dst) }
-func (a asyncBackend) Write(addr int, data []byte) error {
-	return a.dev.WriteAsync(addr, data).Wait()
-}
-func (a asyncBackend) ErasePage(p int) error { return a.dev.ErasePage(p) }
-func (a asyncBackend) SensePage(p int, dst []byte) error {
-	return a.dev.SensePage(p, dst)
-}
-func (a asyncBackend) PageSize() int { return a.dev.Flash().Spec().PageSize }
-func (a asyncBackend) NumPages() int { return a.dev.Flash().Spec().NumPages }
 
 // runCycle arms one fault, drives workload until it fires (or the op budget
 // runs out), and — if power was lost — reboots and checks every invariant.

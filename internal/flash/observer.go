@@ -167,12 +167,12 @@ func (d *Device) Attach(o Observer) (detach func()) {
 }
 
 // statsShard is one bank's slice of the operation ledger. Counters live in
-// the embedded Stats; energy is accumulated per operation kind instead of
-// into one running float, because float addition is order-sensitive: the
-// async pipeline may interleave a bank's loads and programs differently
-// than a serial run, but each (bank, kind) sub-stream still sees its events
-// in request order, so summing the kinds in a fixed order at snapshot time
-// reproduces byte-identical totals for any interleaving.
+// the embedded Stats; energy is accumulated per operation kind and the
+// kinds are summed in a fixed order at snapshot time. Every bank now
+// issues its ops in request order, so one running float would be just as
+// deterministic; the buckets stay because float addition is
+// order-sensitive, and summing in a different order would shift the low
+// bits of every committed energy figure.
 type statsShard struct {
 	Stats
 	energyKind [opKindCount]energy.Energy
