@@ -90,7 +90,7 @@ func TestScrubRefreshesExactDrift(t *testing.T) {
 	// picks random cells, which may already be 0).
 	buf := make([]byte, ps)
 	for fl.StuckBits(p) == 0 {
-		fl.ArmBankFault(fl.BankOf(p), flash.Fault{Kind: flash.FaultReadDisturb, Bits: 8})
+		fl.ArmFault(flash.Fault{Kind: flash.FaultReadDisturb, Bits: 8})
 		if err := fl.ReadPage(p, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestScrubAbsorbsApproxDrift(t *testing.T) {
 	}
 	buf := make([]byte, s.PageSize)
 	for fl.StuckBits(p) == 0 {
-		fl.ArmBankFault(fl.BankOf(p), flash.Fault{Kind: flash.FaultReadDisturb, Bits: 4})
+		fl.ArmFault(flash.Fault{Kind: flash.FaultReadDisturb, Bits: 4})
 		if err := fl.ReadPage(p, buf); err != nil {
 			t.Fatal(err)
 		}

@@ -35,12 +35,14 @@ type Config struct {
 	// small device so faults hit live data often).
 	Spec flash.Spec
 
-	// Mix weights the fault kinds and their gaps (default: power loss
-	// heavy with occasional wear faults). Read-disturb faults are always
-	// narrowed to a single bit: that is the store's repair guarantee.
-	// Transient weights (TransientProgram, TransientErase) require Retry
-	// > 0 — without a retry policy a verify failure surfaces as a write
-	// error the store was never meant to absorb.
+	// Mix weights the fault kinds and their gaps (default, when every
+	// weight is zero: power loss heavy with occasional wear faults). Each
+	// cycle's fault is Mix.Draw's next; only stuck-bits faults touch more
+	// than one cell, so read disturb stays within the store's single-bit
+	// repair guarantee. A mix that fails Validate is refused. Transient
+	// weights (TransientProgram, TransientErase) require Retry > 0 —
+	// without a retry policy a verify failure surfaces as a write error
+	// the store was never meant to absorb.
 	Mix flash.FaultMix
 
 	// Retry > 0 arms the core verify-retry policy (core.WithRetry) with
@@ -53,12 +55,6 @@ type Config struct {
 	// since the last aging step (capped per reboot), modelling charge
 	// leaking while the node was powered down between campaign cycles.
 	RetentionEvery time.Duration
-
-	// Workload shape.
-	MaxOpsPerCycle int     // ops attempted per cycle (default 60)
-	Keys           int     // distinct keys (default 8)
-	ValueSize      int     // value bytes (default 24)
-	Threshold      float64 // MAE threshold for the approximate write path
 
 	// UseFTL runs the store on a journaled FTL instead of raw flash.
 	UseFTL bool
@@ -92,7 +88,15 @@ type Config struct {
 	ScrubPages int
 }
 
-// withDefaults fills unset fields.
+// The workload shape every campaign runs.
+const (
+	maxOpsPerCycle = 60 // ops attempted per cycle
+	numKeys        = 8  // distinct keys
+	valueSize      = 24 // value bytes
+)
+
+// withDefaults fills unset fields. The caller's mix must already have
+// passed Validate: a mix with a negative weight is refused, not replaced.
 func (c Config) withDefaults() Config {
 	if c.Cycles <= 0 {
 		c.Cycles = 1000
@@ -103,21 +107,12 @@ func (c Config) withDefaults() Config {
 		c.Spec.NumPages = 24
 		c.Spec.Banks = 1
 	}
-	if c.Mix.PowerLoss+c.Mix.StuckBits+c.Mix.ReadDisturb+
-		c.Mix.TransientProgram+c.Mix.TransientErase+c.Mix.Retention <= 0 {
+	if c.Mix.PowerLoss == 0 && c.Mix.StuckBits == 0 && c.Mix.ReadDisturb == 0 &&
+		c.Mix.TransientProgram == 0 && c.Mix.TransientErase == 0 && c.Mix.Retention == 0 {
 		c.Mix = flash.FaultMix{
 			PowerLoss: 8, StuckBits: 1, ReadDisturb: 1,
 			MinGap: 0, MaxGap: 300, MaxBits: 2,
 		}
-	}
-	if c.MaxOpsPerCycle <= 0 {
-		c.MaxOpsPerCycle = 60
-	}
-	if c.Keys <= 0 {
-		c.Keys = 8
-	}
-	if c.ValueSize <= 0 {
-		c.ValueSize = 24
 	}
 	if c.Scrub && c.ScrubPages <= 0 {
 		c.ScrubPages = 2
@@ -249,10 +244,10 @@ const retryBackoff = 10 * time.Microsecond
 
 // Run executes the campaign described by cfg.
 func Run(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Mix.Validate(); err != nil {
 		return nil, fmt.Errorf("faultcampaign: %w", err)
 	}
+	cfg = cfg.withDefaults()
 	if cfg.Mix.TransientProgram+cfg.Mix.TransientErase > 0 && cfg.Retry <= 0 {
 		return nil, fmt.Errorf("faultcampaign: transient fault weights require Retry > 0")
 	}
@@ -271,11 +266,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 	c.dev = core.MustNewDevice(cfg.Spec, opts...)
 	c.fl = c.dev.Flash()
-	c.dev.SetThreshold(cfg.Threshold)
 	if err := c.mount(); err != nil {
 		return nil, fmt.Errorf("faultcampaign: initial mount: %w", err)
 	}
-	for i := 0; i < cfg.Keys; i++ {
+	for i := 0; i < numKeys; i++ {
 		c.keys = append(c.keys, fmt.Sprintf("k%02d", i))
 	}
 
@@ -410,7 +404,7 @@ func (c *campaign) runCycle(cycle int) {
 
 	crashed := false
 	ops := 0
-	for ; ops < c.cfg.MaxOpsPerCycle; ops++ {
+	for ; ops < maxOpsPerCycle; ops++ {
 		if c.driveOp(cycle) {
 			crashed = true
 			break
@@ -431,51 +425,23 @@ func (c *campaign) runCycle(cycle int) {
 	c.mix(st.Programs, st.Erases, st.Reads, st.ProgramsSkipped, uint64(len(c.model)))
 }
 
-// drawFault picks the next fault of the campaign's schedule. Read-disturb
-// is narrowed to one bit — the single-bit repair guarantee; wider drifts
-// would need a real ECC. The draw mirrors flash.RandomSchedule.Next: extra
-// draws (bits, retries) only happen for the kinds that use them, so legacy
-// mixes reproduce their historical streams.
+// drawFault draws the next fault of the campaign's stream and counts it
+// by kind.
 func (c *campaign) drawFault() flash.Fault {
-	m := c.cfg.Mix
-	total := m.PowerLoss + m.StuckBits + m.ReadDisturb +
-		m.TransientProgram + m.TransientErase + m.Retention
-	pick := c.rng.Intn(total)
-	kind := flash.FaultPowerLoss
-	switch {
-	case pick < m.PowerLoss:
-		kind = flash.FaultPowerLoss
+	f := c.cfg.Mix.Draw(c.rng)
+	switch f.Kind {
+	case flash.FaultPowerLoss:
 		c.res.PowerLossArmed++
-	case pick < m.PowerLoss+m.StuckBits:
-		kind = flash.FaultStuckBits
+	case flash.FaultStuckBits:
 		c.res.StuckBitsArmed++
-	case pick < m.PowerLoss+m.StuckBits+m.ReadDisturb:
-		kind = flash.FaultReadDisturb
+	case flash.FaultReadDisturb:
 		c.res.ReadDisturbArmed++
-	case pick < m.PowerLoss+m.StuckBits+m.ReadDisturb+m.TransientProgram:
-		kind = flash.FaultTransientProgram
+	case flash.FaultTransientProgram:
 		c.res.TransientProgramArmed++
-	case pick < m.PowerLoss+m.StuckBits+m.ReadDisturb+m.TransientProgram+m.TransientErase:
-		kind = flash.FaultTransientErase
+	case flash.FaultTransientErase:
 		c.res.TransientEraseArmed++
-	default:
-		kind = flash.FaultRetention
+	case flash.FaultRetention:
 		c.res.RetentionArmed++
-	}
-	gap := m.MinGap
-	if m.MaxGap > m.MinGap {
-		gap += c.rng.Intn(m.MaxGap - m.MinGap + 1)
-	}
-	bits := 1
-	if kind == flash.FaultStuckBits && m.MaxBits > 1 {
-		bits += c.rng.Intn(m.MaxBits)
-	}
-	f := flash.Fault{Kind: kind, After: gap, Bits: bits}
-	if kind == flash.FaultTransientProgram || kind == flash.FaultTransientErase {
-		f.Retries = 1
-		if m.MaxRetries > 1 {
-			f.Retries += c.rng.Intn(m.MaxRetries)
-		}
 	}
 	return f
 }
@@ -485,7 +451,7 @@ func (c *campaign) driveOp(cycle int) bool {
 	key := c.keys[c.rng.Intn(len(c.keys))]
 	switch r := c.rng.Intn(10); {
 	case r < 5: // put
-		val := make([]byte, c.cfg.ValueSize)
+		val := make([]byte, valueSize)
 		for i := range val {
 			val[i] = c.rng.Byte()
 		}

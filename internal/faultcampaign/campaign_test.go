@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/flipbit-sim/flipbit/internal/flash"
+	"github.com/flipbit-sim/flipbit/internal/xrand"
 )
 
 // TestCampaignDeterministic: the whole campaign — fault schedule, workload,
@@ -304,15 +305,90 @@ func TestCampaignTransientRequiresRetry(t *testing.T) {
 	}
 }
 
-// TestCampaignNegativeMixRejected: schedule construction validates weights,
-// so a negative weight surfaces as an error from Run, not a panic or a
-// skewed draw.
+// TestCampaignNegativeMixRejected: Run validates the caller's mix before
+// filling defaults, so a negative weight or range surfaces as an error —
+// not a panic, a skewed draw, or a silent swap to the default mix (which
+// only an all-zero set of weights selects).
 func TestCampaignNegativeMixRejected(t *testing.T) {
-	_, err := Run(Config{
-		Seed: 1, Cycles: 10,
-		Mix: flash.FaultMix{PowerLoss: -1, StuckBits: 2, MaxGap: 50},
-	})
-	if err == nil {
-		t.Fatal("negative fault weight accepted")
+	for _, mix := range []flash.FaultMix{
+		{PowerLoss: -1},
+		{PowerLoss: -3, StuckBits: 2, MaxGap: 50},
+		{MaxGap: -5},
+	} {
+		if _, err := Run(Config{Seed: 1, Cycles: 10, Mix: mix}); err == nil {
+			t.Errorf("invalid mix %+v accepted", mix)
+		}
+	}
+}
+
+// refDraw is the reference for the campaign's fault stream: the draw the
+// committed campaign artifacts were generated with, kept verbatim minus the
+// per-kind counters.
+func refDraw(m flash.FaultMix, rng *xrand.RNG) flash.Fault {
+	total := m.PowerLoss + m.StuckBits + m.ReadDisturb +
+		m.TransientProgram + m.TransientErase + m.Retention
+	pick := rng.Intn(total)
+	kind := flash.FaultPowerLoss
+	switch {
+	case pick < m.PowerLoss:
+		kind = flash.FaultPowerLoss
+	case pick < m.PowerLoss+m.StuckBits:
+		kind = flash.FaultStuckBits
+	case pick < m.PowerLoss+m.StuckBits+m.ReadDisturb:
+		kind = flash.FaultReadDisturb
+	case pick < m.PowerLoss+m.StuckBits+m.ReadDisturb+m.TransientProgram:
+		kind = flash.FaultTransientProgram
+	case pick < m.PowerLoss+m.StuckBits+m.ReadDisturb+m.TransientProgram+m.TransientErase:
+		kind = flash.FaultTransientErase
+	default:
+		kind = flash.FaultRetention
+	}
+	gap := m.MinGap
+	if m.MaxGap > m.MinGap {
+		gap += rng.Intn(m.MaxGap - m.MinGap + 1)
+	}
+	bits := 1
+	if kind == flash.FaultStuckBits && m.MaxBits > 1 {
+		bits += rng.Intn(m.MaxBits)
+	}
+	f := flash.Fault{Kind: kind, After: gap, Bits: bits}
+	if kind == flash.FaultTransientProgram || kind == flash.FaultTransientErase {
+		f.Retries = 1
+		if m.MaxRetries > 1 {
+			f.Retries += rng.Intn(m.MaxRetries)
+		}
+	}
+	return f
+}
+
+// TestFaultMixDrawMatchesCampaignDraw: over random valid mixes (zero
+// weights included, at least one positive) and seeds, FaultMix.Draw returns
+// the reference draw's fault every time and consumes the same generator
+// draws, so the campaign's fault and workload streams are unchanged.
+func TestFaultMixDrawMatchesCampaignDraw(t *testing.T) {
+	gen := xrand.New(0xD4A3)
+	for trial := 0; trial < 200; trial++ {
+		var m flash.FaultMix
+		for m.PowerLoss+m.StuckBits+m.ReadDisturb+m.TransientProgram+m.TransientErase+m.Retention == 0 {
+			m = flash.FaultMix{
+				PowerLoss: gen.Intn(6), StuckBits: gen.Intn(3), ReadDisturb: gen.Intn(3),
+				TransientProgram: gen.Intn(3), TransientErase: gen.Intn(3), Retention: gen.Intn(3),
+				MinGap: gen.Intn(20), MaxBits: gen.Intn(5), MaxRetries: gen.Intn(5),
+			}
+			m.MaxGap = m.MinGap + gen.Intn(300)
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("trial %d: generated an invalid mix: %v", trial, err)
+		}
+		seed := gen.Uint64()
+		got, want := xrand.New(seed), xrand.New(seed)
+		for i := 0; i < 2000; i++ {
+			if g, w := m.Draw(got), refDraw(m, want); g != w {
+				t.Fatalf("trial %d mix %+v seed %#x draw %d: Draw = %+v, reference %+v", trial, m, seed, i, g, w)
+			}
+		}
+		if g, w := got.Uint64(), want.Uint64(); g != w {
+			t.Fatalf("trial %d mix %+v: generator state diverged after 2000 draws", trial, m)
+		}
 	}
 }

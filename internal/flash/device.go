@@ -115,10 +115,6 @@ type bank struct {
 	// rng drives the stuck-bit failure model for worn-out pages in this
 	// bank. Per-bank so concurrent banks never share RNG state.
 	rng *xrand.RNG
-	// faults is the bank-scoped fault arm state (faults.go): its countdown
-	// only observes this bank's operations, so injected faults fire
-	// deterministically even under concurrent cross-bank traffic.
-	faults faultScope
 }
 
 // Device is a simulated NOR flash chip: the memory array, wear counters,
@@ -149,10 +145,10 @@ type Device struct {
 	subs    []uint64
 	nextSub uint64
 
-	// Fault injection (faults.go): ftMu guards the shared scope and the
-	// per-bank scopes against concurrent arming and firing. faultsLive
-	// mirrors "any scope armed" so fault-free operations skip ftMu
-	// entirely: a device-wide mutex on every op would serialize the banks.
+	// Fault injection (faults.go): ftMu guards the fault scope against
+	// concurrent arming and firing. faultsLive mirrors "the scope is live"
+	// so fault-free operations skip ftMu entirely: a device-wide mutex on
+	// every op would serialize the banks.
 	ftMu       sync.Mutex
 	faults     faultScope
 	faultsLive atomic.Bool
@@ -296,35 +292,12 @@ func (d *Device) emit(ev OpEvent) {
 	}
 }
 
-// ReadByteAt reads the byte at addr, charging read latency and energy.
+// ReadByteAt reads the byte at addr, charging read latency and energy. It
+// is a one-byte Read.
 func (d *Device) ReadByteAt(addr int) (byte, error) {
-	if err := d.checkAddr(addr, 1); err != nil {
-		return 0, err
-	}
-	b := d.bankOfAddr(addr)
-	bk := &d.banks[b]
-	bk.mu.Lock()
-	defer bk.mu.Unlock()
-	d.emit(OpEvent{
-		Kind: OpRead, Bank: b, Addr: addr, Bytes: 1,
-		Energy: d.spec.ReadEnergy, Busy: d.spec.ReadLatency,
-	})
-	page := d.PageOf(addr)
-	v := d.array[addr]
-	if m := d.rise[page]; m != nil {
-		buf := [1]byte{v}
-		d.flickerInto(b, page, addr, buf[:])
-		v = buf[0]
-	}
-	if f, fired := d.faultHit(b, OpRead); fired {
-		switch f.Kind {
-		case FaultReadDisturb:
-			d.disturbPage(b, page, f.bits())
-		case FaultRetention:
-			d.markRetention(b, page)
-		}
-	}
-	return v, nil
+	var buf [1]byte
+	err := d.Read(addr, buf[:])
+	return buf[0], err
 }
 
 // Read fills dst from consecutive addresses starting at addr. A read that
@@ -350,13 +323,8 @@ func (d *Device) Read(addr int, dst []byte) error {
 			Energy: d.spec.ReadEnergy * energy.Energy(n),
 			Busy:   d.spec.ReadLatency * time.Duration(n),
 		})
-		if f, fired := d.faultHit(b, OpRead); fired {
-			switch f.Kind {
-			case FaultReadDisturb:
-				d.disturbPage(b, page, f.bits())
-			case FaultRetention:
-				d.markRetention(b, page)
-			}
+		if f, fired := d.faultHit(OpRead); fired {
+			d.readFault(b, page, f)
 		}
 		bk.mu.Unlock()
 		off += n
@@ -388,13 +356,8 @@ func (d *Device) ReadPage(p int, dst []byte) error {
 		Energy: d.spec.ReadEnergy * energy.Energy(d.spec.PageSize),
 		Busy:   d.spec.ReadLatency * time.Duration(d.spec.PageSize),
 	})
-	if f, fired := d.faultHit(b, OpRead); fired {
-		switch f.Kind {
-		case FaultReadDisturb:
-			d.disturbPage(b, p, f.bits())
-		case FaultRetention:
-			d.markRetention(b, p)
-		}
+	if f, fired := d.faultHit(OpRead); fired {
+		d.readFault(b, p, f)
 	}
 	return nil
 }
@@ -440,7 +403,7 @@ func (d *Device) erasePageLocked(b, p int) error {
 	base := d.PageBase(p)
 	d.clearDrift(p)
 	d.clearRise(p)
-	f, fired := d.faultHit(b, OpErase)
+	f, fired := d.faultHit(OpErase)
 	if fired && f.Kind == FaultPowerLoss {
 		d.tearErase(b, p)
 		d.wear[p]++ // the tunnel-oxide stress happened regardless
@@ -561,7 +524,7 @@ func (d *Device) ProgramPage(p int, buf []byte) error {
 // EraseProgramPage a page span.
 //
 // A pulse is a byte whose value changes, or every byte under SetProgramAll.
-// The span's pulses walk the fault scopes in one step (faultFor). Without a
+// The span's pulses walk the fault scope in one step (faultFor). Without a
 // fault the span commits in one pass and emits at most two batched events:
 // an OpProgram over the pulsed bytes and an OpProgramSkip over the rest.
 // With a fault, the bytes before the victim pulse commit the same way, the
@@ -600,7 +563,7 @@ func (d *Device) programLocked(b, addr int, buf []byte) error {
 				pulses++
 			}
 		}
-		if k, ff := d.faultFor(b, OpProgram, pulses); k < pulses {
+		if k, ff := d.faultFor(OpProgram, pulses); k < pulses {
 			f = ff
 			for n = lo; ; n++ { // n stops at pulse k, the victim
 				if span[n] != buf[n] || all {

@@ -118,9 +118,8 @@ func TestPerBankEventStreamsTotallyOrdered(t *testing.T) {
 // ProgramPage on one device and a ProgramByte loop over the same buffer on
 // its twin must agree on the array, the drift and rise masks, the error of
 // every call, the faults fired, the trace and the stats. Both devices run
-// seeded power-loss and transient-program schedules in every bank scope and
-// in the shared scope, with gaps up to two pages of pulses so victims land
-// mid-page, with and without SetProgramAll.
+// one seeded power-loss and transient-program schedule, with gaps up to two
+// pages of pulses so victims land mid-page, with and without SetProgramAll.
 //
 // The targets cover the dirty-window search of the page path: whole-page
 // rewrites, pages rewritten as stored, narrow targets of 0–200 changed
@@ -154,10 +153,7 @@ func programPageDifferential(t *testing.T, spec Spec, programAll bool) {
 	for i := range devs {
 		d := MustNewDevice(spec)
 		d.SetProgramAll(programAll)
-		d.SetFaultSchedule(NewRandomSchedule(0x5A, mix))
-		for b := 0; b < d.Banks(); b++ {
-			d.SetBankFaultSchedule(b, NewRandomSchedule(0xB0+uint64(b), mix))
-		}
+		d.SetFaultSchedule(0x5A, mix)
 		traces[i] = NewTrace(0)
 		d.Attach(traces[i])
 		devs[i] = d

@@ -7,19 +7,17 @@ import (
 )
 
 // Fault scheduling. The one-shot power-loss hook of early versions grew into
-// a general mechanism: a device (or a single bank) can be armed with a
-// queue of faults — power loss tearing a program or erase partway, marginal
-// cells left stuck at 0 by an erase, read-disturb bit flips — and a
-// deterministic schedule can keep re-arming faults forever. Everything is
-// driven by xrand seeds, so a failing fault campaign replays byte-identically
-// from its seed alone.
+// a general mechanism: the device can be armed with a fault — power loss
+// tearing a program or erase partway, marginal cells left stuck at 0 by an
+// erase, read-disturb bit flips — and a seeded schedule can keep re-arming
+// faults forever. Everything is driven by xrand seeds, so a failing fault
+// campaign replays byte-identically from its seed alone.
 //
-// Scopes: each bank owns a fault scope whose countdown only observes that
-// bank's operations, which keeps fault firing deterministic under concurrent
-// traffic (the serial ≡ concurrent property test covers it). The device-wide
-// shared scope — what InjectPowerLoss arms — counts operations across all
-// banks; under concurrency *which* racing operation trips it is
-// scheduling-dependent, like a real brown-out.
+// Scope: the device has one fault scope, and its countdown observes
+// matching operations across all banks. The campaigns drive it from one
+// goroutine, so firing is deterministic there; under concurrent traffic
+// *which* racing operation trips a fault is scheduling-dependent, like a
+// real brown-out.
 
 // FaultKind selects the failure mode of an injected fault.
 type FaultKind uint8
@@ -137,15 +135,8 @@ func (f Fault) retries() int {
 	return f.Retries
 }
 
-// FaultSchedule supplies faults to re-arm a scope after each firing. Next
-// returns the next fault and true, or false when the schedule is exhausted.
-// Implementations must be deterministic to keep campaigns replayable.
-type FaultSchedule interface {
-	Next() (Fault, bool)
-}
-
-// FaultMix parameterises RandomSchedule: relative weights per fault kind and
-// the uniform ranges the gap and bit counts are drawn from.
+// FaultMix parameterises Draw: relative weights per fault kind and the
+// uniform ranges the gap, bit and retry counts are drawn from.
 type FaultMix struct {
 	PowerLoss        int // weight of FaultPowerLoss
 	StuckBits        int // weight of FaultStuckBits
@@ -155,20 +146,12 @@ type FaultMix struct {
 	Retention        int // weight of FaultRetention
 
 	MinGap, MaxGap int // Fault.After drawn uniformly from [MinGap, MaxGap]
-	MaxBits        int // Bits drawn uniformly from [1, MaxBits] (0 → 1)
+	// MaxBits bounds stuck-bits faults: Bits is drawn uniformly from
+	// [1, MaxBits] (0 → 1). Every other kind touches one cell.
+	MaxBits int
 	// MaxRetries bounds the transient budget: Retries is drawn uniformly
 	// from [1, MaxRetries] for transient kinds (0 → always 1).
 	MaxRetries int
-}
-
-// weightSum returns the total weight, defaulting to power loss only.
-func (m FaultMix) weightSum() int {
-	s := m.PowerLoss + m.StuckBits + m.ReadDisturb +
-		m.TransientProgram + m.TransientErase + m.Retention
-	if s <= 0 {
-		return 1
-	}
-	return s
 }
 
 // Validate rejects mixes that would corrupt the weighted draw: a negative
@@ -206,80 +189,58 @@ func (m FaultMix) Validate() error {
 	return nil
 }
 
-// RandomSchedule is an endless, seeded fault stream: kinds are drawn by
-// weight and gaps/bit counts uniformly from the mix's ranges. The stream is
-// a pure function of (seed, mix).
-type RandomSchedule struct {
-	rng *xrand.RNG
-	mix FaultMix
-}
-
-// NewRandomSchedule returns the deterministic schedule for (seed, mix).
-// The mix must pass Validate; an invalid mix (negative weights or ranges)
-// is a programming error and panics, mirroring MustNewDevice. Callers
-// holding user-supplied mixes should call mix.Validate first and surface
-// the error.
-func NewRandomSchedule(seed uint64, mix FaultMix) *RandomSchedule {
-	if err := mix.Validate(); err != nil {
-		panic(err)
+// Draw returns the next fault of the stream rng drives: the kind by weight,
+// then the gap, then a cell count for stuck bits or a retry budget for the
+// transient kinds; a kind makes only the draws it uses. A mix whose
+// weights are all zero draws power loss. m must pass Validate.
+func (m FaultMix) Draw(rng *xrand.RNG) Fault {
+	weights := [...]int{m.PowerLoss, m.StuckBits, m.ReadDisturb,
+		m.TransientProgram, m.TransientErase, m.Retention}
+	total := 0
+	for _, w := range weights {
+		total += w
 	}
-	return &RandomSchedule{rng: xrand.New(seed), mix: mix}
-}
-
-// Next implements FaultSchedule; the stream never ends.
-func (s *RandomSchedule) Next() (Fault, bool) {
-	m := s.mix
-	pick := s.rng.Intn(m.weightSum())
-	kind := FaultPowerLoss
-	switch {
-	case m.PowerLoss+m.StuckBits+m.ReadDisturb+m.TransientProgram+m.TransientErase+m.Retention <= 0:
-		kind = FaultPowerLoss
-	case pick < m.PowerLoss:
-		kind = FaultPowerLoss
-	case pick < m.PowerLoss+m.StuckBits:
-		kind = FaultStuckBits
-	case pick < m.PowerLoss+m.StuckBits+m.ReadDisturb:
-		kind = FaultReadDisturb
-	case pick < m.PowerLoss+m.StuckBits+m.ReadDisturb+m.TransientProgram:
-		kind = FaultTransientProgram
-	case pick < m.PowerLoss+m.StuckBits+m.ReadDisturb+m.TransientProgram+m.TransientErase:
-		kind = FaultTransientErase
-	default:
-		kind = FaultRetention
-	}
-	gap := m.MinGap
-	if m.MaxGap > m.MinGap {
-		gap += s.rng.Intn(m.MaxGap - m.MinGap + 1)
-	}
-	bits := 1
-	if m.MaxBits > 1 {
-		bits += s.rng.Intn(m.MaxBits)
-	}
-	f := Fault{Kind: kind, After: gap, Bits: bits}
-	if kind.transient() {
-		// The extra draw happens only for transient kinds, so schedules
-		// over the legacy mixes reproduce their historical streams.
-		f.Retries = 1
-		if m.MaxRetries > 1 {
-			f.Retries += s.rng.Intn(m.MaxRetries)
+	f := Fault{Kind: FaultPowerLoss, After: m.MinGap, Bits: 1}
+	if total > 0 {
+		// The weights list the kinds in FaultKind order, power loss first.
+		pick := rng.Intn(total)
+		for i, w := range weights {
+			if pick < w {
+				f.Kind = FaultPowerLoss + FaultKind(i)
+				break
+			}
+			pick -= w
 		}
 	}
-	return f, true
+	if m.MaxGap > m.MinGap {
+		f.After += rng.Intn(m.MaxGap - m.MinGap + 1)
+	}
+	if f.Kind == FaultStuckBits && m.MaxBits > 1 {
+		f.Bits += rng.Intn(m.MaxBits)
+	}
+	if f.Kind.transient() {
+		f.Retries = 1
+		if m.MaxRetries > 1 {
+			f.Retries += rng.Intn(m.MaxRetries)
+		}
+	}
+	return f
 }
 
-// faultScope is one arming domain: the device-wide shared scope or a single
-// bank. Its mutex only guards the arm state; it nests inside bank locks and
-// is never held while taking any other lock.
+// faultScope is the device's one arming domain. ftMu guards it; it nests
+// inside bank locks and is never held while taking any other lock.
 type faultScope struct {
 	armed bool
 	cur   Fault
-	sched FaultSchedule
+	// rng, when set, re-arms the scope after each firing with the next
+	// fault mix draws from it (SetFaultSchedule).
+	rng   *xrand.RNG
+	mix   FaultMix
 	fired uint64
 	// Transient residue: after a transient fault fires with a budget of
 	// Retries, the same incident keeps failing the next residLeft
-	// matching operations on this scope — the re-issues of the victim op
-	// — without counting as new firings or advancing the next fault's
-	// countdown.
+	// matching operations — the re-issues of the victim op — without
+	// counting as new firings or advancing the next fault's countdown.
 	residKind FaultKind
 	residLeft int
 }
@@ -290,18 +251,17 @@ func (fs *faultScope) arm(f Fault) {
 	fs.armed = f.Kind != FaultNone
 }
 
-// setSchedule installs a schedule and arms its first fault. Any transient
-// residue from a previous incident is dropped: a new schedule (or a nil one
-// — how ClearFaults resets scopes) starts from a clean slate.
-func (fs *faultScope) setSchedule(s FaultSchedule) {
-	fs.sched = s
-	fs.armed = false
-	fs.residKind = FaultNone
-	fs.residLeft = 0
-	if s != nil {
-		if f, ok := s.Next(); ok {
-			fs.arm(f)
-		}
+// live reports whether the scope can still fail an operation: a fault is
+// armed or transient residue is draining.
+func (fs *faultScope) live() bool { return fs.armed || fs.residLeft > 0 }
+
+// setSchedule drops the pending fault and any transient residue, then, with
+// rng set, arms the first fault of mix's stream. ClearFaults passes a nil
+// rng, which leaves the scope disarmed.
+func (fs *faultScope) setSchedule(rng *xrand.RNG, mix FaultMix) {
+	*fs = faultScope{rng: rng, mix: mix, fired: fs.fired}
+	if rng != nil {
+		fs.arm(mix.Draw(rng))
 	}
 }
 
@@ -329,8 +289,8 @@ func (fs *faultScope) pass(op OpKind, n int) {
 }
 
 // fire fires the scope on an op of kind op, which hitWithin(op, 1) must
-// claim: residue is consumed first, otherwise the armed fault fires and the
-// next fault (if a schedule is installed) is armed.
+// claim: residue is consumed first, otherwise the armed fault fires and,
+// under a schedule, the next fault is armed.
 func (fs *faultScope) fire(op OpKind) Fault {
 	if fs.residLeft > 0 && fs.residKind.appliesTo(op) {
 		fs.residLeft--
@@ -343,131 +303,97 @@ func (fs *faultScope) fire(op OpKind) Fault {
 		fs.residKind = f.Kind
 		fs.residLeft = f.retries() - 1
 	}
-	if fs.sched != nil {
-		if nf, ok := fs.sched.Next(); ok {
-			fs.arm(nf)
-		}
+	if fs.rng != nil {
+		fs.arm(fs.mix.Draw(fs.rng))
 	}
 	return f
 }
 
-// ArmFault arms a one-shot fault in the device-wide shared scope. The
-// countdown observes matching operations from every bank; under concurrent
-// traffic the victim operation is scheduling-dependent.
+// ArmFault arms a one-shot fault. The countdown observes matching
+// operations from every bank; under concurrent traffic the victim operation
+// is scheduling-dependent.
 func (d *Device) ArmFault(f Fault) {
 	d.ftMu.Lock()
 	defer d.ftMu.Unlock()
 	d.faults.arm(f)
-	d.faultsLive.Store(d.anyArmedLocked())
+	d.faultsLive.Store(d.faults.live())
 }
 
-// ArmBankFault arms a one-shot fault scoped to bank b: only bank b's
-// operations advance the countdown, so firing is deterministic even with
-// other banks running concurrently.
-func (d *Device) ArmBankFault(b int, f Fault) {
+// SetFaultSchedule arms an endless fault stream: the first fault mix draws
+// from a generator seeded with seed is armed now, and each firing arms the
+// next, so the stream is a pure function of (seed, mix). It replaces any
+// pending fault and transient residue. The mix must pass Validate; an
+// invalid mix is a programming error and panics, mirroring MustNewDevice.
+// Callers holding user-supplied mixes should call mix.Validate first and
+// surface the error.
+func (d *Device) SetFaultSchedule(seed uint64, mix FaultMix) {
+	if err := mix.Validate(); err != nil {
+		panic(err)
+	}
 	d.ftMu.Lock()
 	defer d.ftMu.Unlock()
-	d.banks[b].faults.arm(f)
-	d.faultsLive.Store(d.anyArmedLocked())
+	d.faults.setSchedule(xrand.New(seed), mix)
+	d.faultsLive.Store(d.faults.live())
 }
 
-// SetFaultSchedule installs a device-wide fault schedule, arming its first
-// fault immediately. Passing nil removes the schedule (a pending armed fault
-// is cleared too).
-func (d *Device) SetFaultSchedule(s FaultSchedule) {
-	d.ftMu.Lock()
-	defer d.ftMu.Unlock()
-	d.faults.setSchedule(s)
-	d.faultsLive.Store(d.anyArmedLocked())
-}
-
-// SetBankFaultSchedule installs a schedule scoped to bank b.
-func (d *Device) SetBankFaultSchedule(b int, s FaultSchedule) {
-	d.ftMu.Lock()
-	defer d.ftMu.Unlock()
-	d.banks[b].faults.setSchedule(s)
-	d.faultsLive.Store(d.anyArmedLocked())
-}
-
-// ClearFaults disarms every pending fault and removes every schedule, shared
-// and per-bank — the campaign engine calls it at reboot boundaries so a
-// leftover fault never leaks into recovery measurement.
+// ClearFaults disarms the pending fault, drops transient residue and
+// removes the schedule — the campaign engine calls it at reboot boundaries
+// so a leftover fault never leaks into recovery measurement.
 func (d *Device) ClearFaults() {
 	d.ftMu.Lock()
 	defer d.ftMu.Unlock()
-	d.faults.setSchedule(nil)
-	for b := range d.banks {
-		d.banks[b].faults.setSchedule(nil)
-	}
+	d.faults.setSchedule(nil, FaultMix{})
 	d.faultsLive.Store(false)
 }
 
-// anyArmedLocked reports whether any scope holds an armed fault. Called
-// with ftMu held.
-func (d *Device) anyArmedLocked() bool {
-	if d.faults.armed || d.faults.residLeft > 0 {
-		return true
-	}
-	for b := range d.banks {
-		if d.banks[b].faults.armed || d.banks[b].faults.residLeft > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// FaultsFired returns how many faults have fired across all scopes.
+// FaultsFired returns how many faults have fired.
 func (d *Device) FaultsFired() uint64 {
 	d.ftMu.Lock()
 	defer d.ftMu.Unlock()
-	n := d.faults.fired
-	for b := range d.banks {
-		n += d.banks[b].faults.fired
-	}
-	return n
+	return d.faults.fired
 }
 
 // faultHit is the entry point for single operations: a lock-free liveness
-// check first, the scope walk only while something is armed. Fault-free
-// traffic — the overwhelmingly common case — never touches the device-wide
-// fault mutex, which would otherwise serialize every bank.
-func (d *Device) faultHit(b int, op OpKind) (Fault, bool) {
+// check first, the scope only while something is armed. Fault-free traffic
+// — the overwhelmingly common case — never touches the device-wide fault
+// mutex, which would otherwise serialize every bank.
+func (d *Device) faultHit(op OpKind) (Fault, bool) {
 	if !d.faultsLive.Load() {
 		return Fault{}, false
 	}
-	k, f := d.faultFor(b, op, 1)
+	k, f := d.faultFor(op, 1)
 	return f, k == 0
 }
 
-// faultFor walks a span of n consecutive ops of kind op on bank b through
-// the fault scopes in one step and returns the index of the op a fault
-// fires on (n if none does) with the fault. The result is that of issuing
-// the ops one at a time: bank b's scope is consulted first on each op, and
-// the shared scope does not advance on an op the bank scope claims. The
-// liveness flag is refreshed (a fired one-shot with no schedule behind it
-// disarms its scope). Called with bank b's lock held.
-func (d *Device) faultFor(b int, op OpKind, n int) (int, Fault) {
+// faultFor walks a span of n consecutive ops of kind op through the fault
+// scope in one step and returns the index of the op a fault fires on (n if
+// none does) with the fault: the result of issuing the ops one at a time.
+// The liveness flag is refreshed (a fired one-shot with no schedule behind
+// it disarms the scope). Called with the issuing bank's lock held.
+func (d *Device) faultFor(op OpKind, n int) (int, Fault) {
 	d.ftMu.Lock()
 	defer d.ftMu.Unlock()
-	bs, ss := &d.banks[b].faults, &d.faults
-	kb := bs.hitWithin(op, n)
-	ks := ss.hitWithin(op, kb)
+	fs := &d.faults
+	k := fs.hitWithin(op, n)
+	fs.pass(op, k)
 	var f Fault
-	switch {
-	case ks < kb: // the bank scope counted the shared scope's victim too
-		bs.pass(op, ks+1)
-		ss.pass(op, ks)
-		f = ss.fire(op)
-	case kb < n:
-		bs.pass(op, kb)
-		ss.pass(op, kb)
-		f = bs.fire(op)
-	default:
-		bs.pass(op, n)
-		ss.pass(op, n)
+	if k < n {
+		f = fs.fire(op)
 	}
-	d.faultsLive.Store(d.anyArmedLocked())
-	return min(kb, ks), f
+	d.faultsLive.Store(fs.live())
+	return k, f
+}
+
+// readFault applies a fault that fired on a read or sense of page p, after
+// the result was served: read disturb clears cells, retention marks one
+// marginal. Called with bank b's lock held.
+func (d *Device) readFault(b, p int, f Fault) {
+	switch f.Kind {
+	case FaultReadDisturb:
+		d.stickBits(b, p, f.bits())
+	case FaultRetention:
+		d.markRetention(b, p)
+	}
 }
 
 // stickBits clears n cells at seeded-random positions in page p — the
@@ -486,10 +412,4 @@ func (d *Device) stickBits(b, p, n int) {
 		d.array[base+off] &^= 1 << uint(bit)
 		d.recordDrift(p, off, old^d.array[base+off])
 	}
-}
-
-// disturbPage applies a read-disturb fault: n cells of page p drift to 0
-// after the read has been served. Called with bank b's lock held.
-func (d *Device) disturbPage(b, p, n int) {
-	d.stickBits(b, p, n)
 }

@@ -7,33 +7,28 @@ import (
 	"github.com/flipbit-sim/flipbit/internal/xrand"
 )
 
-// drainSchedule pulls n faults from a schedule.
-func drainSchedule(s FaultSchedule, n int) []Fault {
-	out := make([]Fault, 0, n)
-	for i := 0; i < n; i++ {
-		f, ok := s.Next()
-		if !ok {
-			break
-		}
-		out = append(out, f)
+// drawN returns the first n faults mix draws from a generator seeded with
+// seed: the stream SetFaultSchedule(seed, mix) arms.
+func drawN(seed uint64, mix FaultMix, n int) []Fault {
+	rng := xrand.New(seed)
+	out := make([]Fault, n)
+	for i := range out {
+		out[i] = mix.Draw(rng)
 	}
 	return out
 }
 
-func TestRandomScheduleDeterministic(t *testing.T) {
+func TestFaultMixDrawDeterministic(t *testing.T) {
 	mix := FaultMix{PowerLoss: 3, StuckBits: 2, ReadDisturb: 1, MinGap: 0, MaxGap: 40, MaxBits: 4}
-	a := drainSchedule(NewRandomSchedule(99, mix), 256)
-	b := drainSchedule(NewRandomSchedule(99, mix), 256)
-	if len(a) != 256 || len(b) != 256 {
-		t.Fatalf("schedule ended early: %d / %d", len(a), len(b))
-	}
+	a := drawN(99, mix, 256)
+	b := drawN(99, mix, 256)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("fault %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 	// A different seed must diverge somewhere in the stream.
-	c := drainSchedule(NewRandomSchedule(100, mix), 256)
+	c := drawN(100, mix, 256)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -46,22 +41,34 @@ func TestRandomScheduleDeterministic(t *testing.T) {
 	}
 }
 
-func TestRandomScheduleMixCoverage(t *testing.T) {
+// TestFaultMixDrawCoverage: every weighted kind is drawn, gaps stay in
+// range, and only stuck-bits faults draw a cell count — every other kind
+// touches exactly one cell.
+func TestFaultMixDrawCoverage(t *testing.T) {
 	mix := FaultMix{PowerLoss: 1, StuckBits: 1, ReadDisturb: 1, MinGap: 5, MaxGap: 9, MaxBits: 3}
 	counts := map[FaultKind]int{}
-	for _, f := range drainSchedule(NewRandomSchedule(7, mix), 600) {
+	wide := 0
+	for _, f := range drawN(7, mix, 600) {
 		counts[f.Kind]++
 		if f.After < 5 || f.After > 9 {
 			t.Fatalf("gap %d outside [5,9]", f.After)
 		}
-		if f.Bits < 1 || f.Bits > 3 {
+		switch {
+		case f.Kind != FaultStuckBits && f.Bits != 1:
+			t.Fatalf("%v fault drew %d bits, want 1", f.Kind, f.Bits)
+		case f.Bits < 1 || f.Bits > 3:
 			t.Fatalf("bits %d outside [1,3]", f.Bits)
+		case f.Bits > 1:
+			wide++
 		}
 	}
 	for _, k := range []FaultKind{FaultPowerLoss, FaultStuckBits, FaultReadDisturb} {
 		if counts[k] == 0 {
 			t.Errorf("kind %v never drawn", k)
 		}
+	}
+	if wide == 0 {
+		t.Error("no stuck-bits fault drew more than one cell")
 	}
 }
 
@@ -135,35 +142,10 @@ func TestReadDisturbFault(t *testing.T) {
 	}
 }
 
-func TestBankFaultScoped(t *testing.T) {
-	spec := smallSpec()
-	spec.Banks = 4
-	spec.NumPages = 16
-	d := MustNewDevice(spec)
-	// Bank 1's countdown: one free program, then the victim.
-	d.ArmBankFault(1, Fault{Kind: FaultPowerLoss, After: 1})
-	// Traffic on other banks must not advance it.
-	for p := 0; p < spec.NumPages; p++ {
-		if d.BankOf(p) == 1 {
-			continue
-		}
-		if err := d.ProgramByte(d.PageBase(p), 0x00); err != nil {
-			t.Fatalf("bank %d program hit bank 1's fault: %v", d.BankOf(p), err)
-		}
-	}
-	base := d.PageBase(1) // page 1 lives in bank 1
-	if err := d.ProgramByte(base, 0x0F); err != nil {
-		t.Fatalf("first bank-1 program should survive: %v", err)
-	}
-	if err := d.ProgramByte(base+1, 0x0F); !errors.Is(err, ErrPowerLoss) {
-		t.Fatalf("second bank-1 program should trip, got %v", err)
-	}
-}
-
 func TestFaultScheduleReArms(t *testing.T) {
 	d := MustNewDevice(smallSpec())
 	// Power loss every other state-changing op, forever.
-	d.SetFaultSchedule(NewRandomSchedule(1, FaultMix{PowerLoss: 1, MinGap: 1, MaxGap: 1}))
+	d.SetFaultSchedule(1, FaultMix{PowerLoss: 1, MinGap: 1, MaxGap: 1})
 	losses := 0
 	for i := 0; i < 40; i++ {
 		err := d.ProgramByte(i%d.Spec().PageSize, 0x00)
@@ -187,22 +169,27 @@ func TestFaultScheduleReArms(t *testing.T) {
 	}
 }
 
+// TestClearFaultsDisarmsAllScopes: ClearFaults drops both kinds of state
+// that can fail a later op — the pending fault and the transient residue
+// of an incident still draining.
 func TestClearFaultsDisarmsAllScopes(t *testing.T) {
-	spec := smallSpec()
-	spec.Banks = 2
-	spec.NumPages = 8
-	d := MustNewDevice(spec)
+	d := MustNewDevice(smallSpec())
+	d.ArmFault(Fault{Kind: FaultTransientProgram, Retries: 3})
+	if err := d.ProgramByte(0, 0x0F); !errors.Is(err, ErrTransient) {
+		t.Fatalf("transient fault did not fire: %v", err)
+	}
 	d.ArmFault(Fault{Kind: FaultPowerLoss})
-	d.ArmBankFault(0, Fault{Kind: FaultPowerLoss})
-	d.ArmBankFault(1, Fault{Kind: FaultStuckBits})
 	d.ClearFaults()
-	for p := 0; p < spec.NumPages; p++ {
+	if err := d.ProgramByte(0, 0x0F); err != nil {
+		t.Fatalf("residue survived ClearFaults: %v", err)
+	}
+	for p := 0; p < d.Spec().NumPages; p++ {
 		if err := d.ErasePage(p); err != nil {
 			t.Fatalf("fault survived ClearFaults: %v", err)
 		}
 	}
-	if d.FaultsFired() != 0 {
-		t.Errorf("FaultsFired = %d after clear-before-fire", d.FaultsFired())
+	if d.FaultsFired() != 1 {
+		t.Errorf("FaultsFired = %d, want 1 (the transient incident)", d.FaultsFired())
 	}
 }
 
@@ -213,9 +200,9 @@ func TestFaultedDeviceDeterministic(t *testing.T) {
 	run := func() ([]byte, Stats) {
 		spec := smallSpec()
 		d := MustNewDevice(spec)
-		d.SetFaultSchedule(NewRandomSchedule(5, FaultMix{
+		d.SetFaultSchedule(5, FaultMix{
 			PowerLoss: 2, StuckBits: 1, ReadDisturb: 1, MinGap: 0, MaxGap: 6, MaxBits: 3,
-		}))
+		})
 		buf := make([]byte, spec.PageSize)
 		for r := 0; r < 300; r++ {
 			p := r % spec.NumPages
@@ -267,27 +254,21 @@ func refMatch(fs *faultScope, op OpKind) (Fault, bool) {
 	if f.Kind.transient() && f.retries() > 1 {
 		fs.residKind, fs.residLeft = f.Kind, f.retries()-1
 	}
-	if nf, ok := fs.sched.Next(); ok {
-		fs.arm(nf)
-	}
+	fs.arm(fs.mix.Draw(fs.rng))
 	return f, true
 }
 
 // TestFaultForSpanMatchesPerOpRule pins faultFor's one-step span walk to
-// the per-op rule: each op consults the bank scope first and reaches the
-// shared scope only if the bank scope did not claim it. The victim index,
-// the fault and both scopes' state must match an op-by-op walk of twin
-// scopes, for every op kind and span lengths from 0 to 40.
+// the per-op rule: the victim index, the fault and the scope's state —
+// its schedule generator included — must match an op-by-op walk of a twin
+// scope, for every op kind and span lengths from 0 to 40.
 func TestFaultForSpanMatchesPerOpRule(t *testing.T) {
 	mix := FaultMix{PowerLoss: 2, StuckBits: 1, ReadDisturb: 1, TransientProgram: 2, TransientErase: 1,
-		Retention: 1, MaxGap: 12, MaxRetries: 3}
+		Retention: 1, MaxGap: 12, MaxBits: 3, MaxRetries: 3}
 	d := MustNewDevice(smallSpec())
-	const b = 1
-	d.SetFaultSchedule(NewRandomSchedule(3, mix))
-	d.SetBankFaultSchedule(b, NewRandomSchedule(4, mix))
-	var bank, shared faultScope
-	shared.setSchedule(NewRandomSchedule(3, mix))
-	bank.setSchedule(NewRandomSchedule(4, mix))
+	d.SetFaultSchedule(3, mix)
+	var ref faultScope
+	ref.setSchedule(xrand.New(3), mix)
 	rng := xrand.New(0xFA17)
 	ops := []OpKind{OpRead, OpProgram, OpErase, OpSense}
 	fired := 0
@@ -295,28 +276,22 @@ func TestFaultForSpanMatchesPerOpRule(t *testing.T) {
 		op, n := ops[rng.Intn(len(ops))], rng.Intn(41)
 		want, wantF := n, Fault{}
 		for i := 0; i < n; i++ {
-			f, ok := refMatch(&bank, op)
-			if !ok {
-				f, ok = refMatch(&shared, op)
-			}
-			if ok {
+			if f, ok := refMatch(&ref, op); ok {
 				want, wantF = i, f
 				break
 			}
 		}
-		got, gotF := d.faultFor(b, op, n)
+		got, gotF := d.faultFor(op, n)
 		if got != want || gotF != wantF {
 			t.Fatalf("step %d (%v × %d): faultFor = (%d, %+v), per-op walk = (%d, %+v)", step, op, n, got, gotF, want, wantF)
 		}
-		for _, s := range []struct {
-			name      string
-			got, want *faultScope
-		}{{"bank", &d.banks[b].faults, &bank}, {"shared", &d.faults, &shared}} {
-			g, w := *s.got, *s.want
-			g.sched, w.sched = nil, nil
-			if g != w {
-				t.Fatalf("step %d (%v × %d): %s scope %+v, per-op walk %+v", step, op, n, s.name, g, w)
-			}
+		g, w := d.faults, ref
+		if *g.rng != *w.rng {
+			t.Fatalf("step %d (%v × %d): schedule generator diverged from the per-op walk", step, op, n)
+		}
+		g.rng, w.rng = nil, nil
+		if g != w {
+			t.Fatalf("step %d (%v × %d): scope %+v, per-op walk %+v", step, op, n, g, w)
 		}
 		if want < n {
 			fired++

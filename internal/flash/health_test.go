@@ -27,7 +27,7 @@ func TestDriftMaskGroundTruth(t *testing.T) {
 
 	// A silent stuck-bits erase: page should read FF except the stuck
 	// cells, and mask must cover exactly the difference.
-	d.ArmBankFault(d.BankOf(p), Fault{Kind: FaultStuckBits, Bits: 16})
+	d.ArmFault(Fault{Kind: FaultStuckBits, Bits: 16})
 	if err := d.ErasePage(p); err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,10 @@ var ErrPowerLoss = errors.New("flash: power lost mid-operation")
 // InjectPowerLoss arms a one-shot fault: after skip more successful
 // state-changing operations (programs or erases), the next one is
 // interrupted partway and returns ErrPowerLoss. The device remains usable
-// afterwards, modelling a reboot. The arm state lives in the shared fault
+// afterwards, modelling a reboot. The arm state lives in the device's fault
 // scope, so it stays coherent under concurrent traffic (which of the racing
 // operations trips the fault is then scheduling-dependent, like a real
-// brown-out); use ArmBankFault for deterministic firing under concurrency.
+// brown-out).
 func (d *Device) InjectPowerLoss(skip int) {
 	d.ArmFault(Fault{Kind: FaultPowerLoss, After: skip})
 }

@@ -130,17 +130,11 @@ func (d *Device) SenseMulti(op SenseOp, pages []int, invert []bool, dst []byte) 
 		Energy: d.spec.SenseEnergy * energy.Energy(d.spec.PageSize),
 		Busy:   d.spec.SenseLatency * time.Duration(d.spec.PageSize),
 	})
-	if f, fired := d.faultHit(b, OpSense); fired {
+	if f, fired := d.faultHit(OpSense); fired {
 		// The fault lands on one of the activated wordlines, drawn from the
 		// bank's RNG, after the result was served — exactly the post-serve
 		// semantics reads have.
-		victim := pages[bk.rng.Intn(len(pages))]
-		switch f.Kind {
-		case FaultReadDisturb:
-			d.disturbPage(b, victim, f.bits())
-		case FaultRetention:
-			d.markRetention(b, victim)
-		}
+		d.readFault(b, pages[bk.rng.Intn(len(pages))], f)
 	}
 	return nil
 }

@@ -117,9 +117,9 @@ func TestSenseMultiMatchesOracleUnderFaults(t *testing.T) {
 	d := MustNewDevice(senseSpec())
 	rng := xrand.New(0xFA07)
 	fillRandom(t, d, rng)
-	d.SetFaultSchedule(NewRandomSchedule(7, FaultMix{
-		ReadDisturb: 1, Retention: 1, MinGap: 0, MaxGap: 3, MaxBits: 2,
-	}))
+	d.SetFaultSchedule(7, FaultMix{
+		ReadDisturb: 1, Retention: 1, MinGap: 0, MaxGap: 3,
+	})
 	defer d.ClearFaults()
 	got := make([]byte, d.Spec().PageSize)
 	want := make([]byte, d.Spec().PageSize)

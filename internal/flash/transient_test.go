@@ -36,7 +36,7 @@ func TestFaultMixDrawFrequencies(t *testing.T) {
 	}
 	const draws = 20000
 	counts := map[FaultKind]int{}
-	for _, f := range drainSchedule(NewRandomSchedule(11, mix), draws) {
+	for _, f := range drawN(11, mix, draws) {
 		counts[f.Kind]++
 		if f.Kind.transient() {
 			if f.Retries < 1 || f.Retries > 3 {
@@ -88,15 +88,15 @@ func TestFaultMixValidateRejectsNegatives(t *testing.T) {
 	}
 }
 
-// TestNewRandomSchedulePanicsOnInvalidMix: the constructor refuses to build
-// a schedule from weights Validate rejects.
-func TestNewRandomSchedulePanicsOnInvalidMix(t *testing.T) {
+// TestSetFaultSchedulePanicsOnInvalidMix: the device refuses to arm a
+// schedule from weights Validate rejects.
+func TestSetFaultSchedulePanicsOnInvalidMix(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewRandomSchedule accepted a negative weight")
+			t.Error("SetFaultSchedule accepted a negative weight")
 		}
 	}()
-	NewRandomSchedule(1, FaultMix{PowerLoss: -1, StuckBits: 1, MaxGap: 10})
+	MustNewDevice(smallSpec()).SetFaultSchedule(1, FaultMix{PowerLoss: -1, StuckBits: 1, MaxGap: 10})
 }
 
 // TestTransientProgramResidue: a transient incident with Retries = n fails

@@ -174,7 +174,7 @@ func TestRefreshCrashSweep(t *testing.T) {
 		pp := f.l2p[lp]
 		buf := make([]byte, f.PageSize())
 		for fl.StuckBits(pp) == 0 {
-			fl.ArmBankFault(fl.BankOf(pp), flash.Fault{Kind: flash.FaultReadDisturb, Bits: 8})
+			fl.ArmFault(flash.Fault{Kind: flash.FaultReadDisturb, Bits: 8})
 			if err := fl.ReadPage(pp, buf); err != nil {
 				t.Fatal(err)
 			}

@@ -153,9 +153,9 @@ func TestVerifyRetriesStuckBits(t *testing.T) {
 	}
 	// Erases keep leaving stuck cells: GC/open-page landing zones get
 	// silently corrupted, and the verify machinery must route around it.
-	dev.Flash().SetFaultSchedule(flash.NewRandomSchedule(3, flash.FaultMix{
+	dev.Flash().SetFaultSchedule(3, flash.FaultMix{
 		StuckBits: 1, MinGap: 2, MaxGap: 6, MaxBits: 2,
-	}))
+	})
 	val := bytes.Repeat([]byte{0xAB}, 30)
 	for i := 0; i < 60; i++ {
 		key := string(rune('a' + i%8))

@@ -78,7 +78,7 @@ func (tr *pageTransitions) count(s *Store) {
 }
 
 // TestTotalsMatchWalkUnderFaults drives a verifying, compacting store on a
-// device whose erases leave stuck cells behind (a flash.FaultSchedule) and
+// device whose erases leave stuck cells behind (a flash fault schedule) and
 // whose pages wear out, and compares the running totals with a walk after
 // every operation. Stuck cells in a free page's header zone quarantine it
 // at open, stuck cells under a landing zone retire the page's tail, the
@@ -91,9 +91,9 @@ func TestTotalsMatchWalkUnderFaults(t *testing.T) {
 	spec.Banks = 2
 	spec.EnduranceCycles = 60
 	dev := core.MustNewDevice(spec)
-	dev.Flash().SetFaultSchedule(flash.NewRandomSchedule(0x57C4, flash.FaultMix{
+	dev.Flash().SetFaultSchedule(0x57C4, flash.FaultMix{
 		StuckBits: 1, MinGap: 2, MaxGap: 12, MaxBits: 2,
-	}))
+	})
 	mount := func() *Store {
 		t.Helper()
 		s, err := Open(dev, WithVerify(), WithCompaction(CompactionConfig{}))
