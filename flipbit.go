@@ -17,7 +17,7 @@
 //     latency/energy, endurance);
 //   - the approximation encoders of §III-A (1-bit, n-bit, optimal, and the
 //     MLC n-cell variant of §VI);
-//   - the op-event bus and its subscribers (Observer, Ledger, Trace);
+//   - the op-event bus and its subscribers (Observer, Ledger);
 //   - endurance management: the synchronous Scrubber and the wear-leveling
 //     FTL with a spare pool;
 //   - the log-structured key-value store with GC, checkpoints and
@@ -105,16 +105,9 @@ const (
 // NewLedgerObserver to meter a device's energy per operation kind.
 type Ledger = energy.Ledger
 
-// Trace records state-changing flash operations in a capped ring buffer.
-type Trace = flash.Trace
-
 // NewLedgerObserver adapts a Ledger into an Observer for WithObserver or
 // Device.Flash().Attach.
 func NewLedgerObserver(l *Ledger) Observer { return flash.NewLedgerObserver(l) }
-
-// NewTrace returns a Trace retaining at most limit entries (0 or negative
-// selects flash.DefaultTraceLimit); older entries are evicted and counted.
-func NewTrace(limit int) *Trace { return flash.NewTrace(limit) }
 
 // NewDevice builds a FlipBit device over a fresh (fully erased) flash array
 // described by spec. Approximation starts disabled; configure it with

@@ -206,12 +206,35 @@ func TestPublicDeviceWithEncoderOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := flipbit.NewDevice(flipbit.DefaultSpec(), flipbit.WithEncoder(enc))
+	spec := flipbit.DefaultSpec()
+	dev, err := flipbit.NewDevice(spec, flipbit.WithEncoder(enc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dev.Encoder().Name() != "4-bit" {
-		t.Errorf("encoder = %s", dev.Encoder().Name())
+	// The option shows in what the device stores: an overwrite no program
+	// can reach lands on the 4-bit encoder's approximation, which differs
+	// from the default 2-bit encoder's.
+	if err := dev.SetApproxRegion(0, spec.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	dev.SetThreshold(255)
+	const prev, exact = 0x05, 0x02
+	for _, v := range []byte{prev, exact} {
+		if err := dev.Write(0, []byte{v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]byte, 1)
+	if err := dev.Read(0, got); err != nil {
+		t.Fatal(err)
+	}
+	two, err := flipbit.NewNBitEncoder(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, dflt := enc.Approximate(prev, exact, flipbit.W8), two.Approximate(prev, exact, flipbit.W8)
+	if uint32(got[0]) != want || want == dflt {
+		t.Errorf("stored %#x, want the 4-bit approximation %#x (2-bit gives %#x)", got[0], want, dflt)
 	}
 }
 

@@ -7,11 +7,12 @@
 // 1 → 0 transitions — that is, approx must be a bitwise subset of previous —
 // so that no page erase is required?
 //
-// Four encoders are provided:
+// Three encoders are provided:
 //
-//   - OptimalBrute: the paper's baseline formulation, enumerating the 2^m
-//     subsets of the m set bits of previous (O(2^m); testing only).
-//   - Optimal: an O(n) exact solver producing the same minimum-error result.
+//   - Optimal: an O(n) exact solver producing the minimum-error result of
+//     the paper's baseline formulation, which enumerates the 2^m subsets of
+//     the m set bits of previous (that enumeration, OptimalBrute, is the
+//     oracle in this package's tests).
 //   - OneBit: Algorithm 1 — scan MSB→LSB deciding from the current bit only.
 //   - NBit: Algorithm 2 — like OneBit but consulting a precomputed minimax
 //     truth table over an n-bit lookahead window (Table II for n = 2).

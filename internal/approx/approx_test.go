@@ -8,6 +8,35 @@ import (
 	"github.com/flipbit-sim/flipbit/internal/xrand"
 )
 
+// OptimalBrute is the paper's baseline approximation algorithm (§III-A1):
+// it enumerates every bitwise subset of previous — 2^m candidates for m set
+// bits — and returns the one minimising |exact - approx|. It is the oracle
+// Optimal is validated against, and shows why the paper rejects this
+// approach (exponential cost); do not use it on 32-bit values with many
+// set bits.
+type OptimalBrute struct{}
+
+// Approximate implements Encoder. Ties between an under- and an
+// over-approximation of equal error resolve to the smaller value; Optimal
+// applies the same rule so the two encoders agree bit-for-bit.
+func (OptimalBrute) Approximate(previous, exact uint32, w bits.Width) uint32 {
+	previous &= w.Mask()
+	exact &= w.Mask()
+	best := uint32(0)
+	bestErr := bits.AbsDiff(exact, 0)
+	// Iterate subsets of previous in decreasing order, ending at 0.
+	for sub := previous; sub != 0; sub = (sub - 1) & previous {
+		err := bits.AbsDiff(exact, sub)
+		if err < bestErr || (err == bestErr && sub < best) {
+			best, bestErr = sub, err
+		}
+	}
+	return best
+}
+
+// Name implements Encoder.
+func (OptimalBrute) Name() string { return "optimal-brute" }
+
 // TestPaperFig4OneBitExample replays the worked example of Fig. 4:
 // previous = 0101, exact = 0011 yields approx = 0001 under Algorithm 1.
 func TestPaperFig4OneBitExample(t *testing.T) {

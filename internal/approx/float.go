@@ -48,9 +48,6 @@ func MustFloat32(m int, inner Encoder) *Float32 {
 	return e
 }
 
-// M returns the number of approximatable mantissa bits.
-func (e *Float32) M() int { return e.m }
-
 // Approximate implements Encoder over IEEE-754 bit patterns. Width must be
 // W32; other widths return exact (the controller will fall back).
 func (e *Float32) Approximate(previous, exact uint32, w bits.Width) uint32 {

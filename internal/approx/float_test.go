@@ -19,7 +19,7 @@ func TestNewFloat32Range(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.M() != 8 || e.Name() != "float32-m8/2-bit" {
+	if e.m != 8 || e.Name() != "float32-m8/2-bit" {
 		t.Errorf("unexpected encoder: %s", e.Name())
 	}
 }

@@ -29,9 +29,6 @@ func (t *ErrorTracker) AddBatch(count, sumAbs, sumSq uint64) {
 	t.count += count
 }
 
-// Reset clears the accumulator, as the hardware does between pages.
-func (t *ErrorTracker) Reset() { *t = ErrorTracker{} }
-
 // Count returns the number of values recorded.
 func (t *ErrorTracker) Count() int { return int(t.count) }
 

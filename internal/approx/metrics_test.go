@@ -27,12 +27,3 @@ func TestErrorTrackerEmpty(t *testing.T) {
 		t.Error("empty tracker should report zeros")
 	}
 }
-
-func TestErrorTrackerReset(t *testing.T) {
-	var tr ErrorTracker
-	tr.Add(1, 100)
-	tr.Reset()
-	if tr.MAE() != 0 || tr.Count() != 0 {
-		t.Error("Reset did not clear the tracker")
-	}
-}

@@ -2,38 +2,12 @@ package approx
 
 import "github.com/flipbit-sim/flipbit/internal/bits"
 
-// OptimalBrute is the paper's baseline approximation algorithm (§III-A1):
-// it enumerates every bitwise subset of previous — 2^m candidates for m set
-// bits — and returns the one minimising |exact - approx|. It exists to
-// validate Optimal and to demonstrate why the paper rejects this approach
-// (exponential cost); do not use it on 32-bit values with many set bits.
-type OptimalBrute struct{}
-
-// Approximate implements Encoder. Ties between an under- and an
-// over-approximation of equal error resolve to the smaller value; Optimal
-// applies the same rule so the two encoders agree bit-for-bit.
-func (OptimalBrute) Approximate(previous, exact uint32, w bits.Width) uint32 {
-	previous &= w.Mask()
-	exact &= w.Mask()
-	best := uint32(0)
-	bestErr := bits.AbsDiff(exact, 0)
-	// Iterate subsets of previous in decreasing order, ending at 0.
-	for sub := previous; sub != 0; sub = (sub - 1) & previous {
-		err := bits.AbsDiff(exact, sub)
-		if err < bestErr || (err == bestErr && sub < best) {
-			best, bestErr = sub, err
-		}
-	}
-	return best
-}
-
-// Name implements Encoder.
-func (OptimalBrute) Name() string { return "optimal-brute" }
-
-// Optimal computes the same minimum-error erase-free value as OptimalBrute
-// in O(width) time. It considers the best under-approximation (which is
-// exactly what Algorithm 1 produces) and the best over-approximation, and
-// keeps whichever is closer to exact (ties go to the smaller value).
+// Optimal computes the minimum-error erase-free value in O(width) time: the
+// same result as the paper's baseline, which enumerates every subset of
+// previous (OptimalBrute, the oracle in this package's tests). It considers
+// the best under-approximation (which is exactly what Algorithm 1 produces)
+// and the best over-approximation, and keeps whichever is closer to exact
+// (ties go to the smaller value).
 type Optimal struct{}
 
 // Approximate implements Encoder.

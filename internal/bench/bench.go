@@ -46,11 +46,24 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
+
+	// HostColumns names the columns, and HostNotes indexes the notes, that
+	// measure the host (wall-clock time, allocations, GOMAXPROCS) rather
+	// than the simulated device. Everything else in a table is
+	// deterministic, which is what the experiments golden pins.
+	HostColumns []string
+	HostNotes   []int
 }
 
 // AddRow appends a formatted row.
 func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
+}
+
+// AddHostNote appends a note that carries a host measurement.
+func (t *Table) AddHostNote(note string) {
+	t.HostNotes = append(t.HostNotes, len(t.Notes))
+	t.Notes = append(t.Notes, note)
 }
 
 // Render writes the table as aligned text.

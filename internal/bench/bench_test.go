@@ -2,6 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -26,12 +29,20 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/experiments.golden")
+
 // TestAllExperimentsRunQuick: every registered experiment completes and
 // renders in quick mode. This is the integration test of the whole stack.
+// The renders, host cells masked, must match testdata/experiments.golden,
+// so every deterministic figure the paper tables print is pinned. After a
+// reviewed change of those figures, regenerate it with
+//
+//	go test ./internal/bench -run TestAllExperimentsRunQuick -update
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment; skipped in -short")
 	}
+	var got bytes.Buffer
 	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -47,8 +58,59 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			if !strings.Contains(buf.String(), strings.ToUpper(e.ID)) {
 				t.Error("render missing experiment ID")
 			}
+			maskHost(tab).Render(&got)
 		})
 	}
+	if t.Failed() {
+		return
+	}
+
+	const golden = "testdata/experiments.golden"
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("quick renders drifted from %s at line %d (run with -update after reviewing):\ngot:  %s\nwant: %s",
+					golden, i+1, g, w)
+			}
+		}
+	}
+}
+
+// maskHost returns a copy of tab with every host cell and host note
+// replaced by "(host)", leaving only figures of the simulated device.
+func maskHost(tab *Table) *Table {
+	m := *tab
+	m.Rows = make([][]string, len(tab.Rows))
+	for i, row := range tab.Rows {
+		m.Rows[i] = slices.Clone(row)
+		for j := range row {
+			if j < len(tab.Columns) && slices.Contains(tab.HostColumns, tab.Columns[j]) {
+				m.Rows[i][j] = "(host)"
+			}
+		}
+	}
+	m.Notes = slices.Clone(tab.Notes)
+	for _, i := range tab.HostNotes {
+		m.Notes[i] = "(host)"
+	}
+	return &m
 }
 
 // parsePct turns "12.3%" into 0.123.

@@ -204,14 +204,16 @@ func ExpEncodeKernel(cfg Config) (*Table, error) {
 		ID:      "encodekernel",
 		Title:   "batch encode kernels vs scalar per-value encoding, end to end",
 		Columns: []string{"write path", "ops", "scalar ns/op", "kernel ns/op", "speedup"},
+
+		HostColumns: []string{"scalar ns/op", "kernel ns/op", "speedup"},
 	}
 	t.AddRow("SLC (n-bit)", fmt.Sprintf("%d", rep.E2EOps),
 		f1(rep.E2EScalarNsPerOp), f1(rep.E2EKernelNsPerOp), fmt.Sprintf("%.2fx", rep.E2ESpeedup))
 	t.AddRow("MLC (n-cell)", fmt.Sprintf("%d", rep.E2EMLCOps),
 		f1(rep.E2EMLCScalarNsPerOp), f1(rep.E2EMLCKernelNsPerOp), fmt.Sprintf("%.2fx", rep.E2EMLCSpeedup))
+	t.AddHostNote(fmt.Sprintf("stats match: %v (%d encoder/width spans and both write paths); host: GOMAXPROCS %d",
+		rep.StatsMatch, len(encodeKernelConfigs()), rep.GoMaxProc))
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("stats match: %v (%d encoder/width spans and both write paths); host: GOMAXPROCS %d",
-			rep.StatsMatch, len(encodeKernelConfigs()), rep.GoMaxProc),
 		"kernel path: one EncodeSlice per page span with in-kernel stats; scalar path: LoadLE + Approximate + StoreLE per value",
 		"per-encoder kernel timings: go test ./internal/approx -bench 'EncodeSlice|EncodeScalar'")
 	return t, nil

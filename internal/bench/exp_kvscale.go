@@ -262,6 +262,8 @@ func ExpKVScale(cfg Config) (*Table, error) {
 		ID:      "kvscale",
 		Title:   "store at scale: GC under load, space amplification, O(tail) mount",
 		Columns: []string{"keys", "data pages", "ops", "ops/sec", "compactions", "checkpoints", "space amp", "scan mount", "ckpt mount", "speedup", "tail pages"},
+
+		HostColumns: []string{"ops/sec"},
 	}
 	for _, r := range rep.Rows {
 		t.AddRow(
@@ -282,7 +284,7 @@ func ExpKVScale(cfg Config) (*Table, error) {
 		"mount columns are simulated device busy time (deterministic); speedup is scan/checkpointed — the O(device) vs O(tail) gap",
 		"space amp is physical bytes consumed over live record bytes; the 0.45 garbage-ratio ceiling bounds it under 2.0")
 	for _, r := range rep.Rows {
-		t.Notes = append(t.Notes, fmt.Sprintf("%d keys: host mount time, best of 2: scan %.1fms, checkpointed %.1fms",
+		t.AddHostNote(fmt.Sprintf("%d keys: host mount time, best of 2: scan %.1fms, checkpointed %.1fms",
 			r.Keys, r.ScanMountHostMs, r.CkptMountHostMs))
 	}
 	return t, nil

@@ -263,6 +263,8 @@ func ExpWritePath(cfg Config) (*Table, error) {
 		ID:      "writepath",
 		Title:   "bank-sharded commit throughput: serial vs concurrent workers",
 		Columns: []string{"workers", "ops", "host ns/op", "allocs/op", "host speedup", "device ms", "device ops/sec", "speedup"},
+
+		HostColumns: []string{"host ns/op", "allocs/op", "host speedup"},
 	}
 	for _, r := range rep.Rows {
 		t.AddRow(fmt.Sprintf("%d", r.Workers), fmt.Sprintf("%d", r.Ops),
@@ -270,9 +272,9 @@ func ExpWritePath(cfg Config) (*Table, error) {
 			f1(r.DeviceMillis), f1(r.DeviceOpsPerSec),
 			fmt.Sprintf("%.2fx", r.Speedup))
 	}
+	t.AddHostNote(fmt.Sprintf("device: %d banks × %d pages of %dB, threshold %g; host: GOMAXPROCS %d of %d CPUs",
+		rep.Banks, rep.NumPages/rep.Banks, rep.PageSize, rep.Threshold, rep.GoMaxProc, rep.NumCPU))
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("device: %d banks × %d pages of %dB, threshold %g; host: GOMAXPROCS %d of %d CPUs",
-			rep.Banks, rep.NumPages/rep.Banks, rep.PageSize, rep.Threshold, rep.GoMaxProc, rep.NumCPU),
 		"speedup is in simulated device time (banks overlap datasheet busy time); host wall-clock scaling additionally depends on CPU count",
 		"8 workers saturate: two workers share each bank's serial execution unit")
 	return t, nil

@@ -9,7 +9,6 @@ package bits
 import (
 	"encoding/binary"
 	"fmt"
-	mathbits "math/bits"
 )
 
 // Width is the logical width of a value stored in flash.
@@ -39,9 +38,6 @@ func (w Width) Mask() uint32 {
 	return (uint32(1) << uint(w)) - 1
 }
 
-// Max returns the maximum value representable in w bits.
-func (w Width) Max() uint32 { return w.Mask() }
-
 func (w Width) String() string {
 	if w.Valid() {
 		return fmt.Sprintf("u%d", int(w))
@@ -63,9 +59,6 @@ func SetBit(v uint32, i int, b uint32) uint32 {
 // IsSubset reports whether every set bit of v is also set in of.
 // In flash terms: v can be reached from of using only 1→0 programs.
 func IsSubset(v, of uint32) bool { return v&^of == 0 }
-
-// OnesCount returns the number of set bits in v.
-func OnesCount(v uint32) int { return mathbits.OnesCount32(v) }
 
 // AbsDiff returns |a-b| treating a and b as unsigned magnitudes.
 func AbsDiff(a, b uint32) uint32 {

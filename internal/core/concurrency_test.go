@@ -169,7 +169,7 @@ func TestConcurrentCommitsOverlappingBanks(t *testing.T) {
 	// Per-bank shards sum to the merged totals.
 	var sum Stats
 	for b := 0; b < d.Flash().Banks(); b++ {
-		sum.add(d.BankStats(b))
+		sum.add(d.shards[b])
 	}
 	if sum != st {
 		t.Errorf("shard sum %+v != merged %+v", sum, st)

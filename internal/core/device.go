@@ -275,13 +275,6 @@ func (d *Device) Stats() Stats {
 	return s
 }
 
-// BankStats returns the controller stats shard for one flash bank.
-func (d *Device) BankStats(b int) Stats {
-	d.commitMu[b].Lock()
-	defer d.commitMu[b].Unlock()
-	return d.shards[b]
-}
-
 // ResetStats clears both controller and flash statistics. This is the
 // deep reset: the controller's per-bank decision shards and every flash
 // bank's operation ledger go to zero together, so before/after deltas line
@@ -296,9 +289,6 @@ func (d *Device) ResetStats() {
 	}
 	d.fl.ResetStats()
 }
-
-// Encoder returns the configured approximation encoder.
-func (d *Device) Encoder() approx.Encoder { return d.enc }
 
 // SetEncoder swaps the approximation encoder at run time (the synthesized
 // hardware is run-time configurable for n = 1..8, §III-B).
@@ -382,11 +372,6 @@ func (d *Device) Width() bits.Width {
 // ThresholdUnlimited, which disables the error gate.
 func (d *Device) SetThreshold(t float64) {
 	d.regs[RegThreshold] = ThresholdToFixed(t)
-}
-
-// Threshold returns the configured error threshold in value units.
-func (d *Device) Threshold() float64 {
-	return FixedToThreshold(d.regs[RegThreshold])
 }
 
 // Approximatable reports whether the given page lies entirely in the

@@ -228,7 +228,7 @@ func TestRegisterInterface(t *testing.T) {
 		t.Errorf("invalid width accepted: %v", err)
 	}
 	d.SetThreshold(2.5)
-	if got := d.Threshold(); got != 2.5 {
+	if got := FixedToThreshold(d.ReadReg(RegThreshold)); got != 2.5 {
 		t.Errorf("threshold round trip = %v", got)
 	}
 	if got := d.ReadReg(RegThreshold); got != ThresholdToFixed(2.5) {
@@ -398,11 +398,11 @@ func TestWriteEmpty(t *testing.T) {
 
 func TestCustomEncoder(t *testing.T) {
 	d := MustNewDevice(testSpec(), WithEncoder(approx.OneBit{}))
-	if d.Encoder().Name() != "1-bit" {
+	if d.enc.Name() != "1-bit" {
 		t.Error("WithEncoder ignored")
 	}
 	d.SetEncoder(approx.MustNBit(4))
-	if d.Encoder().Name() != "4-bit" {
+	if d.enc.Name() != "4-bit" {
 		t.Error("SetEncoder ignored")
 	}
 }

@@ -71,6 +71,17 @@ func TestHealthGateRoutesApproxOntoDegraded(t *testing.T) {
 	}
 }
 
+// stuckBits returns how many cells of page p have drifted to 0 since the
+// last erase.
+func stuckBits(t *testing.T, fl *flash.Device, p int) int {
+	t.Helper()
+	n, err := fl.StuckMaskInto(p, make([]byte, fl.Spec().PageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // TestScrubRefreshesExactDrift: read-disturb drift on an exact page must be
 // healed back to the intended image by the scrubber.
 func TestScrubRefreshesExactDrift(t *testing.T) {
@@ -89,7 +100,7 @@ func TestScrubRefreshesExactDrift(t *testing.T) {
 	// Disturb the page until some legitimate 1 actually flips (the fault
 	// picks random cells, which may already be 0).
 	buf := make([]byte, ps)
-	for fl.StuckBits(p) == 0 {
+	for stuckBits(t, fl, p) == 0 {
 		fl.ArmFault(flash.Fault{Kind: flash.FaultReadDisturb, Bits: 8})
 		if err := fl.ReadPage(p, buf); err != nil {
 			t.Fatal(err)
@@ -129,7 +140,7 @@ func TestScrubAbsorbsApproxDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, s.PageSize)
-	for fl.StuckBits(p) == 0 {
+	for stuckBits(t, fl, p) == 0 {
 		fl.ArmFault(flash.Fault{Kind: flash.FaultReadDisturb, Bits: 4})
 		if err := fl.ReadPage(p, buf); err != nil {
 			t.Fatal(err)
@@ -146,7 +157,7 @@ func TestScrubAbsorbsApproxDrift(t *testing.T) {
 	if st := sc.Stats(); st.Absorbed != 1 {
 		t.Errorf("stats: %+v", st)
 	}
-	if fl.StuckBits(p) == 0 {
+	if stuckBits(t, fl, p) == 0 {
 		t.Error("drift mask was cleared by absorption")
 	}
 }

@@ -36,15 +36,6 @@ type Set struct {
 	TestY  []int
 }
 
-// InputLen returns the flattened input length.
-func (s *Set) InputLen() int {
-	n := 1
-	for _, d := range s.InputShape {
-		n *= d
-	}
-	return n
-}
-
 // MNISTLike generates a 10-class 28×28 grayscale set. Each class is a
 // prototype of random soft strokes; training samples add shifts, amplitude
 // jitter and sensor noise. The test stream models a camera watching one

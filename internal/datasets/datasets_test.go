@@ -15,8 +15,12 @@ func TestShapes(t *testing.T) {
 		{ECGLike(20, 20, 3), 187},
 	}
 	for _, c := range cases {
-		if c.set.InputLen() != c.want {
-			t.Errorf("%s: input len %d, want %d", c.set.Name, c.set.InputLen(), c.want)
+		n := 1
+		for _, d := range c.set.InputShape {
+			n *= d
+		}
+		if n != c.want {
+			t.Errorf("%s: input shape %v holds %d values, want %d", c.set.Name, c.set.InputShape, n, c.want)
 		}
 		if len(c.set.TrainX) != 20 || len(c.set.TestX) != 20 {
 			t.Errorf("%s: wrong split sizes", c.set.Name)

@@ -67,11 +67,6 @@ func (p Power) String() string {
 	}
 }
 
-// Over returns the energy dissipated by p over duration d.
-func (p Power) Over(d time.Duration) Energy {
-	return Energy(float64(p) * d.Seconds())
-}
-
 // PowerOver returns the average power of spending e over duration d.
 func PowerOver(e Energy, d time.Duration) Power {
 	if d <= 0 {
@@ -92,11 +87,6 @@ type CPUModel struct {
 // paper: 2.275 mW running at 48 MHz in 180 nm technology (§II, [5]).
 func CortexM0Plus() CPUModel {
 	return CPUModel{Name: "ARM Cortex-M0+", Power: 2.275 * Milliwatt, Clock: 48e6}
-}
-
-// CyclePeriod returns the duration of one clock cycle.
-func (m CPUModel) CyclePeriod() time.Duration {
-	return time.Duration(float64(time.Second) / m.Clock)
 }
 
 // EnergyPerCycle returns the energy of one active clock cycle.

@@ -35,10 +35,10 @@ func TestPowerString(t *testing.T) {
 }
 
 func TestPowerOver(t *testing.T) {
-	// 1 mW over 1 ms = 1 µJ.
-	got := (1 * Milliwatt).Over(time.Millisecond)
-	if math.Abs(float64(got-Microjoule)) > 1e-18 {
-		t.Errorf("1mW over 1ms = %v, want 1 µJ", got)
+	// 1 µJ over 1 ms = 1 mW.
+	got := PowerOver(Microjoule, time.Millisecond)
+	if math.Abs(float64(got-Milliwatt)) > 1e-15 {
+		t.Errorf("1µJ over 1ms = %v, want 1 mW", got)
 	}
 }
 
@@ -46,7 +46,7 @@ func TestPowerOverInverse(t *testing.T) {
 	e := 42 * Microjoule
 	d := 7 * time.Millisecond
 	p := PowerOver(e, d)
-	if back := p.Over(d); math.Abs(float64(back-e)) > 1e-15 {
+	if back := Energy(float64(p) * d.Seconds()); math.Abs(float64(back-e)) > 1e-15 {
 		t.Errorf("round trip %v != %v", back, e)
 	}
 	if PowerOver(e, 0) != 0 {
@@ -59,8 +59,9 @@ func TestCortexM0Plus(t *testing.T) {
 	if m.Power != 2.275*Milliwatt || m.Clock != 48e6 {
 		t.Fatalf("unexpected M0+ model: %+v", m)
 	}
-	// Paper §II: during a 10.2 ms page erase the MCU consumes 23.2 µJ.
-	e := m.Power.Over(10200 * time.Microsecond)
+	// Paper §II: during a 10.2 ms page erase the MCU consumes 23.2 µJ
+	// (489,600 cycles at 48 MHz).
+	e := m.EnergyFor(489600)
 	if math.Abs(float64(e-23.205*Microjoule)) > float64(0.1*Microjoule) {
 		t.Errorf("M0+ energy over erase = %v, paper says 23.2 µJ", e)
 	}
@@ -75,13 +76,5 @@ func TestEnergyPerCycle(t *testing.T) {
 	}
 	if m.EnergyFor(1000) != perCycle*1000 {
 		t.Error("EnergyFor(1000) != 1000 × per-cycle")
-	}
-}
-
-func TestCyclePeriod(t *testing.T) {
-	m := CortexM0Plus()
-	want := float64(time.Second) / 48e6
-	if math.Abs(float64(m.CyclePeriod())-want) > 1 {
-		t.Errorf("CyclePeriod = %v", m.CyclePeriod())
 	}
 }

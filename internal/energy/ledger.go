@@ -53,10 +53,3 @@ func (l *Ledger) ByOp() map[string]Energy {
 	}
 	return out
 }
-
-// Reset clears the ledger.
-func (l *Ledger) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.total, l.busy, l.byOp = 0, 0, nil
-}

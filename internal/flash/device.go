@@ -246,7 +246,7 @@ func (d *Device) BankStats(b int) Stats {
 
 // ResetStats clears the operation ledger of every bank. Wear counters and
 // worn-out flags are preserved: they are physical state, not accounting.
-// Attached observers are unaffected (a Trace keeps its entries).
+// Attached observers are unaffected (a Ledger keeps its totals).
 func (d *Device) ResetStats() {
 	for b := range d.banks {
 		bk := &d.banks[b]

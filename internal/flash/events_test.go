@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -20,8 +21,18 @@ type bankEventLog struct {
 }
 
 type bankEventShard struct {
-	bank   int
-	events []OpEvent
+	bank    int
+	events  []OpEvent
+	changes []arrayChange
+}
+
+// arrayChange is one change an event made to the array: a program expands
+// into one change per byte whose value it changed (Data[i] != Prev[i]), an
+// erase is one change. Pulses that leave a byte as it was are not changes.
+type arrayChange struct {
+	erase bool
+	addr  int // byte address of a program, page number of an erase
+	value byte
 }
 
 func (l *bankEventLog) OnOp(ev OpEvent) {
@@ -39,10 +50,39 @@ func (l *bankEventLog) ObserverShards(banks int) []Observer {
 }
 
 func (s *bankEventShard) OnOp(ev OpEvent) {
+	switch ev.Kind {
+	case OpProgram:
+		for i, v := range ev.Data {
+			if ev.Prev[i] != v {
+				s.changes = append(s.changes, arrayChange{addr: ev.Addr + i, value: v})
+			}
+		}
+	case OpErase:
+		s.changes = append(s.changes, arrayChange{erase: true, addr: ev.Addr})
+	}
 	// Data/Prev alias device buffers and are only valid during OnOp:
 	// drop them so the retained copy cannot be mutated under us.
 	ev.Data, ev.Prev = nil, nil
 	s.events = append(s.events, ev)
+}
+
+// sameChanges fails t unless both logs hold the same changes, bank by bank.
+func sameChanges(t *testing.T, what string, a, b *bankEventLog) {
+	t.Helper()
+	if len(a.shards) != len(b.shards) {
+		t.Fatalf("%s: %d banks vs %d", what, len(a.shards), len(b.shards))
+	}
+	for bank := range a.shards {
+		ac, bc := a.shards[bank].changes, b.shards[bank].changes
+		if len(ac) != len(bc) {
+			t.Fatalf("%s: bank %d recorded %d changes vs %d", what, bank, len(ac), len(bc))
+		}
+		for i := range ac {
+			if ac[i] != bc[i] {
+				t.Fatalf("%s: bank %d change %d: %+v vs %+v", what, bank, i, ac[i], bc[i])
+			}
+		}
+	}
 }
 
 // eventWorkload drives a deterministic mix of page programs, byte programs
@@ -117,7 +157,7 @@ func TestPerBankEventStreamsTotallyOrdered(t *testing.T) {
 // TestProgramPageMatchesByteLoop is the one-program-path differential:
 // ProgramPage on one device and a ProgramByte loop over the same buffer on
 // its twin must agree on the array, the drift and rise masks, the error of
-// every call, the faults fired, the trace and the stats. Both devices run
+// every call, the faults fired, each bank's array changes and the stats. Both devices run
 // one seeded power-loss and transient-program schedule, with gaps up to two
 // pages of pulses so victims land mid-page, with and without SetProgramAll.
 //
@@ -149,13 +189,13 @@ func programPageDifferential(t *testing.T, spec Spec, programAll bool) {
 	ps := spec.PageSize
 	mix := FaultMix{PowerLoss: 1, TransientProgram: 1, MaxGap: 2 * ps, MaxRetries: 3}
 	var devs [2]*Device
-	var traces [2]*Trace
+	var logs [2]*bankEventLog
 	for i := range devs {
 		d := MustNewDevice(spec)
 		d.SetProgramAll(programAll)
 		d.SetFaultSchedule(0x5A, mix)
-		traces[i] = NewTrace(0)
-		d.Attach(traces[i])
+		logs[i] = &bankEventLog{}
+		d.Attach(logs[i])
 		devs[i] = d
 	}
 	page, loop := devs[0], devs[1]
@@ -285,15 +325,7 @@ func programPageDifferential(t *testing.T, spec Spec, programAll bool) {
 			}
 		}
 	}
-	pt, lt := traces[0].Entries(), traces[1].Entries()
-	if len(pt) != len(lt) {
-		t.Fatalf("trace length: page path %d, byte loop %d", len(pt), len(lt))
-	}
-	for i := range pt {
-		if pt[i] != lt[i] {
-			t.Fatalf("trace entry %d: page path %+v, byte loop %+v", i, pt[i], lt[i])
-		}
-	}
+	sameChanges(t, "page path vs byte loop", logs[0], logs[1])
 }
 
 // lowField returns the bit mask of the lowest cell field of v that is below
@@ -310,19 +342,19 @@ func lowField(m CellMode, v byte) byte {
 	return 0
 }
 
-// TestCrossBankTraceMergeDeterministic: the sharded trace's merge order
-// depends only on each bank's operation sequence, so serial and concurrent
-// runs of the same per-bank workloads read back identical traces and
-// identical merged stats.
+// TestCrossBankTraceMergeDeterministic: each bank's event stream depends
+// only on that bank's operation sequence, so serial and concurrent runs of
+// the same per-bank workloads record identical per-bank event streams and
+// array changes, and merge to identical stats.
 func TestCrossBankTraceMergeDeterministic(t *testing.T) {
 	const rounds = 200
-	run := func(concurrent bool) (Stats, []TraceEntry) {
+	run := func(concurrent bool) (Stats, *bankEventLog) {
 		d, err := NewDevice(DefaultSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := NewTrace(0)
-		d.Attach(tr)
+		log := &bankEventLog{}
+		d.Attach(log)
 		if concurrent {
 			var wg sync.WaitGroup
 			for b := 0; b < d.Banks(); b++ {
@@ -338,22 +370,21 @@ func TestCrossBankTraceMergeDeterministic(t *testing.T) {
 				eventWorkload(d, b, rounds, 0xC0+uint64(b))
 			}
 		}
-		return d.Stats(), tr.Entries()
+		return d.Stats(), log
 	}
-	serialStats, serialTrace := run(false)
+	serialStats, serialLog := run(false)
 	for trial := 0; trial < 3; trial++ {
-		concStats, concTrace := run(true)
+		concStats, concLog := run(true)
 		if serialStats != concStats {
 			t.Errorf("trial %d: stats differ\nserial     %+v\nconcurrent %+v", trial, serialStats, concStats)
 		}
-		if len(serialTrace) != len(concTrace) {
-			t.Fatalf("trial %d: trace length differs: serial %d, concurrent %d", trial, len(serialTrace), len(concTrace))
-		}
-		for i := range serialTrace {
-			if serialTrace[i] != concTrace[i] {
-				t.Fatalf("trial %d: trace entry %d differs: serial %+v, concurrent %+v",
-					trial, i, serialTrace[i], concTrace[i])
+		for bank, s := range serialLog.shards {
+			c := concLog.shards[bank]
+			if !reflect.DeepEqual(s.events, c.events) {
+				t.Fatalf("trial %d: bank %d event streams differ: serial %d events, concurrent %d",
+					trial, bank, len(s.events), len(c.events))
 			}
 		}
+		sameChanges(t, fmt.Sprintf("trial %d, serial vs concurrent", trial), serialLog, concLog)
 	}
 }

@@ -53,18 +53,6 @@ func (d *Device) clearDrift(p int) {
 	}
 }
 
-// StuckBits returns how many cells of page p have drifted to 0 since the
-// last erase (fault flips of legitimate 1s, per the drift-mask contract).
-func (d *Device) StuckBits(p int) int {
-	if d.checkPage(p) != nil {
-		return 0
-	}
-	bk := &d.banks[d.BankOf(p)]
-	bk.mu.Lock()
-	defer bk.mu.Unlock()
-	return popcount(d.drift[p])
-}
-
 // StuckMaskInto copies page p's drift mask into dst (one page long) and
 // returns the number of stuck cells. A page with no recorded drift zeroes
 // dst. The mask is ground truth from the fault model: data | mask is the

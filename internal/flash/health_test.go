@@ -21,7 +21,7 @@ func TestDriftMaskGroundTruth(t *testing.T) {
 	const p = 0
 	ps := d.Spec().PageSize
 
-	if n := d.StuckBits(p); n != 0 {
+	if n := popcount(d.drift[p]); n != 0 {
 		t.Fatalf("fresh page reports %d stuck bits", n)
 	}
 
@@ -71,7 +71,7 @@ func TestDriftMaskGroundTruth(t *testing.T) {
 	if err := d.ErasePage(p); err != nil {
 		t.Fatal(err)
 	}
-	if n := d.StuckBits(p); n != 0 {
+	if n := popcount(d.drift[p]); n != 0 {
 		t.Errorf("drift survived erase: %d bits", n)
 	}
 }

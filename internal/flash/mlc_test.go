@@ -98,14 +98,12 @@ func TestCellModeString(t *testing.T) {
 
 func TestCellModeGeometry(t *testing.T) {
 	cases := []struct {
-		mode   CellMode
-		bits   int
-		levels int
-	}{{SLC, 1, 2}, {MLC, 2, 4}, {TLC, 3, 8}}
+		mode CellMode
+		bits int
+	}{{SLC, 1}, {MLC, 2}, {TLC, 3}}
 	for _, c := range cases {
-		if c.mode.Bits() != c.bits || c.mode.Levels() != c.levels {
-			t.Errorf("%v: Bits=%d Levels=%d, want %d/%d",
-				c.mode, c.mode.Bits(), c.mode.Levels(), c.bits, c.levels)
+		if c.mode.Bits() != c.bits {
+			t.Errorf("%v: Bits=%d, want %d", c.mode, c.mode.Bits(), c.bits)
 		}
 		if !c.mode.Valid() {
 			t.Errorf("%v reported invalid", c.mode)

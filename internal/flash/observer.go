@@ -53,9 +53,9 @@ func (k OpKind) String() string {
 }
 
 // OpEvent describes one completed flash operation. It is the single source
-// of truth for all instrumentation: the device's own per-bank statistics,
-// the operation trace, and the energy ledger are all derived from the same
-// event stream instead of duplicating accounting at every operation site.
+// of truth for all instrumentation: the device's own per-bank statistics
+// and the energy ledger are both derived from the same event stream instead
+// of duplicating accounting at every operation site.
 type OpEvent struct {
 	Kind OpKind
 	Bank int // bank the operation executed in
@@ -102,7 +102,7 @@ type OpEvent struct {
 // bank are delivered in order, under that bank's lock; events for different
 // banks may be delivered concurrently, so an Observer attached to a device
 // that is used from multiple goroutines must itself be safe for concurrent
-// use (Trace and energy.Ledger both are).
+// use (energy.Ledger is).
 type Observer interface {
 	OnOp(OpEvent)
 }
@@ -110,9 +110,9 @@ type Observer interface {
 // ShardObserver is an Observer that can supply one delivery target per
 // bank. When attached to a device, shard b receives exactly the events of
 // bank b (in bank order, under the bank's lock), so a sharded observer
-// never serializes deliveries from concurrent banks on one lock. Trace
-// implements it; plain observers are delivered to from every bank and must
-// synchronise themselves.
+// never serializes deliveries from concurrent banks on one lock, and a
+// shard that only its bank writes needs no lock of its own. Plain observers
+// are delivered to from every bank and must synchronise themselves.
 type ShardObserver interface {
 	Observer
 	ObserverShards(banks int) []Observer

@@ -55,9 +55,6 @@ func (m CellMode) Valid() bool { return m >= SLC && m <= TLC }
 // Bits returns the number of bits one cell stores under this mode.
 func (m CellMode) Bits() int { return int(m) + 1 }
 
-// Levels returns the number of logical levels one cell can hold (2^Bits).
-func (m CellMode) Levels() int { return 1 << uint(m.Bits()) }
-
 // Reachable reports whether a byte holding `from` can be programmed to
 // `to` without an erase under this cell mode: every cell-level field of
 // the byte may only decrease. Fields are Bits() wide starting at bit 0,

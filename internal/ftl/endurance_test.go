@@ -153,6 +153,17 @@ func TestWriteRetriesOntoSpare(t *testing.T) {
 	}
 }
 
+// stuckBits returns how many cells of page p have drifted to 0 since the
+// last erase.
+func stuckBits(t *testing.T, fl *flash.Device, p int) int {
+	t.Helper()
+	n, err := fl.StuckMaskInto(p, make([]byte, fl.Spec().PageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // TestRefreshCrashSweep: inject a power loss at every state-changing
 // operation inside a scrub refresh and verify the page always recovers to
 // either its drifted pre-refresh content or the fully restored image —
@@ -173,7 +184,7 @@ func TestRefreshCrashSweep(t *testing.T) {
 		const lp = 2
 		pp := f.l2p[lp]
 		buf := make([]byte, f.PageSize())
-		for fl.StuckBits(pp) == 0 {
+		for stuckBits(t, fl, pp) == 0 {
 			fl.ArmFault(flash.Fault{Kind: flash.FaultReadDisturb, Bits: 8})
 			if err := fl.ReadPage(pp, buf); err != nil {
 				t.Fatal(err)

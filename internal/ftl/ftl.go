@@ -200,10 +200,6 @@ func (f *FTL) ErasePage(lp int) error {
 	return err
 }
 
-// MapOverheadBytes returns the RAM the translation table consumes — the
-// overhead §II-B calls prohibitive on small IoT devices.
-func (f *FTL) MapOverheadBytes() int { return 8 * len(f.l2p) }
-
 // Translate returns the physical address for a logical address.
 func (f *FTL) Translate(laddr int) (int, error) {
 	ps := f.dev.Flash().Spec().PageSize
@@ -421,18 +417,4 @@ func (f *FTL) WearInto(dst []uint32) {
 	for lp, pp := range f.l2p[:n] {
 		dst[lp] = f.wearPhys[pp]
 	}
-}
-
-// WearSpread returns (max wear, mean wear) across physical pages — the
-// leveling quality metric; device lifetime ends at max wear.
-func (f *FTL) WearSpread() (max uint32, mean float64) {
-	snap := f.dev.Flash().WearSnapshot()
-	var sum uint64
-	for _, w := range snap {
-		if w > max {
-			max = w
-		}
-		sum += uint64(w)
-	}
-	return max, float64(sum) / float64(len(snap))
 }

@@ -242,9 +242,6 @@ func (c *Circuit) add(n node) Signal {
 	return s
 }
 
-// NumInputs returns the number of primary inputs.
-func (c *Circuit) NumInputs() int { return len(c.inputs) }
-
 // Eval evaluates the circuit for one input vector (in declaration order)
 // and returns the outputs (in declaration order). DFFs are transparent.
 func (c *Circuit) Eval(in []bool) []bool {
@@ -296,15 +293,6 @@ func (c *Circuit) Counts() map[Op]int {
 		counts[n.op]++
 	}
 	return counts
-}
-
-// NumGates returns the total live gate count (excluding inputs/constants).
-func (c *Circuit) NumGates() int {
-	total := 0
-	for _, v := range c.Counts() {
-		total += v
-	}
-	return total
 }
 
 // Depth returns the longest combinational path length in gates, a proxy for

@@ -196,16 +196,6 @@ func coverMinterms(primes []Implicant, minterms []uint32) []Implicant {
 	return out
 }
 
-// EvalCover evaluates a sum-of-products cover on assignment v.
-func EvalCover(cover []Implicant, v uint32) bool {
-	for _, im := range cover {
-		if im.Covers(v) {
-			return true
-		}
-	}
-	return false
-}
-
 // SynthesizeSOP instantiates the cover as AND-OR logic over the given input
 // signals (inputs[i] corresponds to variable i) and returns the output.
 func SynthesizeSOP(c *Circuit, cover []Implicant, inputs []Signal) Signal {

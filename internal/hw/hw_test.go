@@ -178,7 +178,7 @@ func TestUnitGateScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gatesN := u.Circuit.NumGates()
+	gatesN := numGates(u.Circuit)
 	if gatesN < 100 || gatesN > 20000 {
 		t.Errorf("configurable 32-bit unit = %d gates; expected hundreds to thousands", gatesN)
 	}

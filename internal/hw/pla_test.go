@@ -71,9 +71,9 @@ func TestPLAGateScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pla4.Circuit.NumGates() <= pla2.Circuit.NumGates() {
+	if numGates(pla4.Circuit) <= numGates(pla2.Circuit) {
 		t.Errorf("PLA gates should grow with n: n=2 %d, n=4 %d",
-			pla2.Circuit.NumGates(), pla4.Circuit.NumGates())
+			numGates(pla2.Circuit), numGates(pla4.Circuit))
 	}
-	t.Logf("PLA gates: n=2 %d, n=4 %d", pla2.Circuit.NumGates(), pla4.Circuit.NumGates())
+	t.Logf("PLA gates: n=2 %d, n=4 %d", numGates(pla2.Circuit), numGates(pla4.Circuit))
 }

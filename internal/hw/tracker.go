@@ -47,26 +47,3 @@ func NewTracker(width, accBits int) (*Tracker, error) {
 	c.Output("over", over)
 	return &Tracker{Circuit: c, Width: width, AccBits: accBits}, nil
 }
-
-// Step performs one accumulation: given the current accumulator value, an
-// (exact, approx) pair and the threshold, it returns the next accumulator
-// value and whether it reached the threshold.
-func (t *Tracker) Step(acc uint64, exact, approxVal uint32, threshold uint64) (uint64, bool) {
-	in := make([]bool, 2*t.Width+2*t.AccBits)
-	for i := 0; i < t.Width; i++ {
-		in[i] = exact&(1<<uint(i)) != 0
-		in[t.Width+i] = approxVal&(1<<uint(i)) != 0
-	}
-	for i := 0; i < t.AccBits; i++ {
-		in[2*t.Width+i] = acc&(1<<uint(i)) != 0
-		in[2*t.Width+t.AccBits+i] = threshold&(1<<uint(i)) != 0
-	}
-	out := t.Circuit.Eval(in)
-	var next uint64
-	for i := 0; i < t.AccBits; i++ {
-		if out[i] {
-			next |= 1 << uint(i)
-		}
-	}
-	return next, out[t.AccBits]
-}

@@ -78,35 +78,3 @@ func chain(c *gates.Circuit, e, p, cfg []gates.Signal, width, n int) {
 		c.Output(fmt.Sprintf("approx%d", i), outs[i])
 	}
 }
-
-// Approximate runs the circuit on concrete values. For configurable units,
-// n selects the window size (1..8); for fixed units n must match the build.
-// This is the hardware twin of approx.NBit.Approximate.
-func (u *Unit) Approximate(previous, exact uint32, n int) uint32 {
-	if !u.Configurable && n != u.n {
-		panic(fmt.Sprintf("hw: unit built for n=%d, asked for n=%d", u.n, n))
-	}
-	numIn := u.Width * 2
-	if u.Configurable {
-		numIn += 3
-	}
-	in := make([]bool, numIn)
-	for i := 0; i < u.Width; i++ {
-		in[i] = exact&(1<<uint(i)) != 0
-		in[u.Width+i] = previous&(1<<uint(i)) != 0
-	}
-	if u.Configurable {
-		cfg := uint32(n - 1)
-		for i := 0; i < 3; i++ {
-			in[2*u.Width+i] = cfg&(1<<uint(i)) != 0
-		}
-	}
-	out := u.Circuit.Eval(in)
-	var v uint32
-	for i := 0; i < u.Width; i++ {
-		if out[i] {
-			v |= 1 << uint(i)
-		}
-	}
-	return v
-}

@@ -2,11 +2,89 @@ package isc
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/flipbit-sim/flipbit/internal/flash"
 	"github.com/flipbit-sim/flipbit/internal/xrand"
 )
+
+// QueryHost evaluates Query's predicate with plain host reads of the
+// bitmap pages — the read-everything baseline and the oracle the in-flash
+// plans are tested against.
+func (ix *Index) QueryHost(p Pred, dst []byte) error {
+	if len(dst) != ix.lay.bytes {
+		return fmt.Errorf("%w: got %d, want %d", ErrBitmapSize, len(dst), ix.lay.bytes)
+	}
+	if err := ix.checkPred(p); err != nil {
+		return err
+	}
+	buf := ix.getBuf()
+	defer ix.putBuf(buf)
+	for c := 0; c < ix.lay.chunkPages; c++ {
+		n := ix.lay.chunkLen(c)
+		if err := ix.evalHost(p, c, buf[:n]); err != nil {
+			return err
+		}
+		copy(dst[c*ix.cfg.PageSize:], buf[:n])
+	}
+	maskTail(dst, ix.cfg.Slots)
+	return nil
+}
+
+// evalHost mirrors evalFlash with host reads; out is chunkLen(c) bytes.
+func (ix *Index) evalHost(p Pred, c int, out []byte) error {
+	switch n := p.(type) {
+	case predEq:
+		g, _ := ix.globalBucket(n.field, n.bucket)
+		if err := ix.dev.Read(ix.lay.page(g, c)*ix.cfg.PageSize, out); err != nil {
+			return err
+		}
+		for i := range out {
+			out[i] = ^out[i]
+		}
+		return nil
+	case predNot:
+		if err := ix.evalHost(n.kid, c, out); err != nil {
+			return err
+		}
+		for i := range out {
+			out[i] = ^out[i]
+		}
+		return nil
+	case predAnd, predOr:
+		var kids []Pred
+		identity := byte(0xFF)
+		and := true
+		if a, ok := n.(predAnd); ok {
+			kids = a.kids
+		} else {
+			kids = n.(predOr).kids
+			identity = 0
+			and = false
+		}
+		for i := range out {
+			out[i] = identity
+		}
+		buf := ix.getBuf()
+		defer ix.putBuf(buf)
+		part := buf[:len(out)]
+		for _, k := range kids {
+			if err := ix.evalHost(k, c, part); err != nil {
+				return err
+			}
+			for i := range out {
+				if and {
+					out[i] &= part[i]
+				} else {
+					out[i] |= part[i]
+				}
+			}
+		}
+		return nil
+	}
+	return fmt.Errorf("isc: unknown predicate node %T", p)
+}
 
 // testDevice returns a small device: 16-byte pages, 2 banks, and an index
 // geometry that forces multi-chunk bitmaps (300 slots → 38 bytes → 3

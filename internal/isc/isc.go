@@ -11,7 +11,7 @@
 //     with the reference inverted (¬stored).
 //
 //   - PlaneStore: a bit-planar array of W-bit samples (plane j holds bit j
-//     of every sample), searched by equality, range or proximity with one
+//     of every sample), searched by range or proximity with one
 //     sense per prefix term. Writes follow FlipBit semantics: an update may
 //     only clear stored bits, so SetApprox clamps to the nearest reachable
 //     value and searches widen by the observed error bound — approximate
@@ -51,7 +51,6 @@ var (
 	ErrUnknownField = errors.New("isc: predicate references an unknown field")
 	ErrBucketRange  = errors.New("isc: bucket out of range for field")
 	ErrSlotRange    = errors.New("isc: slot out of range")
-	ErrUnreachable  = errors.New("isc: value not reachable without an erase")
 	ErrErrorBudget  = errors.New("isc: nearest reachable value exceeds the error budget")
 	ErrBitmapSize   = errors.New("isc: bitmap buffer length must equal BitmapBytes")
 )

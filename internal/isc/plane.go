@@ -107,14 +107,6 @@ func (ps *PlaneStore) BitmapBytes() int { return ps.lay.bytes }
 // accepted — the widening margin proximity searches use.
 func (ps *PlaneStore) MaxObservedError() int { return ps.maxErr }
 
-// Value returns the stored value of a slot and whether it is assigned.
-func (ps *PlaneStore) Value(slot int) (int, bool) {
-	if slot < 0 || slot >= ps.cfg.Slots {
-		return 0, false
-	}
-	return ps.vals[slot], ps.assigned[slot/8]&(1<<(slot%8)) != 0
-}
-
 // Reset erases the plane region, unassigning every slot.
 func (ps *PlaneStore) Reset() error {
 	for p := 0; p < ps.Pages(); p++ {
@@ -124,19 +116,6 @@ func (ps *PlaneStore) Reset() error {
 	}
 	ps.resetShadow()
 	return nil
-}
-
-// Set stores v exactly. Programs can only clear bits, so v must be a
-// bitwise subset of the slot's current value; otherwise ErrUnreachable is
-// returned (callers wanting a lossy write use SetApprox).
-func (ps *PlaneStore) Set(slot, v int) error {
-	if err := ps.checkSlotVal(slot, v); err != nil {
-		return err
-	}
-	if v&^ps.vals[slot] != 0 {
-		return fmt.Errorf("%w: slot %d holds %#x, want %#x", ErrUnreachable, slot, ps.vals[slot], v)
-	}
-	return ps.program(slot, v)
 }
 
 // SetApprox stores the reachable value nearest to v. If even the best
@@ -243,12 +222,6 @@ func (ps *PlaneStore) checkSlotVal(slot, v int) error {
 		return fmt.Errorf("%w: value %#x exceeds %d bits", ErrConfig, v, ps.cfg.Width)
 	}
 	return nil
-}
-
-// MatchEqual writes the slots whose stored value equals v into dst
-// (1 = match, length BitmapBytes) — one sense per chunk across all planes.
-func (ps *PlaneStore) MatchEqual(v int, dst []byte) error {
-	return ps.MatchRange(v, v, dst)
 }
 
 // MatchRange writes the slots whose stored value lies in [lo, hi] into

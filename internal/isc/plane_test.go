@@ -91,9 +91,9 @@ func TestPlaneMatchesAgainstMirror(t *testing.T) {
 		slot := rng.Intn(cfg.Slots)
 		v := rng.Intn(full + 1)
 		if rng.Intn(2) == 0 {
-			// Exact write of a reachable value.
+			// Exact write of a reachable value: a zero error budget.
 			v &= stored[slot]
-			if err := ps.Set(slot, v); err != nil {
+			if _, err := ps.SetApprox(slot, v, 0); err != nil {
 				t.Fatal(err)
 			}
 			stored[slot], assigned[slot] = v, true
@@ -124,7 +124,7 @@ func TestPlaneMatchesAgainstMirror(t *testing.T) {
 			}
 		}
 		v := rng.Intn(full + 1)
-		if err := ps.MatchEqual(v, dst); err != nil {
+		if err := ps.MatchRange(v, v, dst); err != nil {
 			t.Fatal(err)
 		}
 		for slot := 0; slot < cfg.Slots; slot++ {
@@ -189,19 +189,17 @@ func TestMatchNearHasNoFalseNegatives(t *testing.T) {
 
 func mustVal(t *testing.T, ps *PlaneStore, slot int) int {
 	t.Helper()
-	v, ok := ps.Value(slot)
-	if !ok {
+	if ps.assigned[slot/8]&(1<<(slot%8)) == 0 {
 		t.Fatalf("slot %d unassigned", slot)
 	}
-	return v
+	return ps.vals[slot]
 }
 
 // TestSetApproxBudget: a write whose nearest reachable value misses by
-// more than the budget must fail without touching flash, and exact writes
-// of unreachable values must be refused.
+// more than the budget must fail without touching flash.
 func TestSetApproxBudget(t *testing.T) {
 	ps, dev := newTestPlanes(t)
-	if err := ps.Set(0, 0); err != nil { // clamp slot 0 to zero
+	if _, err := ps.SetApprox(0, 0, 0); err != nil { // clamp slot 0 to zero
 		t.Fatal(err)
 	}
 	before := dev.Stats()
@@ -211,7 +209,7 @@ func TestSetApproxBudget(t *testing.T) {
 	if d := dev.Stats().Sub(before); d.Programs != 0 {
 		t.Fatalf("failed approx write still programmed %d bytes", d.Programs)
 	}
-	if err := ps.Set(0, 1); !errors.Is(err, ErrUnreachable) {
+	if _, err := ps.SetApprox(0, 1, 0); !errors.Is(err, ErrErrorBudget) {
 		t.Fatalf("unreachable exact write: %v", err)
 	}
 	// Within budget: stored value lands within maxErr of the request and

@@ -311,7 +311,7 @@ func TestCheckpointAfterGC(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		put(fmt.Sprintf("key%02d", i%3), bytes.Repeat([]byte{byte(i)}, 30))
 	}
-	if s.Compactions() == 0 {
+	if s.Stats().Compactions == 0 {
 		t.Fatal("churn did not trigger compaction")
 	}
 

@@ -30,7 +30,7 @@ func TestProactiveCompactionFires(t *testing.T) {
 		}
 		want[k] = v
 	}
-	if s.Compactions() == 0 {
+	if s.Stats().Compactions == 0 {
 		t.Fatal("sustained overwrites never triggered compaction")
 	}
 	if amp := s.SpaceAmplification(); amp > 3.0 {

@@ -37,7 +37,7 @@ func TestPowerLossDuringGC(t *testing.T) {
 			for i = 0; ; i++ {
 				k := fmt.Sprintf("k%d", i%6)
 				val[0] = byte(i)
-				if s.Compactions() > 0 {
+				if s.Stats().Compactions > 0 {
 					break
 				}
 				if err := s.Put(k, val); err != nil {

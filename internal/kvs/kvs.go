@@ -757,9 +757,6 @@ func (s *Store) Keys() []string {
 // Len returns the number of live keys.
 func (s *Store) Len() int { return len(s.Keys()) }
 
-// Compactions returns how many GC passes have run.
-func (s *Store) Compactions() uint64 { return s.stats.Compactions }
-
 // DataPages returns the number of pages available to the log — the whole
 // backend, minus the checkpoint region when one is configured.
 func (s *Store) DataPages() int { return s.np }

@@ -146,7 +146,7 @@ func TestGCCompactsAndPreservesData(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	if s.Compactions() == 0 {
+	if s.Stats().Compactions == 0 {
 		t.Error("no compaction despite 300 overwrites in a 6-page store")
 	}
 	for i := 292; i < 300; i++ {
@@ -233,8 +233,8 @@ func TestTombstoneSurvivesGC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Compactions() < 2 {
-		t.Fatalf("churn produced only %d compactions", s.Compactions())
+	if s.Stats().Compactions < 2 {
+		t.Fatalf("churn produced only %d compactions", s.Stats().Compactions)
 	}
 	s2, err := Open(dev)
 	if err != nil {

@@ -85,7 +85,7 @@ func TestModelBasedOperations(t *testing.T) {
 		}
 	}
 	t.Logf("final: %d keys, %d compactions, %d erases",
-		store.Len(), store.Compactions(), dev.Flash().Stats().Erases)
+		store.Len(), store.Stats().Compactions, dev.Flash().Stats().Erases)
 }
 
 // TestModelCompactionCheckpoint is the production-shaped model test: the

@@ -190,7 +190,7 @@ func TestTotalsAfterPowerLossInCompaction(t *testing.T) {
 		put := func(s *Store) error {
 			return s.Put(fmt.Sprintf("k%02d", rng.Intn(90)), bytes.Repeat([]byte{rng.Byte()}, 20))
 		}
-		for i := 0; s.Compactions() < 3; i++ {
+		for i := 0; s.Stats().Compactions < 3; i++ {
 			if err := put(s); err != nil {
 				t.Fatal(err)
 			}
@@ -371,7 +371,7 @@ func TestBulkWearMatchesPerPage(t *testing.T) {
 	if sb.Stats() != sp.Stats() {
 		t.Fatalf("store stats differ:\nbulk     %+v\nper-page %+v", sb.Stats(), sp.Stats())
 	}
-	if sb.Compactions() == 0 {
+	if sb.Stats().Compactions == 0 {
 		t.Fatal("no compaction ran")
 	}
 	fb, fp := devBulk.Flash(), devPage.Flash()

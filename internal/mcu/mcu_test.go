@@ -248,8 +248,8 @@ func TestMMIOFlipBitRegisters(t *testing.T) {
 	if dev.Width() != 8 {
 		t.Errorf("width = %v", dev.Width())
 	}
-	if dev.Threshold() != 2.0 {
-		t.Errorf("threshold = %v", dev.Threshold())
+	if thr := core.FixedToThreshold(dev.ReadReg(core.RegThreshold)); thr != 2.0 {
+		t.Errorf("threshold = %v", thr)
 	}
 	if !dev.Approximatable(0) || !dev.Approximatable(1) || dev.Approximatable(2) {
 		t.Error("approx region pages wrong")

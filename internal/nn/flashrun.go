@@ -50,16 +50,6 @@ func NewFlashRunner(net *Network, dev *core.Device, calib [][]float32) (*FlashRu
 	return &FlashRunner{Net: net, Dev: dev, Quant: quant, offs: offs}, nil
 }
 
-// ActivationBytes returns the number of activation bytes written to flash
-// per inference.
-func (r *FlashRunner) ActivationBytes() int {
-	total := 0
-	for _, l := range r.Net.Layers {
-		total += l.OutLen()
-	}
-	return total
-}
-
 // Infer runs one flash-backed inference and returns the predicted class.
 func (r *FlashRunner) Infer(x []float32) (int, error) {
 	act := x

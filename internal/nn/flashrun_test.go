@@ -69,7 +69,7 @@ func TestFlashInferenceLosslessAtZeroThreshold(t *testing.T) {
 	}
 	// Quantization alone may cost a little; flash must not add more.
 	// Verify by predicting again with plain float inference.
-	floatAcc := net.Accuracy(set)
+	floatAcc := floatAccuracy(net, set)
 	if acc < floatAcc-0.05 {
 		t.Errorf("flash-backed accuracy %.3f well below float accuracy %.3f", acc, floatAcc)
 	}
@@ -126,11 +126,17 @@ func TestThresholdMonotoneEnergy(t *testing.T) {
 	}
 }
 
+// TestActivationBytes: one inference writes each layer's activations to
+// flash, one byte per output: 24 + 24 + 2 for the tiny model.
 func TestActivationBytes(t *testing.T) {
 	net, set := tinyModel(t)
-	r, _ := newRunner(t, net, set)
-	if got := r.ActivationBytes(); got != 24+24+2 {
-		t.Errorf("ActivationBytes = %d, want 50", got)
+	r, dev := newRunner(t, net, set)
+	dev.ResetStats()
+	if _, err := r.Infer(set.TestX[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := dev.Stats().ValuesTotal; got != 24+24+2 {
+		t.Errorf("activation bytes written per inference = %d, want 50", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/flipbit-sim/flipbit/internal/datasets"
@@ -37,12 +36,6 @@ func (n *Network) Forward(x []float32) []float32 {
 		x = l.Forward(x)
 	}
 	return x
-}
-
-// Predict returns the class decision for input x.
-func (n *Network) Predict(x []float32) int {
-	out := n.Forward(x)
-	return decide(out, n.Binary)
 }
 
 func decide(out []float32, binary bool) int {
@@ -99,18 +92,6 @@ func (n *Network) Fit(set *datasets.Set, epochs int, lr float32) {
 	}
 }
 
-// Accuracy returns the fraction of test samples classified correctly by
-// plain float inference.
-func (n *Network) Accuracy(set *datasets.Set) float64 {
-	correct := 0
-	for i := range set.TestX {
-		if n.Predict(set.TestX[i]) == set.TestY[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(set.TestX))
-}
-
 func softmax(logits []float32) []float32 {
 	max := logits[0]
 	for _, v := range logits {
@@ -140,13 +121,4 @@ func clamp32(x, lo, hi float32) float32 {
 		return hi
 	}
 	return x
-}
-
-// Summary returns a one-line-per-layer description.
-func (n *Network) Summary() string {
-	s := fmt.Sprintf("%s (%d params)\n", n.Name, n.NumParams())
-	for _, l := range n.Layers {
-		s += fmt.Sprintf("  %-28s %7d params → %d\n", l.Name(), l.NumParams(), l.OutLen())
-	}
-	return s
 }

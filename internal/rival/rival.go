@@ -53,9 +53,6 @@ func NewLogWriter(dev *core.Device, page, recordSize int) (*LogWriter, error) {
 	}, nil
 }
 
-// RecordsPerErase returns how many appends fit between erases.
-func (l *LogWriter) RecordsPerErase() int { return l.perPage }
-
 // Append stores one record. Returns the slot index it landed in.
 func (l *LogWriter) Append(rec []byte) (int, error) {
 	if len(rec) != l.slot {
@@ -80,15 +77,3 @@ func (l *LogWriter) Append(rec []byte) (int, error) {
 	l.nextSlot++
 	return slot, nil
 }
-
-// ReadSlot reads one record back.
-func (l *LogWriter) ReadSlot(slot int, dst []byte) error {
-	if slot < 0 || slot >= l.perPage || len(dst) != l.slot {
-		return fmt.Errorf("%w: slot %d", ErrRecordSize, slot)
-	}
-	base := l.dev.Flash().PageBase(l.page) + slot*l.slot
-	return l.dev.Flash().Read(base, dst)
-}
-
-// Head returns the slot the next Append will use.
-func (l *LogWriter) Head() int { return l.nextSlot }

@@ -54,21 +54,6 @@ func NewWOM(dev *core.Device, page int) *WOM {
 // Capacity returns the logical bytes the page stores under the code.
 func (w *WOM) Capacity() int { return len(w.cache) }
 
-// Overhead returns the footprint multiplier of the code.
-func (w *WOM) Overhead() float64 { return 1.5 }
-
-// Read fills dst with the logical content (from the decoded cache, which
-// mirrors flash; charge a page read for fidelity).
-func (w *WOM) Read(dst []byte) error {
-	// Charge the physical read of the coded page.
-	buf := make([]byte, w.dev.Flash().Spec().PageSize)
-	if err := w.dev.Flash().Read(w.dev.Flash().PageBase(w.page), buf); err != nil {
-		return err
-	}
-	copy(dst, w.cache)
-	return nil
-}
-
 // Write stores the logical buffer (must be exactly Capacity bytes). Dibits
 // still on generation ≤ 1 absorb the change with programs only; if any
 // dibit would need a third write, the whole page is erased first and
@@ -174,8 +159,8 @@ func (w *WOM) setDibit(d int, v byte) {
 	w.cache[d/4] = w.cache[d/4]&^(0b11<<shift) | v<<shift
 }
 
-// DecodeCell decodes one dibit directly from flash (used by tests to prove
-// the cache matches the cells).
+// DecodeCell decodes one dibit directly from flash: the round-trip oracle
+// that proves the cells hold what Write was given.
 func (w *WOM) DecodeCell(d int) (byte, error) {
 	fl := w.dev.Flash()
 	base := fl.PageBase(w.page)

@@ -31,8 +31,7 @@ func TestWOMZeroValueGenerations(t *testing.T) {
 	if dev.Flash().Stats().Erases != 0 {
 		t.Errorf("second write erased %d times", dev.Flash().Stats().Erases)
 	}
-	got := make([]byte, w.Capacity())
-	_ = w.Read(got)
+	got := readWOM(t, w)
 	for i := range got {
 		if got[i] != 0xFF {
 			t.Fatalf("byte %d = %#x after gen-2 write", i, got[i])

@@ -1,0 +1,54 @@
+#!/usr/bin/env bash
+# Lists the library functions that none of the repository's drivers runs.
+#
+#   bash scripts/drivercover.sh            # print the list and its count
+#   bash scripts/drivercover.sh 42         # also fail if the count exceeds 42
+#
+# The drivers are the workloads the reproduction publishes: `flipbit -quick
+# all`, `flipbit all`, `flipbit -benchjson`, and the perfbench workloads
+# camera, kvchurn and kvscan. Each runs once from a coverage build, their
+# counters are merged, and every library function left at 0% is printed.
+# Exempt: examples/ and cmd/em0 (stand-alone programs, not library code),
+# and methods named Name, N, Update or String (interface methods that no
+# driver prints). perfbench is built with coverage but not edited; its own
+# functions are dropped before reporting because `go tool cover` cannot
+# resolve the nested module's sources.
+set -euo pipefail
+
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+ceiling="${1:-}"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+mkdir -p "$work/cov" "$work/artifacts"
+
+cd "$root"
+go build -cover -coverpkg=./... -o "$work/flipbit" ./cmd/flipbit
+(cd perfbench && go build -cover -coverpkg=github.com/flipbit-sim/flipbit/... -o "$work/perfbench" .)
+
+export GOCOVERDIR="$work/cov"
+"$work/flipbit" -quick all > /dev/null
+"$work/flipbit" all > /dev/null
+"$work/flipbit" -benchjson "$work/artifacts/BENCH_writepath.json" > /dev/null
+for w in camera kvchurn kvscan; do
+	"$work/perfbench" --workload "$w" --seed 1 --seconds 1 --trace 1 > /dev/null
+done
+unset GOCOVERDIR
+
+go tool covdata percent -i="$work/cov" | grep -v '/perfbench' || true
+go tool covdata textfmt -i="$work/cov" -o "$work/merged.out"
+grep -v '^github.com/flipbit-sim/flipbit/perfbench/' "$work/merged.out" > "$work/lib.out"
+go tool cover -func="$work/lib.out" > "$work/func.txt"
+
+awk '$NF == "0.0%" && $2 !~ /^(Name|N|Update|String)$/ &&
+	$1 !~ /^github.com\/flipbit-sim\/flipbit\/(examples\/|cmd\/em0\/)/' "$work/func.txt" |
+	sed 's|^github.com/flipbit-sim/flipbit/||' > "$work/zero.txt"
+cat "$work/zero.txt"
+awk '/^total:/ { print "driver statement coverage: " $NF }' "$work/func.txt"
+count=$(wc -l < "$work/zero.txt")
+echo "driverless functions: $count"
+
+if [ -n "$ceiling" ] && [ "$count" -gt "$ceiling" ]; then
+	echo "driverless functions rose to $count, above the ceiling of $ceiling:" \
+		"give each new function a driver or delete it" >&2
+	exit 1
+fi
