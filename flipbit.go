@@ -18,8 +18,8 @@
 //   - the approximation encoders of §III-A (1-bit, n-bit, optimal, and the
 //     MLC n-cell variant of §VI);
 //   - the op-event bus and its subscribers (Observer, Ledger);
-//   - endurance management: the synchronous Scrubber and the wear-leveling
-//     FTL with a spare pool;
+//   - endurance management: the Scrubber's drift census and the
+//     wear-leveling FTL with a spare pool;
 //   - the log-structured key-value store with GC, checkpoints and
 //     in-flash predicate scans.
 //
@@ -153,8 +153,8 @@ func CortexM0Plus() energy.CPUModel { return energy.CortexM0Plus() }
 
 // --- Endurance management: health, scrubbing, retirement ---
 
-// Additional operation kinds emitted on the op-event bus by the
-// endurance-management layer.
+// Additional operation kinds of the op-event bus. Retirements emit
+// OpRetire; OpScrub is reserved, since the scrubber only reads.
 const (
 	OpScrub  = flash.OpScrub
 	OpRetire = flash.OpRetire
@@ -174,14 +174,16 @@ var ErrPageRetired = flash.ErrPageRetired
 // longer be erased reliably.
 var ErrWornOut = flash.ErrWornOut
 
-// ScrubConfig parameterises a Scrubber: the stuck-cell budget
-// approximatable pages may absorb, and optional Refresh/Retire hooks for
-// managed (FTL) devices.
+// ScrubConfig parameterises a Scrubber: the drifted-cell budget
+// approximatable pages may absorb.
 type ScrubConfig = core.ScrubConfig
 
-// Scrubber samples pages for drift and refreshes, absorbs, or retires
-// them. The caller drives it with ScrubBank(bank, n); it is safe to call
-// alongside writes.
+// Scrubber is a read-only drift census: it samples pages and counts each
+// as clean, absorbed (approximate data living with drift inside its
+// budget) or unabsorbed, changing nothing on the device. Data is repaired
+// where it is read or written: the KVS's CRC repair and the FTL's
+// retire-on-write-failure. The caller drives it with ScrubBank(bank, n);
+// it is safe to call alongside writes.
 type Scrubber = core.Scrubber
 
 // WithHealthGate makes the commit path consult page health: exact data is
@@ -195,9 +197,8 @@ func NewScrubber(d *Device, cfg ScrubConfig) *Scrubber { return core.NewScrubber
 
 // --- Wear-leveling FTL with a spare pool ---
 
-// FTL is a page-mapped flash translation layer providing wear-leveling,
-// bad-page retirement onto a spare pool, and crash-consistent scrub
-// refresh. Construct with NewFTL.
+// FTL is a page-mapped flash translation layer providing wear-leveling
+// and bad-page retirement onto a spare pool. Construct with NewFTL.
 type FTL = ftl.FTL
 
 // FTLOption configures an FTL at construction.

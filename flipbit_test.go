@@ -139,8 +139,8 @@ func TestPublicCPUModel(t *testing.T) {
 }
 
 // TestPublicEnduranceManagement drives the endurance façade end to end: a
-// tiny health-gated device under a wear-leveling FTL with spares, scrubbed
-// synchronously, with health reported at both layers.
+// tiny health-gated device under a wear-leveling FTL with spares, with a
+// scrubber taking its drift census as the device wears out.
 func TestPublicEnduranceManagement(t *testing.T) {
 	spec := flipbit.DefaultSpec()
 	spec.PageSize = 64
@@ -159,11 +159,7 @@ func TestPublicEnduranceManagement(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := flipbit.NewFTL(dev, flipbit.WithSparePages(2), flipbit.WithSwapDelta(4))
-	scr := flipbit.NewScrubber(dev, flipbit.ScrubConfig{
-		MaxStuck: 1,
-		Refresh:  f.RefreshPage,
-		Retire:   f.RetirePage,
-	})
+	scr := flipbit.NewScrubber(dev, flipbit.ScrubConfig{MaxStuck: 1})
 
 	rec := make([]byte, 64)
 	for i := 0; i < 200; i++ {
@@ -185,13 +181,15 @@ func TestPublicEnduranceManagement(t *testing.T) {
 		scr.ScrubBank(0, 1)
 	}
 
-	h := dev.Flash().Health()
-	if h.MaxWear == 0 || len(h.Banks) != 1 {
-		t.Errorf("flash health: %+v", h)
+	if dev.Flash().MaxWear() == 0 {
+		t.Error("device never wore")
 	}
-	fh := f.Health()
-	if fh.SparesTotal != 2 || fh.RetiredData == 0 {
-		t.Errorf("ftl health: %+v", fh)
+	if st := scr.Stats(); st.Sampled == 0 ||
+		st.Sampled != st.Clean+st.Absorbed+st.RetentionAbsorbed+st.Unabsorbed+st.Errors {
+		t.Errorf("scrub census: %+v", st)
+	}
+	if f.Stats().Retirements == 0 || f.SparesRemaining() == 2 {
+		t.Errorf("no page retired onto a spare: %+v, %d spares left", f.Stats(), f.SparesRemaining())
 	}
 	if retires == 0 {
 		t.Error("no OpRetire event reached the op bus")

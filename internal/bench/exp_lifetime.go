@@ -22,8 +22,9 @@ import (
 //     silently corrupts acknowledged data.
 //   - managed: the volatile FTL levels wear across every page, the health
 //     gate fences degraded pages, worn pages retire onto a spare pool, and
-//     a scrubber sweeps in between. Life ends with a clean refusal
-//     (ErrExactDegraded once the pool is dry), never silent corruption.
+//     a scrubber takes a drift census in between. Life ends with a clean
+//     refusal (ErrExactDegraded once the pool is dry), never silent
+//     corruption.
 //   - managed+approx: the same management with the whole device declared
 //     approximatable at a small error threshold. Drift within the budget
 //     needs no erase at all, so the same endurance rating stretches across
@@ -62,7 +63,6 @@ type LifetimeRow struct {
 	Retirements  uint64 `json:"retirements"`
 	SparesUsed   int    `json:"spares_used"`
 	ScrubSampled uint64 `json:"scrub_sampled"`
-	ScrubRetired uint64 `json:"scrub_retired"`
 }
 
 // DensityRow is one cell mode's outcome in the density sweep: the same
@@ -292,11 +292,7 @@ func RunLifetime(cfg Config) (*LifetimeReport, error) {
 		if approx {
 			maxStuck = 4
 		}
-		scr := core.NewScrubber(dev, core.ScrubConfig{
-			MaxStuck: maxStuck,
-			Refresh:  f.RefreshPage,
-			Retire:   f.RetirePage,
-		})
+		scr := core.NewScrubber(dev, core.ScrubConfig{MaxStuck: maxStuck})
 		tol := 0.0
 		if approx {
 			tol = lifetimeSlack
@@ -318,10 +314,9 @@ func RunLifetime(cfg Config) (*LifetimeReport, error) {
 			Erases:            dev.Flash().Stats().Erases,
 			MaxWear:           dev.Flash().MaxWear(),
 			Swaps:             fst.Swaps,
-			Retirements:       fst.Retirements + sst.Retired,
+			Retirements:       fst.Retirements,
 			SparesUsed:        lifetimeSpares - f.SparesRemaining(),
 			ScrubSampled:      sst.Sampled,
-			ScrubRetired:      sst.Retired,
 		})
 		return nil
 	}

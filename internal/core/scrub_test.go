@@ -82,9 +82,18 @@ func stuckBits(t *testing.T, fl *flash.Device, p int) int {
 	return n
 }
 
-// TestScrubRefreshesExactDrift: read-disturb drift on an exact page must be
-// healed back to the intended image by the scrubber.
-func TestScrubRefreshesExactDrift(t *testing.T) {
+// checkCensus fails the test unless every sampled page landed in exactly
+// one census class.
+func checkCensus(t *testing.T, st ScrubStats) {
+	t.Helper()
+	if sum := st.Clean + st.Absorbed + st.RetentionAbsorbed + st.Unabsorbed + st.Errors; sum != st.Sampled {
+		t.Errorf("census does not balance: %+v (classes sum to %d)", st, sum)
+	}
+}
+
+// TestScrubCountsExactDriftUnabsorbed: read-disturb drift on an exact page
+// is counted unabsorbed, and the scrubber leaves the page as it found it.
+func TestScrubCountsExactDriftUnabsorbed(t *testing.T) {
 	d := MustNewDevice(scrubSpec())
 	const p = 1
 	fl := d.Flash()
@@ -106,23 +115,28 @@ func TestScrubRefreshesExactDrift(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	sc := NewScrubber(d, ScrubConfig{})
-	sc.scrubPage(p)
-
-	if err := d.Read(fl.PageBase(p), buf); err != nil {
+	if err := fl.ReadPage(p, buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf, want) {
-		t.Fatalf("page not restored:\n got %x\nwant %x", buf, want)
+	drifted := bytes.Clone(buf)
+
+	before := fl.Stats()
+	sc := NewScrubber(d, ScrubConfig{MaxStuck: 64})
+	sc.scrubPage(p)
+	if delta := fl.Stats().Sub(before); delta.Erases != 0 || delta.Programs != 0 {
+		t.Errorf("census touched flash: %+v", delta)
+	}
+	if err := fl.ReadPage(p, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, drifted) {
+		t.Fatalf("census changed the page:\n got %x\nwant %x", buf, drifted)
 	}
 	st := sc.Stats()
-	if st.Refreshed != 1 || st.Sampled != 1 {
+	if st.Unabsorbed != 1 || st.Sampled != 1 {
 		t.Errorf("stats: %+v", st)
 	}
-	if got := fl.Stats().Scrubs; got != 1 {
-		t.Errorf("flash Scrubs = %d, want 1", got)
-	}
+	checkCensus(t, st)
 }
 
 // TestScrubAbsorbsApproxDrift: drift within budget on an approximatable
@@ -154,36 +168,46 @@ func TestScrubAbsorbsApproxDrift(t *testing.T) {
 	if delta.Erases != 0 || delta.Programs != 0 {
 		t.Errorf("absorption touched flash: %+v", delta)
 	}
-	if st := sc.Stats(); st.Absorbed != 1 {
+	st := sc.Stats()
+	if st.Absorbed != 1 {
 		t.Errorf("stats: %+v", st)
 	}
+	checkCensus(t, st)
 	if stuckBits(t, fl, p) == 0 {
 		t.Error("drift mask was cleared by absorption")
 	}
 }
 
-// TestScrubRetiresWornPage: a worn-out page is retired (default hook: the
-// flash layer's fence).
-func TestScrubRetiresWornPage(t *testing.T) {
+// TestScrubCountsWornPageUnabsorbed: a worn-out page is unabsorbed even on
+// an approximatable device with budget to spare, and stays in service; once
+// retired, it counts as clean.
+func TestScrubCountsWornPageUnabsorbed(t *testing.T) {
 	s := scrubSpec()
 	s.EnduranceCycles = 2
 	d := MustNewDevice(s)
+	if err := d.SetApproxRegion(0, s.PageSize*s.NumPages); err != nil {
+		t.Fatal(err)
+	}
 	const p = 4
 	wearOut(t, d, p)
 
-	sc := NewScrubber(d, ScrubConfig{})
+	sc := NewScrubber(d, ScrubConfig{MaxStuck: 64})
 	sc.scrubPage(p)
-	if !d.Flash().Retired(p) {
-		t.Fatal("worn page not retired")
+	if d.Flash().Retired(p) {
+		t.Fatal("census retired a worn page")
 	}
-	if st := sc.Stats(); st.Retired != 1 {
+	if st := sc.Stats(); st.Unabsorbed != 1 {
 		t.Errorf("stats: %+v", st)
 	}
-	// A second pass sees the retired page and leaves it alone.
+	if err := d.Flash().Retire(p); err != nil {
+		t.Fatal(err)
+	}
 	sc.scrubPage(p)
-	if st := sc.Stats(); st.Retired != 1 || st.Clean != 1 {
+	st := sc.Stats()
+	if st.Unabsorbed != 1 || st.Clean != 1 {
 		t.Errorf("second-pass stats: %+v", st)
 	}
+	checkCensus(t, st)
 }
 
 // TestScrubberConcurrentWithWrites: ScrubBank, driven from one goroutine
@@ -240,7 +264,9 @@ func TestScrubberConcurrentWithWrites(t *testing.T) {
 	writers.Wait()
 	close(done)
 	scrubbers.Wait()
-	if st := sc.Stats(); st.Sampled == 0 {
+	st := sc.Stats()
+	if st.Sampled == 0 {
 		t.Error("scrubber never sampled a page")
 	}
+	checkCensus(t, st)
 }

@@ -57,10 +57,10 @@ func components(mask []bool, w, h, minArea int) []video.Box {
 			stack = stack[:len(stack)-1]
 			x, y := idx%w, idx/w
 			area++
-			box.X0 = minInt(box.X0, x)
-			box.Y0 = minInt(box.Y0, y)
-			box.X1 = maxInt(box.X1, x+1)
-			box.Y1 = maxInt(box.Y1, y+1)
+			box.X0 = min(box.X0, x)
+			box.Y0 = min(box.Y0, y)
+			box.X1 = max(box.X1, x+1)
+			box.Y1 = max(box.Y1, y+1)
 			for _, nb := range [4]int{idx - 1, idx + 1, idx - w, idx + w} {
 				if nb < 0 || nb >= len(mask) {
 					continue
@@ -143,18 +143,4 @@ func (c Counts) F1() float64 {
 		return 0
 	}
 	return 2 * p * r / (p + r)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

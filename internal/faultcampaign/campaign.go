@@ -78,14 +78,10 @@ type Config struct {
 	// Spares reserves a retirement pool in the FTL (requires UseFTL), so
 	// worn pages are remapped instead of quarantined.
 	Spares int
-	// Scrub arms the scrubber: one deterministic ScrubBank pass per cycle,
-	// before the workload, so campaigns stay replayable. With UseFTL the scrubber routes refreshes and
-	// retirements through the FTL's crash-consistent paths — power loss
-	// mid-scrub exercises the refresh-intent recovery.
+	// Scrub arms the scrubber's drift census: one deterministic ScrubBank
+	// pass of scrubPages pages per bank each cycle, before the workload,
+	// so campaigns stay replayable.
 	Scrub bool
-	// ScrubPages is how many pages each cycle's scrub pass samples per
-	// bank (default 2, with Scrub set).
-	ScrubPages int
 }
 
 // The workload shape every campaign runs.
@@ -93,6 +89,7 @@ const (
 	maxOpsPerCycle = 60 // ops attempted per cycle
 	numKeys        = 8  // distinct keys
 	valueSize      = 24 // value bytes
+	scrubPages     = 2  // pages per bank each cycle's scrub pass samples
 )
 
 // withDefaults fills unset fields. The caller's mix must already have
@@ -113,9 +110,6 @@ func (c Config) withDefaults() Config {
 			PowerLoss: 8, StuckBits: 1, ReadDisturb: 1,
 			MinGap: 0, MaxGap: 300, MaxBits: 2,
 		}
-	}
-	if c.Scrub && c.ScrubPages <= 0 {
-		c.ScrubPages = 2
 	}
 	if c.CheckpointEvery > 0 && c.CheckpointPages <= 0 {
 		c.CheckpointPages = 2
@@ -150,13 +144,12 @@ type Result struct {
 	EraseFails    uint64 `json:"erase_fails,omitempty"`
 
 	// Retention-drift outcomes: cells aged marginal at reboots, read-path
-	// re-senses, and the scrubber's absorb/recharge decisions.
-	RetentionAged           uint64 `json:"retention_aged,omitempty"`
-	SenseRetries            uint64 `json:"sense_retries,omitempty"`
-	SenseRecovered          uint64 `json:"sense_recovered,omitempty"`
-	MarginSenses            uint64 `json:"margin_senses,omitempty"`
-	ScrubRetentionAbsorbed  uint64 `json:"scrub_retention_absorbed,omitempty"`
-	ScrubRetentionRefreshed uint64 `json:"scrub_retention_refreshed,omitempty"`
+	// re-senses, and the pages the scrubber found absorbing marginal cells.
+	RetentionAged          uint64 `json:"retention_aged,omitempty"`
+	SenseRetries           uint64 `json:"sense_retries,omitempty"`
+	SenseRecovered         uint64 `json:"sense_recovered,omitempty"`
+	MarginSenses           uint64 `json:"margin_senses,omitempty"`
+	ScrubRetentionAbsorbed uint64 `json:"scrub_retention_absorbed,omitempty"`
 
 	Violations     []string `json:"violations,omitempty"` // capped detail strings
 	ViolationCount int      `json:"violation_count"`
@@ -181,14 +174,15 @@ type Result struct {
 	FTLRolledForward uint64 `json:"ftl_rolled_forward,omitempty"`
 	FTLRolledBack    uint64 `json:"ftl_rolled_back,omitempty"`
 	FTLRetirements   uint64 `json:"ftl_retirements,omitempty"`
-	FTLRefreshes     uint64 `json:"ftl_refreshes,omitempty"`
 
-	// Scrub activity (with Config.Scrub), accumulated across reboots.
-	ScrubSampled   uint64 `json:"scrub_sampled,omitempty"`
-	ScrubAbsorbed  uint64 `json:"scrub_absorbed,omitempty"`
-	ScrubRefreshed uint64 `json:"scrub_refreshed,omitempty"`
-	ScrubRetired   uint64 `json:"scrub_retired,omitempty"`
-	ScrubErrors    uint64 `json:"scrub_errors,omitempty"`
+	// The scrubber's drift census (with Config.Scrub), accumulated across
+	// reboots. ScrubClean completes the census but stays out of the
+	// artifact: it is ScrubSampled less every other class.
+	ScrubSampled    uint64 `json:"scrub_sampled,omitempty"`
+	ScrubClean      uint64 `json:"-"`
+	ScrubAbsorbed   uint64 `json:"scrub_absorbed,omitempty"`
+	ScrubUnabsorbed uint64 `json:"scrub_unabsorbed,omitempty"`
+	ScrubErrors     uint64 `json:"scrub_errors,omitempty"`
 
 	FinalLiveKeys int    `json:"final_live_keys"`
 	Fingerprint   uint64 `json:"fingerprint"`
@@ -214,13 +208,12 @@ type campaign struct {
 	ftl   *ftl.FTL
 	store *kvs.Store
 
-	// scr is rebuilt on every mount (its hooks capture the live FTL);
-	// scrubTotals accumulates the stats of scrubbers retired by reboots,
-	// and ftlRetireTotal/ftlRefreshTotal do the same for the FTLs.
-	scr             *core.Scrubber
-	scrubTotals     core.ScrubStats
-	ftlRetireTotal  uint64
-	ftlRefreshTotal uint64
+	// scr is rebuilt on every mount (a reboot loses its RAM cursors);
+	// scrubTotals accumulates the census of scrubbers retired by reboots,
+	// and ftlRetireTotal does the same for the FTLs' retirements.
+	scr            *core.Scrubber
+	scrubTotals    core.ScrubStats
+	ftlRetireTotal uint64
 	// kvsTotals accumulates the lifetime counters (compactions,
 	// checkpoints, mount paths) of stores retired by reboots — a remount
 	// starts a fresh kvs.Stats, but the campaign reports totals.
@@ -292,7 +285,6 @@ func (c *campaign) mount() error {
 		if c.ftl != nil {
 			fst := c.ftl.Stats()
 			c.ftlRetireTotal += fst.Retirements
-			c.ftlRefreshTotal += fst.Refreshes
 		}
 		f, err := ftl.Open(c.dev, ftl.WithSpares(c.cfg.Spares))
 		if err != nil {
@@ -316,37 +308,29 @@ func (c *campaign) mount() error {
 	return backendErr
 }
 
-// rebuildScrubber replaces the scrubber after a (re)mount: its hooks must
-// capture the freshly mounted FTL. The outgoing scrubber's stats fold into
-// the campaign totals. runCycle drives it with ScrubBank before each
-// cycle's workload, keeping the op stream deterministic.
+// rebuildScrubber replaces the scrubber after a (re)mount, as a reboot
+// would. The outgoing scrubber's census folds into the campaign totals.
+// runCycle drives it with ScrubBank before each cycle's workload, keeping
+// the op stream deterministic.
 func (c *campaign) rebuildScrubber() {
 	if c.scr != nil {
 		c.scrubTotals = addScrubStats(c.scrubTotals, c.scr.Stats())
 	}
 	// MaxStuck 1: single-cell drift (the read-disturb case the record CRCs
-	// already repair) is absorbed, anything wider is refreshed — so the
-	// campaign exercises both scrub outcomes.
-	cfg := core.ScrubConfig{MaxStuck: 1}
-	if c.ftl != nil {
-		f := c.ftl
-		cfg.Refresh = f.RefreshPage
-		cfg.Retire = f.RetirePage
-	}
-	c.scr = core.NewScrubber(c.dev, cfg)
+	// already repair) is absorbed, anything wider is unabsorbed — so the
+	// census sees both classes.
+	c.scr = core.NewScrubber(c.dev, core.ScrubConfig{MaxStuck: 1})
 }
 
 // addScrubStats sums two scrub-stat snapshots.
 func addScrubStats(a, b core.ScrubStats) core.ScrubStats {
 	return core.ScrubStats{
-		Sampled:            a.Sampled + b.Sampled,
-		Clean:              a.Clean + b.Clean,
-		Absorbed:           a.Absorbed + b.Absorbed,
-		Refreshed:          a.Refreshed + b.Refreshed,
-		Retired:            a.Retired + b.Retired,
-		Errors:             a.Errors + b.Errors,
-		RetentionAbsorbed:  a.RetentionAbsorbed + b.RetentionAbsorbed,
-		RetentionRefreshed: a.RetentionRefreshed + b.RetentionRefreshed,
+		Sampled:           a.Sampled + b.Sampled,
+		Clean:             a.Clean + b.Clean,
+		Absorbed:          a.Absorbed + b.Absorbed,
+		Unabsorbed:        a.Unabsorbed + b.Unabsorbed,
+		Errors:            a.Errors + b.Errors,
+		RetentionAbsorbed: a.RetentionAbsorbed + b.RetentionAbsorbed,
 	}
 }
 
@@ -391,15 +375,14 @@ func (c *campaign) runCycle(cycle int) {
 	c.mix(uint64(f.Kind), uint64(f.After), uint64(f.Bits), uint64(f.Retries))
 
 	if c.scr != nil {
-		// One synchronous scrub pass with the fault armed: a power loss
-		// here tears a refresh or retirement mid-protocol, and the crash
-		// surfaces on the first workload op below.
+		// One synchronous census pass with the fault armed. The scrubber
+		// only samples, so the fault can fire only in the workload below.
 		for b := 0; b < c.fl.Banks(); b++ {
-			c.scr.ScrubBank(b, c.cfg.ScrubPages)
+			c.scr.ScrubBank(b, scrubPages)
 		}
 		st := addScrubStats(c.scrubTotals, c.scr.Stats())
-		c.mix(st.Sampled, st.Absorbed, st.Refreshed, st.Retired, st.Errors)
-		c.mix(st.RetentionAbsorbed, st.RetentionRefreshed)
+		c.mix(st.Sampled, st.Absorbed, st.Unabsorbed, st.Errors)
+		c.mix(st.RetentionAbsorbed)
 	}
 
 	crashed := false
@@ -643,18 +626,16 @@ func (c *campaign) finish() {
 		c.res.FTLRolledForward = fst.RolledForward
 		c.res.FTLRolledBack = fst.RolledBack
 		c.res.FTLRetirements = c.ftlRetireTotal + fst.Retirements
-		c.res.FTLRefreshes = c.ftlRefreshTotal + fst.Refreshes
 		c.res.CorrectedBits += fst.CorrectedBits
 	}
 	if c.scr != nil {
 		sst := addScrubStats(c.scrubTotals, c.scr.Stats())
 		c.res.ScrubSampled = sst.Sampled
+		c.res.ScrubClean = sst.Clean
 		c.res.ScrubAbsorbed = sst.Absorbed
-		c.res.ScrubRefreshed = sst.Refreshed
-		c.res.ScrubRetired = sst.Retired
+		c.res.ScrubUnabsorbed = sst.Unabsorbed
 		c.res.ScrubErrors = sst.Errors
 		c.res.ScrubRetentionAbsorbed = sst.RetentionAbsorbed
-		c.res.ScrubRetentionRefreshed = sst.RetentionRefreshed
 	}
 	cs := c.dev.Stats()
 	c.res.RetryAttempts = cs.RetryAttempts
@@ -674,7 +655,7 @@ func (c *campaign) finish() {
 	c.mix(c.res.RetryAttempts, c.res.RetrySaves, c.res.RetryRetired,
 		c.res.ProgramFails, c.res.EraseFails)
 	c.mix(c.res.RetentionAged, c.res.SenseRetries, c.res.SenseRecovered,
-		c.res.MarginSenses, c.res.ScrubRetentionAbsorbed, c.res.ScrubRetentionRefreshed)
+		c.res.MarginSenses, c.res.ScrubRetentionAbsorbed, c.res.ScrubUnabsorbed)
 	c.res.Fingerprint = c.fp
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/flipbit-sim/flipbit/internal/core"
 	"github.com/flipbit-sim/flipbit/internal/flash"
 	"github.com/flipbit-sim/flipbit/internal/xrand"
 )
@@ -81,22 +82,21 @@ func TestCampaignPowerLossOnly(t *testing.T) {
 	}
 }
 
-// TestCampaignScrub: the scrubber runs a deterministic pass every cycle
-// through the FTL's crash-consistent refresh/retire hooks while power
-// losses and wear faults fire — including mid-scrub. Determinism must hold
-// with the scrubber armed, and no acked data may be lost.
-func TestCampaignScrub(t *testing.T) {
+// TestCampaignScrubCensus: the scrubber takes its drift census every cycle
+// while power losses and wear faults fire. Every sampled page must land in
+// exactly one class, determinism must hold with the scrubber armed, and no
+// acked data may be lost.
+func TestCampaignScrubCensus(t *testing.T) {
 	cfg := Config{
-		Seed:       42,
-		Cycles:     400,
-		UseFTL:     true,
-		Verify:     true,
-		Spares:     2,
-		Scrub:      true,
-		ScrubPages: 4,
+		Seed:   42,
+		Cycles: 400,
+		UseFTL: true,
+		Verify: true,
+		Spares: 2,
+		Scrub:  true,
 		Mix: flash.FaultMix{
 			PowerLoss: 4, StuckBits: 4, ReadDisturb: 2,
-			MinGap: 0, MaxGap: 300, MaxBits: 6,
+			MinGap: 0, MaxGap: 100, MaxBits: 6,
 		},
 	}
 	a, err := Run(cfg)
@@ -107,12 +107,14 @@ func TestCampaignScrub(t *testing.T) {
 	if a.ScrubSampled == 0 {
 		t.Error("scrubber never sampled a page")
 	}
-	if a.ScrubAbsorbed+a.ScrubRefreshed == 0 {
-		t.Error("scrubber never acted on drift; fault mix too gentle")
+	if a.ScrubAbsorbed+a.ScrubUnabsorbed == 0 {
+		t.Error("census never saw drift; fault mix too gentle")
 	}
-	t.Logf("scrub: sampled=%d absorbed=%d refreshed=%d retired=%d errors=%d ftlRefreshes=%d",
-		a.ScrubSampled, a.ScrubAbsorbed, a.ScrubRefreshed, a.ScrubRetired,
-		a.ScrubErrors, a.FTLRefreshes)
+	if sum := a.ScrubClean + a.ScrubAbsorbed + a.ScrubRetentionAbsorbed + a.ScrubUnabsorbed + a.ScrubErrors; sum != a.ScrubSampled {
+		t.Errorf("census does not balance: %d sampled, classes sum to %d", a.ScrubSampled, sum)
+	}
+	t.Logf("scrub: sampled=%d clean=%d absorbed=%d unabsorbed=%d errors=%d",
+		a.ScrubSampled, a.ScrubClean, a.ScrubAbsorbed, a.ScrubUnabsorbed, a.ScrubErrors)
 
 	b, err := Run(cfg)
 	if err != nil {
@@ -390,5 +392,54 @@ func TestFaultMixDrawMatchesCampaignDraw(t *testing.T) {
 		if g, w := got.Uint64(), want.Uint64(); g != w {
 			t.Fatalf("trial %d mix %+v: generator state diverged after 2000 draws", trial, m)
 		}
+	}
+}
+
+// TestCampaignCheckersReportViolations: a campaign that never records a
+// violation proves nothing unless its checkers fire on lost data. Seed a
+// store that disagrees with the model in every way a reboot could and
+// require each check to report it, with detail strings capped.
+func TestCampaignCheckersReportViolations(t *testing.T) {
+	cfg := Config{Seed: 1}.withDefaults()
+	c := &campaign{
+		cfg:   cfg,
+		rng:   xrand.New(cfg.Seed),
+		model: map[string][]byte{},
+		keys:  []string{"a", "b", "c"},
+	}
+	c.dev = core.MustNewDevice(cfg.Spec)
+	c.fl = c.dev.Flash()
+	if err := c.mount(); err != nil {
+		t.Fatal(err)
+	}
+	for _, kv := range [][2]string{{"a", "stored"}, {"c", "unacked"}} {
+		if err := c.store.Put(kv[0], []byte(kv[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.model["a"] = []byte("acked") // the store holds another value
+	c.model["b"] = []byte("acked") // the store lost it
+
+	c.checkModel(7) // a and b
+	if c.res.ViolationCount != 2 {
+		t.Fatalf("checkModel: %d violations, want 2: %v", c.res.ViolationCount, c.res.Violations)
+	}
+	for _, key := range c.keys { // a mismatches, b is missing, c should not exist
+		got, err := c.store.Get(key)
+		c.checkKey(7, key, got, err, "get")
+	}
+	if c.res.ViolationCount != 5 {
+		t.Fatalf("checkKey: %d violations, want 5: %v", c.res.ViolationCount, c.res.Violations)
+	}
+	c.pending = pendingOp{key: "a", val: []byte("pending"), active: true}
+	c.resolvePending(7) // "stored" is neither the acked nor the pending value
+	if c.res.ViolationCount != 6 {
+		t.Fatalf("resolvePending: %d violations, want 6: %v", c.res.ViolationCount, c.res.Violations)
+	}
+	for i := 0; i < violationCap; i++ {
+		c.violation(8, "filler %d", i)
+	}
+	if len(c.res.Violations) != violationCap || c.res.ViolationCount != 6+violationCap {
+		t.Errorf("%d detail strings for %d violations, want %d", len(c.res.Violations), c.res.ViolationCount, violationCap)
 	}
 }

@@ -41,7 +41,7 @@ type Stats struct {
 	Programs        uint64 // bytes programmed
 	ProgramsSkipped uint64 // byte programs elided because the target value was already stored
 	Erases          uint64 // pages erased
-	Scrubs          uint64 // pages scrubbed by the management layer
+	Scrubs          uint64 // OpScrub events: always 0, kept for perfbench's fingerprint
 	Retirements     uint64 // pages retired onto spares
 	ProgramFails    uint64 // byte programs that failed verify transiently
 	EraseFails      uint64 // page erases that failed verify transiently

@@ -9,9 +9,9 @@ import (
 // Page-health tracking. The wear counters and the worn-out flag of device.go
 // tell a controller when a page *died*; this file adds what endurance
 // management needs to act *before* that: which cells have silently drifted
-// to 0 since the last erase (the ground truth behind read-back verify and
-// scrubbing), which pages have been administratively retired onto a spare,
-// and a consistent device-wide health snapshot for telemetry.
+// to 0 since the last erase (the ground truth behind read-back verify, the
+// FTL's spare copy and the scrubber's census), and which pages have been
+// administratively retired onto a spare.
 //
 // The drift mask of page p records exactly the 1→0 flips that faults — the
 // endurance stuck-at-0 model, FaultStuckBits, FaultReadDisturb — inflicted
@@ -127,20 +127,6 @@ func (d *Device) Degraded(p int) bool {
 	return d.dead[p] || d.retired[p]
 }
 
-// NoteScrub records that the management layer scrubbed page p, emitting an
-// OpScrub event on the op bus (no latency or energy beyond the reads and
-// programs the scrub itself charged).
-func (d *Device) NoteScrub(p int) {
-	if d.checkPage(p) != nil {
-		return
-	}
-	b := d.BankOf(p)
-	bk := &d.banks[b]
-	bk.mu.Lock()
-	defer bk.mu.Unlock()
-	d.emit(OpEvent{Kind: OpScrub, Bank: b, Addr: p, Bytes: d.spec.PageSize})
-}
-
 // WearSnapshot returns a consistent copy of every page's erase count (see
 // WearInto).
 func (d *Device) WearSnapshot() []uint32 {
@@ -165,83 +151,4 @@ func (d *Device) WearInto(dst []uint32) {
 		}
 		bk.mu.Unlock()
 	}
-}
-
-// HealthHistogramBuckets is the number of wear buckets in a BankHealth
-// histogram: bucket i counts pages whose wear lies in
-// [i, i+1) / HealthHistogramBuckets of the endurance rating, with the last
-// bucket absorbing everything at or beyond the rating.
-const HealthHistogramBuckets = 8
-
-// BankHealth is one bank's slice of a HealthReport.
-type BankHealth struct {
-	Bank      int
-	Pages     int
-	MaxWear   uint32
-	TotalWear uint64
-	// Histogram buckets wear relative to the endurance rating (see
-	// HealthHistogramBuckets).
-	Histogram [HealthHistogramBuckets]int
-	Dead      int // pages past endurance (erases leave cells stuck)
-	Retired   int // pages administratively retired
-	Stuck     int // cells currently drifted to 0 across the bank's pages
-	Marginal  int // cells currently marginal from retention drift (retention.go)
-}
-
-// HealthReport is a device-wide endurance snapshot: per-bank wear
-// histograms plus the totals a management layer alarms on. Each bank is
-// summarised under one acquisition of its lock.
-type HealthReport struct {
-	Banks     []BankHealth
-	Endurance uint32
-	MaxWear   uint32
-	Dead      int
-	Retired   int
-	Stuck     int // total drifted cells
-	Marginal  int // total marginal retention cells
-}
-
-// Health summarises the device's endurance state.
-func (d *Device) Health() HealthReport {
-	rep := HealthReport{
-		Banks:     make([]BankHealth, len(d.banks)),
-		Endurance: d.spec.EnduranceCycles,
-	}
-	nb := len(d.banks)
-	for b := 0; b < nb; b++ {
-		bh := &rep.Banks[b]
-		bh.Bank = b
-		bk := &d.banks[b]
-		bk.mu.Lock()
-		for p := b; p < len(d.wear); p += nb {
-			bh.Pages++
-			w := d.wear[p]
-			bh.TotalWear += uint64(w)
-			if w > bh.MaxWear {
-				bh.MaxWear = w
-			}
-			bucket := int(uint64(w) * HealthHistogramBuckets / uint64(d.spec.EnduranceCycles))
-			if bucket >= HealthHistogramBuckets {
-				bucket = HealthHistogramBuckets - 1
-			}
-			bh.Histogram[bucket]++
-			if d.dead[p] {
-				bh.Dead++
-			}
-			if d.retired[p] {
-				bh.Retired++
-			}
-			bh.Stuck += popcount(d.drift[p])
-			bh.Marginal += popcount(d.rise[p])
-		}
-		bk.mu.Unlock()
-		if bh.MaxWear > rep.MaxWear {
-			rep.MaxWear = bh.MaxWear
-		}
-		rep.Dead += bh.Dead
-		rep.Retired += bh.Retired
-		rep.Stuck += bh.Stuck
-		rep.Marginal += bh.Marginal
-	}
-	return rep
 }

@@ -142,26 +142,8 @@ func TestRetire(t *testing.T) {
 	if got := d.Stats().Retirements; got != 1 {
 		t.Errorf("Retirements = %d, want 1", got)
 	}
-}
-
-func TestNoteScrubCountsOnBus(t *testing.T) {
-	d := MustNewDevice(healthSpec())
-	var events int
-	d.Attach(ObserverFunc(func(ev OpEvent) {
-		if ev.Kind == OpScrub {
-			events++
-		}
-	}))
-	d.NoteScrub(2)
-	d.NoteScrub(5)
-	if got := d.Stats().Scrubs; got != 2 {
-		t.Errorf("Scrubs = %d, want 2", got)
-	}
-	if events != 2 {
-		t.Errorf("observer saw %d scrub events, want 2", events)
-	}
-	if OpScrub.String() != "scrub" || OpRetire.String() != "retire" {
-		t.Errorf("op kind strings: %q %q", OpScrub, OpRetire)
+	if OpRetire.String() != "retire" {
+		t.Errorf("OpRetire.String() = %q", OpRetire)
 	}
 }
 
@@ -224,45 +206,58 @@ func TestWearIntoMatchesWear(t *testing.T) {
 	}
 }
 
-func TestHealthReport(t *testing.T) {
-	s := healthSpec()
-	s.EnduranceCycles = 4
-	d := MustNewDevice(s)
-	// Page 0: worn out (5 erases). Page 1: half worn. Page 2: retired.
-	for i := 0; i < 5; i++ {
-		d.ErasePage(0)
+// TestStuckMaskIntoContract: the mask copy fails only on an out-of-range
+// page or a buffer that is not one page long, zeroes the buffer for a page
+// with no drift, and counts drifted cells otherwise.
+func TestStuckMaskIntoContract(t *testing.T) {
+	d := MustNewDevice(healthSpec())
+	ps := d.Spec().PageSize
+	if _, err := d.StuckMaskInto(d.Spec().NumPages, make([]byte, ps)); err == nil {
+		t.Error("out-of-range page accepted")
 	}
-	for i := 0; i < 2; i++ {
-		if err := d.ErasePage(1); err != nil {
+	if _, err := d.StuckMaskInto(0, make([]byte, ps-1)); !errors.Is(err, ErrPageSize) {
+		t.Errorf("short buffer: got %v, want ErrPageSize", err)
+	}
+	junk := make([]byte, ps)
+	for i := range junk {
+		junk[i] = 0xA5
+	}
+	if n, err := d.StuckMaskInto(1, junk); err != nil || n != 0 {
+		t.Fatalf("clean page: %d, %v", n, err)
+	}
+	for i, b := range junk {
+		if b != 0 {
+			t.Fatalf("clean page left byte %d = %#x in the mask", i, b)
+		}
+	}
+	d.ArmFault(Fault{Kind: FaultStuckBits, Bits: 4})
+	if err := d.ErasePage(1); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := d.StuckMaskInto(1, junk); err != nil || n != popcount(d.drift[1]) || n == 0 {
+		t.Errorf("drifted page: %d, %v (drift mask holds %d)", n, err, popcount(d.drift[1]))
+	}
+}
+
+// TestAtRating: a page reaches its rating after EnduranceCycles erases,
+// one erase before it wears out.
+func TestAtRating(t *testing.T) {
+	s := healthSpec()
+	s.EnduranceCycles = 3
+	d := MustNewDevice(s)
+	const p = 2
+	for i := 0; i < 3; i++ {
+		if d.AtRating(p) {
+			t.Fatalf("at rating after %d of 3 erases", i)
+		}
+		if err := d.ErasePage(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Retire(2); err != nil {
-		t.Fatal(err)
+	if !d.AtRating(p) || d.WornOut(p) {
+		t.Errorf("after 3 erases: AtRating %v, WornOut %v; want true, false", d.AtRating(p), d.WornOut(p))
 	}
-
-	rep := d.Health()
-	if rep.Endurance != 4 || len(rep.Banks) != 2 {
-		t.Fatalf("report header: %+v", rep)
-	}
-	if rep.MaxWear != 5 || rep.Dead != 1 || rep.Retired != 1 {
-		t.Errorf("totals: max %d dead %d retired %d", rep.MaxWear, rep.Dead, rep.Retired)
-	}
-	if rep.Stuck == 0 {
-		t.Error("worn-out page recorded no stuck cells")
-	}
-	pages := 0
-	for _, bh := range rep.Banks {
-		hist := 0
-		for _, c := range bh.Histogram {
-			hist += c
-		}
-		if hist != bh.Pages {
-			t.Errorf("bank %d: histogram sums to %d of %d pages", bh.Bank, hist, bh.Pages)
-		}
-		pages += bh.Pages
-	}
-	if pages != d.Spec().NumPages {
-		t.Errorf("banks cover %d pages", pages)
+	if d.AtRating(-1) || d.AtRating(s.NumPages) {
+		t.Error("out-of-range page reported at rating")
 	}
 }

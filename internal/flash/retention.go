@@ -1,9 +1,6 @@
 package flash
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Retention drift modelling. Programmed cells leak charge over time; a cell
 // whose level has sagged to the read-threshold boundary is *marginal*: the
@@ -20,9 +17,8 @@ import (
 //   - controller reads (ReadPage) are margin-aware senses and never
 //     flicker, so the read-modify-write commit path cannot bake noise back
 //     into a page;
-//   - a program pulse of a byte recharges it (clears its rise bits), an
-//     erase clears the whole mask, and RefreshRetention recharges a page in
-//     place at program cost without changing its contents.
+//   - a program pulse of a byte recharges it (clears its rise bits), and an
+//     erase clears the whole mask.
 //
 // At most one cell per page is ever marginal at a time: real retention loss
 // is a slow per-cell leak, and bounding the density keeps every record
@@ -140,65 +136,6 @@ func (d *Device) RiseBits(p int) int {
 	bk.mu.Lock()
 	defer bk.mu.Unlock()
 	return popcount(d.rise[p])
-}
-
-// RiseMaskInto copies page p's rise mask into dst (one page long) and
-// returns the number of marginal cells. A page with no marginal cells
-// zeroes dst.
-func (d *Device) RiseMaskInto(p int, dst []byte) (int, error) {
-	if err := d.checkPage(p); err != nil {
-		return 0, err
-	}
-	if len(dst) != d.spec.PageSize {
-		return 0, fmt.Errorf("%w: got %d, page size %d", ErrPageSize, len(dst), d.spec.PageSize)
-	}
-	bk := &d.banks[d.BankOf(p)]
-	bk.mu.Lock()
-	defer bk.mu.Unlock()
-	if d.rise[p] == nil {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return 0, nil
-	}
-	copy(dst, d.rise[p])
-	return popcount(d.rise[p]), nil
-}
-
-// RefreshRetention recharges page p's marginal cells in place: each byte
-// holding a marginal cell gets a program pulse back to its stored value
-// (full program cost, no state change — the array already holds the
-// intended image). Returns the number of bytes recharged. Refreshing a
-// retired page is refused; refreshing a clean page is free.
-func (d *Device) RefreshRetention(p int) (int, error) {
-	if err := d.checkPage(p); err != nil {
-		return 0, err
-	}
-	b := d.BankOf(p)
-	bk := &d.banks[b]
-	bk.mu.Lock()
-	defer bk.mu.Unlock()
-	if d.retired[p] {
-		return 0, ErrPageRetired
-	}
-	m := d.rise[p]
-	if m == nil {
-		return 0, nil
-	}
-	base := d.PageBase(p)
-	n := 0
-	for i := range m {
-		if m[i] == 0 {
-			continue
-		}
-		m[i] = 0
-		n++
-		d.emit(OpEvent{
-			Kind: OpProgram, Bank: b, Addr: base + i, Bytes: 1,
-			Energy: d.spec.ProgramEnergy, Busy: d.spec.ProgramLatency,
-		})
-	}
-	return n, nil
 }
 
 // ChargeWait charges a retry backoff interval to bank b's ledger: busy time

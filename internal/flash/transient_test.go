@@ -158,7 +158,7 @@ func TestTransientEraseLeavesTornState(t *testing.T) {
 
 // TestRetentionFlickerAndRefresh: a marginal cell flickers only on host
 // reads — the controller's margin-aware ReadPage always serves the stored
-// value — and a refresh recharges it at program cost.
+// value — and rewriting the page (erase + program) refreshes it.
 func TestRetentionFlickerAndRefresh(t *testing.T) {
 	d := MustNewDevice(smallSpec())
 	ps := d.Spec().PageSize
@@ -202,10 +202,9 @@ func TestRetentionFlickerAndRefresh(t *testing.T) {
 		t.Errorf("marginal cell flickered %d/200 host reads, want strictly between", flickers)
 	}
 
-	// Refresh recharges in place: one byte reprogrammed, no more flicker.
-	n, err := d.RefreshRetention(0)
-	if err != nil || n != 1 {
-		t.Fatalf("RefreshRetention = %d, %v; want 1 byte", n, err)
+	// Rewriting the page refreshes it: no more flicker.
+	if err := d.EraseProgramPage(0, make([]byte, ps)); err != nil {
+		t.Fatal(err)
 	}
 	if d.RiseBits(0) != 0 {
 		t.Error("rise mask survived a refresh")
@@ -234,11 +233,7 @@ func TestRetentionClearedByProgramAndErase(t *testing.T) {
 		t.Fatal("aging never marked a cell")
 	}
 	var marked int
-	mask := make([]byte, ps)
-	if _, err := d.RiseMaskInto(0, mask); err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range mask {
+	for i, b := range d.rise[0] {
 		if b != 0 {
 			marked = i
 			break
@@ -296,17 +291,9 @@ func TestRetentionSkipsDriftedCells(t *testing.T) {
 		t.Fatalf("no stuck cells to test against (n=%d, err=%v)", n, err)
 	}
 	d.AgeRetention(64 * d.Spec().NumPages)
-	rise := make([]byte, ps)
-	for p := 0; p < d.Spec().NumPages; p++ {
-		if _, err := d.RiseMaskInto(p, rise); err != nil {
-			t.Fatal(err)
-		}
-		if p == 0 {
-			for i := range rise {
-				if rise[i]&drift[i] != 0 {
-					t.Fatalf("byte %d: stuck cell %02x marked marginal %02x", i, drift[i], rise[i])
-				}
-			}
+	for i, r := range d.rise[0] {
+		if r&drift[i] != 0 {
+			t.Fatalf("byte %d: stuck cell %02x marked marginal %02x", i, drift[i], r)
 		}
 	}
 }

@@ -161,7 +161,13 @@ func coldestDifferential(t *testing.T, journaled bool) {
 	if hits == 0 {
 		t.Fatal("the cached pick was never reused")
 	}
-	if fl.Health().Dead == 0 {
+	worn := 0
+	for p := 0; p < fl.Spec().NumPages; p++ {
+		if fl.WornOut(p) {
+			worn++
+		}
+	}
+	if worn == 0 {
 		t.Fatal("no page wore out, so the health gate never refused a write")
 	}
 	t.Logf("%d swaps, %d retirements, %d power losses, %d cache hits", swaps, retirements, powerLosses, hits)

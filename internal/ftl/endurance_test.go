@@ -32,7 +32,7 @@ func TestRetirementPersistsAcrossRemount(t *testing.T) {
 	want := fillPages(t, f)
 
 	pp := f.l2p[3]
-	if err := f.RetirePage(pp); err != nil {
+	if err := f.retirePhys(pp, false); err != nil {
 		t.Fatalf("retire: %v", err)
 	}
 	if !dev.Flash().Retired(pp) {
@@ -57,9 +57,11 @@ func TestRetirementPersistsAcrossRemount(t *testing.T) {
 	if !dev.Flash().Retired(pp) {
 		t.Error("fence not rebuilt after remount")
 	}
-	h := f2.Health()
-	if h.SparesTotal != 2 || h.SparesFree != 1 || h.RetiredData != 1 {
-		t.Errorf("health after remount: %+v", h)
+	if got := f2.SparesRemaining(); got != 1 {
+		t.Errorf("SparesRemaining after remount = %d, want 1", got)
+	}
+	if f2.p2l[pp] != -1 {
+		t.Errorf("retired page %d maps to logical page %d after remount", pp, f2.p2l[pp])
 	}
 }
 
@@ -72,19 +74,19 @@ func TestSpareExhaustion(t *testing.T) {
 	want := fillPages(t, f)
 
 	first := f.l2p[0]
-	if err := f.RetirePage(first); err != nil {
+	if err := f.retirePhys(first, false); err != nil {
 		t.Fatalf("first retire: %v", err)
 	}
-	if err := f.RetirePage(f.l2p[1]); !errors.Is(err, ErrNoSpares) {
+	if err := f.retirePhys(f.l2p[1], false); !errors.Is(err, ErrNoSpares) {
 		t.Fatalf("second retire: got %v, want ErrNoSpares", err)
 	}
 	checkPages(t, f, want) // a refused retirement must not disturb data
 
-	// Metadata and unmapped pages are refused outright.
-	if err := f.RetirePage(f.lay.spare); err == nil {
+	// Pages no logical page maps to are refused outright.
+	if err := f.retirePhys(f.lay.spare, false); err == nil {
 		t.Error("retiring the swap-scratch page succeeded")
 	}
-	if err := f.RetirePage(first); err == nil {
+	if err := f.retirePhys(first, false); err == nil {
 		t.Error("retiring an already-retired page succeeded")
 	}
 }
@@ -147,131 +149,7 @@ func TestWriteRetriesOntoSpare(t *testing.T) {
 	if st := f.Stats(); st.Retirements != 1 {
 		t.Errorf("stats: %+v", st)
 	}
-	h := f.Health()
-	if h.SparesFree != 0 || h.RetiredData != 1 {
-		t.Errorf("health: %+v", h)
-	}
-}
-
-// stuckBits returns how many cells of page p have drifted to 0 since the
-// last erase.
-func stuckBits(t *testing.T, fl *flash.Device, p int) int {
-	t.Helper()
-	n, err := fl.StuckMaskInto(p, make([]byte, fl.Spec().PageSize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
-// TestRefreshCrashSweep: inject a power loss at every state-changing
-// operation inside a scrub refresh and verify the page always recovers to
-// either its drifted pre-refresh content or the fully restored image —
-// never a torn mixture — and every other page is untouched.
-func TestRefreshCrashSweep(t *testing.T) {
-	survivedAll := false
-	for skip := 0; skip < 300; skip++ {
-		dev := core.MustNewDevice(journalSpec())
-		f, err := Open(dev, WithSpares(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := fillPages(t, f)
-		fl := dev.Flash()
-
-		// Drift the page under test until at least one legitimate 1 has
-		// flipped, so the restored image differs from the raw content.
-		const lp = 2
-		pp := f.l2p[lp]
-		buf := make([]byte, f.PageSize())
-		for stuckBits(t, fl, pp) == 0 {
-			fl.ArmFault(flash.Fault{Kind: flash.FaultReadDisturb, Bits: 8})
-			if err := fl.ReadPage(pp, buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-		drifted := make([]byte, f.PageSize())
-		if err := fl.ReadPage(pp, drifted); err != nil {
-			t.Fatal(err)
-		}
-		mask := make([]byte, f.PageSize())
-		if _, err := fl.StuckMaskInto(pp, mask); err != nil {
-			t.Fatal(err)
-		}
-		restored := make([]byte, f.PageSize())
-		for i := range restored {
-			restored[i] = drifted[i] | mask[i]
-		}
-		if !bytes.Equal(restored, want[lp]) {
-			t.Fatalf("skip %d: drift mask does not reconstruct the intended image", skip)
-		}
-
-		fl.InjectPowerLoss(skip)
-		err = f.RefreshPage(pp, restored)
-		fl.ClearFaults()
-		if err == nil {
-			survivedAll = true
-			checkPages(t, f, want)
-			if st := f.Stats(); st.Refreshes != 1 {
-				t.Errorf("skip %d: stats %+v", skip, st)
-			}
-			break
-		}
-		if !errors.Is(err, flash.ErrPowerLoss) {
-			t.Fatalf("skip %d: unexpected error %v", skip, err)
-		}
-
-		f2, err := Open(dev, WithSpares(1))
-		if err != nil {
-			t.Fatalf("skip %d: remount failed: %v", skip, err)
-		}
-		got := make([]byte, f2.PageSize())
-		if err := f2.Read(lp*f2.PageSize(), got); err != nil {
-			t.Fatalf("skip %d: read: %v", skip, err)
-		}
-		if !bytes.Equal(got, restored) && !bytes.Equal(got, drifted) {
-			t.Fatalf("skip %d: torn refresh:\n got      %x\n drifted  %x\n restored %x",
-				skip, got, drifted, restored)
-		}
-		for olp := range want {
-			if olp == lp {
-				continue
-			}
-			if err := f2.Read(olp*f2.PageSize(), got); err != nil {
-				t.Fatalf("skip %d: read page %d: %v", skip, olp, err)
-			}
-			if !bytes.Equal(got, want[olp]) {
-				t.Fatalf("skip %d: bystander page %d corrupted", skip, olp)
-			}
-		}
-		if err := f2.Write(0, []byte{9, 8, 7}); err != nil {
-			t.Fatalf("skip %d: post-recovery write: %v", skip, err)
-		}
-	}
-	if !survivedAll {
-		t.Error("sweep never reached the fault-free completion point; raise the skip range")
-	}
-}
-
-// TestRefreshSkipsMetadata: journal metadata refreshes are a no-op — those
-// pages protect themselves with CRCs and ping-pong slots.
-func TestRefreshSkipsMetadata(t *testing.T) {
-	dev := core.MustNewDevice(journalSpec())
-	f, err := Open(dev, WithSpares(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blank := make([]byte, f.PageSize())
-	before := dev.Flash().Stats()
-	for _, p := range []int{f.lay.spare, f.lay.intent, f.lay.slot[0], f.lay.slot[1]} {
-		if err := f.RefreshPage(p, blank); err != nil {
-			t.Fatalf("refresh of meta page %d: %v", p, err)
-		}
-	}
-	if delta := dev.Flash().Stats().Sub(before); delta.Erases != 0 || delta.Programs != 0 {
-		t.Errorf("metadata refresh touched flash: %+v", delta)
-	}
-	if st := f.Stats(); st.Refreshes != 0 {
-		t.Errorf("stats: %+v", st)
+	if got := f.SparesRemaining(); got != 0 {
+		t.Errorf("SparesRemaining = %d, want 0", got)
 	}
 }

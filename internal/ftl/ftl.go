@@ -35,7 +35,6 @@ type Stats struct {
 
 	// Endurance-management counters.
 	Retirements uint64 // pages retired onto spares
-	Refreshes   uint64 // scrub refreshes written through RefreshPage
 
 	// Journaled-mode counters (zero for a volatile FTL built with New).
 	Checkpoints   uint64 // map checkpoints written (with read-back verify)

@@ -157,7 +157,7 @@ func TestWearIntoMatchesPageWear(t *testing.T) {
 		t.Fatal("no wear-leveling swaps happened")
 	}
 	check("after swaps")
-	if err := f.RetirePage(f.l2p[1]); err != nil {
+	if err := f.retirePhys(f.l2p[1], false); err != nil {
 		t.Fatal(err)
 	}
 	if f.Stats().Retirements != 1 || f.l2p[1] < f.poolBase {

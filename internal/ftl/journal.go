@@ -187,10 +187,6 @@ type intentRec struct {
 // interrupted, then commits a checkpoint at the intent's sequence so the
 // intent can never fire again.
 func (f *FTL) repairIntent(it intentRec) error {
-	if it.a == it.b {
-		// Not a swap: an in-place scrub refresh (endurance.go).
-		return f.repairRefresh(it)
-	}
 	fl := f.dev.Flash()
 	ca := f.pageCRC(it.a)
 	cb := f.pageCRC(it.b)
@@ -353,14 +349,20 @@ func (f *FTL) parseIntents() ([]intentRec, int) {
 				break
 			}
 		}
-		recs = append(recs, intentRec{
+		it := intentRec{
 			seq:  readU32(rec[1:]),
 			a:    int(readU16(rec[5:])),
 			b:    int(readU16(rec[7:])),
 			crcA: readU32(rec[9:]),
 			crcB: readU32(rec[13:]),
-		})
+		}
 		off += intentRecSize
+		if it.a == it.b {
+			// Every intent names a swap of two distinct pages; a record
+			// that does not is corrupt, and ends the log like a torn one.
+			break
+		}
+		recs = append(recs, it)
 	}
 	// Skip past any trailing dirt (a torn record's stray bits).
 	end := off

@@ -249,3 +249,45 @@ func TestIntentLogReclaim(t *testing.T) {
 	}
 	checkPages(t, f2, want)
 }
+
+// TestParseIntentsRejectsCorrupt: mount-time parsing keeps a valid swap
+// intent, repairs a single flipped bit, and ends the log at a record it
+// cannot trust — torn beyond repair, or naming one page twice, which no
+// protocol writes.
+func TestParseIntentsRejectsCorrupt(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		a, b    int
+		clear   byte // bits cleared in the record's magic byte (0xF7)
+		want    int  // records parsed
+		correct uint64
+	}{
+		{name: "swap", a: 1, b: 2, want: 1},
+		{name: "single-bit flip", a: 1, b: 2, clear: 0x80, want: 1, correct: 1},
+		{name: "two-bit flip", a: 1, b: 2, clear: 0xC0},
+		{name: "a == b", a: 3, b: 3},
+	} {
+		dev := core.MustNewDevice(journalSpec())
+		f, err := Open(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.appendIntent(intentRec{seq: f.mapSeq + 1, a: tc.a, b: tc.b}); err != nil {
+			t.Fatal(err)
+		}
+		fl := dev.Flash()
+		if tc.clear != 0 {
+			if err := fl.ProgramByte(fl.PageBase(f.lay.intent), intentMagic&^tc.clear); err != nil {
+				t.Fatal(err)
+			}
+		}
+		recs, end := f.parseIntents()
+		if len(recs) != tc.want || end != intentRecSize {
+			t.Errorf("%s: parsed %d records ending at %d, want %d ending at %d",
+				tc.name, len(recs), end, tc.want, intentRecSize)
+		}
+		if got := f.Stats().CorrectedBits; got != tc.correct {
+			t.Errorf("%s: CorrectedBits = %d, want %d", tc.name, got, tc.correct)
+		}
+	}
+}

@@ -299,7 +299,7 @@ func (c *Circuit) Counts() map[Op]int {
 // the critical path that bounds the clock frequency.
 func (c *Circuit) Depth() int {
 	depth := make([]int, len(c.nodes))
-	max := 0
+	longest := 0
 	for i, n := range c.nodes {
 		switch n.op {
 		case OpConst, OpInput:
@@ -307,15 +307,13 @@ func (c *Circuit) Depth() int {
 		case OpNot, OpDFF:
 			depth[i] = depth[n.a] + 1
 		case OpAnd, OpOr, OpXor:
-			depth[i] = maxInt(depth[n.a], depth[n.b]) + 1
+			depth[i] = max(depth[n.a], depth[n.b]) + 1
 		case OpMux:
-			depth[i] = maxInt(depth[n.a], maxInt(depth[n.b], depth[n.c])) + 1
+			depth[i] = max(depth[n.a], depth[n.b], depth[n.c]) + 1
 		}
-		if depth[i] > max {
-			max = depth[i]
-		}
+		longest = max(longest, depth[i])
 	}
-	return max
+	return longest
 }
 
 func (c *Circuit) liveSet() []bool {
@@ -342,11 +340,4 @@ func (c *Circuit) liveSet() []bool {
 		}
 	}
 	return live
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

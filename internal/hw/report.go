@@ -74,7 +74,7 @@ func TableIV() ([3]OverheadRow, error) {
 			AreaUm2:   area,
 			SoCShare:  area / SoCAreaUm2,
 			Power:     rep.Power + trackRep.Power,
-			DepthGate: maxInt(rep.DepthGat, trackRep.DepthGat),
+			DepthGate: max(rep.DepthGat, trackRep.DepthGat),
 		}
 	}
 	return [3]OverheadRow{
@@ -82,11 +82,4 @@ func TableIV() ([3]OverheadRow, error) {
 		row("2", fixedUnit),
 		row("2 (two-level PLA)", plaUnit),
 	}, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -24,18 +24,21 @@ type CompactionConfig struct {
 	// the knob that bounds space amplification: steady-state physical
 	// consumption stays under live/(1-MaxGarbageRatio).
 	MaxGarbageRatio float64
-	// MinVictimGarbage is the dead fraction a page must reach to qualify
-	// as a proactive victim (default 0.25) — compacting a nearly-all-live
-	// page rewrites data for almost no reclaimed space.
-	MinVictimGarbage float64
-	// MaxPassesPerOp bounds how many pages one append may compact
-	// (default 2), keeping worst-case op latency bounded.
-	MaxPassesPerOp int
-	// WearWeight scales the low-wear bias in victim scoring (default 0.1;
-	// negative disables the bias). Only effective when the backend
-	// implements WearBackend.
-	WearWeight float64
 }
+
+// Fixed compaction tuning.
+const (
+	// minVictimGarbage is the dead fraction a page must reach to qualify
+	// as a proactive victim — compacting a nearly-all-live page rewrites
+	// data for almost no reclaimed space.
+	minVictimGarbage = 0.25
+	// maxPassesPerOp bounds how many pages one append may compact,
+	// keeping worst-case op latency bounded.
+	maxPassesPerOp = 2
+	// wearWeight scales the low-wear bias in victim scoring. Only
+	// effective when the backend implements WearBackend.
+	wearWeight = 0.1
+)
 
 // normalize fills zero-valued fields with defaults.
 func (c *CompactionConfig) normalize() {
@@ -44,18 +47,6 @@ func (c *CompactionConfig) normalize() {
 	}
 	if c.MaxGarbageRatio <= 0 {
 		c.MaxGarbageRatio = 0.5
-	}
-	if c.MinVictimGarbage <= 0 {
-		c.MinVictimGarbage = 0.25
-	}
-	if c.MaxPassesPerOp <= 0 {
-		c.MaxPassesPerOp = 2
-	}
-	if c.WearWeight == 0 {
-		c.WearWeight = 0.1
-	}
-	if c.WearWeight < 0 {
-		c.WearWeight = 0
 	}
 }
 
@@ -68,7 +59,7 @@ func WithCompaction(cfg CompactionConfig) Option {
 }
 
 // maybeCompact is the post-append hook: while the store needs compaction
-// and a qualified victim exists, compact — up to MaxPassesPerOp pages.
+// and a qualified victim exists, compact — up to maxPassesPerOp pages.
 // Capacity errors are swallowed (the triggering append already committed;
 // the next append's forced path will surface them); everything else, power
 // loss above all, propagates.
@@ -77,7 +68,7 @@ func (s *Store) maybeCompact() error {
 		return nil
 	}
 	s.compactDue = false
-	for pass := 0; pass < s.comp.MaxPassesPerOp; pass++ {
+	for pass := 0; pass < maxPassesPerOp; pass++ {
 		if !s.compactionNeeded() {
 			return nil
 		}
@@ -117,7 +108,7 @@ func (s *Store) compactionNeeded() bool {
 // page.
 func (s *Store) pickVictim() int {
 	var maxWear uint32 = 1
-	useWear := s.wb != nil && s.comp.WearWeight > 0
+	useWear := s.wb != nil
 	if useWear {
 		if s.wear == nil {
 			s.wear = make([]uint32, s.np)
@@ -143,12 +134,12 @@ func (s *Store) pickVictim() int {
 			continue
 		}
 		garbage := float64(recBytes-s.pageLive[p]) / float64(recBytes)
-		if garbage < s.comp.MinVictimGarbage {
+		if garbage < minVictimGarbage {
 			continue
 		}
 		score := float64(s.ps-s.pageLive[p]) / float64(s.ps)
 		if useWear {
-			score += s.comp.WearWeight * (1 - float64(s.wear[p])/float64(maxWear))
+			score += wearWeight * (1 - float64(s.wear[p])/float64(maxWear))
 		}
 		if score > best {
 			victim, best = p, score

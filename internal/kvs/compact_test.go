@@ -44,27 +44,27 @@ func TestProactiveCompactionFires(t *testing.T) {
 	}
 }
 
-// TestCompactionVictimGarbageFloor: a page below MinVictimGarbage never
+// TestCompactionVictimGarbageFloor: a page below minVictimGarbage never
 // qualifies as a proactive victim.
 func TestCompactionVictimGarbageFloor(t *testing.T) {
 	spec := flash.DefaultSpec()
 	spec.PageSize = 128
 	spec.NumPages = 8
 	dev := core.MustNewDevice(spec)
-	s, err := Open(dev, WithCompaction(CompactionConfig{MinVictimGarbage: 0.5}))
+	s, err := Open(dev, WithCompaction(CompactionConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Synthetic accounting: page 1 is 40% garbage — under the 50% floor.
+	// Synthetic accounting: page 1 is 20% garbage — under the 25% floor.
 	s.pageSeq[1] = 1
 	s.pageUsed[1] = pageHeaderSize + 100
-	s.pageLive[1] = 60
+	s.pageLive[1] = 80
 	s.head = -1
 	if v := s.pickVictim(); v != -1 {
 		t.Fatalf("pickVictim = %d, want none (garbage below floor)", v)
 	}
-	// At 60% garbage it qualifies.
-	s.pageLive[1] = 40
+	// At 30% garbage it qualifies.
+	s.pageLive[1] = 70
 	if v := s.pickVictim(); v != 1 {
 		t.Fatalf("pickVictim = %d, want 1", v)
 	}

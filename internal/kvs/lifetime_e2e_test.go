@@ -92,9 +92,6 @@ func TestLifetimeGracefulDegradation(t *testing.T) {
 	if free := f.SparesRemaining(); free != 0 {
 		t.Errorf("read-only with %d spares still free", free)
 	}
-	if h := f.Health(); h.RetiredData == 0 || h.SparesFree != 0 {
-		t.Errorf("health at end of life: %+v", h)
-	}
 
 	// The read path must survive end of life: every acknowledged value is
 	// still exactly there.

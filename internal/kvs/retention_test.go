@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/flipbit-sim/flipbit/internal/core"
+	"github.com/flipbit-sim/flipbit/internal/flash"
 )
 
 // plantMarginalCell stores one zero-heavy record under key "k" and ages
@@ -20,34 +21,48 @@ func plantMarginalCell(t *testing.T, s *Store, dev *core.Device) {
 		t.Fatalf("record landed on page %d, want 0", loc.page)
 	}
 	fl := dev.Flash()
-	mask := make([]byte, s.ps)
+	stored := make([]byte, s.ps)
+	if err := fl.ReadPage(0, stored); err != nil {
+		t.Fatal(err)
+	}
 	for tries := 0; ; tries++ {
 		if tries > 500 {
 			t.Fatal("could not place a marginal cell inside the record")
 		}
 		fl.AgeRetention(1) // one leak event in bank 0
-		n, err := fl.RiseMaskInto(0, mask)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
+		if fl.RiseBits(0) == 0 {
 			continue
 		}
-		off := -1
-		for i, b := range mask {
-			if b != 0 {
-				off = i
-				break
-			}
-		}
+		off := marginalByte(t, fl, stored)
 		if off >= loc.off && off < loc.off+loc.size {
 			return
 		}
-		// Marginal cell landed in the page header; recharge and redraw.
-		if _, err := fl.RefreshRetention(0); err != nil {
+		// Marginal cell landed in the page header; rewrite the page to
+		// recharge it, and redraw.
+		if err := fl.EraseProgramPage(0, stored); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// marginalByte finds the byte of page 0 holding its one marginal cell:
+// the margin-aware ReadPage serves stored, and the cell reads 1 on about
+// half of all host reads.
+func marginalByte(t *testing.T, fl *flash.Device, stored []byte) int {
+	t.Helper()
+	buf := make([]byte, len(stored))
+	for i := 0; i < 64; i++ {
+		if err := fl.Read(fl.PageBase(0), buf); err != nil {
+			t.Fatal(err)
+		}
+		for off := range buf {
+			if buf[off] != stored[off] {
+				return off
+			}
+		}
+	}
+	t.Fatal("marginal cell never flickered in 64 host reads")
+	return -1
 }
 
 // TestGetReSensesMarginalCell: a marginal retention cell inside a record

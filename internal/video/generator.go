@@ -33,8 +33,8 @@ func (b Box) Area() int {
 
 // Intersect returns the intersection area of two boxes.
 func (b Box) Intersect(o Box) int {
-	x0, y0 := maxInt(b.X0, o.X0), maxInt(b.Y0, o.Y0)
-	x1, y1 := minInt(b.X1, o.X1), minInt(b.Y1, o.Y1)
+	x0, y0 := max(b.X0, o.X0), max(b.Y0, o.Y0)
+	x1, y1 := min(b.X1, o.X1), min(b.Y1, o.Y1)
 	return Box{x0, y0, x1, y1}.Area()
 }
 
@@ -234,10 +234,10 @@ func (v *Video) ObjectBoxes(t int) []Box {
 			X0: int(cx - o.radius), Y0: int(cy - o.radius),
 			X1: int(cx + o.radius + 1), Y1: int(cy + o.radius + 1),
 		}
-		b.X0 = maxInt(b.X0, 0)
-		b.Y0 = maxInt(b.Y0, 0)
-		b.X1 = minInt(b.X1, v.Width)
-		b.Y1 = minInt(b.Y1, v.Height)
+		b.X0 = max(b.X0, 0)
+		b.Y0 = max(b.Y0, 0)
+		b.X1 = min(b.X1, v.Width)
+		b.Y1 = min(b.Y1, v.Height)
 		if b.Area() > 0 {
 			boxes = append(boxes, b)
 		}
@@ -254,20 +254,6 @@ func clampByte(v float64) byte {
 	default:
 		return byte(v + 0.5)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func (v *Video) String() string {
