@@ -185,7 +185,7 @@ func TestPublicEnduranceManagement(t *testing.T) {
 		t.Error("device never wore")
 	}
 	if st := scr.Stats(); st.Sampled == 0 ||
-		st.Sampled != st.Clean+st.Absorbed+st.RetentionAbsorbed+st.Unabsorbed+st.Errors {
+		st.Sampled != st.Clean+st.Absorbed+st.RetentionAbsorbed+st.Unabsorbed {
 		t.Errorf("scrub census: %+v", st)
 	}
 	if f.Stats().Retirements == 0 || f.SparesRemaining() == 2 {

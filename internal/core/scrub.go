@@ -36,14 +36,12 @@ type ScrubConfig struct {
 }
 
 // ScrubStats is the scrubber's census. Every sampled page lands in exactly
-// one class: Sampled == Clean + Absorbed + RetentionAbsorbed + Unabsorbed +
-// Errors.
+// one class: Sampled == Clean + Absorbed + RetentionAbsorbed + Unabsorbed.
 type ScrubStats struct {
 	Sampled    uint64 // pages examined
 	Clean      uint64 // pages with no drift and no wear-out
 	Absorbed   uint64 // approximatable pages left carrying stuck cells
 	Unabsorbed uint64 // drifted or worn pages the budget cannot absorb
-	Errors     uint64 // pages whose drift mask could not be sampled
 
 	// RetentionAbsorbed counts approximatable pages left carrying marginal
 	// retention cells (flash/retention.go).
@@ -114,15 +112,13 @@ func (s *Scrubber) scrubPage(p int) {
 	// interleaves with the sample.
 	bank := fl.BankOf(p)
 	d.commitMu[bank].Lock()
-	stuck, err := fl.StuckMaskInto(p, make([]byte, fl.Spec().PageSize))
+	stuck := fl.StuckBits(p)
 	rise := fl.RiseBits(p)
 	worn := fl.WornOut(p)
 	approx := d.Approximatable(p)
 	d.commitMu[bank].Unlock()
 
 	switch {
-	case err != nil:
-		s.bump(func(st *ScrubStats) { st.Errors++ })
 	case stuck == 0 && rise == 0 && !worn:
 		s.bump(func(st *ScrubStats) { st.Clean++ })
 	// Approximate data lives with drift: the encoder already treats stuck

@@ -182,7 +182,6 @@ type Result struct {
 	ScrubClean      uint64 `json:"-"`
 	ScrubAbsorbed   uint64 `json:"scrub_absorbed,omitempty"`
 	ScrubUnabsorbed uint64 `json:"scrub_unabsorbed,omitempty"`
-	ScrubErrors     uint64 `json:"scrub_errors,omitempty"`
 
 	FinalLiveKeys int    `json:"final_live_keys"`
 	Fingerprint   uint64 `json:"fingerprint"`
@@ -329,7 +328,6 @@ func addScrubStats(a, b core.ScrubStats) core.ScrubStats {
 		Clean:             a.Clean + b.Clean,
 		Absorbed:          a.Absorbed + b.Absorbed,
 		Unabsorbed:        a.Unabsorbed + b.Unabsorbed,
-		Errors:            a.Errors + b.Errors,
 		RetentionAbsorbed: a.RetentionAbsorbed + b.RetentionAbsorbed,
 	}
 }
@@ -381,7 +379,9 @@ func (c *campaign) runCycle(cycle int) {
 			c.scr.ScrubBank(b, scrubPages)
 		}
 		st := addScrubStats(c.scrubTotals, c.scr.Stats())
-		c.mix(st.Sampled, st.Absorbed, st.Unabsorbed, st.Errors)
+		// The 0 holds the slot of a retired census class, keeping every
+		// campaign fingerprint as it was.
+		c.mix(st.Sampled, st.Absorbed, st.Unabsorbed, 0)
 		c.mix(st.RetentionAbsorbed)
 	}
 
@@ -634,7 +634,6 @@ func (c *campaign) finish() {
 		c.res.ScrubClean = sst.Clean
 		c.res.ScrubAbsorbed = sst.Absorbed
 		c.res.ScrubUnabsorbed = sst.Unabsorbed
-		c.res.ScrubErrors = sst.Errors
 		c.res.ScrubRetentionAbsorbed = sst.RetentionAbsorbed
 	}
 	cs := c.dev.Stats()

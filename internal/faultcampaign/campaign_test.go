@@ -110,11 +110,11 @@ func TestCampaignScrubCensus(t *testing.T) {
 	if a.ScrubAbsorbed+a.ScrubUnabsorbed == 0 {
 		t.Error("census never saw drift; fault mix too gentle")
 	}
-	if sum := a.ScrubClean + a.ScrubAbsorbed + a.ScrubRetentionAbsorbed + a.ScrubUnabsorbed + a.ScrubErrors; sum != a.ScrubSampled {
+	if sum := a.ScrubClean + a.ScrubAbsorbed + a.ScrubRetentionAbsorbed + a.ScrubUnabsorbed; sum != a.ScrubSampled {
 		t.Errorf("census does not balance: %d sampled, classes sum to %d", a.ScrubSampled, sum)
 	}
-	t.Logf("scrub: sampled=%d clean=%d absorbed=%d unabsorbed=%d errors=%d",
-		a.ScrubSampled, a.ScrubClean, a.ScrubAbsorbed, a.ScrubUnabsorbed, a.ScrubErrors)
+	t.Logf("scrub: sampled=%d clean=%d absorbed=%d unabsorbed=%d",
+		a.ScrubSampled, a.ScrubClean, a.ScrubAbsorbed, a.ScrubUnabsorbed)
 
 	b, err := Run(cfg)
 	if err != nil {

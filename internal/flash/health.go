@@ -77,6 +77,19 @@ func (d *Device) StuckMaskInto(p int, dst []byte) (int, error) {
 	return popcount(d.drift[p]), nil
 }
 
+// StuckBits returns how many cells of page p have drifted to 0 since its
+// last erase — StuckMaskInto's count without the mask copy. It mirrors
+// RiseBits: an out-of-range page counts 0.
+func (d *Device) StuckBits(p int) int {
+	if d.checkPage(p) != nil {
+		return 0
+	}
+	bk := &d.banks[d.BankOf(p)]
+	bk.mu.Lock()
+	defer bk.mu.Unlock()
+	return popcount(d.drift[p])
+}
+
 func popcount(mask []byte) int {
 	n := 0
 	for _, b := range mask {

@@ -208,7 +208,8 @@ func TestWearIntoMatchesWear(t *testing.T) {
 
 // TestStuckMaskIntoContract: the mask copy fails only on an out-of-range
 // page or a buffer that is not one page long, zeroes the buffer for a page
-// with no drift, and counts drifted cells otherwise.
+// with no drift, and counts drifted cells otherwise; StuckBits gives the
+// same count without a buffer, and 0 for an out-of-range page.
 func TestStuckMaskIntoContract(t *testing.T) {
 	d := MustNewDevice(healthSpec())
 	ps := d.Spec().PageSize
@@ -236,6 +237,12 @@ func TestStuckMaskIntoContract(t *testing.T) {
 	}
 	if n, err := d.StuckMaskInto(1, junk); err != nil || n != popcount(d.drift[1]) || n == 0 {
 		t.Errorf("drifted page: %d, %v (drift mask holds %d)", n, err, popcount(d.drift[1]))
+	}
+	if got, want := d.StuckBits(1), popcount(d.drift[1]); got != want {
+		t.Errorf("StuckBits(drifted page) = %d, want %d", got, want)
+	}
+	if d.StuckBits(0) != 0 || d.StuckBits(-1) != 0 || d.StuckBits(d.Spec().NumPages) != 0 {
+		t.Error("StuckBits counts cells on a clean or out-of-range page")
 	}
 }
 

@@ -117,21 +117,32 @@ func NewIndex(dev Device, cfg IndexConfig) (*Index, error) {
 	return ix, nil
 }
 
-// Pages returns the size of the index region in flash pages.
-func (ix *Index) Pages() int { return ix.lay.requiredPages(ix.cfg.totalBuckets()) }
-
 // BitmapBytes returns the length Query result buffers must have.
 func (ix *Index) BitmapBytes() int { return ix.lay.bytes }
 
 // Slots returns the slot capacity.
 func (ix *Index) Slots() int { return ix.cfg.Slots }
 
-// Reset erases the whole bitmap region, emptying every bucket.
-func (ix *Index) Reset() error {
-	for p := 0; p < ix.Pages(); p++ {
-		if err := ix.dev.ErasePage(ix.cfg.FirstPage + p); err != nil {
-			return err
+// SparePages lists the region's padding pages, in address order: pages
+// that round each bitmap's stride up to the bank count and that no bitmap
+// ever programs, senses or erases. The region's owner may use them.
+func (ix *Index) SparePages() []int {
+	var spare []int
+	// The callback never fails, so neither can the walk.
+	_ = ix.lay.walk(ix.cfg.totalBuckets(), func(p int, used bool) error {
+		if !used {
+			spare = append(spare, p)
 		}
+		return nil
+	})
+	return spare
+}
+
+// Reset erases every bitmap page, emptying every bucket. Padding pages
+// are left alone.
+func (ix *Index) Reset() error {
+	if err := ix.lay.eraseUsed(ix.dev, ix.cfg.totalBuckets()); err != nil {
+		return err
 	}
 	for i := range ix.shadow {
 		ix.shadow[i] = 0xFF

@@ -291,6 +291,61 @@ func TestIndexMaintenanceIsEraseFree(t *testing.T) {
 	}
 }
 
+// TestResetErasesBitmapPagesOnly: Reset erases exactly the pages some
+// bitmap occupies, once each, and SparePages lists the rest of the region
+// — the stride padding no bitmap ever programs or senses.
+func TestResetErasesBitmapPagesOnly(t *testing.T) {
+	dev := testDevice(t)
+	cfg := testIndexConfig()
+	cfg.FirstPage = 4
+	ix, err := NewIndex(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	owned := map[int]bool{}
+	for g := 0; g < cfg.totalBuckets(); g++ {
+		for c := 0; c < ix.lay.chunkPages; c++ {
+			owned[ix.lay.page(g, c)] = true
+		}
+	}
+	spare := map[int]bool{}
+	for _, p := range ix.SparePages() {
+		spare[p] = true
+	}
+	// 300 slots on 16 B pages: 3 chunk pages, stride 4 on 2 banks.
+	if len(owned) != 21 || len(spare) != 7 || len(owned)+len(spare) != cfg.Pages() {
+		t.Fatalf("%d owned + %d spare pages, region %d", len(owned), len(spare), cfg.Pages())
+	}
+	for p := 0; p < dev.Spec().NumPages; p++ {
+		want := uint32(0)
+		if owned[p] {
+			want = 1
+		}
+		inRegion := p >= cfg.FirstPage && p < cfg.FirstPage+cfg.Pages()
+		if owned[p] && spare[p] || inRegion != (owned[p] || spare[p]) {
+			t.Fatalf("page %d: owned %v, spare %v, in region %v", p, owned[p], spare[p], inRegion)
+		}
+		if w := dev.Wear(p); w != want {
+			t.Fatalf("page %d (owned %v): wear %d after Reset, want %d", p, owned[p], w, want)
+		}
+	}
+
+	ps, err := NewPlaneStore(dev, testPlaneConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := dev.Stats().Erases
+	if err := ps.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dev.Stats().Erases-before, uint64(testPlaneConfig().Width*ps.lay.chunkPages); got != want {
+		t.Fatalf("plane Reset erased %d pages, want %d (region %d)", got, want, testPlaneConfig().Pages())
+	}
+}
+
 // TestIndexErrors covers schema validation and argument checks.
 func TestIndexErrors(t *testing.T) {
 	dev := testDevice(t)

@@ -97,6 +97,29 @@ func (l bitmapLayout) chunkLen(c int) int {
 // requiredPages returns the region size for n bitmaps.
 func (l bitmapLayout) requiredPages(n int) int { return n * l.stride }
 
+// walk calls fn for every page of an n-bitmap region in address order,
+// reporting whether some bitmap occupies it (used) or it is padding that
+// rounds a stride up to the bank count. No bitmap ever programs or senses
+// a padding page.
+func (l bitmapLayout) walk(n int, fn func(p int, used bool) error) error {
+	for i := 0; i < l.requiredPages(n); i++ {
+		if err := fn(l.firstPage+i, i%l.stride < l.chunkPages); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// eraseUsed erases the pages some of n bitmaps occupy, skipping padding.
+func (l bitmapLayout) eraseUsed(dev Device, n int) error {
+	return l.walk(n, func(p int, used bool) error {
+		if !used {
+			return nil
+		}
+		return dev.ErasePage(p)
+	})
+}
+
 // maskTail clears the bits of dst beyond the slot count, so padding bits in
 // the final byte can never masquerade as matches.
 func maskTail(dst []byte, slots int) {

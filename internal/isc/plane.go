@@ -97,9 +97,6 @@ func (ps *PlaneStore) resetShadow() {
 	ps.maxErr = 0
 }
 
-// Pages returns the region size in flash pages.
-func (ps *PlaneStore) Pages() int { return ps.lay.requiredPages(ps.cfg.Width) }
-
 // BitmapBytes returns the length match result buffers must have.
 func (ps *PlaneStore) BitmapBytes() int { return ps.lay.bytes }
 
@@ -107,12 +104,11 @@ func (ps *PlaneStore) BitmapBytes() int { return ps.lay.bytes }
 // accepted — the widening margin proximity searches use.
 func (ps *PlaneStore) MaxObservedError() int { return ps.maxErr }
 
-// Reset erases the plane region, unassigning every slot.
+// Reset erases every plane page, unassigning every slot. Padding pages
+// are left alone.
 func (ps *PlaneStore) Reset() error {
-	for p := 0; p < ps.Pages(); p++ {
-		if err := ps.dev.ErasePage(ps.cfg.FirstPage + p); err != nil {
-			return err
-		}
+	if err := ps.lay.eraseUsed(ps.dev, ps.cfg.Width); err != nil {
+		return err
 	}
 	ps.resetShadow()
 	return nil

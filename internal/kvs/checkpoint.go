@@ -133,7 +133,7 @@ func (s *Store) Checkpoint() error {
 			return fmt.Errorf("kvs: checkpoint slot erase: %w", err)
 		}
 	}
-	addr := s.pageBase(base)
+	addr := base * s.ps
 	if err := s.b.Write(addr, blob); err != nil {
 		s.stats.CheckpointFailures++
 		if errors.Is(err, flash.ErrPowerLoss) {
@@ -315,7 +315,7 @@ func (s *Store) readCkptSlot(slot int) (*ckptImage, error) {
 	base := s.ckpt.slotBase[slot]
 	capacity := s.ckpt.cfg.SlotPages * s.ps
 	first := make([]byte, s.ps)
-	if err := s.b.Read(s.pageBase(base), first); err != nil {
+	if err := s.b.Read(base*s.ps, first); err != nil {
 		return nil, err
 	}
 	if string(first[:4]) != ckptMagic || first[4] != ckptVersion {
@@ -328,7 +328,7 @@ func (s *Store) readCkptSlot(slot int) (*ckptImage, error) {
 	blob := make([]byte, blobLen)
 	n := copy(blob, first)
 	if n < blobLen {
-		if err := s.b.Read(s.pageBase(base)+n, blob[n:]); err != nil {
+		if err := s.b.Read(base*s.ps+n, blob[n:]); err != nil {
 			return nil, err
 		}
 	}

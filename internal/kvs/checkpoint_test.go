@@ -147,7 +147,7 @@ func TestCheckpointStaleSlotFallback(t *testing.T) {
 	}
 	newest := s.ckpt.slotBase[s.ckpt.lastSlot]
 	// Tear the newest blob: a cleared bit in the magic fails its CRC.
-	clearBit(t, dev, s.pageBase(newest), 0)
+	clearBit(t, dev, newest*s.ps, 0)
 
 	s2 := remount(t, dev, 3, false)
 	if st := s2.Stats(); st.CheckpointMounts != 1 {
@@ -178,7 +178,7 @@ func TestCheckpointBothSlotsTornFallsBackToScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for slot := 0; slot < 2; slot++ {
-		clearBit(t, dev, s.pageBase(s.ckpt.slotBase[slot]), 0)
+		clearBit(t, dev, s.ckpt.slotBase[slot]*s.ps, 0)
 	}
 	s2 := remount(t, dev, 3, false)
 	if st := s2.Stats(); st.ScanMounts != 1 || st.CheckpointMounts != 0 {

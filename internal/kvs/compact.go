@@ -104,8 +104,9 @@ func (s *Store) compactionNeeded() bool {
 //
 // Each page's wear is read once per pass, into s.wear, since the maximum
 // and the scores need the same values: in bulk when the backend implements
-// BulkWearBackend (one lock acquisition per bank), else one PageWear per
-// page.
+// BulkWearBackend (one lock acquisition per bank, into a buffer indexed by
+// backend page and gathered through the data-page table), else one
+// PageWear per page.
 func (s *Store) pickVictim() int {
 	var maxWear uint32 = 1
 	useWear := s.wb != nil
@@ -114,10 +115,16 @@ func (s *Store) pickVictim() int {
 			s.wear = make([]uint32, s.np)
 		}
 		if s.bw != nil {
-			s.bw.WearInto(s.wear)
+			if s.wearDev == nil {
+				s.wearDev = make([]uint32, s.b.NumPages())
+			}
+			s.bw.WearInto(s.wearDev)
+			for p, d := range s.devPage {
+				s.wear[p] = s.wearDev[d]
+			}
 		} else {
-			for p := range s.wear {
-				s.wear[p] = s.wb.PageWear(p)
+			for p, d := range s.devPage {
+				s.wear[p] = s.wb.PageWear(d)
 			}
 		}
 		for _, w := range s.wear {

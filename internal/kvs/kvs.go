@@ -171,6 +171,11 @@ type Store struct {
 	b  Backend
 	ps int // page size
 	np int // data page count (excludes the checkpoint region, when configured)
+	// devPage maps each data page to its backend page: the pages below
+	// the checkpoint slots and the scan index's bitmaps, in order, then
+	// the index's padding pages. Every backend page address the log uses
+	// goes through it.
+	devPage []int
 
 	index map[string]location
 	// pageKeys lists, per page, every key whose index entry pointed at the
@@ -206,6 +211,7 @@ type Store struct {
 	wb      WearBackend     // b, when it exposes per-page wear (else nil)
 	bw      BulkWearBackend // b, when it also reads wear in bulk (else nil)
 	wear    []uint32        // pickVictim's per-pass wear reads, one per page
+	wearDev []uint32        // bulk wear snapshot, one per backend page
 	comp    *CompactionConfig
 	ckpt    *checkpointState
 	scanIdx *scanIndexState
@@ -468,8 +474,8 @@ func parsePageHeader(buf []byte, st *Stats) (uint32, int) {
 	return seq, pageInUse
 }
 
-// pageBase returns the backend address of page p.
-func (s *Store) pageBase(p int) int { return p * s.ps }
+// pageBase returns the backend address of data page p.
+func (s *Store) pageBase(p int) int { return s.devPage[p] * s.ps }
 
 // replayPage parses the records of one page into the index.
 func (s *Store) replayPage(page int, seq uint32, buf []byte) {
@@ -524,7 +530,7 @@ func (s *Store) marginSense(page int, dst []byte) (bool, error) {
 		return false, nil
 	}
 	s.stats.MarginSenses++
-	if err := b.SensePage(page, dst); err != nil {
+	if err := b.SensePage(s.devPage[page], dst); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -921,7 +927,7 @@ func (s *Store) reclaimQuarantined() {
 		if !s.pageBad[p] {
 			continue
 		}
-		if err := s.b.ErasePage(p); err != nil {
+		if err := s.b.ErasePage(s.devPage[p]); err != nil {
 			continue
 		}
 		if buf == nil {
@@ -1120,7 +1126,7 @@ func (s *Store) compactPage(victim int) error {
 			return err
 		}
 	}
-	if err := s.b.ErasePage(victim); err != nil {
+	if err := s.b.ErasePage(s.devPage[victim]); err != nil {
 		if errors.Is(err, flash.ErrPowerLoss) {
 			return err
 		}

@@ -69,20 +69,38 @@ type scanIndexState struct {
 }
 
 // layoutScanIndex carves the bitmap region (below the checkpoint slots,
-// when both are configured) and builds the index. Runs at mount, after
-// layoutCheckpoint.
+// when both are configured), builds the index, and builds the store's
+// data-page table: every page below the carved regions, then the index's
+// padding pages, which no bitmap uses and the log takes back. Runs at
+// mount, after layoutCheckpoint.
 func (s *Store) layoutScanIndex() error {
+	spare, err := s.carveScanIndex()
+	if err != nil {
+		return err
+	}
+	s.devPage = make([]int, s.np, s.np+len(spare))
+	for p := range s.devPage {
+		s.devPage[p] = p
+	}
+	s.devPage = append(s.devPage, spare...)
+	s.np = len(s.devPage)
+	return nil
+}
+
+// carveScanIndex reserves the bitmap region at the top of the data pages
+// and builds the index over it, returning the region's padding pages.
+func (s *Store) carveScanIndex() ([]int, error) {
 	si := s.scanIdx
 	if si == nil {
-		return nil
+		return nil, nil
 	}
 	ifb, ok := s.b.(InFlashBackend)
 	if !ok {
 		si.disabled = true // backend cannot sense; Scan uses the host path
-		return nil
+		return nil, nil
 	}
 	if si.spec.MaxKeys <= 0 {
-		return fmt.Errorf("kvs: scan index needs MaxKeys > 0, got %d", si.spec.MaxKeys)
+		return nil, fmt.Errorf("kvs: scan index needs MaxKeys > 0, got %d", si.spec.MaxKeys)
 	}
 	cfg := isc.IndexConfig{
 		PageSize:      s.ps,
@@ -95,17 +113,17 @@ func (s *Store) layoutScanIndex() error {
 	}
 	reserve := cfg.Pages()
 	if s.np-reserve < 3 {
-		return fmt.Errorf("kvs: scan index region (%d of %d pages) leaves too little data space", reserve, s.np)
+		return nil, fmt.Errorf("kvs: scan index region (%d of %d pages) leaves too little data space", reserve, s.np)
 	}
 	s.np -= reserve
 	cfg.FirstPage = s.np
 	ix, err := isc.NewIndex(iscDevice{Backend: s.b, ifb: ifb}, cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	si.ix = ix
 	si.slotOf = make(map[string]int)
-	return nil
+	return ix.SparePages(), nil
 }
 
 // iscDevice adapts the store's backend pair to the isc device surface.

@@ -2,6 +2,7 @@ package kvs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -237,8 +238,7 @@ func TestScanIndexOverflowDegrades(t *testing.T) {
 }
 
 // TestScanIndexMaintenanceEraseFree: steady-state index maintenance (Puts,
-// updates, deletes) must never erase index pages — only mounts reset the
-// region.
+// updates, deletes) must never erase index pages — only mounts reset them.
 func TestScanIndexMaintenanceEraseFree(t *testing.T) {
 	s, dev := newScanStore(t)
 	for i := 0; i < 40; i++ {
@@ -248,13 +248,189 @@ func TestScanIndexMaintenanceEraseFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Data-log GC may erase data pages; assert the index region (which
-	// starts where the data pages end) specifically: one erase per page,
+	// Data-log GC may erase data pages, the index's padding pages among
+	// them; assert the pages the index owns — every device page the
+	// data-page table does not name — specifically: one erase per page,
 	// from the mount-time reset only.
-	for p := s.np; p < dev.Flash().Spec().NumPages; p++ {
+	data := map[int]bool{}
+	for _, d := range s.devPage {
+		data[d] = true
+	}
+	owned := 0
+	for p := 0; p < dev.Flash().Spec().NumPages; p++ {
+		if data[p] {
+			continue
+		}
+		owned++
 		if w := dev.Flash().Wear(p); w != 1 {
 			t.Errorf("index page %d wear %d, want 1", p, w)
 		}
+	}
+	// 64 slots fit one 128 B page per bucket; 7 buckets.
+	if owned != 7 {
+		t.Errorf("index owns %d pages, want 7 (one per bucket)", owned)
+	}
+}
+
+// scanPerPageWear is perPageWear with the in-flash extension the scan
+// index needs: victim selection reads wear one PageWear call per page.
+type scanPerPageWear struct {
+	*perPageWear
+	InFlashBackend
+}
+
+// TestScanIndexLogSpillsIntoPadding: the log takes back the index's
+// padding pages (the pages that round each bitmap's stride up to the bank
+// count). Drive a store until the log lives on and garbage-collects those
+// pages, then remount by scan and from a checkpoint: every Get matches
+// the model, indexed scans match host scans, and the page-table totals
+// hold.
+func TestScanIndexLogSpillsIntoPadding(t *testing.T) {
+	preds := []isc.Pred{
+		isc.Eq("status", 1),
+		isc.Not(isc.Eq("region", 2)),
+		isc.And(isc.Eq("status", 0), isc.Eq("region", 1)),
+		isc.Or(isc.Eq("status", 2), isc.Eq("status", 3)),
+		isc.And(isc.In("status", 1, 3), isc.Not(isc.Eq("region", 0))),
+	}
+	for _, ckpt := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpoint=%v", ckpt), func(t *testing.T) {
+			spec := flash.DefaultSpec()
+			spec.PageSize = 256
+			spec.NumPages = 64
+			spec.Banks = 4 // 1-page bitmaps on a 4-page stride: 3 of 4 region pages are padding
+			dev := core.MustNewDevice(spec)
+			// Without checkpoints victim selection reads wear page by page,
+			// with them in bulk: both reads go through the table.
+			pw := &perPageWear{b: coreBackend{dev}}
+			var b Backend = scanPerPageWear{pw, coreBackend{dev}}
+			if ckpt {
+				b = coreBackend{dev}
+			}
+			opts := func(scanOnly bool) []Option {
+				o := []Option{
+					WithScanIndex(scanSpec(64)),
+					// A high garbage ceiling lets the log run through every
+					// free page, the padding ones last, before collecting.
+					WithCompaction(CompactionConfig{MaxGarbageRatio: 0.9}),
+				}
+				if ckpt {
+					o = append(o, WithCheckpoint(CheckpointConfig{SlotPages: 6, ScanOnly: scanOnly}))
+				}
+				return o
+			}
+			s, err := OpenOn(b, opts(false)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			padding := map[int]bool{} // data pages the table maps onto padding
+			for p, d := range s.devPage {
+				if d != p {
+					padding[p] = true
+				}
+			}
+			if len(padding) != 21 {
+				t.Fatalf("%d padding pages in the data-page table, want 21", len(padding))
+			}
+
+			rng := xrand.New(0x5A11)
+			model := map[string][]byte{}
+			put := func(step int) {
+				k := fmt.Sprintf("dev%02d", rng.Intn(40))
+				if rng.Intn(10) == 0 {
+					if err := s.Delete(k); err != nil {
+						t.Fatalf("step %d: delete: %v", step, err)
+					}
+					delete(model, k)
+					return
+				}
+				v := make([]byte, 2+rng.Intn(60))
+				for i := range v {
+					v[i] = rng.Byte()
+				}
+				if err := s.Put(k, v); err != nil {
+					t.Fatalf("step %d: put: %v", step, err)
+				}
+				model[k] = v
+			}
+			spilled, reclaimed := false, false
+			for step := 0; step < 1500; step++ {
+				put(step)
+				k := fmt.Sprintf("dev%02d", rng.Intn(40))
+				if got, err := s.Get(k); err == nil != (model[k] != nil) || !bytes.Equal(got, model[k]) {
+					t.Fatalf("step %d: Get(%q) = %v, %v; want %v", step, k, got, err, model[k])
+				}
+				for p := range padding {
+					spilled = spilled || s.pageSeq[p] != freeSeq
+					reclaimed = reclaimed || dev.Flash().Wear(s.devPage[p]) > 0
+				}
+			}
+			if !spilled || !reclaimed {
+				t.Fatalf("log spilled into padding pages: %v; collected one: %v", spilled, reclaimed)
+			}
+			if !ckpt && pw.pageWears == 0 {
+				t.Fatal("victim selection never read per-page wear")
+			}
+			if ckpt {
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				for step := 0; step < 30; step++ {
+					put(step) // a log tail for the checkpoint mount to replay
+				}
+			}
+
+			check := func(s *Store, when string) {
+				t.Helper()
+				for i := 0; i < 40; i++ {
+					k := fmt.Sprintf("dev%02d", i)
+					got, err := s.Get(k)
+					want, live := model[k]
+					switch {
+					case !live && !errors.Is(err, ErrNotFound):
+						t.Fatalf("%s: Get(%q) = %v, %v; want not found", when, k, got, err)
+					case live && (err != nil || !bytes.Equal(got, want)):
+						t.Fatalf("%s: Get(%q) = %v, %v; want %v", when, k, got, err, want)
+					}
+				}
+				for _, p := range preds {
+					got, err := s.Scan(p)
+					if err != nil {
+						t.Fatalf("%s: scan %s: %v", when, p, err)
+					}
+					want, err := s.ScanHost(p)
+					if err != nil {
+						t.Fatalf("%s: host scan %s: %v", when, p, err)
+					}
+					sameKVs(t, fmt.Sprintf("%s %s", when, p), got, want)
+				}
+				if !s.ScanIndexed() {
+					t.Fatalf("%s: scans fell back to the host path", when)
+				}
+				checkTotals(t, s, when)
+			}
+			check(s, "live")
+
+			s, err = OpenOn(b, opts(true)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats(); st.ScanMounts != 1 {
+				t.Fatalf("scan mount stats = %+v", st)
+			}
+			check(s, "scan mount")
+			if !ckpt {
+				return
+			}
+			s, err = OpenOn(b, opts(false)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats(); st.CheckpointMounts != 1 || st.TailPagesReplayed == 0 {
+				t.Fatalf("checkpoint mount stats = %+v", st)
+			}
+			check(s, "checkpoint mount")
+		})
 	}
 }
 
