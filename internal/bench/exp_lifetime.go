@@ -21,10 +21,9 @@ import (
 //     hot page burns through its endurance rating and the first worn erase
 //     silently corrupts acknowledged data.
 //   - managed: the volatile FTL levels wear across every page, the health
-//     gate fences degraded pages, worn pages retire onto a spare pool, and
-//     a scrubber takes a drift census in between. Life ends with a clean
-//     refusal (ErrExactDegraded once the pool is dry), never silent
-//     corruption.
+//     gate fences degraded pages, and worn pages retire onto a spare pool.
+//     Life ends with a clean refusal (ErrExactDegraded once the pool is
+//     dry), never silent corruption.
 //   - managed+approx: the same management with the whole device declared
 //     approximatable at a small error threshold. Drift within the budget
 //     needs no erase at all, so the same endurance rating stretches across
@@ -57,12 +56,11 @@ type LifetimeRow struct {
 	// LifetimeX is WritesToFirstLoss relative to the unmanaged baseline.
 	LifetimeX float64 `json:"lifetime_x"`
 
-	Erases       uint64 `json:"erases"`
-	MaxWear      uint32 `json:"max_wear"`
-	Swaps        uint64 `json:"swaps"`
-	Retirements  uint64 `json:"retirements"`
-	SparesUsed   int    `json:"spares_used"`
-	ScrubSampled uint64 `json:"scrub_sampled"`
+	Erases      uint64 `json:"erases"`
+	MaxWear     uint32 `json:"max_wear"`
+	Swaps       uint64 `json:"swaps"`
+	Retirements uint64 `json:"retirements"`
+	SparesUsed  int    `json:"spares_used"`
 }
 
 // DensityRow is one cell mode's outcome in the density sweep: the same
@@ -122,10 +120,8 @@ const (
 	lifetimeThreshold = 2.0
 	lifetimeSlack     = 8.0
 
-	lifetimeScrubEvery = 16 // writes between synchronous scrub passes
-	lifetimeScrubPages = 2  // pages sampled per pass
-	lifetimeColdEvery  = 32 // writes between cold-page verifications
-	lifetimeMaxWrites  = 200_000
+	lifetimeColdEvery = 32 // writes between cold-page verifications
+	lifetimeMaxWrites = 200_000
 )
 
 // lifetimeColdPages is how many cold archival pages the workload seeds.
@@ -152,7 +148,7 @@ type lifetimeTarget struct {
 
 // runLifetimeConfig drives the shared workload against one configuration
 // until first loss and returns (writes survived, acknowledged data lost).
-func runLifetimeConfig(spec flash.Spec, tgt lifetimeTarget, scrub func(), tol float64) (int, bool, error) {
+func runLifetimeConfig(spec flash.Spec, tgt lifetimeTarget, tol float64) (int, bool, error) {
 	rng := xrand.New(lifetimeSeed)
 	ps := spec.PageSize
 
@@ -239,9 +235,6 @@ func runLifetimeConfig(spec flash.Spec, tgt lifetimeTarget, scrub func(), tol fl
 				}
 			}
 		}
-		if scrub != nil && i%lifetimeScrubEvery == 0 {
-			scrub()
-		}
 	}
 	return lifetimeMaxWrites, false, nil
 }
@@ -263,7 +256,7 @@ func RunLifetime(cfg Config) (*LifetimeReport, error) {
 		writes, lost, err := runLifetimeConfig(spec, lifetimeTarget{
 			write: dev.Write,
 			read:  dev.Read,
-		}, nil, 0)
+		}, 0)
 		if err != nil {
 			return nil, fmt.Errorf("unmanaged: %w", err)
 		}
@@ -278,7 +271,7 @@ func RunLifetime(cfg Config) (*LifetimeReport, error) {
 		})
 	}
 
-	// Managed configurations share the FTL + gate + scrubber assembly.
+	// Managed configurations share the FTL + gate assembly.
 	managed := func(name string, approx bool) error {
 		dev := core.MustNewDevice(spec, core.WithHealthGate())
 		if approx {
@@ -288,11 +281,6 @@ func RunLifetime(cfg Config) (*LifetimeReport, error) {
 			dev.SetThreshold(lifetimeThreshold)
 		}
 		f := ftl.New(dev, ftl.WithSpares(lifetimeSpares), ftl.WithSwapDelta(8))
-		maxStuck := 0
-		if approx {
-			maxStuck = 4
-		}
-		scr := core.NewScrubber(dev, core.ScrubConfig{MaxStuck: maxStuck})
 		tol := 0.0
 		if approx {
 			tol = lifetimeSlack
@@ -300,12 +288,11 @@ func RunLifetime(cfg Config) (*LifetimeReport, error) {
 		writes, lost, err := runLifetimeConfig(spec, lifetimeTarget{
 			write: f.Write,
 			read:  f.Read,
-		}, func() { scr.ScrubBank(0, lifetimeScrubPages) }, tol)
+		}, tol)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		fst := f.Stats()
-		sst := scr.Stats()
 		rep.Rows = append(rep.Rows, LifetimeRow{
 			Config:            name,
 			WritesToFirstLoss: writes,
@@ -316,7 +303,6 @@ func RunLifetime(cfg Config) (*LifetimeReport, error) {
 			Swaps:             fst.Swaps,
 			Retirements:       fst.Retirements,
 			SparesUsed:        lifetimeSpares - f.SparesRemaining(),
-			ScrubSampled:      sst.Sampled,
 		})
 		return nil
 	}
@@ -350,7 +336,7 @@ func RunLifetime(cfg Config) (*LifetimeReport, error) {
 		writes, lost, err := runLifetimeConfig(spec, lifetimeTarget{
 			write: dev.Write,
 			read:  dev.Read,
-		}, nil, lifetimeSlack)
+		}, lifetimeSlack)
 		if err != nil {
 			return nil, fmt.Errorf("density %v: %w", d.mode, err)
 		}
@@ -470,7 +456,7 @@ func ExpLifetime(cfg Config) (*Table, error) {
 		fmt.Sprintf("seed %#x, endurance %d cycles, %d×%dB pages, %d-page spare pool; identical seeded workload per config",
 			rep.Seed, rep.Endurance, rep.NumPages, rep.PageSize, rep.Spares),
 		"loss = acknowledged bytes destroyed (failed read-back, or a worn erase corrupting the record it rewrote); a health-gate refusal ends life with data intact",
-		"the unmanaged row loses data when its hot page wears out; managed rows level, retire and scrub until the spare pool is dry, then refuse cleanly")
+		"the unmanaged row loses data when its hot page wears out; managed rows level and retire until the spare pool is dry, then refuse cleanly")
 	for _, d := range rep.Density {
 		t.Notes = append(t.Notes,
 			fmt.Sprintf("density %s: %d bit(s)/cell (×%.0f capacity), endurance %d cycles, encoder %s, run MAE %.2f",

@@ -70,24 +70,14 @@ func (c IndexConfig) Validate() error {
 // lowered onto batched multi-page senses; the host never reads a bitmap
 // page on the in-flash path.
 type Index struct {
-	dev Device
-	cfg IndexConfig
-	lay bitmapLayout
-
-	fieldOff map[string]Field // Buckets reused as count; offset stored separately
-	offsets  map[string]int   // field name → first global bucket
-
-	// shadow mirrors the bitmap region so maintenance can compute the
-	// post-program byte without a read (controller RAM metadata, exactly
-	// like the page map an FTL keeps).
-	shadow []byte
-
-	// scratch is a free-list of page-sized buffers for the recursive
-	// planner; senseP/senseI batch leaf pages for one SenseMulti call.
-	scratch [][]byte
-	senseP  []int
-	senseI  []bool
+	cfg    IndexConfig
+	r      *region
+	fields map[string]fieldRange
 }
+
+// fieldRange locates one field's bitmaps: buckets consecutive bitmaps
+// starting at off.
+type fieldRange struct{ off, buckets int }
 
 // NewIndex builds an index over a carved region. The region's pages are
 // assumed erased or previously index-owned; call Reset to (re)initialise.
@@ -96,29 +86,21 @@ func NewIndex(dev Device, cfg IndexConfig) (*Index, error) {
 		return nil, err
 	}
 	ix := &Index{
-		dev:      dev,
-		cfg:      cfg,
-		lay:      newBitmapLayout(cfg.Slots, cfg.PageSize, cfg.Banks, cfg.FirstPage),
-		fieldOff: map[string]Field{},
-		offsets:  map[string]int{},
-		senseP:   make([]int, 0, cfg.MaxSensePages),
-		senseI:   make([]bool, 0, cfg.MaxSensePages),
+		cfg:    cfg,
+		fields: map[string]fieldRange{},
 	}
 	off := 0
 	for _, f := range cfg.Fields {
-		ix.fieldOff[f.Name] = f
-		ix.offsets[f.Name] = off
+		ix.fields[f.Name] = fieldRange{off, f.Buckets}
 		off += f.Buckets
 	}
-	ix.shadow = make([]byte, ix.lay.requiredPages(off)*cfg.PageSize)
-	for i := range ix.shadow {
-		ix.shadow[i] = 0xFF
-	}
+	lay := newBitmapLayout(cfg.Slots, cfg.PageSize, cfg.Banks, cfg.FirstPage)
+	ix.r = newRegion(dev, lay, off, cfg.MaxSensePages)
 	return ix, nil
 }
 
 // BitmapBytes returns the length Query result buffers must have.
-func (ix *Index) BitmapBytes() int { return ix.lay.bytes }
+func (ix *Index) BitmapBytes() int { return ix.r.bytes }
 
 // Slots returns the slot capacity.
 func (ix *Index) Slots() int { return ix.cfg.Slots }
@@ -129,7 +111,7 @@ func (ix *Index) Slots() int { return ix.cfg.Slots }
 func (ix *Index) SparePages() []int {
 	var spare []int
 	// The callback never fails, so neither can the walk.
-	_ = ix.lay.walk(ix.cfg.totalBuckets(), func(p int, used bool) error {
+	_ = ix.r.walk(ix.r.n, func(p int, used bool) error {
 		if !used {
 			spare = append(spare, p)
 		}
@@ -140,26 +122,18 @@ func (ix *Index) SparePages() []int {
 
 // Reset erases every bitmap page, emptying every bucket. Padding pages
 // are left alone.
-func (ix *Index) Reset() error {
-	if err := ix.lay.eraseUsed(ix.dev, ix.cfg.totalBuckets()); err != nil {
-		return err
-	}
-	for i := range ix.shadow {
-		ix.shadow[i] = 0xFF
-	}
-	return nil
-}
+func (ix *Index) Reset() error { return ix.r.reset() }
 
 // globalBucket resolves (field, bucket) to a bitmap number.
 func (ix *Index) globalBucket(field string, bucket int) (int, error) {
-	f, ok := ix.fieldOff[field]
+	f, ok := ix.fields[field]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownField, field)
 	}
-	if bucket < 0 || bucket >= f.Buckets {
-		return 0, fmt.Errorf("%w: %q bucket %d of %d", ErrBucketRange, field, bucket, f.Buckets)
+	if bucket < 0 || bucket >= f.buckets {
+		return 0, fmt.Errorf("%w: %q bucket %d of %d", ErrBucketRange, field, bucket, f.buckets)
 	}
-	return ix.offsets[field] + bucket, nil
+	return f.off + bucket, nil
 }
 
 // Add marks slot as a member of (field, bucket) by programming its bit to
@@ -174,39 +148,26 @@ func (ix *Index) Add(slot int, field string, bucket int) error {
 	if err != nil {
 		return err
 	}
-	byteIdx := slot / 8
-	c := byteIdx / ix.cfg.PageSize
-	off := byteIdx % ix.cfg.PageSize
-	page := ix.lay.page(g, c)
-	shOff := (page-ix.cfg.FirstPage)*ix.cfg.PageSize + off
-	nv := ix.shadow[shOff] &^ (1 << (slot % 8))
-	if nv == ix.shadow[shOff] {
-		return nil // already a member
-	}
-	if err := ix.dev.ProgramByte(page*ix.cfg.PageSize+off, nv); err != nil {
-		return err
-	}
-	ix.shadow[shOff] = nv
-	return nil
+	return ix.r.clear(g, slot)
 }
 
 // Query evaluates the predicate entirely in flash and writes the matching
 // slots into dst (1 = match, conventional polarity, length BitmapBytes).
 // The device is charged one sense per leaf batch — never a page read.
 func (ix *Index) Query(p Pred, dst []byte) error {
-	if len(dst) != ix.lay.bytes {
-		return fmt.Errorf("%w: got %d, want %d", ErrBitmapSize, len(dst), ix.lay.bytes)
+	if len(dst) != ix.r.bytes {
+		return fmt.Errorf("%w: got %d, want %d", ErrBitmapSize, len(dst), ix.r.bytes)
 	}
 	if err := ix.checkPred(p); err != nil {
 		return err
 	}
-	buf := ix.getBuf()
-	defer ix.putBuf(buf)
-	for c := 0; c < ix.lay.chunkPages; c++ {
+	buf := ix.r.getBuf()
+	defer ix.r.putBuf(buf)
+	for c := 0; c < ix.r.chunkPages; c++ {
 		if err := ix.evalFlash(p, c, buf); err != nil {
 			return err
 		}
-		copy(dst[c*ix.cfg.PageSize:], buf[:ix.lay.chunkLen(c)])
+		copy(dst[c*ix.cfg.PageSize:], buf[:ix.r.chunkLen(c)])
 	}
 	maskTail(dst, ix.cfg.Slots)
 	return nil
@@ -224,17 +185,6 @@ func (ix *Index) checkPred(p Pred) error {
 	return err
 }
 
-func (ix *Index) getBuf() []byte {
-	if n := len(ix.scratch); n > 0 {
-		b := ix.scratch[n-1]
-		ix.scratch = ix.scratch[:n-1]
-		return b
-	}
-	return make([]byte, ix.cfg.PageSize)
-}
-
-func (ix *Index) putBuf(b []byte) { ix.scratch = append(ix.scratch, b) }
-
 // evalFlash computes the membership bitmap of p for chunk c into out (one
 // page), using in-flash senses only.
 //
@@ -245,19 +195,15 @@ func (ix *Index) putBuf(b []byte) { ix.scratch = append(ix.scratch, b) }
 // (¬M = P), so it joins the same batch with its invert flag cleared.
 // Non-leaf children are evaluated recursively and folded host-side.
 func (ix *Index) evalFlash(p Pred, c int, out []byte) error {
-	switch n := p.(type) {
-	case predEq:
-		g, _ := ix.globalBucket(n.field, n.bucket)
-		ix.senseP = append(ix.senseP[:0], ix.lay.page(g, c))
-		ix.senseI = append(ix.senseI[:0], true)
-		return ix.dev.SenseMulti(flash.SenseAND, ix.senseP, ix.senseI, out)
-	case predNot:
-		if eq, ok := n.kid.(predEq); ok {
-			g, _ := ix.globalBucket(eq.field, eq.bucket)
-			ix.senseP = append(ix.senseP[:0], ix.lay.page(g, c))
-			ix.senseI = append(ix.senseI[:0], false)
-			return ix.dev.SenseMulti(flash.SenseAND, ix.senseP, ix.senseI, out)
+	if page, inv, ok := ix.leafPage(p, c); ok {
+		f := ix.r.fold(flash.SenseAND, out)
+		if err := f.sense(page, inv); err != nil {
+			return err
 		}
+		return f.flush()
+	}
+	switch n := p.(type) {
+	case predNot:
 		if err := ix.evalFlash(n.kid, c, out); err != nil {
 			return err
 		}
@@ -274,36 +220,10 @@ func (ix *Index) evalFlash(p Pred, c int, out []byte) error {
 }
 
 // evalGroup lowers one And/Or node: leaves are batched into senses of up
-// to MaxSensePages pages, subtrees recurse, and partial results fold into
+// to MaxSensePages pages, then subtrees recurse, and every part folds into
 // out with the node's operator.
 func (ix *Index) evalGroup(op flash.SenseOp, kids []Pred, c int, out []byte) error {
-	identity := byte(0xFF)
-	if op == flash.SenseOR {
-		identity = 0
-	}
-	for i := range out {
-		out[i] = identity
-	}
-	first := true
-	flush := func(dst []byte) error {
-		err := ix.dev.SenseMulti(op, ix.senseP, ix.senseI, dst)
-		ix.senseP = ix.senseP[:0]
-		ix.senseI = ix.senseI[:0]
-		return err
-	}
-	fold := func(part []byte) {
-		if op == flash.SenseAND {
-			for i := range out {
-				out[i] &= part[i]
-			}
-		} else {
-			for i := range out {
-				out[i] |= part[i]
-			}
-		}
-	}
-	ix.senseP = ix.senseP[:0]
-	ix.senseI = ix.senseI[:0]
+	f := ix.r.fold(op, out)
 	var sub []Pred
 	for _, k := range kids {
 		page, inv, leaf := ix.leafPage(k, c)
@@ -311,57 +231,20 @@ func (ix *Index) evalGroup(op flash.SenseOp, kids []Pred, c int, out []byte) err
 			sub = append(sub, k)
 			continue
 		}
-		ix.senseP = append(ix.senseP, page)
-		ix.senseI = append(ix.senseI, inv)
-		if len(ix.senseP) == ix.cfg.MaxSensePages {
-			if first {
-				if err := flush(out); err != nil {
-					return err
-				}
-				first = false
-				continue
-			}
-			buf := ix.getBuf()
-			err := flush(buf)
-			if err == nil {
-				fold(buf)
-			}
-			ix.putBuf(buf)
-			if err != nil {
-				return err
-			}
+		if err := f.sense(page, inv); err != nil {
+			return err
 		}
 	}
-	if len(ix.senseP) > 0 {
-		if first {
-			if err := flush(out); err != nil {
-				return err
-			}
-			first = false
-		} else {
-			buf := ix.getBuf()
-			err := flush(buf)
-			if err == nil {
-				fold(buf)
-			}
-			ix.putBuf(buf)
-			if err != nil {
-				return err
-			}
-		}
+	if err := f.flush(); err != nil {
+		return err
 	}
 	for _, k := range sub {
-		buf := ix.getBuf()
+		buf := ix.r.getBuf()
 		err := ix.evalFlash(k, c, buf)
 		if err == nil {
-			if first {
-				copy(out, buf)
-				first = false
-			} else {
-				fold(buf)
-			}
+			f.part(buf)
 		}
-		ix.putBuf(buf)
+		ix.r.putBuf(buf)
 		if err != nil {
 			return err
 		}
@@ -375,11 +258,11 @@ func (ix *Index) leafPage(k Pred, c int) (page int, invert, ok bool) {
 	switch n := k.(type) {
 	case predEq:
 		g, _ := ix.globalBucket(n.field, n.bucket)
-		return ix.lay.page(g, c), true, true
+		return ix.r.page(g, c), true, true
 	case predNot:
 		if eq, isEq := n.kid.(predEq); isEq {
 			g, _ := ix.globalBucket(eq.field, eq.bucket)
-			return ix.lay.page(g, c), false, true
+			return ix.r.page(g, c), false, true
 		}
 	}
 	return 0, false, false

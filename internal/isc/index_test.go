@@ -1,6 +1,7 @@
 package isc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -10,20 +11,19 @@ import (
 )
 
 // QueryHost evaluates Query's predicate with plain host reads of the
-// bitmap pages — the read-everything baseline and the oracle the in-flash
-// plans are tested against.
-func (ix *Index) QueryHost(p Pred, dst []byte) error {
-	if len(dst) != ix.lay.bytes {
-		return fmt.Errorf("%w: got %d, want %d", ErrBitmapSize, len(dst), ix.lay.bytes)
+// bitmap pages on dev — the read-everything baseline and the oracle the
+// in-flash plans are tested against.
+func (ix *Index) QueryHost(dev *flash.Device, p Pred, dst []byte) error {
+	if len(dst) != ix.r.bytes {
+		return fmt.Errorf("%w: got %d, want %d", ErrBitmapSize, len(dst), ix.r.bytes)
 	}
 	if err := ix.checkPred(p); err != nil {
 		return err
 	}
-	buf := ix.getBuf()
-	defer ix.putBuf(buf)
-	for c := 0; c < ix.lay.chunkPages; c++ {
-		n := ix.lay.chunkLen(c)
-		if err := ix.evalHost(p, c, buf[:n]); err != nil {
+	buf := make([]byte, ix.cfg.PageSize)
+	for c := 0; c < ix.r.chunkPages; c++ {
+		n := ix.r.chunkLen(c)
+		if err := ix.evalHost(dev, p, c, buf[:n]); err != nil {
 			return err
 		}
 		copy(dst[c*ix.cfg.PageSize:], buf[:n])
@@ -33,11 +33,11 @@ func (ix *Index) QueryHost(p Pred, dst []byte) error {
 }
 
 // evalHost mirrors evalFlash with host reads; out is chunkLen(c) bytes.
-func (ix *Index) evalHost(p Pred, c int, out []byte) error {
+func (ix *Index) evalHost(dev *flash.Device, p Pred, c int, out []byte) error {
 	switch n := p.(type) {
 	case predEq:
 		g, _ := ix.globalBucket(n.field, n.bucket)
-		if err := ix.dev.Read(ix.lay.page(g, c)*ix.cfg.PageSize, out); err != nil {
+		if err := dev.Read(ix.r.page(g, c)*ix.cfg.PageSize, out); err != nil {
 			return err
 		}
 		for i := range out {
@@ -45,7 +45,7 @@ func (ix *Index) evalHost(p Pred, c int, out []byte) error {
 		}
 		return nil
 	case predNot:
-		if err := ix.evalHost(n.kid, c, out); err != nil {
+		if err := ix.evalHost(dev, n.kid, c, out); err != nil {
 			return err
 		}
 		for i := range out {
@@ -66,11 +66,9 @@ func (ix *Index) evalHost(p Pred, c int, out []byte) error {
 		for i := range out {
 			out[i] = identity
 		}
-		buf := ix.getBuf()
-		defer ix.putBuf(buf)
-		part := buf[:len(out)]
+		part := make([]byte, len(out))
 		for _, k := range kids {
-			if err := ix.evalHost(k, c, part); err != nil {
+			if err := ix.evalHost(dev, k, c, part); err != nil {
 				return err
 			}
 			for i := range out {
@@ -236,7 +234,7 @@ func TestIndexQueryMatchesOracles(t *testing.T) {
 		if delta.Senses == 0 {
 			t.Fatalf("trial %d %s: in-flash query issued no senses", trial, p)
 		}
-		if err := ix.QueryHost(p, host); err != nil {
+		if err := ix.QueryHost(dev, p, host); err != nil {
 			t.Fatalf("trial %d %s: host oracle: %v", trial, p, err)
 		}
 		for slot := 0; slot < ix.Slots(); slot++ {
@@ -307,8 +305,8 @@ func TestResetErasesBitmapPagesOnly(t *testing.T) {
 	}
 	owned := map[int]bool{}
 	for g := 0; g < cfg.totalBuckets(); g++ {
-		for c := 0; c < ix.lay.chunkPages; c++ {
-			owned[ix.lay.page(g, c)] = true
+		for c := 0; c < ix.r.chunkPages; c++ {
+			owned[ix.r.page(g, c)] = true
 		}
 	}
 	spare := map[int]bool{}
@@ -341,8 +339,98 @@ func TestResetErasesBitmapPagesOnly(t *testing.T) {
 	if err := ps.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := dev.Stats().Erases-before, uint64(testPlaneConfig().Width*ps.lay.chunkPages); got != want {
+	if got, want := dev.Stats().Erases-before, uint64(testPlaneConfig().Width*ps.r.chunkPages); got != want {
 		t.Fatalf("plane Reset erased %d pages, want %d (region %d)", got, want, testPlaneConfig().Pages())
+	}
+}
+
+// TestMirrorHoldsBitmapPagesOnly: on the kvscan geometry (1,024 × 256 B
+// pages, 4 banks, 2,000 slots, 100 + 8 buckets) every bitmap is one page
+// padded to a four-page stride, so the 432-page region holds 108 bitmap
+// pages and 324 padding pages. The controller mirror covers the 108.
+func TestMirrorHoldsBitmapPagesOnly(t *testing.T) {
+	sp := flash.DefaultSpec()
+	sp.PageSize = 256
+	sp.NumPages = 1024
+	sp.Banks = 4
+	dev := flash.MustNewDevice(sp)
+	cfg := IndexConfig{
+		PageSize:      256,
+		Banks:         4,
+		MaxSensePages: sp.MaxSensePages,
+		Slots:         2000,
+		Fields:        []Field{{Name: "sel", Buckets: 100}, {Name: "zone", Buckets: 8}},
+	}
+	cfg.FirstPage = sp.NumPages - cfg.Pages()
+	ix, err := NewIndex(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Pages() != 432 || len(ix.SparePages()) != 324 {
+		t.Fatalf("region %d pages, %d spare; want 432 and 324", cfg.Pages(), len(ix.SparePages()))
+	}
+	if got, want := len(ix.r.mirror), 108*256; got != want {
+		t.Fatalf("mirror holds %d B, want %d (108 bitmap pages)", got, want)
+	}
+}
+
+// TestSparePageWritesLeaveQueriesAlone: the region's owner may program
+// and erase the padding pages at will; no query result changes, because
+// no bitmap ever senses them.
+func TestSparePageWritesLeaveQueriesAlone(t *testing.T) {
+	dev := testDevice(t)
+	cfg := testIndexConfig()
+	cfg.FirstPage = 4
+	ix, err := NewIndex(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(0x5BA2)
+	for slot := 0; slot < ix.Slots(); slot++ {
+		for _, f := range cfg.Fields {
+			if err := ix.Add(slot, f.Name, rng.Intn(f.Buckets)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	preds := make([]Pred, 100)
+	want := make([][]byte, len(preds))
+	for i := range preds {
+		preds[i] = randomPred(rng, 3)
+		want[i] = make([]byte, ix.BitmapBytes())
+		if err := ix.Query(preds[i], want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spare := ix.SparePages()
+	if len(spare) == 0 {
+		t.Fatal("geometry has no padding pages")
+	}
+	got := make([]byte, ix.BitmapBytes())
+	for round := 0; round < 3; round++ {
+		for _, p := range spare {
+			if round > 0 {
+				if err := dev.ErasePage(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < cfg.PageSize; i++ {
+				if err := dev.ProgramByte(p*cfg.PageSize+i, rng.Byte()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i, p := range preds {
+			if err := ix.Query(p, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[i]) {
+				t.Fatalf("round %d %s: result changed after writes to the padding pages", round, p)
+			}
+		}
 	}
 }
 

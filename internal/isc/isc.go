@@ -2,24 +2,25 @@
 // bitwise queries evaluated inside the array with multi-wordline senses
 // (flash.SenseMulti) instead of streaming pages to the host.
 //
-// Two structures are provided:
+// Index and PlaneStore keep bitmaps over record slots in a carved page
+// region, and both are thin layers over one region: it lays chunk c of
+// every bitmap in the same bank (strides are rounded up to a multiple of
+// the bank count, exactly the same-bank rule SenseMulti enforces), keeps
+// a RAM mirror of the bitmap pages, clears bits with erase-free 1→0
+// programs, and batches senses of up to MaxSensePages pages.
 //
-//   - Index: per-field bucket bitmaps over record slots, queried with an
-//     AND/OR/NOT predicate tree (Pred). Bitmaps are stored INVERTED — a bit
+//   - Index: per-field bucket bitmaps, queried with an AND/OR/NOT
+//     predicate tree (Pred). Bitmaps are stored INVERTED — a bit
 //     programmed to 0 means "slot is a member" — so index maintenance is
-//     always an erase-free 1→0 program, and membership falls out of a sense
+//     always an erase-free program, and membership falls out of a sense
 //     with the reference inverted (¬stored).
 //
 //   - PlaneStore: a bit-planar array of W-bit samples (plane j holds bit j
-//     of every sample), searched by range or proximity with one
-//     sense per prefix term. Writes follow FlipBit semantics: an update may
-//     only clear stored bits, so SetApprox clamps to the nearest reachable
-//     value and searches widen by the observed error bound — approximate
-//     storage with no false negatives.
-//
-// Both lay their bitmaps out so that chunk c of every bitmap lands in the
-// same bank (strides are rounded up to a multiple of the bank count), which
-// is exactly the same-bank rule SenseMulti enforces.
+//     of every sample), searched by range or proximity with one sense
+//     batch per prefix term. Writes follow FlipBit semantics: an update
+//     may only clear stored bits, so SetApprox clamps to the nearest
+//     reachable value and searches widen by the observed error bound —
+//     approximate storage with no false negatives.
 package isc
 
 import (
@@ -30,15 +31,12 @@ import (
 )
 
 // Device is the slice of the flash simulator in-storage compute needs.
-// *flash.Device satisfies it directly; the kvs backend adapts to it so the
-// index can ride on a core device.
+// *flash.Device satisfies it directly, and a kvs in-flash backend embeds
+// it so the index can ride on a core device.
 type Device interface {
 	// SenseMulti computes the bitwise op-combination of same-bank pages in
 	// one array operation (charged once per sense, not per page).
 	SenseMulti(op flash.SenseOp, pages []int, invert []bool, dst []byte) error
-	// Read is a plain host read (per-byte charge), used by the host-side
-	// oracle baselines.
-	Read(addr int, dst []byte) error
 	// ProgramByte clears bits of one byte (1 → 0 only).
 	ProgramByte(addr int, v byte) error
 	// ErasePage resets a page to all-ones.
@@ -118,6 +116,155 @@ func (l bitmapLayout) eraseUsed(dev Device, n int) error {
 		}
 		return dev.ErasePage(p)
 	})
+}
+
+// region is the flash region an Index or a PlaneStore keeps its bitmaps
+// in, and the controller state that drives it: one mirror of the bitmap
+// pages, the one path that clears a bit, the one sense batcher, and the
+// scratch pages queries fold in.
+type region struct {
+	bitmapLayout
+	dev      Device
+	n        int // bitmaps in the region
+	maxSense int // pages per SenseMulti
+
+	// mirror holds every bitmap page, chunk c of bitmap b at page slot
+	// b·chunkPages + c, so a clear computes the post-program byte without
+	// a read (controller RAM metadata, exactly like the page map an FTL
+	// keeps). Padding pages hold no bitmap and are not mirrored.
+	mirror []byte
+
+	scratch [][]byte
+	pages   []int  // the pending sense batch
+	invert  []bool // its reference inversions
+}
+
+func newRegion(dev Device, lay bitmapLayout, n, maxSense int) *region {
+	r := &region{
+		bitmapLayout: lay,
+		dev:          dev,
+		n:            n,
+		maxSense:     maxSense,
+		mirror:       make([]byte, n*lay.chunkPages*lay.pageSize),
+		pages:        make([]int, 0, maxSense),
+		invert:       make([]bool, 0, maxSense),
+	}
+	r.fillMirror()
+	return r
+}
+
+func (r *region) fillMirror() {
+	for i := range r.mirror {
+		r.mirror[i] = 0xFF
+	}
+}
+
+// reset erases every bitmap page, leaving the padding alone.
+func (r *region) reset() error {
+	if err := r.eraseUsed(r.dev, r.n); err != nil {
+		return err
+	}
+	r.fillMirror()
+	return nil
+}
+
+// clear programs bit slot of bitmap b to 0. A bit already 0 costs no
+// program.
+func (r *region) clear(b, slot int) error {
+	byteIdx := slot / 8
+	c, off := byteIdx/r.pageSize, byteIdx%r.pageSize
+	m := (b*r.chunkPages+c)*r.pageSize + off
+	nv := r.mirror[m] &^ (1 << (slot % 8))
+	if nv == r.mirror[m] {
+		return nil
+	}
+	if err := r.dev.ProgramByte(r.page(b, c)*r.pageSize+off, nv); err != nil {
+		return err
+	}
+	r.mirror[m] = nv
+	return nil
+}
+
+func (r *region) getBuf() []byte {
+	if n := len(r.scratch); n > 0 {
+		b := r.scratch[n-1]
+		r.scratch = r.scratch[:n-1]
+		return b
+	}
+	return make([]byte, r.pageSize)
+}
+
+func (r *region) putBuf(b []byte) { r.scratch = append(r.scratch, b) }
+
+// fold accumulates one AND or OR into out, a page: the first part lands
+// in out and each later one folds into it with op. With no parts out
+// holds op's identity.
+type fold struct {
+	r     *region
+	op    flash.SenseOp
+	out   []byte
+	empty bool // no part has landed yet
+}
+
+// fold starts an op-fold into out.
+func (r *region) fold(op flash.SenseOp, out []byte) fold {
+	identity := byte(0xFF)
+	if op == flash.SenseOR {
+		identity = 0
+	}
+	for i := range out {
+		out[i] = identity
+	}
+	return fold{r: r, op: op, out: out, empty: true}
+}
+
+// sense queues page, read with its reference inverted or not, and senses
+// the batch once it holds MaxSensePages pages.
+func (f *fold) sense(page int, invert bool) error {
+	f.r.pages = append(f.r.pages, page)
+	f.r.invert = append(f.r.invert, invert)
+	if len(f.r.pages) == f.r.maxSense {
+		return f.flush()
+	}
+	return nil
+}
+
+// flush senses the pending batch, if any, as one SenseMulti and folds the
+// result in. A fold must be flushed before another one starts.
+func (f *fold) flush() error {
+	if len(f.r.pages) == 0 {
+		return nil
+	}
+	dst := f.out
+	if !f.empty {
+		dst = f.r.getBuf()
+		defer f.r.putBuf(dst)
+	}
+	err := f.r.dev.SenseMulti(f.op, f.r.pages, f.r.invert, dst)
+	f.r.pages = f.r.pages[:0]
+	f.r.invert = f.r.invert[:0]
+	if err != nil {
+		return err
+	}
+	f.part(dst)
+	return nil
+}
+
+// part folds one page-sized result into out.
+func (f *fold) part(p []byte) {
+	switch {
+	case f.empty:
+		copy(f.out, p)
+		f.empty = false
+	case f.op == flash.SenseAND:
+		for i := range f.out {
+			f.out[i] &= p[i]
+		}
+	default:
+		for i := range f.out {
+			f.out[i] |= p[i]
+		}
+	}
 }
 
 // maskTail clears the bits of dst beyond the slot count, so padding bits in

@@ -48,18 +48,12 @@ func (c PlaneConfig) Validate() error {
 // (reference inverted where the target bit is 0), and a range decomposes
 // into at most 2·Width binary prefixes, each one sense.
 type PlaneStore struct {
-	dev Device
 	cfg PlaneConfig
-	lay bitmapLayout
+	r   *region
 
-	shadow   []byte // mirror of the plane region (controller RAM)
 	vals     []int  // stored value per slot
 	assigned []byte // bitmap: slot holds a sample (erased slots read full-scale)
 	maxErr   int    // worst |intended - stored| accepted so far
-
-	scratch [][]byte
-	senseP  []int
-	senseI  []bool
 }
 
 // NewPlaneStore builds a store over a carved region; call Reset to
@@ -70,23 +64,18 @@ func NewPlaneStore(dev Device, cfg PlaneConfig) (*PlaneStore, error) {
 	}
 	lay := newBitmapLayout(cfg.Slots, cfg.PageSize, cfg.Banks, cfg.FirstPage)
 	ps := &PlaneStore{
-		dev:      dev,
 		cfg:      cfg,
-		lay:      lay,
-		shadow:   make([]byte, lay.requiredPages(cfg.Width)*cfg.PageSize),
+		r:        newRegion(dev, lay, cfg.Width, cfg.MaxSensePages),
 		vals:     make([]int, cfg.Slots),
 		assigned: make([]byte, lay.bytes),
-		senseP:   make([]int, 0, cfg.MaxSensePages),
-		senseI:   make([]bool, 0, cfg.MaxSensePages),
 	}
-	ps.resetShadow()
+	ps.resetSlots()
 	return ps, nil
 }
 
-func (ps *PlaneStore) resetShadow() {
-	for i := range ps.shadow {
-		ps.shadow[i] = 0xFF
-	}
+// resetSlots returns every slot to unassigned full scale, the value an
+// erased region reads as.
+func (ps *PlaneStore) resetSlots() {
 	full := 1<<ps.cfg.Width - 1
 	for i := range ps.vals {
 		ps.vals[i] = full
@@ -98,7 +87,7 @@ func (ps *PlaneStore) resetShadow() {
 }
 
 // BitmapBytes returns the length match result buffers must have.
-func (ps *PlaneStore) BitmapBytes() int { return ps.lay.bytes }
+func (ps *PlaneStore) BitmapBytes() int { return ps.r.bytes }
 
 // MaxObservedError returns the worst |intended − stored| any SetApprox has
 // accepted — the widening margin proximity searches use.
@@ -107,10 +96,10 @@ func (ps *PlaneStore) MaxObservedError() int { return ps.maxErr }
 // Reset erases every plane page, unassigning every slot. Padding pages
 // are left alone.
 func (ps *PlaneStore) Reset() error {
-	if err := ps.lay.eraseUsed(ps.dev, ps.cfg.Width); err != nil {
+	if err := ps.r.reset(); err != nil {
 		return err
 	}
-	ps.resetShadow()
+	ps.resetSlots()
 	return nil
 }
 
@@ -186,27 +175,17 @@ func nearestSubset(cv, v, width int) int {
 }
 
 // program clears the plane bits taking the slot from its current value to
-// r (a verified subset) and updates the mirrors.
-func (ps *PlaneStore) program(slot, r int) error {
-	cv := ps.vals[slot]
-	byteIdx := slot / 8
-	c := byteIdx / ps.cfg.PageSize
-	off := byteIdx % ps.cfg.PageSize
+// v (a verified subset) and updates the slot's value.
+func (ps *PlaneStore) program(slot, v int) error {
 	for j := 0; j < ps.cfg.Width; j++ {
-		bit := 1 << j
-		if cv&bit == 0 || r&bit != 0 {
-			continue // plane bit already clear, or staying set
+		if v&(1<<j) == 0 {
+			if err := ps.r.clear(j, slot); err != nil {
+				return err
+			}
 		}
-		page := ps.lay.page(j, c)
-		shOff := (page-ps.cfg.FirstPage)*ps.cfg.PageSize + off
-		nv := ps.shadow[shOff] &^ (1 << (slot % 8))
-		if err := ps.dev.ProgramByte(page*ps.cfg.PageSize+off, nv); err != nil {
-			return err
-		}
-		ps.shadow[shOff] = nv
 	}
-	ps.vals[slot] = r
-	ps.assigned[byteIdx] |= 1 << (slot % 8)
+	ps.vals[slot] = v
+	ps.assigned[slot/8] |= 1 << (slot % 8)
 	return nil
 }
 
@@ -226,8 +205,8 @@ func (ps *PlaneStore) checkSlotVal(slot, v int) error {
 // is 0) and the prefix results are OR-ed host-side. Unassigned slots never
 // match.
 func (ps *PlaneStore) MatchRange(lo, hi int, dst []byte) error {
-	if len(dst) != ps.lay.bytes {
-		return fmt.Errorf("%w: got %d, want %d", ErrBitmapSize, len(dst), ps.lay.bytes)
+	if len(dst) != ps.r.bytes {
+		return fmt.Errorf("%w: got %d, want %d", ErrBitmapSize, len(dst), ps.r.bytes)
 	}
 	full := 1<<ps.cfg.Width - 1
 	if lo < 0 {
@@ -242,11 +221,11 @@ func (ps *PlaneStore) MatchRange(lo, hi int, dst []byte) error {
 	if lo > hi {
 		return nil
 	}
-	acc := ps.getBuf()
-	buf := ps.getBuf()
-	defer ps.putBuf(acc)
-	defer ps.putBuf(buf)
-	for c := 0; c < ps.lay.chunkPages; c++ {
+	acc := ps.r.getBuf()
+	buf := ps.r.getBuf()
+	defer ps.r.putBuf(acc)
+	defer ps.r.putBuf(buf)
+	for c := 0; c < ps.r.chunkPages; c++ {
 		for i := range acc {
 			acc[i] = 0
 		}
@@ -267,7 +246,7 @@ func (ps *PlaneStore) MatchRange(lo, hi int, dst []byte) error {
 				break
 			}
 		}
-		n := ps.lay.chunkLen(c)
+		n := ps.r.chunkLen(c)
 		base := c * ps.cfg.PageSize
 		for i := 0; i < n; i++ {
 			dst[base+i] = acc[i] & ps.assigned[base+i]
@@ -293,62 +272,11 @@ func (ps *PlaneStore) MatchNear(v, tol int, dst []byte) error {
 // prefix: one SenseAND per batch over the fixed planes, inverted where the
 // prefix bit is 0. A fully free prefix matches everything.
 func (ps *PlaneStore) sensePrefix(prefix, free, c int, out []byte) error {
-	if free >= ps.cfg.Width {
-		for i := range out {
-			out[i] = 0xFF
-		}
-		return nil
-	}
-	ps.senseP = ps.senseP[:0]
-	ps.senseI = ps.senseI[:0]
-	first := true
-	flush := func(dst []byte) error {
-		err := ps.dev.SenseMulti(flash.SenseAND, ps.senseP, ps.senseI, dst)
-		ps.senseP = ps.senseP[:0]
-		ps.senseI = ps.senseI[:0]
-		return err
-	}
+	f := ps.r.fold(flash.SenseAND, out)
 	for j := free; j < ps.cfg.Width; j++ {
-		ps.senseP = append(ps.senseP, ps.lay.page(j, c))
-		ps.senseI = append(ps.senseI, prefix&(1<<j) == 0)
-		if len(ps.senseP) == ps.cfg.MaxSensePages {
-			if err := ps.foldFlush(flush, &first, out); err != nil {
-				return err
-			}
-		}
-	}
-	if len(ps.senseP) > 0 {
-		if err := ps.foldFlush(flush, &first, out); err != nil {
+		if err := f.sense(ps.r.page(j, c), prefix&(1<<j) == 0); err != nil {
 			return err
 		}
 	}
-	return nil
+	return f.flush()
 }
-
-// foldFlush lands a sense batch in out, AND-folding after the first.
-func (ps *PlaneStore) foldFlush(flush func([]byte) error, first *bool, out []byte) error {
-	if *first {
-		*first = false
-		return flush(out)
-	}
-	buf := ps.getBuf()
-	defer ps.putBuf(buf)
-	if err := flush(buf); err != nil {
-		return err
-	}
-	for i := range out {
-		out[i] &= buf[i]
-	}
-	return nil
-}
-
-func (ps *PlaneStore) getBuf() []byte {
-	if n := len(ps.scratch); n > 0 {
-		b := ps.scratch[n-1]
-		ps.scratch = ps.scratch[:n-1]
-		return b
-	}
-	return make([]byte, ps.cfg.PageSize)
-}
-
-func (ps *PlaneStore) putBuf(b []byte) { ps.scratch = append(ps.scratch, b) }

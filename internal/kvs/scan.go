@@ -5,18 +5,16 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/flipbit-sim/flipbit/internal/flash"
 	"github.com/flipbit-sim/flipbit/internal/isc"
 )
 
 // InFlashBackend is an optional Backend extension: the in-storage compute
-// surface (multi-page bitwise senses and raw byte programs) the scan index
-// rides on. coreBackend implements it; backends without it (an FTL, whose
-// remapping would scramble the bitmap layout) silently fall back to host
-// scans.
+// surface (multi-page bitwise senses, raw byte programs and page erases)
+// the scan index rides on, plus the geometry that lays the index out.
+// coreBackend implements it; backends without it (an FTL, whose remapping
+// would scramble the bitmap layout) silently fall back to host scans.
 type InFlashBackend interface {
-	SenseMulti(op flash.SenseOp, pages []int, invert []bool, dst []byte) error
-	ProgramByte(addr int, v byte) error
+	isc.Device
 	Banks() int
 	MaxSensePages() int
 }
@@ -117,7 +115,7 @@ func (s *Store) carveScanIndex() ([]int, error) {
 	}
 	s.np -= reserve
 	cfg.FirstPage = s.np
-	ix, err := isc.NewIndex(iscDevice{Backend: s.b, ifb: ifb}, cfg)
+	ix, err := isc.NewIndex(ifb, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -125,18 +123,6 @@ func (s *Store) carveScanIndex() ([]int, error) {
 	si.slotOf = make(map[string]int)
 	return ix.SparePages(), nil
 }
-
-// iscDevice adapts the store's backend pair to the isc device surface.
-type iscDevice struct {
-	Backend
-	ifb InFlashBackend
-}
-
-func (d iscDevice) SenseMulti(op flash.SenseOp, pages []int, invert []bool, dst []byte) error {
-	return d.ifb.SenseMulti(op, pages, invert, dst)
-}
-
-func (d iscDevice) ProgramByte(addr int, v byte) error { return d.ifb.ProgramByte(addr, v) }
 
 // rebuildScanIndex re-derives the bitmaps from the mounted records: the
 // index is an acceleration structure, so instead of journaling it, mount

@@ -279,6 +279,9 @@ type scanPerPageWear struct {
 	InFlashBackend
 }
 
+// ErasePage goes through perPageWear, like the store's other Backend calls.
+func (w scanPerPageWear) ErasePage(p int) error { return w.perPageWear.ErasePage(p) }
+
 // TestScanIndexLogSpillsIntoPadding: the log takes back the index's
 // padding pages (the pages that round each bitmap's stride up to the bank
 // count). Drive a store until the log lives on and garbage-collects those
