@@ -18,7 +18,9 @@
 //     truth table over an n-bit lookahead window (Table II for n = 2).
 //
 // A multi-level-cell variant (§VI) lives in mlc.go and error metrics in
-// metrics.go.
+// metrics.go. kernel.go compiles OneBit, NBit and the MLC variant into one
+// batch kernel, the same find-first-break chain over one-bit or two-bit
+// cells.
 package approx
 
 import (
@@ -77,7 +79,8 @@ func (OneBit) Name() string { return "1-bit" }
 
 // NBit implements Algorithm 2: the n-bit approximation with an n-bit
 // lookahead window and a minimax-derived truth table. It also carries the
-// compiled batch kernel (kernel.go), so it satisfies BatchEncoder.
+// compiled batch kernel over one-bit cells (kernel.go), so it satisfies
+// BatchEncoder.
 type NBit struct {
 	n     int
 	table *Table
@@ -104,7 +107,7 @@ func NewNBit(n int) (*NBit, error) {
 	if n < 1 || n > MaxN {
 		return nil, fmt.Errorf("approx: n-bit window must be in [1,%d], got %d", MaxN, n)
 	}
-	return &NBit{n: n, table: cachedTable(n), kern: cachedKernel(n)}, nil
+	return &NBit{n: n, table: cachedTable(n), kern: cachedKernel(1, n)}, nil
 }
 
 // MustNBit is NewNBit for static configurations known to be valid.

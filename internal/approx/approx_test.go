@@ -247,10 +247,21 @@ func TestNewNBitRange(t *testing.T) {
 		}
 	}
 	for n := 1; n <= MaxN; n++ {
-		if _, err := NewNBit(n); err != nil {
+		e, err := NewNBit(n)
+		if err != nil {
 			t.Errorf("NewNBit(%d): %v", n, err)
+			continue
+		}
+		if e.N() != n || e.table.N() != n {
+			t.Errorf("NewNBit(%d): window %d, table window %d", n, e.N(), e.table.N())
 		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MustNBit(0) should panic")
+		}
+	}()
+	MustNBit(0)
 }
 
 func TestEncoderNames(t *testing.T) {

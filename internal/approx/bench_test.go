@@ -46,9 +46,8 @@ func BenchmarkDeriveTable8(b *testing.B) {
 }
 
 // Batch-kernel benchmarks (kernel.go): EncodeSlice against the scalar
-// per-value reference loop over the same 4 KiB span. The scalar variants
-// replicate what the controller's encode stage did before the kernels —
-// LoadLE + interface Approximate + StoreLE per value.
+// reference walker (scalarEncodeSpan) over the same 4 KiB span: LoadLE +
+// interface Approximate + StoreLE and the error sums per value.
 
 func benchSpans(n int) (prev, exact, approx []byte) {
 	rng := xrand.New(1)
@@ -78,17 +77,7 @@ func benchEncodeScalarSpan(b *testing.B, enc Encoder, w bits.Width) {
 	b.SetBytes(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		encodeScalarSpan(enc, prev, exact, approx, w)
-	}
-}
-
-// encodeScalarSpan is the per-value reference loop the kernels replace.
-func encodeScalarSpan(enc Encoder, prev, exact, approx []byte, w bits.Width) {
-	vb := w.Bytes()
-	for j := 0; j+vb <= len(exact); j += vb {
-		p := bits.LoadLE(prev[j:], w)
-		e := bits.LoadLE(exact[j:], w)
-		bits.StoreLE(approx[j:], enc.Approximate(p, e, w), w)
+		scalarEncodeSpan(enc, nil, prev, exact, approx, w)
 	}
 }
 
@@ -103,10 +92,12 @@ func BenchmarkEncodeScalarNBit2W8(b *testing.B)   { benchEncodeScalarSpan(b, Mus
 func BenchmarkEncodeScalarNBit2W32(b *testing.B)  { benchEncodeScalarSpan(b, MustNBit(2), bits.W32) }
 func BenchmarkEncodeScalarNBit8W32(b *testing.B)  { benchEncodeScalarSpan(b, MustNBit(8), bits.W32) }
 
+func BenchmarkEncodeSliceNCell1W32(b *testing.B) { benchEncodeSlice(b, MustNCell(1), bits.W32) }
 func BenchmarkEncodeSliceNCell2W8(b *testing.B)  { benchEncodeSlice(b, MustNCell(2), bits.W8) }
 func BenchmarkEncodeSliceNCell2W32(b *testing.B) { benchEncodeSlice(b, MustNCell(2), bits.W32) }
 func BenchmarkEncodeSliceNCell4W32(b *testing.B) { benchEncodeSlice(b, MustNCell(4), bits.W32) }
 
+func BenchmarkEncodeScalarNCell1W32(b *testing.B) { benchEncodeScalarSpan(b, MustNCell(1), bits.W32) }
 func BenchmarkEncodeScalarNCell2W8(b *testing.B)  { benchEncodeScalarSpan(b, MustNCell(2), bits.W8) }
 func BenchmarkEncodeScalarNCell2W32(b *testing.B) { benchEncodeScalarSpan(b, MustNCell(2), bits.W32) }
 func BenchmarkEncodeScalarNCell4W32(b *testing.B) { benchEncodeScalarSpan(b, MustNCell(4), bits.W32) }
@@ -149,7 +140,7 @@ func TestEncodeSliceSpeedup(t *testing.T) {
 		for _, p := range g.pairs {
 			p.enc.EncodeSlice(prev, exact, out, p.w) // derive lazy LUTs up front
 			kernel := bestOf3(func() { p.enc.EncodeSlice(prev, exact, out, p.w) })
-			scalar := bestOf3(func() { encodeScalarSpan(p.enc, prev, exact, out, p.w) })
+			scalar := bestOf3(func() { scalarEncodeSpan(p.enc, nil, prev, exact, out, p.w) })
 			speedup := float64(scalar) / float64(kernel)
 			t.Logf("%s W%d: kernel %v, scalar %v per %d spans (%.1fx)", p.enc.Name(), p.w, kernel, scalar, reps, speedup)
 			best = max(best, speedup)

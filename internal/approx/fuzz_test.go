@@ -113,100 +113,31 @@ func FuzzNBitInvariants(f *testing.F) {
 	})
 }
 
-// FuzzBatchKernelMatchesScalar differentially fuzzes the batch kernels
-// (kernel.go) against the scalar encoders they compile: a multi-value span
-// is encoded once through EncodeSlice and once value-by-value through
-// Approximate, and both the output bytes and the in-kernel statistics must
-// match exactly. Values are fuzzed in adjacent pairs so the W16/W32 cases
-// exercise minimax windows and carries that straddle byte boundaries —
-// exactly what a naive per-byte LUT would get wrong.
-func FuzzBatchKernelMatchesScalar(f *testing.F) {
-	f.Add(uint32(0x0000FF00), uint32(0x000100FF), uint32(0xFF00FF00), uint32(0x00FF00FF), byte(2), byte(2))
-	f.Add(uint32(0x7FFFFFFF), uint32(0x80000000), uint32(0xAAAAAAAA), uint32(0x55555555), byte(8), byte(2))
-	f.Add(uint32(0xFFFFFFFF), uint32(0x12345678), uint32(0), uint32(0xFF), byte(4), byte(1))
-	f.Add(uint32(0xFFFEFFFE), uint32(0x00010001), uint32(0x01FE01FE), uint32(0x01010101), byte(3), byte(0))
-	f.Fuzz(func(t *testing.T, p0, e0, p1, e1 uint32, n, sel byte) {
-		var w bits.Width
-		switch sel % 3 {
-		case 0:
-			w = bits.W8
-		case 1:
-			w = bits.W16
-		default:
-			w = bits.W32
-		}
-		encoders := []BatchEncoder{OneBit{}, Exact{}, MustNBit(int(n)%MaxN + 1)}
-		var prev, exact, kernelOut, scalarOut [8]byte
-		bits.StoreLE(prev[0:], p0, bits.W32)
-		bits.StoreLE(prev[4:], p1, bits.W32)
-		bits.StoreLE(exact[0:], e0, bits.W32)
-		bits.StoreLE(exact[4:], e1, bits.W32)
-		vb := w.Bytes()
-		for _, enc := range encoders {
-			kst := enc.EncodeSlice(prev[:], exact[:], kernelOut[:], w)
-			var sst BatchStats
-			for i := 0; i+vb <= len(exact); i += vb {
-				pv := bits.LoadLE(prev[i:], w)
-				ev := bits.LoadLE(exact[i:], w)
-				a := enc.Approximate(pv, ev, w)
-				bits.StoreLE(scalarOut[i:], a, w)
-				sst.add(ev, a)
-				if !bits.IsSubset(a, pv) {
-					sst.Unreachable = true
-				}
-			}
-			if kernelOut != scalarOut {
-				t.Fatalf("%s/%v: kernel % x != scalar % x (prev % x exact % x)",
-					enc.Name(), w, kernelOut, scalarOut, prev, exact)
-			}
-			if kst != sst {
-				t.Fatalf("%s/%v: kernel stats %+v != scalar stats %+v (prev % x exact % x)",
-					enc.Name(), w, kst, sst, prev, exact)
-			}
-		}
-	})
-}
-
-// FuzzNCellKernelMatchesScalar differentially fuzzes the MLC batch kernel
-// (mlckernel.go) against the scalar NCell walk, mirroring
-// FuzzBatchKernelMatchesScalar: the span is encoded once through
-// EncodeSlice and once value-by-value through Approximate, and output
-// bytes and statistics must match exactly. Adjacent value pairs make the
-// W16/W32 cases exercise cell windows that straddle byte boundaries.
-func FuzzNCellKernelMatchesScalar(f *testing.F) {
-	f.Add(uint32(0x0000AA00), uint32(0x00005500), uint32(0xAAAAAAAA), uint32(0x55555555), byte(2), byte(2))
-	f.Add(uint32(0x3FFFFFFF), uint32(0xC0000000), uint32(0x55555555), uint32(0xAAAAAAAA), byte(4), byte(2))
-	f.Add(uint32(0xFFFFFFFF), uint32(0x12345678), uint32(0), uint32(0xFF), byte(3), byte(1))
-	f.Add(uint32(0xFFFEFFFE), uint32(0x00010001), uint32(0x01FE01FE), uint32(0x01010101), byte(1), byte(0))
-	f.Fuzz(func(t *testing.T, p0, e0, p1, e1 uint32, n, sel byte) {
-		var w bits.Width
-		switch sel % 3 {
-		case 0:
-			w = bits.W8
-		case 1:
-			w = bits.W16
-		default:
-			w = bits.W32
-		}
-		enc := MustNCell(int(n)%(MaxN/CellBits) + 1)
-		var prev, exact, kernelOut, scalarOut [8]byte
-		bits.StoreLE(prev[0:], p0, bits.W32)
-		bits.StoreLE(prev[4:], p1, bits.W32)
-		bits.StoreLE(exact[0:], e0, bits.W32)
-		bits.StoreLE(exact[4:], e1, bits.W32)
-		vb := w.Bytes()
+// fuzzKernelSpan differentially checks the batch kernel (kernel.go)
+// against the scalar encoders it compiles. A two-value span is encoded once
+// through EncodeSlice and once value-by-value through scalarEncodeSpan, and
+// both the output bytes and the in-kernel statistics must match exactly.
+// Values come in adjacent pairs so the W16/W32 cases exercise minimax
+// windows and carries that straddle byte boundaries — exactly what a naive
+// per-byte LUT would get wrong.
+func fuzzKernelSpan(t *testing.T, encoders []BatchEncoder, p0, e0, p1, e1 uint32, sel byte) {
+	var w bits.Width
+	switch sel % 3 {
+	case 0:
+		w = bits.W8
+	case 1:
+		w = bits.W16
+	default:
+		w = bits.W32
+	}
+	var prev, exact, kernelOut, scalarOut [8]byte
+	bits.StoreLE(prev[0:], p0, bits.W32)
+	bits.StoreLE(prev[4:], p1, bits.W32)
+	bits.StoreLE(exact[0:], e0, bits.W32)
+	bits.StoreLE(exact[4:], e1, bits.W32)
+	for _, enc := range encoders {
 		kst := enc.EncodeSlice(prev[:], exact[:], kernelOut[:], w)
-		var sst BatchStats
-		for i := 0; i+vb <= len(exact); i += vb {
-			pv := bits.LoadLE(prev[i:], w)
-			ev := bits.LoadLE(exact[i:], w)
-			a := enc.Approximate(pv, ev, w)
-			bits.StoreLE(scalarOut[i:], a, w)
-			sst.add(ev, a)
-			if cellGT(a, pv) != 0 {
-				sst.Unreachable = true
-			}
-		}
+		sst := scalarEncodeSpan(enc, reachOf(enc), prev[:], exact[:], scalarOut[:], w)
 		if kernelOut != scalarOut {
 			t.Fatalf("%s/%v: kernel % x != scalar % x (prev % x exact % x)",
 				enc.Name(), w, kernelOut, scalarOut, prev, exact)
@@ -215,6 +146,29 @@ func FuzzNCellKernelMatchesScalar(f *testing.F) {
 			t.Fatalf("%s/%v: kernel stats %+v != scalar stats %+v (prev % x exact % x)",
 				enc.Name(), w, kst, sst, prev, exact)
 		}
+	}
+}
+
+// FuzzBatchKernelMatchesScalar fuzzes the one-bit-cell geometry: OneBit,
+// Exact and one NBit.
+func FuzzBatchKernelMatchesScalar(f *testing.F) {
+	f.Add(uint32(0x0000FF00), uint32(0x000100FF), uint32(0xFF00FF00), uint32(0x00FF00FF), byte(2), byte(2))
+	f.Add(uint32(0x7FFFFFFF), uint32(0x80000000), uint32(0xAAAAAAAA), uint32(0x55555555), byte(8), byte(2))
+	f.Add(uint32(0xFFFFFFFF), uint32(0x12345678), uint32(0), uint32(0xFF), byte(4), byte(1))
+	f.Add(uint32(0xFFFEFFFE), uint32(0x00010001), uint32(0x01FE01FE), uint32(0x01010101), byte(3), byte(0))
+	f.Fuzz(func(t *testing.T, p0, e0, p1, e1 uint32, n, sel byte) {
+		fuzzKernelSpan(t, []BatchEncoder{OneBit{}, Exact{}, MustNBit(int(n)%MaxN + 1)}, p0, e0, p1, e1, sel)
+	})
+}
+
+// FuzzNCellKernelMatchesScalar fuzzes the two-bit MLC geometry: one NCell.
+func FuzzNCellKernelMatchesScalar(f *testing.F) {
+	f.Add(uint32(0x0000AA00), uint32(0x00005500), uint32(0xAAAAAAAA), uint32(0x55555555), byte(2), byte(2))
+	f.Add(uint32(0x3FFFFFFF), uint32(0xC0000000), uint32(0x55555555), uint32(0xAAAAAAAA), byte(4), byte(2))
+	f.Add(uint32(0xFFFFFFFF), uint32(0x12345678), uint32(0), uint32(0xFF), byte(3), byte(1))
+	f.Add(uint32(0xFFFEFFFE), uint32(0x00010001), uint32(0x01FE01FE), uint32(0x01010101), byte(1), byte(0))
+	f.Fuzz(func(t *testing.T, p0, e0, p1, e1 uint32, n, sel byte) {
+		fuzzKernelSpan(t, []BatchEncoder{MustNCell(int(n)%(MaxN/CellBits) + 1)}, p0, e0, p1, e1, sel)
 	})
 }
 

@@ -24,11 +24,11 @@ const cellLevels = 1 << CellBits
 // n == 1 it reproduces the paper's worked example (§VI): each cell is
 // clamped to its previous level when the exact level is unreachable, and the
 // setOnes/setZeros saturation flags carry across cells exactly as in the
-// binary algorithms. It also carries the compiled batch kernel
-// (mlckernel.go), so it satisfies BatchEncoder.
+// binary algorithms. It also carries the compiled batch kernel over
+// two-bit cells (kernel.go), so it satisfies BatchEncoder.
 type NCell struct {
 	n    int
-	kern *ncellKernel
+	kern *kernel
 }
 
 // NewNCell returns the n-cell encoder, n >= 1 cells of lookahead window.
@@ -36,7 +36,7 @@ func NewNCell(n int) (*NCell, error) {
 	if n < 1 || n > MaxN/CellBits {
 		return nil, fmt.Errorf("approx: n-cell window must be in [1,%d], got %d", MaxN/CellBits, n)
 	}
-	return &NCell{n: n, kern: cachedCellKernel(n)}, nil
+	return &NCell{n: n, kern: cachedKernel(CellBits, n)}, nil
 }
 
 // MustNCell is NewNCell for static configurations known to be valid.

@@ -104,9 +104,15 @@ func TestNewNCellRange(t *testing.T) {
 	if _, err := NewNCell(MaxN); err == nil {
 		t.Error("NewNCell(MaxN) should fail (cells, not bits)")
 	}
-	if _, err := NewNCell(2); err != nil {
-		t.Errorf("NewNCell(2): %v", err)
+	if e, err := NewNCell(2); err != nil || e.N() != 2 {
+		t.Errorf("NewNCell(2) = %v, %v; want a 2-cell window", e, err)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MustNCell(0) should panic")
+		}
+	}()
+	MustNCell(0)
 }
 
 func TestCellHelpers(t *testing.T) {

@@ -1,7 +1,5 @@
 package approx
 
-import "github.com/flipbit-sim/flipbit/internal/bits"
-
 // Table is the precomputed decision table of the n-bit approximation
 // algorithm (paper Table II shows the instance for n = 2).
 //
@@ -37,22 +35,14 @@ type Table struct {
 // bits are all ones.
 //
 // Comparing the U coefficients (ties favour the tight choice because of the
-// -1 term) gives: overshoot iff 2^m - eLow < eLow - g + 1.
+// -1 term) gives: overshoot iff 2^m - eLow < eLow - g + 1. That is
+// deriveFire's comparison at one bit per cell, which the batch kernels and
+// the n-cell algorithm share.
 //
 // For n = 2 this reproduces the paper's Table II exactly, which is asserted
 // by TestDeriveTableMatchesPaperTableII.
 func DeriveTable(n int) *Table {
-	m := n - 1
-	size := 1 << uint(2*m)
-	t := &Table{n: n, overshoot: make([]bool, size)}
-	for eLow := uint32(0); eLow < 1<<uint(m); eLow++ {
-		for pLow := uint32(0); pLow < 1<<uint(m); pLow++ {
-			g := greedyBelow(pLow, eLow, m)
-			overshoot := (1<<uint(m))-eLow < eLow-g+1
-			t.overshoot[eLow<<uint(m)|pLow] = overshoot
-		}
-	}
-	return t
+	return &Table{n: n, overshoot: deriveFire(1, n)}
 }
 
 // N returns the window size of the table.
@@ -93,25 +83,6 @@ func (t *Table) Decide(eWin, pWin uint32, setOnes, setZeros bool) (bit uint32, o
 		}
 		return 0, setOnes, setZeros
 	}
-}
-
-// greedyBelow computes the best m-bit under-approximation of eLow that is a
-// subset of pLow — the value Algorithm 1 would recover inside the lookahead
-// window assuming nothing below the window is settable.
-func greedyBelow(pLow, eLow uint32, m int) uint32 {
-	var v uint32
-	setOnes := false
-	for i := m - 1; i >= 0; i-- {
-		switch {
-		case bits.Bit(pLow, i) == 1:
-			if bits.Bit(eLow, i) == 1 || setOnes {
-				v = bits.SetBit(v, i, 1)
-			}
-		case bits.Bit(eLow, i) == 1:
-			setOnes = true
-		}
-	}
-	return v
 }
 
 // Row describes one line of the paper-style truth table rendering

@@ -13,9 +13,10 @@ import (
 	"github.com/flipbit-sim/flipbit/internal/xrand"
 )
 
-// The encodekernel experiment checks the table-driven batch encode kernels
-// (internal/approx/kernel.go) against the per-value scalar reference path,
-// at two levels:
+// The encodekernel experiment checks the table-driven batch encode kernel
+// (internal/approx/kernel.go, one find-first-break chain over 1-bit cells
+// for the n-bit encoders and 2-bit cells for the n-cell encoder) against
+// the per-value scalar reference path, at two levels:
 //
 //   - per encoder and width: EncodeSlice versus a LoadLE/Approximate/StoreLE
 //     loop over the same random span, whose outputs must be identical;
