@@ -18,7 +18,7 @@
 //   - the approximation encoders of §III-A (1-bit, n-bit, optimal, and the
 //     MLC n-cell variant of §VI);
 //   - the op-event bus and its subscribers (Observer, Ledger);
-//   - endurance management: the Scrubber's drift census and the
+//   - endurance management: the health gate, page retirement and the
 //     wear-leveling FTL with a spare pool;
 //   - the log-structured key-value store with GC, checkpoints and
 //     in-flash predicate scans.
@@ -151,10 +151,11 @@ var ErrPowerLoss = flash.ErrPowerLoss
 // paper's energy comparisons (2.275 mW @ 48 MHz).
 func CortexM0Plus() energy.CPUModel { return energy.CortexM0Plus() }
 
-// --- Endurance management: health, scrubbing, retirement ---
+// --- Endurance management: health gate and retirement ---
 
 // Additional operation kinds of the op-event bus. Retirements emit
-// OpRetire; OpScrub is reserved, since the scrubber only reads.
+// OpRetire; nothing emits OpScrub, which stays because perfbench's
+// fingerprint hashes Stats.Scrubs.
 const (
 	OpScrub  = flash.OpScrub
 	OpRetire = flash.OpRetire
@@ -174,26 +175,11 @@ var ErrPageRetired = flash.ErrPageRetired
 // longer be erased reliably.
 var ErrWornOut = flash.ErrWornOut
 
-// ScrubConfig parameterises a Scrubber: the drifted-cell budget
-// approximatable pages may absorb.
-type ScrubConfig = core.ScrubConfig
-
-// Scrubber is a read-only drift census: it samples pages and counts each
-// as clean, absorbed (approximate data living with drift inside its
-// budget) or unabsorbed, changing nothing on the device. Data is repaired
-// where it is read or written: the KVS's CRC repair and the FTL's
-// retire-on-write-failure. The caller drives it with ScrubBank(bank, n);
-// it is safe to call alongside writes.
-type Scrubber = core.Scrubber
-
 // WithHealthGate makes the commit path consult page health: exact data is
 // refused on degraded (or about-to-die) pages with ErrExactDegraded, while
 // approximate data keeps flowing onto them — graceful degradation instead
 // of silent corruption.
 func WithHealthGate() Option { return core.WithHealthGate() }
-
-// NewScrubber builds a scrubber over an existing device.
-func NewScrubber(d *Device, cfg ScrubConfig) *Scrubber { return core.NewScrubber(d, cfg) }
 
 // --- Wear-leveling FTL with a spare pool ---
 

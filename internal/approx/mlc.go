@@ -93,11 +93,9 @@ func (e *NCell) Name() string { return fmt.Sprintf("%d-cell", e.n) }
 // DeriveTable with radix 4: overshoot iff 4^m - eRest < eRest - gRest + 1,
 // where eRest is the lookahead value of exact and gRest what the greedy
 // clamp can still recover assuming nothing below the window is reachable.
+// The caller only asks when n > 1, so the window holds at least one cell.
 func (e *NCell) overshootCell(previous, exact uint32, c int) bool {
 	m := e.n - 1
-	if m <= 0 {
-		return false
-	}
 	// Walk lookahead cells c-1 .. c-m (cells below index 0 read as zero).
 	var eRest, gRest uint32
 	setOnes := false

@@ -320,15 +320,6 @@ func (d *Device) WriteReg(r Reg, val uint32) error {
 	}
 }
 
-// ReadReg returns the raw value of register r (0 for unknown registers,
-// matching reads of unmapped MMIO).
-func (d *Device) ReadReg(r Reg) uint32 {
-	if r < 0 || r >= numRegs {
-		return 0
-	}
-	return d.regs[r]
-}
-
 func (d *Device) validateRegion() error {
 	start, end := int(d.regs[RegApproxStart]), int(d.regs[RegApproxEnd])
 	ps := d.fl.Spec().PageSize

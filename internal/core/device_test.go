@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"github.com/flipbit-sim/flipbit/internal/approx"
 	"github.com/flipbit-sim/flipbit/internal/bits"
@@ -228,14 +230,11 @@ func TestRegisterInterface(t *testing.T) {
 		t.Errorf("invalid width accepted: %v", err)
 	}
 	d.SetThreshold(2.5)
-	if got := FixedToThreshold(d.ReadReg(RegThreshold)); got != 2.5 {
+	if got := FixedToThreshold(d.regs[RegThreshold]); got != 2.5 {
 		t.Errorf("threshold round trip = %v", got)
 	}
-	if got := d.ReadReg(RegThreshold); got != ThresholdToFixed(2.5) {
+	if got := d.regs[RegThreshold]; got != ThresholdToFixed(2.5) {
 		t.Errorf("raw threshold = %#x", got)
-	}
-	if d.ReadReg(Reg(99)) != 0 {
-		t.Error("unmapped register should read 0")
 	}
 	if err := d.WriteReg(Reg(99), 1); !errors.Is(err, ErrBadReg) {
 		t.Error("unmapped register write should fail")
@@ -432,5 +431,137 @@ func TestWornOutPropagates(t *testing.T) {
 	}
 	if !sawWornOut {
 		t.Error("never observed wear-out")
+	}
+}
+
+// gateSpec is a small two-bank device for the health-gate tests.
+func gateSpec() flash.Spec {
+	s := flash.DefaultSpec()
+	s.PageSize = 32
+	s.NumPages = 8
+	s.Banks = 2
+	return s
+}
+
+// wearOut erases page p until it is past endurance.
+func wearOut(t *testing.T, d *Device, p int) {
+	t.Helper()
+	fl := d.Flash()
+	for !fl.WornOut(p) {
+		if err := fl.ErasePage(p); err != nil && !errors.Is(err, flash.ErrWornOut) {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestHealthGateRefusesExactOnDegraded(t *testing.T) {
+	s := gateSpec()
+	s.EnduranceCycles = 3
+	d := MustNewDevice(s, WithHealthGate())
+	const p = 0
+	wearOut(t, d, p)
+
+	// Exact data (no approx region configured) must be refused.
+	err := d.Write(d.fl.PageBase(p), []byte{1, 2, 3, 4})
+	if !errors.Is(err, ErrExactDegraded) {
+		t.Fatalf("exact write on degraded page: got %v, want ErrExactDegraded", err)
+	}
+	if got := d.Stats().ExactRefused; got != 1 {
+		t.Errorf("ExactRefused = %d, want 1", got)
+	}
+
+	// Without the gate the legacy best-effort behaviour is preserved.
+	d2 := MustNewDevice(s)
+	wearOut(t, d2, p)
+	if err := d2.Write(d2.fl.PageBase(p), []byte{1, 2, 3, 4}); errors.Is(err, ErrExactDegraded) {
+		t.Fatalf("ungated device returned ErrExactDegraded: %v", err)
+	}
+}
+
+func TestHealthGateRoutesApproxOntoDegraded(t *testing.T) {
+	s := gateSpec()
+	s.EnduranceCycles = 3
+	d := MustNewDevice(s, WithHealthGate())
+	if err := d.SetApproxRegion(0, s.PageSize*s.NumPages); err != nil {
+		t.Fatal(err)
+	}
+	d.SetThreshold(70000) // saturates to unlimited: gate never trips
+	const p = 2
+	wearOut(t, d, p)
+
+	if err := d.Write(d.fl.PageBase(p), []byte{0x10, 0x20, 0x30, 0x40}); err != nil {
+		t.Fatalf("approx write on degraded page: %v", err)
+	}
+	if got := d.Stats().PagesDegraded; got != 1 {
+		t.Errorf("PagesDegraded = %d, want 1", got)
+	}
+}
+
+// TestRetryPolicy: a transient verify failure is re-issued within the
+// WithRetry budget and the operation succeeds; one that outlasts the
+// budget retires the page and surfaces as ErrExactDegraded; without the
+// policy the transient error reaches the caller.
+func TestRetryPolicy(t *testing.T) {
+	const p = 2
+	program := func(d *Device) error { return d.Write(d.fl.PageBase(p), []byte{1, 2, 3, 4}) }
+	erase := func(d *Device) error { return d.ErasePage(p) }
+	cases := []struct {
+		name    string
+		budget  int // WithRetry's max; 0 installs no policy
+		fault   flash.FaultKind
+		retries int // consecutive failing issues
+		op      func(*Device) error
+		wantErr error
+		want    Stats // retry counters only
+	}{
+		{"program saved", 3, flash.FaultTransientProgram, 2, program, nil,
+			Stats{RetryAttempts: 2, RetrySaves: 1}},
+		{"erase saved", 1, flash.FaultTransientErase, 1, erase, nil,
+			Stats{RetryAttempts: 1, RetrySaves: 1}},
+		{"budget exhausted", 2, flash.FaultTransientProgram, 5, program, ErrExactDegraded,
+			Stats{RetryAttempts: 2, RetryRetired: 1}},
+		{"no policy", 0, flash.FaultTransientProgram, 1, program, flash.ErrTransient, Stats{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var opts []Option
+			if tc.budget > 0 {
+				opts = append(opts, WithRetry(tc.budget, time.Microsecond))
+			}
+			d := MustNewDevice(testSpec(), opts...)
+			d.fl.ArmFault(flash.Fault{Kind: tc.fault, Retries: tc.retries})
+			if err := tc.op(d); !errors.Is(err, tc.wantErr) || (err == nil) != (tc.wantErr == nil) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			st := d.Stats()
+			got := Stats{RetryAttempts: st.RetryAttempts, RetrySaves: st.RetrySaves, RetryRetired: st.RetryRetired}
+			if got != tc.want {
+				t.Errorf("retry stats %+v, want %+v", got, tc.want)
+			}
+			if retired := d.fl.Retired(p); retired != (tc.want.RetryRetired > 0) {
+				t.Errorf("page retired = %v", retired)
+			}
+		})
+	}
+}
+
+// TestSensePageReadsStoredPage: the margin-aware sense returns the page as
+// stored.
+func TestSensePageReadsStoredPage(t *testing.T) {
+	d := MustNewDevice(testSpec())
+	ps := d.fl.Spec().PageSize
+	want := make([]byte, ps)
+	for i := range want {
+		want[i] = byte(i * 7)
+	}
+	if err := d.Write(d.fl.PageBase(1), want); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, ps)
+	if err := d.SensePage(1, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("sensed %x, want %x", got, want)
 	}
 }

@@ -78,9 +78,9 @@ type Config struct {
 	// Spares reserves a retirement pool in the FTL (requires UseFTL), so
 	// worn pages are remapped instead of quarantined.
 	Spares int
-	// Scrub arms the scrubber's drift census: one deterministic ScrubBank
-	// pass of scrubPages pages per bank each cycle, before the workload,
-	// so campaigns stay replayable.
+	// Scrub arms the drift census (campaign.census): scrubPages pages
+	// per bank each cycle, sampled before the workload so campaigns stay
+	// replayable.
 	Scrub bool
 }
 
@@ -89,7 +89,7 @@ const (
 	maxOpsPerCycle = 60 // ops attempted per cycle
 	numKeys        = 8  // distinct keys
 	valueSize      = 24 // value bytes
-	scrubPages     = 2  // pages per bank each cycle's scrub pass samples
+	scrubPages     = 2  // pages per bank each cycle's census samples
 )
 
 // withDefaults fills unset fields. The caller's mix must already have
@@ -144,7 +144,7 @@ type Result struct {
 	EraseFails    uint64 `json:"erase_fails,omitempty"`
 
 	// Retention-drift outcomes: cells aged marginal at reboots, read-path
-	// re-senses, and the pages the scrubber found absorbing marginal cells.
+	// re-senses, and the pages the census found absorbing marginal cells.
 	RetentionAged          uint64 `json:"retention_aged,omitempty"`
 	SenseRetries           uint64 `json:"sense_retries,omitempty"`
 	SenseRecovered         uint64 `json:"sense_recovered,omitempty"`
@@ -175,9 +175,9 @@ type Result struct {
 	FTLRolledBack    uint64 `json:"ftl_rolled_back,omitempty"`
 	FTLRetirements   uint64 `json:"ftl_retirements,omitempty"`
 
-	// The scrubber's drift census (with Config.Scrub), accumulated across
-	// reboots. ScrubClean completes the census but stays out of the
-	// artifact: it is ScrubSampled less every other class.
+	// The drift census (with Config.Scrub), accumulated across reboots.
+	// ScrubClean completes the census but stays out of the artifact: it
+	// is ScrubSampled less every other class.
 	ScrubSampled    uint64 `json:"scrub_sampled,omitempty"`
 	ScrubClean      uint64 `json:"-"`
 	ScrubAbsorbed   uint64 `json:"scrub_absorbed,omitempty"`
@@ -207,11 +207,11 @@ type campaign struct {
 	ftl   *ftl.FTL
 	store *kvs.Store
 
-	// scr is rebuilt on every mount (a reboot loses its RAM cursors);
-	// scrubTotals accumulates the census of scrubbers retired by reboots,
-	// and ftlRetireTotal does the same for the FTLs' retirements.
-	scr            *core.Scrubber
-	scrubTotals    core.ScrubStats
+	// cursor is the drift census's per-bank index of the next page to
+	// sample, reset on every mount (a reboot loses its RAM cursors);
+	// ftlRetireTotal accumulates the retirements of FTLs retired by
+	// reboots.
+	cursor         []int
 	ftlRetireTotal uint64
 	// kvsTotals accumulates the lifetime counters (compactions,
 	// checkpoints, mount paths) of stores retired by reboots — a remount
@@ -302,34 +302,9 @@ func (c *campaign) mount() error {
 		c.store, backendErr = c.openStore(nil)
 	}
 	if backendErr == nil && c.cfg.Scrub {
-		c.rebuildScrubber()
+		c.cursor = make([]int, c.fl.Banks())
 	}
 	return backendErr
-}
-
-// rebuildScrubber replaces the scrubber after a (re)mount, as a reboot
-// would. The outgoing scrubber's census folds into the campaign totals.
-// runCycle drives it with ScrubBank before each cycle's workload, keeping
-// the op stream deterministic.
-func (c *campaign) rebuildScrubber() {
-	if c.scr != nil {
-		c.scrubTotals = addScrubStats(c.scrubTotals, c.scr.Stats())
-	}
-	// MaxStuck 1: single-cell drift (the read-disturb case the record CRCs
-	// already repair) is absorbed, anything wider is unabsorbed — so the
-	// census sees both classes.
-	c.scr = core.NewScrubber(c.dev, core.ScrubConfig{MaxStuck: 1})
-}
-
-// addScrubStats sums two scrub-stat snapshots.
-func addScrubStats(a, b core.ScrubStats) core.ScrubStats {
-	return core.ScrubStats{
-		Sampled:           a.Sampled + b.Sampled,
-		Clean:             a.Clean + b.Clean,
-		Absorbed:          a.Absorbed + b.Absorbed,
-		Unabsorbed:        a.Unabsorbed + b.Unabsorbed,
-		RetentionAbsorbed: a.RetentionAbsorbed + b.RetentionAbsorbed,
-	}
 }
 
 // foldStoreStats accumulates a retired store's lifetime counters.
@@ -372,17 +347,14 @@ func (c *campaign) runCycle(cycle int) {
 	c.fl.ArmFault(f)
 	c.mix(uint64(f.Kind), uint64(f.After), uint64(f.Bits), uint64(f.Retries))
 
-	if c.scr != nil {
-		// One synchronous census pass with the fault armed. The scrubber
-		// only samples, so the fault can fire only in the workload below.
-		for b := 0; b < c.fl.Banks(); b++ {
-			c.scr.ScrubBank(b, scrubPages)
-		}
-		st := addScrubStats(c.scrubTotals, c.scr.Stats())
+	if c.cfg.Scrub {
+		// The census only reads, so the armed fault can fire only in the
+		// workload below.
+		c.census()
 		// The 0 holds the slot of a retired census class, keeping every
 		// campaign fingerprint as it was.
-		c.mix(st.Sampled, st.Absorbed, st.Unabsorbed, 0)
-		c.mix(st.RetentionAbsorbed)
+		c.mix(c.res.ScrubSampled, c.res.ScrubAbsorbed, c.res.ScrubUnabsorbed, 0)
+		c.mix(c.res.ScrubRetentionAbsorbed)
 	}
 
 	crashed := false
@@ -583,6 +555,85 @@ func (c *campaign) checkModel(cycle int) {
 	}
 }
 
+// The drift census. Flash cells drift: read disturb and worn erases leave
+// cells stuck at 0, and programmed cells leak charge to the read
+// threshold. With Config.Scrub, each cycle samples scrubPages pages per
+// bank and counts each into one class of Result's Scrub* counters. The
+// census reads the fault model's ground truth (flash.Device.StuckBits and
+// RiseBits), which no controller can sense, so it is a checker of the
+// campaign like checkModel, and it changes nothing on the device.
+
+// censusMaxStuck is the drifted-cell budget an approximatable page
+// absorbs: single-cell drift (the read-disturb case the record CRCs
+// already repair) is absorbed, anything wider is unabsorbed, so the
+// census sees both classes.
+const censusMaxStuck = 1
+
+// driftClass is a page's census class.
+type driftClass int
+
+const (
+	// driftClean: no drift and not worn. Retired pages count as clean:
+	// nothing lives there any more.
+	driftClean driftClass = iota
+	// driftAbsorbed: approximatable, not worn, and at most censusMaxStuck
+	// stuck cells. Stuck bits are just extra 1→0 flips inside the error
+	// budget, so the data keeps living there at no refresh cost.
+	driftAbsorbed
+	// driftRetentionAbsorbed: as driftAbsorbed, with a marginal retention
+	// cell among the drifted ones; read noise inside the same budget.
+	driftRetentionAbsorbed
+	// driftUnabsorbed: exact pages with drift, approximatable pages past
+	// the budget, and worn pages.
+	driftUnabsorbed
+)
+
+// classifyDrift returns page p's census class.
+func classifyDrift(d *core.Device, p int) driftClass {
+	fl := d.Flash()
+	if fl.Retired(p) {
+		return driftClean
+	}
+	stuck, rise, worn := fl.StuckBits(p), fl.RiseBits(p), fl.WornOut(p)
+	switch {
+	case stuck == 0 && rise == 0 && !worn:
+		return driftClean
+	case d.Approximatable(p) && stuck+rise <= censusMaxStuck && !worn:
+		if rise > 0 {
+			return driftRetentionAbsorbed
+		}
+		return driftAbsorbed
+	}
+	return driftUnabsorbed
+}
+
+// census samples the next scrubPages pages of every bank, advancing the
+// bank's cursor, and counts each page into its class.
+func (c *campaign) census() {
+	nb := c.fl.Banks()
+	pages := c.fl.Spec().NumPages
+	for b := 0; b < nb; b++ {
+		// Pages p with p % nb == b: at least one, since a spec never has
+		// more banks than pages.
+		perBank := (pages - b + nb - 1) / nb
+		for i := 0; i < scrubPages; i++ {
+			idx := c.cursor[b] % perBank
+			c.cursor[b] = idx + 1
+			c.res.ScrubSampled++
+			switch classifyDrift(c.dev, b+idx*nb) {
+			case driftClean:
+				c.res.ScrubClean++
+			case driftAbsorbed:
+				c.res.ScrubAbsorbed++
+			case driftRetentionAbsorbed:
+				c.res.ScrubRetentionAbsorbed++
+			case driftUnabsorbed:
+				c.res.ScrubUnabsorbed++
+			}
+		}
+	}
+}
+
 // checkKey verifies one read against the model.
 func (c *campaign) checkKey(cycle int, key string, got []byte, err error, op string) {
 	want, ok := c.model[key]
@@ -627,14 +678,6 @@ func (c *campaign) finish() {
 		c.res.FTLRolledBack = fst.RolledBack
 		c.res.FTLRetirements = c.ftlRetireTotal + fst.Retirements
 		c.res.CorrectedBits += fst.CorrectedBits
-	}
-	if c.scr != nil {
-		sst := addScrubStats(c.scrubTotals, c.scr.Stats())
-		c.res.ScrubSampled = sst.Sampled
-		c.res.ScrubClean = sst.Clean
-		c.res.ScrubAbsorbed = sst.Absorbed
-		c.res.ScrubUnabsorbed = sst.Unabsorbed
-		c.res.ScrubRetentionAbsorbed = sst.RetentionAbsorbed
 	}
 	cs := c.dev.Stats()
 	c.res.RetryAttempts = cs.RetryAttempts

@@ -1,6 +1,7 @@
 package faultcampaign
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -122,6 +123,150 @@ func TestCampaignScrubCensus(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("scrub campaign diverged across identical runs:\n%+v\nvs\n%+v", a, b)
+	}
+}
+
+// TestClassifyDrift: each census class from the page state that earns it,
+// at the campaign's budget of one drifted cell. Classifying reads nothing
+// through the flash ops and changes nothing on the device.
+func TestClassifyDrift(t *testing.T) {
+	const p = 3
+	cases := []struct {
+		name   string
+		approx bool
+		endure uint32 // EnduranceCycles; 0 keeps the default
+		setup  func(t *testing.T, d *core.Device)
+		want   driftClass
+	}{
+		{"retired page", true, 2, func(t *testing.T, d *core.Device) {
+			wearOut(t, d.Flash(), p)
+			if err := d.Flash().Retire(p); err != nil {
+				t.Fatal(err)
+			}
+		}, driftClean},
+		{"exact page with read-disturb drift", false, 0, func(t *testing.T, d *core.Device) {
+			writePage(t, d, p, 0xF0)
+			disturb(t, d.Flash(), p, 1)
+		}, driftUnabsorbed},
+		{"approx page within budget", true, 0, func(t *testing.T, d *core.Device) {
+			writePage(t, d, p, 0xFF)
+			disturb(t, d.Flash(), p, 1)
+		}, driftAbsorbed},
+		{"approx page with a marginal retention cell", true, 0, func(t *testing.T, d *core.Device) {
+			writePage(t, d, p, 0x00)
+			fl := d.Flash()
+			fl.ArmFault(flash.Fault{Kind: flash.FaultRetention})
+			if err := fl.ReadPage(p, make([]byte, fl.Spec().PageSize)); err != nil {
+				t.Fatal(err)
+			}
+			if fl.RiseBits(p) != 1 || fl.StuckBits(p) != 0 {
+				t.Fatalf("retention fault: rise %d, stuck %d", fl.RiseBits(p), fl.StuckBits(p))
+			}
+		}, driftRetentionAbsorbed},
+		{"approx page over budget", true, 0, func(t *testing.T, d *core.Device) {
+			writePage(t, d, p, 0xFF)
+			disturb(t, d.Flash(), p, 2)
+		}, driftUnabsorbed},
+		{"worn page", true, 2, func(t *testing.T, d *core.Device) {
+			wearOut(t, d.Flash(), p)
+		}, driftUnabsorbed},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := censusSpec()
+			if tc.endure > 0 {
+				s.EnduranceCycles = tc.endure
+			}
+			d := core.MustNewDevice(s)
+			if tc.approx {
+				if err := d.SetApproxRegion(0, s.Size()); err != nil {
+					t.Fatal(err)
+				}
+				d.SetThreshold(70000) // saturates to unlimited
+			}
+			tc.setup(t, d)
+			before := d.Flash().Stats()
+			if got := classifyDrift(d, p); got != tc.want {
+				t.Errorf("class %d, want %d (stuck %d, rise %d, worn %v)", got, tc.want,
+					d.Flash().StuckBits(p), d.Flash().RiseBits(p), d.Flash().WornOut(p))
+			}
+			if after := d.Flash().Stats(); after != before {
+				t.Errorf("census touched flash: %+v", after.Sub(before))
+			}
+		})
+	}
+}
+
+// TestCensusWalksEachBank: each pass samples scrubPages pages of every
+// bank, walking the bank's pages in order and wrapping, and counts each
+// sampled page into exactly one class.
+func TestCensusWalksEachBank(t *testing.T) {
+	s := censusSpec()
+	s.EnduranceCycles = 2
+	d := core.MustNewDevice(s)
+	if err := d.SetApproxRegion(0, 4*s.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	d.SetThreshold(70000)
+	writePage(t, d, 2, 0xFF)
+	disturb(t, d.Flash(), 2, 1) // bank 0: absorbed
+	wearOut(t, d.Flash(), 5)    // bank 1: unabsorbed
+	c := &campaign{dev: d, fl: d.Flash(), cursor: make([]int, s.Banks)}
+
+	// Passes sample pages {0, 2, 1, 3}, then {4, 6, 5, 7}, then wrap.
+	type counts struct{ sampled, clean, absorbed, retention, unabsorbed uint64 }
+	for pass, want := range []counts{{4, 3, 1, 0, 0}, {8, 6, 1, 0, 1}, {12, 9, 2, 0, 1}} {
+		c.census()
+		r := c.res
+		got := counts{r.ScrubSampled, r.ScrubClean, r.ScrubAbsorbed, r.ScrubRetentionAbsorbed, r.ScrubUnabsorbed}
+		if got != want {
+			t.Errorf("pass %d: census %+v, want %+v", pass, got, want)
+		}
+	}
+}
+
+// censusSpec is a small two-bank device for the census tests.
+func censusSpec() flash.Spec {
+	s := flash.DefaultSpec()
+	s.PageSize = 32
+	s.NumPages = 8
+	s.Banks = 2
+	return s
+}
+
+// writePage fills page p of d with b through the controller.
+func writePage(t *testing.T, d *core.Device, p int, b byte) {
+	t.Helper()
+	fl := d.Flash()
+	buf := make([]byte, fl.Spec().PageSize)
+	for i := range buf {
+		buf[i] = b
+	}
+	if err := d.Write(fl.PageBase(p), buf); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// disturb read-disturbs page p one cell at a time until n of its cells
+// have drifted (the fault picks random cells, which may already be 0).
+func disturb(t *testing.T, fl *flash.Device, p, n int) {
+	t.Helper()
+	buf := make([]byte, fl.Spec().PageSize)
+	for fl.StuckBits(p) < n {
+		fl.ArmFault(flash.Fault{Kind: flash.FaultReadDisturb, Bits: 1})
+		if err := fl.ReadPage(p, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// wearOut erases page p until it is past endurance.
+func wearOut(t *testing.T, fl *flash.Device, p int) {
+	t.Helper()
+	for !fl.WornOut(p) {
+		if err := fl.ErasePage(p); err != nil && !errors.Is(err, flash.ErrWornOut) {
+			t.Fatal(err)
+		}
 	}
 }
 

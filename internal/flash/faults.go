@@ -400,8 +400,8 @@ func (d *Device) readFault(b, p int, f Fault) {
 // stuck-at-0 failure of both the endurance model and FaultStuckBits. Called
 // with bank b's lock held; positions come from the bank's RNG so per-bank
 // sequences stay deterministic. Cells that actually flip (were legitimately
-// 1) are recorded in the page's drift mask so the scrubber has ground truth
-// to restore from.
+// 1) are recorded in the page's drift mask, the fault model's ground truth
+// for tests and the fault campaign's drift census.
 func (d *Device) stickBits(b, p, n int) {
 	base := d.PageBase(p)
 	rng := d.banks[b].rng

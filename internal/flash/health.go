@@ -10,8 +10,8 @@ import (
 // tell a controller when a page *died*; this file adds what endurance
 // management needs to act *before* that: which cells have silently drifted
 // to 0 since the last erase (the ground truth behind read-back verify, the
-// FTL's spare copy and the scrubber's census), and which pages have been
-// administratively retired onto a spare.
+// FTL's spare copy and the fault campaign's drift census), and which pages
+// have been administratively retired onto a spare.
 //
 // The drift mask of page p records exactly the 1→0 flips that faults — the
 // endurance stuck-at-0 model, FaultStuckBits, FaultReadDisturb — inflicted

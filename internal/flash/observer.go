@@ -15,7 +15,7 @@ const (
 	OpProgram                   // Bytes bytes programmed
 	OpProgramSkip               // Bytes byte programs elided (value unchanged)
 	OpErase                     // one page erased
-	OpScrub                     // unused: the read-only scrubber emits no event (kept for perfbench's fingerprint)
+	OpScrub                     // unused: nothing emits it (kept for perfbench's fingerprint)
 	OpRetire                    // one page retired onto a spare
 	OpProgramFail               // a program pulse that failed verify transiently (full cost, bits short of target)
 	OpEraseFail                 // an erase pulse that failed verify transiently (full cost, wear still taken)

@@ -12,11 +12,11 @@
 # counters are merged, and every library function left at 0% is printed.
 # A package no driver links has no counters in the merged profile, so its
 # functions cannot show up at 0%: those packages are listed separately,
-# from `go list ./...`. Exempt: examples/ and cmd/em0 (stand-alone programs, not library code),
-# and methods named Name, N, Update or String (interface methods that no
-# driver prints). perfbench is built with coverage but not edited; its own
-# functions are dropped before reporting because `go tool cover` cannot
-# resolve the nested module's sources.
+# from `go list ./...`. Exempt: examples/ (stand-alone programs, not
+# library code), and methods named Name, N, Update or String (interface
+# methods that no driver prints). perfbench is built with coverage but not
+# edited; its own functions are dropped before reporting because `go tool
+# cover` cannot resolve the nested module's sources.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -45,14 +45,14 @@ grep -v '^github.com/flipbit-sim/flipbit/perfbench/' "$work/merged.out" > "$work
 go tool cover -func="$work/lib.out" > "$work/func.txt"
 
 awk '$NF == "0.0%" && $2 !~ /^(Name|N|Update|String)$/ &&
-	$1 !~ /^github.com\/flipbit-sim\/flipbit\/(examples\/|cmd\/em0\/)/' "$work/func.txt" |
+	$1 !~ /^github.com\/flipbit-sim\/flipbit\/examples\//' "$work/func.txt" |
 	sed 's|^github.com/flipbit-sim/flipbit/||' > "$work/zero.txt"
 cat "$work/zero.txt"
 awk '/^total:/ { print "driver statement coverage: " $NF }' "$work/func.txt"
 count=$(wc -l < "$work/zero.txt")
 echo "driverless functions: $count"
 
-go list ./... | grep -vE '^github.com/flipbit-sim/flipbit/(examples/|cmd/em0$)' | sort > "$work/pkgs.txt"
+go list ./... | grep -v '^github.com/flipbit-sim/flipbit/examples/' | sort > "$work/pkgs.txt"
 awk -F: 'NR > 1 { sub(/\/[^\/]*$/, "", $1); print $1 }' "$work/lib.out" | sort -u > "$work/linked.txt"
 comm -23 "$work/pkgs.txt" "$work/linked.txt" | tee "$work/unlinked.txt"
 unlinked=$(wc -l < "$work/unlinked.txt")
