@@ -184,17 +184,22 @@ func WithHealthGate() Option { return core.WithHealthGate() }
 // --- Wear-leveling FTL with a spare pool ---
 
 // FTL is a page-mapped flash translation layer providing wear-leveling
-// and bad-page retirement onto a spare pool. Construct with NewFTL.
+// and bad-page retirement onto a spare pool, with its map journaled to the
+// tail of the device. Construct with OpenFTL.
 type FTL = ftl.FTL
 
 // FTLOption configures an FTL at construction.
 type FTLOption = ftl.Option
 
-// NewFTL builds a volatile (RAM-mapped) wear-leveling FTL over dev.
-func NewFTL(dev *Device, opts ...FTLOption) *FTL { return ftl.New(dev, opts...) }
+// OpenFTL mounts a wear-leveling FTL over dev, recovering its map and any
+// swap a power loss interrupted. The journal's metadata pages and the
+// spare pool come off the logical space (FTL.NumPages).
+func OpenFTL(dev *Device, opts ...FTLOption) (*FTL, error) { return ftl.Open(dev, opts...) }
 
 // WithSparePages reserves n physical pages as a retirement pool: worn or
-// health-refused pages are remapped onto spares with their data intact.
+// health-refused pages are remapped onto spares, carrying the page as it
+// reads back — intact when the page was fenced at its rating, with any
+// stuck cells when it failed past it.
 func WithSparePages(n int) FTLOption { return ftl.WithSpares(n) }
 
 // WithSwapDelta sets the wear gap (in erase cycles) that triggers a

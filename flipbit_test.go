@@ -158,7 +158,10 @@ func TestPublicEnduranceManagement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := flipbit.NewFTL(dev, flipbit.WithSparePages(2), flipbit.WithSwapDelta(4))
+	f, err := flipbit.OpenFTL(dev, flipbit.WithSparePages(2), flipbit.WithSwapDelta(4))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	rec := make([]byte, 64)
 	for i := 0; i < 200; i++ {

@@ -20,10 +20,12 @@ import (
 //   - unmanaged: writes go straight to the flash page that holds them. The
 //     hot page burns through its endurance rating and the first worn erase
 //     silently corrupts acknowledged data.
-//   - managed: the volatile FTL levels wear across every page, the health
-//     gate fences degraded pages, and worn pages retire onto a spare pool.
-//     Life ends with a clean refusal (ErrExactDegraded once the pool is
-//     dry), never silent corruption.
+//   - managed: the journaled FTL (ftl.Open) levels wear across its data
+//     pages until a page its swap erases — in practice the journal's
+//     scratch page — reaches its rating, the health gate fences degraded
+//     pages, and worn pages retire onto a spare pool. Life ends with a
+//     clean refusal (ErrExactDegraded once the pool is dry), never silent
+//     corruption.
 //   - managed+approx: the same management with the whole device declared
 //     approximatable at a small error threshold. Drift within the budget
 //     needs no erase at all, so the same endurance rating stretches across
@@ -280,7 +282,10 @@ func RunLifetime(cfg Config) (*LifetimeReport, error) {
 			}
 			dev.SetThreshold(lifetimeThreshold)
 		}
-		f := ftl.New(dev, ftl.WithSpares(lifetimeSpares), ftl.WithSwapDelta(8))
+		f, err := ftl.Open(dev, ftl.WithSpares(lifetimeSpares), ftl.WithSwapDelta(8))
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
 		tol := 0.0
 		if approx {
 			tol = lifetimeSlack

@@ -2,15 +2,14 @@ package flash
 
 import (
 	"errors"
-	"fmt"
 	"math/bits"
 )
 
 // Page-health tracking. The wear counters and the worn-out flag of device.go
 // tell a controller when a page *died*; this file adds what endurance
 // management needs to act *before* that: which cells have silently drifted
-// to 0 since the last erase (the ground truth behind read-back verify, the
-// FTL's spare copy and the fault campaign's drift census), and which pages
+// to 0 since the last erase (the ground truth behind the fault campaign's
+// drift census), and which pages
 // have been administratively retired onto a spare.
 //
 // The drift mask of page p records exactly the 1→0 flips that faults — the
@@ -53,33 +52,9 @@ func (d *Device) clearDrift(p int) {
 	}
 }
 
-// StuckMaskInto copies page p's drift mask into dst (one page long) and
-// returns the number of stuck cells. A page with no recorded drift zeroes
-// dst. The mask is ground truth from the fault model: data | mask is the
-// last intended image of the page.
-func (d *Device) StuckMaskInto(p int, dst []byte) (int, error) {
-	if err := d.checkPage(p); err != nil {
-		return 0, err
-	}
-	if len(dst) != d.spec.PageSize {
-		return 0, fmt.Errorf("%w: got %d, page size %d", ErrPageSize, len(dst), d.spec.PageSize)
-	}
-	bk := &d.banks[d.BankOf(p)]
-	bk.mu.Lock()
-	defer bk.mu.Unlock()
-	if d.drift[p] == nil {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return 0, nil
-	}
-	copy(dst, d.drift[p])
-	return popcount(d.drift[p]), nil
-}
-
 // StuckBits returns how many cells of page p have drifted to 0 since its
-// last erase — StuckMaskInto's count without the mask copy. It mirrors
-// RiseBits: an out-of-range page counts 0.
+// last erase: ground truth from the fault model, for checkers, not for a
+// controller. It mirrors RiseBits: an out-of-range page counts 0.
 func (d *Device) StuckBits(p int) int {
 	if d.checkPage(p) != nil {
 		return 0

@@ -281,14 +281,13 @@ func TestAgeRetentionCapsOnePerPage(t *testing.T) {
 // landing-zone prechecks above).
 func TestRetentionSkipsDriftedCells(t *testing.T) {
 	d := MustNewDevice(smallSpec())
-	ps := d.Spec().PageSize
 	d.ArmFault(Fault{Kind: FaultStuckBits, Bits: 8})
 	if err := d.ErasePage(0); err != nil {
 		t.Fatal(err)
 	}
-	drift := make([]byte, ps)
-	if n, err := d.StuckMaskInto(0, drift); err != nil || n == 0 {
-		t.Fatalf("no stuck cells to test against (n=%d, err=%v)", n, err)
+	drift := driftMask(d, 0)
+	if popcount(drift) == 0 {
+		t.Fatal("no stuck cells to test against")
 	}
 	d.AgeRetention(64 * d.Spec().NumPages)
 	for i, r := range d.rise[0] {

@@ -10,13 +10,10 @@ package ftl
 
 import "fmt"
 
-// freeSpare returns the first usable free spare, or -1. A spare is free
-// while unmapped; worn or fenced spares are skipped.
+// freeSpare returns the first usable free spare, or -1.
 func (f *FTL) freeSpare() int {
-	fl := f.dev.Flash()
-	for i := 0; i < f.poolSize; i++ {
-		pp := f.poolBase + i
-		if f.p2l[pp] == -1 && !fl.Retired(pp) && !fl.WornOut(pp) {
+	for pp := f.lay.poolBase; pp < f.lay.poolBase+f.lay.spares; pp++ {
+		if f.isFreeSpare(pp) {
 			return pp
 		}
 	}
@@ -25,15 +22,20 @@ func (f *FTL) freeSpare() int {
 
 // SparesRemaining returns how many usable spares the pool still holds.
 func (f *FTL) SparesRemaining() int {
-	fl := f.dev.Flash()
 	n := 0
-	for i := 0; i < f.poolSize; i++ {
-		pp := f.poolBase + i
-		if f.p2l[pp] == -1 && !fl.Retired(pp) && !fl.WornOut(pp) {
+	for pp := f.lay.poolBase; pp < f.lay.poolBase+f.lay.spares; pp++ {
+		if f.isFreeSpare(pp) {
 			n++
 		}
 	}
 	return n
+}
+
+// isFreeSpare reports whether pool page pp is free and usable: unmapped,
+// and neither fenced nor worn out.
+func (f *FTL) isFreeSpare(pp int) bool {
+	fl := f.dev.Flash()
+	return f.p2l[pp] == -1 && !fl.Retired(pp) && !fl.WornOut(pp)
 }
 
 // retirePhys remaps the logical owner of physical page pp onto a free
@@ -60,24 +62,17 @@ func (f *FTL) retirePhys(pp int, blank bool) error {
 			return err
 		}
 	} else {
-		// Repair what the bad page still holds — stuck cells read 0 but
-		// the drift mask knows which ones were meant to be 1 — and land
-		// the restored image on the spare, verified.
-		restored := make([]byte, f.PageSize())
-		if err := fl.ReadPage(pp, restored); err != nil {
+		// Copy what the bad page reads back — stuck cells included, since
+		// no controller can sense what they were meant to hold — and land
+		// the image on the spare, verified.
+		img := make([]byte, f.PageSize())
+		if err := fl.ReadPage(pp, img); err != nil {
 			return err
 		}
-		mask := make([]byte, f.PageSize())
-		if _, err := fl.StuckMaskInto(pp, mask); err != nil {
+		if err := f.writeExactPage(sp, img); err != nil {
 			return err
 		}
-		for i := range restored {
-			restored[i] |= mask[i]
-		}
-		if err := f.writeExactPage(sp, restored); err != nil {
-			return err
-		}
-		if err := f.verifyPage(sp, restored); err != nil {
+		if err := f.verifyPage(sp, img); err != nil {
 			return err
 		}
 	}
@@ -87,11 +82,8 @@ func (f *FTL) retirePhys(pp int, blank bool) error {
 	f.p2l[pp] = -1
 	_ = fl.Retire(pp)
 	f.stats.Retirements++
-	if f.journaled {
-		f.mapSeq++
-		return f.writeCheckpoint(1 - f.checkpointSlot)
-	}
-	return nil
+	f.mapSeq++
+	return f.writeCheckpoint(1 - f.checkpointSlot)
 }
 
 // verifyPage reads p back and compares against want.

@@ -1,15 +1,17 @@
 // Package ftl implements a small page-mapped flash translation layer with
 // static wear leveling — the class of technique §II-B discusses. The paper
 // argues FlipBit extends lifetime *without* an FTL's memory and management
-// overheads, and that the two are orthogonal and composable; this package
-// exists to measure both claims (see the exp-wear experiment).
+// overheads, and that the two are orthogonal and composable; the exp-wear
+// experiment runs both on this package.
 //
 // Design, matching embedded NOR practice: logical pages map to physical
-// pages through an in-RAM table; writes go in place (so FlipBit's
-// previous-content approximation still applies), and when the wear of a hot
-// page exceeds the coldest page's wear by a threshold, the two pages swap —
-// classic static wear leveling. Each swap costs two page reads, two page
-// writes and whatever erases those writes need.
+// pages through a table held in RAM and journaled to the tail of the device
+// (journal.go), so a reboot recovers every swap; writes go in place (so
+// FlipBit's previous-content approximation still applies), and when the
+// wear of a hot page exceeds the coldest page's wear by a threshold, the
+// two pages swap — classic static wear leveling. Each swap costs three page
+// reads, three exact page writes through a scratch page, an intent record
+// and a map checkpoint.
 package ftl
 
 import (
@@ -36,7 +38,7 @@ type Stats struct {
 	// Endurance-management counters.
 	Retirements uint64 // pages retired onto spares
 
-	// Journaled-mode counters (zero for a volatile FTL built with New).
+	// Journal counters.
 	Checkpoints   uint64 // map checkpoints written (with read-back verify)
 	IntentErases  uint64 // intent-log page reclaims
 	RolledForward uint64 // interrupted swaps completed at mount
@@ -54,12 +56,8 @@ type FTL struct {
 	l2p []int
 	p2l []int
 
-	// Spare pool for bad-page retirement: poolSize physical pages starting
-	// at poolBase. A spare is free while unmapped; retirement remaps a
-	// failing data page's logical owner onto a free spare. wantSpares is
-	// the construction-time request (clamped by geometry).
-	poolBase   int
-	poolSize   int
+	// wantSpares is WithSpares' request for a retirement pool; the layout
+	// (lay.poolBase, lay.spares) places it.
 	wantSpares int
 
 	// swapDelta is the wear imbalance (in erase cycles) that triggers a
@@ -77,10 +75,8 @@ type FTL struct {
 	// wearPhys is WearInto's physical wear snapshot, reused across calls.
 	wearPhys []uint32
 
-	// Journaled mode (journal.go). A volatile FTL built with New keeps
-	// journaled false and maps the whole device; Open reserves the tail
-	// of the device for the journal and survives crashes.
-	journaled      bool
+	// Journal state (journal.go): the tail of the device holds the
+	// scratch page, the intent log and the map checkpoints.
 	lay            layout
 	mapSeq         uint32 // sequence of the in-RAM map's last durable point
 	intentOff      int    // append offset within the intent-log page
@@ -114,42 +110,14 @@ func WithSpares(n int) Option {
 	}
 }
 
-// New builds an FTL mapping every page of dev identity-initialised. The map
-// lives only in RAM: a reboot forgets every swap, so New is for lifetime
-// experiments, not for data that must survive power loss — use Open for
-// that.
-func New(dev *core.Device, opts ...Option) *FTL {
-	f := &FTL{dev: dev, swapDelta: 16}
-	for _, o := range opts {
-		o(f)
-	}
-	np := dev.Flash().Spec().NumPages
-	ns := f.wantSpares
-	if ns >= np {
-		ns = np - 1
-	}
-	nl := np - ns
-	f.l2p = make([]int, nl)
-	f.p2l = make([]int, np)
-	f.poolBase, f.poolSize = nl, ns
-	for pp := range f.p2l {
-		f.p2l[pp] = -1
-	}
-	for lp := range f.l2p {
-		f.l2p[lp] = lp
-		f.p2l[lp] = lp
-	}
-	return f
-}
-
-// Open mounts a journaled FTL (see journal.go): the tail of the device is
-// reserved for a spare page, an intent log, two map checkpoints and the
+// Open mounts the FTL (see journal.go): the tail of the device is
+// reserved for a scratch page, an intent log, two map checkpoints and the
 // retirement pool, and mounting recovers the translation map — finishing or
 // rolling back a swap that was interrupted by power loss. The logical space
 // (NumPages) is smaller than the device by the journal overhead and the
 // spare pool.
 func Open(dev *core.Device, opts ...Option) (*FTL, error) {
-	f := &FTL{dev: dev, swapDelta: 16, journaled: true}
+	f := &FTL{dev: dev, swapDelta: 16}
 	for _, o := range opts {
 		o(f)
 	}
@@ -159,7 +127,6 @@ func Open(dev *core.Device, opts ...Option) (*FTL, error) {
 		return nil, err
 	}
 	f.lay = lay
-	f.poolBase, f.poolSize = lay.poolBase, lay.spares
 	f.l2p = make([]int, lay.nl)
 	f.p2l = make([]int, spec.NumPages)
 	for pp := range f.p2l {
@@ -177,8 +144,8 @@ func (f *FTL) Stats() Stats { return f.stats }
 // PageSize returns the logical page size (identical to the physical one).
 func (f *FTL) PageSize() int { return f.dev.Flash().Spec().PageSize }
 
-// NumPages returns the number of logical pages: the whole device for a
-// volatile FTL, the data region for a journaled one.
+// NumPages returns the number of logical pages: the device less the
+// journal's metadata pages and the spare pool.
 func (f *FTL) NumPages() int { return len(f.l2p) }
 
 // ErasePage erases the physical page currently backing logical page lp.
@@ -191,7 +158,7 @@ func (f *FTL) ErasePage(lp int) error {
 		return fmt.Errorf("%w: page %d", ErrBounds, lp)
 	}
 	err := f.dev.ErasePage(f.l2p[lp])
-	if err != nil && f.poolSize > 0 && retirableWriteErr(err) {
+	if err != nil && f.lay.spares > 0 && retirableWriteErr(err) {
 		if rerr := f.retirePhys(f.l2p[lp], true); rerr == nil {
 			return nil
 		}
@@ -237,8 +204,8 @@ func (f *FTL) SensePage(lp int, dst []byte) error {
 //
 // When a page fails with the health gate's ErrExactDegraded (or wears out
 // mid-write) and the spare pool has a replacement, the physical page is
-// retired — its repaired contents move to a spare — and the write retries
-// once on the healthy page.
+// retired — its contents, as read back, move to a spare — and the write
+// retries once on the healthy page.
 func (f *FTL) Write(laddr int, data []byte) error {
 	ps := f.dev.Flash().Spec().PageSize
 	var buf [4]int // room for the usual one- or two-page write, on the stack
@@ -255,7 +222,7 @@ func (f *FTL) Write(laddr int, data []byte) error {
 			run = n
 		}
 		werr := f.dev.Write(paddr, data[off:off+run])
-		if werr != nil && f.poolSize > 0 && retirableWriteErr(werr) {
+		if werr != nil && f.lay.spares > 0 && retirableWriteErr(werr) {
 			pp := paddr / ps
 			if rerr := f.retirePhys(pp, false); rerr == nil {
 				// The logical page moved; retry once on its new home.
@@ -324,14 +291,37 @@ func (f *FTL) levelWear(hot int) error {
 	// exchange mid-way (the health gate refuses the second write after the
 	// first landed). An at-rating endpoint is as bad: the erase the swap
 	// needs is the one that corrupts it — that page's future is retirement,
-	// not relocation. Leveling is an optimisation; skip rather than risk it.
-	if cold < 0 || hot == cold || fl.Degraded(hot) || fl.AtRating(hot) || fl.Wear(hot)-coldW < f.swapDelta {
+	// not relocation. The same holds for every metadata page the swap
+	// erases. Leveling is an optimisation; skip rather than risk it.
+	if cold < 0 || hot == cold || f.unusable(hot) || fl.Wear(hot)-coldW < f.swapDelta ||
+		!f.swapMetaUsable() {
 		return nil
 	}
-	if f.journaled {
-		return f.journalSwap(hot, cold)
+	return f.journalSwap(hot, cold)
+}
+
+// unusable reports whether page p must not be erased for leveling: it is
+// degraded (dead or retired), or at its rating so the next erase is the one
+// that corrupts it.
+func (f *FTL) unusable(p int) bool {
+	fl := f.dev.Flash()
+	return fl.Degraded(p) || fl.AtRating(p)
+}
+
+// swapMetaUsable reports whether every metadata page a swap would erase is
+// still usable: the scratch page, the checkpoint slot the swap commits to,
+// and the intent page when the append has to wrap the log.
+func (f *FTL) swapMetaUsable() bool {
+	if f.unusable(f.lay.spare) {
+		return false
 	}
-	return f.swap(hot, cold)
+	slot := f.lay.slot[1-f.checkpointSlot]
+	for p := slot; p < slot+f.lay.mapPages; p++ {
+		if f.unusable(p) {
+			return false
+		}
+	}
+	return f.intentOff+intentRecSize <= f.lay.ps || !f.unusable(f.lay.intent)
 }
 
 // coldest returns the first least-worn usable (neither degraded nor at
@@ -355,7 +345,7 @@ func (f *FTL) coldest() (int, uint32) {
 	cold := -1
 	var coldW uint32
 	for _, pp := range f.l2p {
-		if fl.Degraded(pp) || fl.AtRating(pp) {
+		if f.unusable(pp) {
 			continue
 		}
 		if w := fl.Wear(pp); cold < 0 || w < coldW {
@@ -364,31 +354,6 @@ func (f *FTL) coldest() (int, uint32) {
 	}
 	f.cold, f.coldW, f.coldOK = cold, coldW, cold >= 0
 	return cold, coldW
-}
-
-// swap exchanges the contents and logical mappings of two physical pages.
-func (f *FTL) swap(a, b int) error {
-	fl := f.dev.Flash()
-	ps := fl.Spec().PageSize
-	bufA := make([]byte, ps)
-	bufB := make([]byte, ps)
-	if err := f.dev.Read(fl.PageBase(a), bufA); err != nil {
-		return err
-	}
-	if err := f.dev.Read(fl.PageBase(b), bufB); err != nil {
-		return err
-	}
-	if err := f.dev.Write(fl.PageBase(a), bufB); err != nil {
-		return err
-	}
-	if err := f.dev.Write(fl.PageBase(b), bufA); err != nil {
-		return err
-	}
-	f.applySwap(a, b)
-	f.stats.Swaps++
-	f.stats.SwapReads += 2
-	f.stats.SwapWrites += 2
-	return nil
 }
 
 // PageWear returns the erase count of the physical page currently backing

@@ -9,17 +9,24 @@ import (
 	"github.com/flipbit-sim/flipbit/internal/xrand"
 )
 
+// newFTL mounts an FTL on a fresh device of the given physical page count;
+// the journal's four metadata pages (scratch, intent, two one-page
+// checkpoint slots) and any spares come off the logical space.
 func newFTL(t *testing.T, pages int, opts ...Option) (*FTL, *core.Device) {
 	t.Helper()
 	spec := flash.DefaultSpec()
 	spec.PageSize = 32
 	spec.NumPages = pages
 	dev := core.MustNewDevice(spec)
-	return New(dev, opts...), dev
+	f, err := Open(dev, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, dev
 }
 
 func TestReadWriteRoundTrip(t *testing.T) {
-	f, _ := newFTL(t, 8)
+	f, _ := newFTL(t, 12)
 	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	if err := f.Write(10, data); err != nil {
 		t.Fatal(err)
@@ -36,7 +43,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 }
 
 func TestWriteSpanningPages(t *testing.T) {
-	f, _ := newFTL(t, 8)
+	f, _ := newFTL(t, 12)
 	rng := xrand.New(1)
 	data := make([]byte, 100) // spans 4 pages of 32
 	for i := range data {
@@ -57,9 +64,8 @@ func TestWriteSpanningPages(t *testing.T) {
 }
 
 func TestBounds(t *testing.T) {
-	f, dev := newFTL(t, 4)
-	size := dev.Flash().Spec().Size()
-	if err := f.Write(size, []byte{1}); !errors.Is(err, ErrBounds) {
+	f, _ := newFTL(t, 8)
+	if err := f.Write(f.NumPages()*f.PageSize(), []byte{1}); !errors.Is(err, ErrBounds) {
 		t.Error("out-of-range write should fail")
 	}
 	if _, err := f.Translate(-1); !errors.Is(err, ErrBounds) {
@@ -84,7 +90,7 @@ func wearSpread(f *FTL) (max uint32, mean float64) {
 // TestWearLevelingSpreadsHotspot: hammering one logical page must spread
 // erases across physical pages, keeping max wear near mean wear.
 func TestWearLevelingSpreadsHotspot(t *testing.T) {
-	f, dev := newFTL(t, 8, WithSwapDelta(4))
+	f, _ := newFTL(t, 12, WithSwapDelta(4))
 	a := make([]byte, 32)
 	b := make([]byte, 32)
 	for i := range a {
@@ -104,12 +110,11 @@ func TestWearLevelingSpreadsHotspot(t *testing.T) {
 	if f.Stats().Swaps == 0 {
 		t.Fatal("no wear-leveling swaps happened")
 	}
-	// Without leveling max wear would be ~200 on one page (mean 25 over
-	// 8 pages). With leveling it must be far closer to the mean.
+	// Without leveling max wear would be ~200 on one page (mean ~17 over
+	// 12 pages). With leveling it must be far closer to the mean.
 	if float64(max) > 3*mean {
 		t.Errorf("max wear %d vs mean %.1f: leveling ineffective", max, mean)
 	}
-	_ = dev
 }
 
 // TestWearIntoMatchesPageWear: the bulk wear read equals PageWear for every
@@ -118,7 +123,7 @@ func TestWearLevelingSpreadsHotspot(t *testing.T) {
 // first call (which sizes the physical snapshot) the read allocates
 // nothing.
 func TestWearIntoMatchesPageWear(t *testing.T) {
-	f, _ := newFTL(t, 16, WithSwapDelta(2), WithSpares(4))
+	f, _ := newFTL(t, 20, WithSwapDelta(2), WithSpares(4))
 	a := make([]byte, 32)
 	b := make([]byte, 32)
 	for i := range a {
@@ -160,7 +165,7 @@ func TestWearIntoMatchesPageWear(t *testing.T) {
 	if err := f.retirePhys(f.l2p[1], false); err != nil {
 		t.Fatal(err)
 	}
-	if f.Stats().Retirements != 1 || f.l2p[1] < f.poolBase {
+	if f.Stats().Retirements != 1 || f.l2p[1] < f.lay.poolBase {
 		t.Fatalf("retirement did not remap logical page 1 onto a spare (l2p[1] = %d)", f.l2p[1])
 	}
 	check("after a retirement")
@@ -177,7 +182,7 @@ func TestWearIntoMatchesPageWear(t *testing.T) {
 // TestNoLevelingBaseline: with a huge swap threshold the hotspot stays on
 // one page — the contrast case for the test above.
 func TestNoLevelingBaseline(t *testing.T) {
-	f, dev := newFTL(t, 8, WithSwapDelta(1<<30))
+	f, dev := newFTL(t, 12, WithSwapDelta(1<<30))
 	a := make([]byte, 32)
 	b := make([]byte, 32)
 	for i := range a {
@@ -203,11 +208,11 @@ func TestNoLevelingBaseline(t *testing.T) {
 // TestDataSurvivesSwaps: after many swaps every logical page still reads
 // back what was last written to it.
 func TestDataSurvivesSwaps(t *testing.T) {
-	f, _ := newFTL(t, 8, WithSwapDelta(2))
+	f, _ := newFTL(t, 12, WithSwapDelta(2))
 	rng := xrand.New(7)
 	ps := 32
 	// Track expected logical content.
-	want := make([][]byte, 8)
+	want := make([][]byte, f.NumPages())
 	for lp := range want {
 		want[lp] = make([]byte, ps)
 		for i := range want[lp] {
@@ -246,7 +251,7 @@ func TestDataSurvivesSwaps(t *testing.T) {
 // §II-B orthogonality claim): a hot logical page written with similar data
 // avoids erases entirely, so leveling never even needs to kick in.
 func TestComposesWithFlipBit(t *testing.T) {
-	f, dev := newFTL(t, 8, WithSwapDelta(4))
+	f, dev := newFTL(t, 12, WithSwapDelta(4))
 	if err := dev.SetApproxRegion(0, dev.Flash().Spec().Size()); err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,16 @@
-// Journaled mode. The legacy FTL (New) keeps its translation table only in
-// RAM, so a reboot silently forgets every wear-leveling swap and logical
-// reads land on the wrong physical pages. Open mounts the FTL in journaled
-// mode instead: the tail of the device is reserved for metadata — a spare
-// copy page, an intent log and two ping-pong map checkpoints — and every
-// swap follows a write-ahead protocol so that after a crash at *any* byte
-// offset the mount either completes the swap or rolls it back to the
-// previous-good map. Metadata is written with exact flash operations
-// (erase + program + read-back verify), never through the approximate write
-// path, so a stuck or drifted cell cannot silently remap a page.
+// The journal. Open reserves the tail of the device for metadata — a
+// scratch copy page, an intent log and two ping-pong map checkpoints — so a
+// reboot recovers the translation map, and every swap follows a write-ahead
+// protocol so that after a crash at *any* byte offset the mount either
+// completes the swap or rolls it back to the previous-good map. Metadata is
+// written with exact flash operations (erase + program + read-back verify),
+// never through the approximate write path, so a stuck or drifted cell
+// cannot silently remap a page.
 //
 // Physical layout (pages):
 //
 //	[0, nl)                       data pages, the logical space
-//	nl                            spare (swap scratch)
+//	nl                            swap scratch page
 //	nl+1                          intent log
 //	nl+2 … nl+2+mapPages          checkpoint slot 0
 //	…    … nl+2+2*mapPages        checkpoint slot 1
@@ -491,11 +489,13 @@ func (f *FTL) writeExactPage(p int, buf []byte) error {
 }
 
 // retryableWriteErr reports whether a metadata write failure is worth
-// another erase + program attempt. A stuck cell (ErrNeedsErase from the
-// program phase, or a worn-out erase) may clear on the next cycle; a power
-// loss means the device is down and must propagate immediately.
+// another erase + program attempt. A stuck cell left by a faulted erase
+// (ErrNeedsErase from the program phase) may clear on the next cycle. A
+// worn-out erase never does — wear only grows, so a retry fails again and
+// costs one more cycle — and a power loss means the device is down; both
+// propagate immediately.
 func retryableWriteErr(err error) bool {
-	return !errors.Is(err, flash.ErrPowerLoss)
+	return !errors.Is(err, flash.ErrPowerLoss) && !errors.Is(err, flash.ErrWornOut)
 }
 
 // eraseMetaPage erases a metadata page, retrying recoverable failures.

@@ -9,6 +9,17 @@ import (
 	"github.com/flipbit-sim/flipbit/internal/flash"
 )
 
+// openRetryFTL mounts the FTL with two spares. The mount's checkpoint is
+// written before any fault is armed.
+func openRetryFTL(t *testing.T, dev *core.Device) *FTL {
+	t.Helper()
+	f, err := Open(dev, WithSpares(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func retrySpec() flash.Spec {
 	spec := flash.DefaultSpec()
 	spec.PageSize = 64
@@ -24,7 +35,7 @@ func retrySpec() flash.Spec {
 // the two retry layers compose without a double-retry storm.
 func TestTransientExhaustRetiresOntoSpare(t *testing.T) {
 	dev := core.MustNewDevice(retrySpec(), core.WithRetry(2, time.Microsecond))
-	f := New(dev, WithSpares(2))
+	f := openRetryFTL(t, dev)
 
 	data := bytes.Repeat([]byte{0x5A}, 64)
 	// Budget the incident to the initial failure plus both core retries,
@@ -64,7 +75,7 @@ func TestTransientExhaustRetiresOntoSpare(t *testing.T) {
 // page is retired.
 func TestTransientRecoveredNoRetirement(t *testing.T) {
 	dev := core.MustNewDevice(retrySpec(), core.WithRetry(2, time.Microsecond))
-	f := New(dev, WithSpares(2))
+	f := openRetryFTL(t, dev)
 
 	data := bytes.Repeat([]byte{0xC3}, 64)
 	dev.Flash().ArmFault(flash.Fault{Kind: flash.FaultTransientProgram, Retries: 2})
@@ -97,7 +108,7 @@ func TestTransientRecoveredNoRetirement(t *testing.T) {
 // the core retry policy, so a recoverable transient erase never surfaces.
 func TestTransientEraseRetriedThroughFTL(t *testing.T) {
 	dev := core.MustNewDevice(retrySpec(), core.WithRetry(2, time.Microsecond))
-	f := New(dev, WithSpares(2))
+	f := openRetryFTL(t, dev)
 
 	data := bytes.Repeat([]byte{0x0F}, 64)
 	if err := f.Write(0, data); err != nil {
