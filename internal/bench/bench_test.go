@@ -29,7 +29,7 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/experiments.golden")
+var update = flag.Bool("update", false, "rewrite the golden renders: testdata/experiments.golden and docs/results-full.txt")
 
 // TestAllExperimentsRunQuick: every registered experiment completes and
 // renders in quick mode. This is the integration test of the whole stack.
@@ -64,10 +64,38 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	checkGolden(t, "testdata/experiments.golden", got.Bytes())
+}
 
-	const golden = "testdata/experiments.golden"
+// TestFullRunResults renders every experiment at full scale, as `flipbit
+// all` runs them, with host cells masked, and diffs the renders against
+// docs/results-full.txt, so the full run's deterministic figures are
+// pinned like the quick ones. It takes about half a minute, so -short and
+// the race detector skip it. After a reviewed change of those figures,
+// regenerate the file with
+//
+//	go test ./internal/bench -run TestFullRunResults -update
+func TestFullRunResults(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("runs every experiment at full scale; skipped in -short and under -race")
+	}
+	var got bytes.Buffer
+	for _, e := range Registry() {
+		tab, err := e.Run(Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		maskHost(tab).Render(&got)
+	}
+	checkGolden(t, "../../docs/results-full.txt", got.Bytes())
+}
+
+// checkGolden diffs got against the golden file, naming the first line
+// that differs; under -update it rewrites the file first.
+func checkGolden(t *testing.T, golden string, got []byte) {
+	t.Helper()
 	if *update {
-		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,20 +103,21 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) || i < len(wl); i++ {
-			var g, w string
-			if i < len(gl) {
-				g = gl[i]
-			}
-			if i < len(wl) {
-				w = wl[i]
-			}
-			if g != w {
-				t.Fatalf("quick renders drifted from %s at line %d (run with -update after reviewing):\ngot:  %s\nwant: %s",
-					golden, i+1, g, w)
-			}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("renders drifted from %s at line %d (run with -update after reviewing):\ngot:  %s\nwant: %s",
+				golden, i+1, g, w)
 		}
 	}
 }

@@ -432,7 +432,7 @@ func (d *Device) Write(addr int, data []byte) error {
 
 // --- Commit pipeline (§III-B "System Integration") ---
 //
-// One page commit runs five explicit stages:
+// One approximate page commit runs five explicit stages:
 //
 //	load   — read the page's previous contents into a pooled buffer set
 //	apply  — the CPU's stores land in the exact buffer
@@ -440,6 +440,10 @@ func (d *Device) Write(addr int, data []byte) error {
 //	         value from (previous, exact), tracking error
 //	gate   — the error threshold / reachability decision (Fig. 9 hardware)
 //	program/erase — the chosen buffer commits to the flash array
+//
+// An exact page needs no encode: it senses and programs only the stored
+// span, and loads the whole page only when the span needs an erase
+// (commitExact).
 //
 // A session borrows its three SRAM page buffers from a sync.Pool rather
 // than sharing two fixed device buffers, so sessions against different
@@ -474,14 +478,6 @@ func (d *Device) commitPage(page, off int, data []byte) error {
 	defer d.bufPool.Put(bufs)
 	s := &session{d: d, page: page, off: off, data: data, bufs: bufs}
 
-	// Stage 1: load. One array read is charged; the mirror into the
-	// exact buffer is an SRAM copy.
-	if err := s.load(); err != nil {
-		return err
-	}
-	// Stage 2: apply the CPU's stores.
-	s.apply()
-
 	// Health gate (§II-B graceful degradation): a degraded page — worn
 	// out or retired — must not receive exact data. Even a program-only
 	// exact write is unsafe there: stuck cells silently corrupt the next
@@ -489,20 +485,16 @@ func (d *Device) commitPage(page, off int, data []byte) error {
 	degraded := d.healthGate && d.fl.Degraded(page)
 
 	if !d.Approximatable(page) {
-		if degraded {
-			d.shards[bank].ExactRefused++
-			return fmt.Errorf("page %d: %w", page, ErrExactDegraded)
-		}
-		// Predictive fencing: a page at its endurance rating is still
-		// healthy, but the erase this commit needs would push it past the
-		// rating and stick cells under the fresh exact data. Refuse while
-		// the data is still intact somewhere.
-		if d.healthGate && s.needsErase() && d.fl.AtRating(page) {
-			d.shards[bank].ExactRefused++
-			return fmt.Errorf("page %d: %w", page, ErrExactDegraded)
-		}
-		return d.retryOp(bank, page, s.programExact)
+		return s.commitExact(bank, degraded)
 	}
+
+	// Stage 1: load. One array read is charged; the mirror into the
+	// exact buffer is an SRAM copy.
+	if err := s.load(); err != nil {
+		return err
+	}
+	// Stage 2: apply the CPU's stores.
+	s.apply()
 
 	// Stage 3: encode the approximation candidate.
 	enc := s.encode()
@@ -581,6 +573,47 @@ func (d *Device) ErasePage(p int) error {
 	d.commitMu[bank].Lock()
 	defer d.commitMu[bank].Unlock()
 	return d.retryOp(bank, p, func() error { return d.fl.ErasePage(p) })
+}
+
+// commitExact commits a page outside the approximatable region. NOR flash
+// programs bytes in place, so an exact store needs only the bytes it
+// writes: the session senses the stored span [off, off+len(data)) into the
+// previous buffer, and when every byte is reachable it programs just the
+// span. Only a store that needs an erase loads the whole page, since the
+// erase must re-program all of it.
+func (s *session) commitExact(bank int, degraded bool) error {
+	d := s.d
+	if err := d.fl.SenseSpan(d.fl.PageBase(s.page)+s.off, s.prevSpan()); err != nil {
+		return err
+	}
+	if degraded {
+		d.shards[bank].ExactRefused++
+		return fmt.Errorf("page %d: %w", s.page, ErrExactDegraded)
+	}
+	if !s.needsErase() {
+		return d.retryOp(bank, s.page, s.programSpan)
+	}
+	// Predictive fencing: a page at its endurance rating is still healthy,
+	// but the erase this commit needs would push it past the rating and
+	// stick cells under the fresh exact data. Refuse while the data is
+	// still intact somewhere.
+	if d.healthGate && d.fl.AtRating(s.page) {
+		d.shards[bank].ExactRefused++
+		return fmt.Errorf("page %d: %w", s.page, ErrExactDegraded)
+	}
+	// A whole-page store already sensed the page; a partial one loads it.
+	if len(s.data) < len(s.bufs.exact) {
+		if err := s.load(); err != nil {
+			return err
+		}
+	}
+	s.apply()
+	return d.retryOp(bank, s.page, s.eraseProgramExact)
+}
+
+// prevSpan is the previous-buffer window under the CPU's stores.
+func (s *session) prevSpan() []byte {
+	return s.bufs.previous[s.off : s.off+len(s.data)]
 }
 
 // load reads the page into the previous buffer and mirrors it into the
@@ -748,15 +781,14 @@ func (s *session) programApprox() error {
 	return s.d.fl.ProgramPage(s.page, s.bufs.approx)
 }
 
-// needsErase reports whether committing the exact buffer requires an erase:
-// some bit needs a 0→1 transition only an erase can provide. The exact
-// buffer differs from previous only inside the dirty span the CPU stored
-// (load mirrors the page, apply overlays [off, off+len(data))), so only
-// that span is scanned — word-wise for SLC cells, where reachability is
-// the bitwise subset test over uint64 loads.
+// needsErase reports whether the CPU's stores require an erase: some bit
+// needs a 0→1 transition only an erase can provide. The exact buffer
+// differs from previous only inside the dirty span the CPU stored, so only
+// that span is scanned — the stored data against the previous span,
+// word-wise for SLC cells, where reachability is the bitwise subset test
+// over uint64 loads.
 func (s *session) needsErase() bool {
-	lo, hi := s.off, s.off+len(s.data)
-	prev, exact := s.bufs.previous[lo:hi], s.bufs.exact[lo:hi]
+	prev, exact := s.prevSpan(), s.data
 	if s.d.cell == flash.SLC {
 		return !bits.SubsetBytes(exact, prev)
 	}
@@ -768,19 +800,16 @@ func (s *session) needsErase() bool {
 	return false
 }
 
-// programExact writes the exact buffer to the page, erasing only if some
-// bit needs a 0→1 transition. This is the conventional (non-FlipBit) write
-// path and the fair baseline for every experiment.
-func (s *session) programExact() error {
-	fl := s.d.fl
-	if !s.needsErase() {
-		return fl.ProgramPage(s.page, s.bufs.exact)
-	}
-	return fl.EraseProgramPage(s.page, s.bufs.exact)
+// programSpan programs the CPU's stores in place with no erase: the
+// conventional (non-FlipBit) write path and the fair baseline for every
+// experiment. Bytes outside the span are neither sensed nor pulsed.
+func (s *session) programSpan() error {
+	return s.d.fl.ProgramSpan(s.d.fl.PageBase(s.page)+s.off, s.data)
 }
 
-// eraseProgramExact is the approximation-failure fallback: §III-B specifies
-// an exact write to an erased page.
+// eraseProgramExact erases the page and programs the exact buffer: the
+// approximation-failure fallback (§III-B specifies an exact write to an
+// erased page) and the erase path of an exact commit.
 func (s *session) eraseProgramExact() error {
 	return s.d.fl.EraseProgramPage(s.page, s.bufs.exact)
 }

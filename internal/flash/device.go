@@ -276,6 +276,29 @@ func (d *Device) checkPage(p int) error {
 	return nil
 }
 
+// checkPageBuf checks page p and that buf is exactly one page long.
+func (d *Device) checkPageBuf(p int, buf []byte) error {
+	if err := d.checkPage(p); err != nil {
+		return err
+	}
+	if len(buf) != d.spec.PageSize {
+		return fmt.Errorf("%w: got %d, page size %d", ErrPageSize, len(buf), d.spec.PageSize)
+	}
+	return nil
+}
+
+// checkSpan checks that the n bytes at addr lie in the array and within one
+// page.
+func (d *Device) checkSpan(addr, n int) error {
+	if err := d.checkAddr(addr, n); err != nil {
+		return err
+	}
+	if n > 0 && d.PageOf(addr) != d.PageOf(addr+n-1) {
+		return fmt.Errorf("%w: span %#x len %d crosses a page boundary", ErrBounds, addr, n)
+	}
+	return nil
+}
+
 // emit delivers one operation event: it is stamped with the bank's next
 // sequence number, folded into the bank's stats shard, and fanned out to
 // the bank's subscriber shard. Must be called with the bank's lock held,
@@ -302,7 +325,8 @@ func (d *Device) ReadByteAt(addr int) (byte, error) {
 
 // Read fills dst from consecutive addresses starting at addr. A read that
 // spans pages locks each page's bank in turn, so concurrent writers to
-// other pages are never blocked for the whole transfer.
+// other pages are never blocked for the whole transfer. Each page's part is
+// a fast host read: marginal retention cells flicker (retention.go).
 func (d *Device) Read(addr int, dst []byte) error {
 	if err := d.checkAddr(addr, len(dst)); err != nil {
 		return err
@@ -313,71 +337,70 @@ func (d *Device) Read(addr int, dst []byte) error {
 		if n > len(dst)-off {
 			n = len(dst) - off
 		}
-		b := d.BankOf(page)
-		bk := &d.banks[b]
-		bk.mu.Lock()
-		copy(dst[off:off+n], d.array[addr+off:addr+off+n])
-		d.flickerInto(b, page, addr+off, dst[off:off+n])
-		d.emit(OpEvent{
-			Kind: OpRead, Bank: b, Addr: addr + off, Bytes: n,
-			Energy: d.spec.ReadEnergy * energy.Energy(n),
-			Busy:   d.spec.ReadLatency * time.Duration(n),
-		})
-		if f, fired := d.faultHit(OpRead); fired {
-			d.readFault(b, page, f)
-		}
-		bk.mu.Unlock()
+		d.readSpan(page, addr+off, dst[off:off+n], true)
 		off += n
 	}
 	return nil
 }
 
-// ReadPage fills dst (exactly one page long) from page p, charging a page's
-// worth of reads. This is step 1 of the read-modify-write operation (§II-A),
-// performed into a caller-owned buffer. Unlike the host-facing Read paths,
-// ReadPage is a controller-issued margin-aware sense: marginal retention
-// cells (retention.go) are resolved to their stored value rather than
-// flickering, so the commit path never bakes read noise back into a page.
-func (d *Device) ReadPage(p int, dst []byte) error {
-	if err := d.checkPage(p); err != nil {
+// SenseSpan fills dst from the span starting at addr, which must lie within
+// one page, charging one read per byte. Unlike the host-facing Read, it is a
+// controller-issued margin-aware sense: marginal retention cells
+// (retention.go) are resolved to their stored value rather than flickering,
+// so the commit path never bakes read noise back into a page. An empty span
+// reads nothing and charges nothing.
+func (d *Device) SenseSpan(addr int, dst []byte) error {
+	if err := d.checkSpan(addr, len(dst)); err != nil {
 		return err
 	}
-	if len(dst) != d.spec.PageSize {
-		return fmt.Errorf("%w: got %d, page size %d", ErrPageSize, len(dst), d.spec.PageSize)
-	}
-	b := d.BankOf(p)
-	bk := &d.banks[b]
-	bk.mu.Lock()
-	defer bk.mu.Unlock()
-	base := d.PageBase(p)
-	copy(dst, d.array[base:base+d.spec.PageSize])
-	d.emit(OpEvent{
-		Kind: OpRead, Bank: b, Addr: base, Bytes: d.spec.PageSize,
-		Energy: d.spec.ReadEnergy * energy.Energy(d.spec.PageSize),
-		Busy:   d.spec.ReadLatency * time.Duration(d.spec.PageSize),
-	})
-	if f, fired := d.faultHit(OpRead); fired {
-		d.readFault(b, p, f)
+	if len(dst) > 0 {
+		d.readSpan(d.PageOf(addr), addr, dst, false)
 	}
 	return nil
 }
 
-// ProgramByte programs one byte. Programming can only clear bits: if v
-// requires any 0 → 1 transition relative to the stored byte, the operation
-// fails with ErrNeedsErase and nothing is charged (the controller checks
-// before issuing). Programming a byte to its current value is skipped and
-// charged nothing, matching buffered page programming where unchanged bytes
-// need no pulse. It is a one-byte span of the page program path.
-func (d *Device) ProgramByte(addr int, v byte) error {
-	if err := d.checkAddr(addr, 1); err != nil {
+// ReadPage fills dst (exactly one page long) from page p: the whole-page
+// SenseSpan, and step 1 of the read-modify-write operation (§II-A),
+// performed into a caller-owned buffer.
+func (d *Device) ReadPage(p int, dst []byte) error {
+	if err := d.checkPageBuf(p, dst); err != nil {
 		return err
 	}
-	b := d.bankOfAddr(addr)
+	return d.SenseSpan(d.PageBase(p), dst)
+}
+
+// readSpan is the device's one read path: it takes page p's bank lock,
+// copies the span at addr (within page p) into dst, overlays retention
+// flicker for host reads, emits one OpRead over the span and lets an armed
+// read fault damage the page after the result was served.
+func (d *Device) readSpan(p, addr int, dst []byte, flicker bool) {
+	b := d.BankOf(p)
 	bk := &d.banks[b]
 	bk.mu.Lock()
 	defer bk.mu.Unlock()
+	copy(dst, d.array[addr:addr+len(dst)])
+	if flicker {
+		d.flickerInto(b, p, addr, dst)
+	}
+	d.emit(OpEvent{
+		Kind: OpRead, Bank: b, Addr: addr, Bytes: len(dst),
+		Energy: d.spec.ReadEnergy * energy.Energy(len(dst)),
+		Busy:   d.spec.ReadLatency * time.Duration(len(dst)),
+	})
+	if f, fired := d.faultHit(OpRead); fired {
+		d.readFault(b, p, f)
+	}
+}
+
+// ProgramByte programs one byte: the one-byte ProgramSpan. Programming can
+// only clear bits: if v requires any 0 → 1 transition relative to the
+// stored byte, the operation fails with ErrNeedsErase and nothing is
+// charged (the controller checks before issuing). Programming a byte to its
+// current value is skipped and charged nothing, matching buffered page
+// programming where unchanged bytes need no pulse.
+func (d *Device) ProgramByte(addr int, v byte) error {
 	buf := [1]byte{v}
-	return d.programLocked(b, addr, buf[:])
+	return d.ProgramSpan(addr, buf[:])
 }
 
 // ErasePage erases page p: every bit is set to 1 and the page's wear count
@@ -499,29 +522,35 @@ func (d *Device) AtRating(p int) bool {
 }
 
 // ProgramPage programs page p from buf (exactly one page long) without
-// erasing. Every byte must be reachable through 1 → 0 transitions only;
-// otherwise the operation fails with ErrNeedsErase before touching the
-// array. Bytes that already hold the buffered value are skipped. The whole
-// page commits under one bank lock acquisition, so a concurrent operation
-// on the same bank never observes a half-programmed page.
+// erasing: the whole-page ProgramSpan.
 func (d *Device) ProgramPage(p int, buf []byte) error {
-	if err := d.checkPage(p); err != nil {
+	if err := d.checkPageBuf(p, buf); err != nil {
 		return err
 	}
-	if len(buf) != d.spec.PageSize {
-		return fmt.Errorf("%w: got %d, page size %d", ErrPageSize, len(buf), d.spec.PageSize)
+	return d.ProgramSpan(d.PageBase(p), buf)
+}
+
+// ProgramSpan programs buf at addr without erasing; the span must lie within
+// one page. Every byte must be reachable through 1 → 0 transitions only;
+// otherwise the operation fails with ErrNeedsErase before touching the
+// array. Bytes that already hold the buffered value are skipped. The span
+// commits under one bank lock acquisition, so a concurrent operation on the
+// same bank never observes a half-programmed span.
+func (d *Device) ProgramSpan(addr int, buf []byte) error {
+	if err := d.checkSpan(addr, len(buf)); err != nil {
+		return err
 	}
-	b := d.BankOf(p)
+	b := d.bankOfAddr(addr)
 	bk := &d.banks[b]
 	bk.mu.Lock()
 	defer bk.mu.Unlock()
-	return d.programLocked(b, d.PageBase(p), buf)
+	return d.programLocked(b, addr, buf)
 }
 
 // programLocked programs the span buf at addr — one byte up to a whole
 // page, never crossing a page boundary — with bank b's lock held. It is the
-// device's one program path: ProgramByte is a one-byte span, ProgramPage and
-// EraseProgramPage a page span.
+// device's one program path: ProgramSpan takes the lock and calls it, and
+// EraseProgramPage calls it with a page span.
 //
 // A pulse is a byte whose value changes, or every byte under SetProgramAll.
 // The span's pulses walk the fault scope in one step (faultFor). Without a
@@ -705,11 +734,8 @@ func dirtyWindow(a, b []byte) (lo, hi int) {
 // returned after the program completes so the data is still best-effort
 // written.
 func (d *Device) EraseProgramPage(p int, buf []byte) error {
-	if err := d.checkPage(p); err != nil {
+	if err := d.checkPageBuf(p, buf); err != nil {
 		return err
-	}
-	if len(buf) != d.spec.PageSize {
-		return fmt.Errorf("%w: got %d, page size %d", ErrPageSize, len(buf), d.spec.PageSize)
 	}
 	b := d.BankOf(p)
 	bk := &d.banks[b]

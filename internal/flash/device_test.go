@@ -225,6 +225,65 @@ func TestReadPageRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpanSenseAndProgram: SenseSpan and ProgramSpan take any span inside
+// one page, charge reads per byte sensed and pulses per byte changed, leave
+// the rest of the page alone, and reject spans that cross a page boundary.
+func TestSpanSenseAndProgram(t *testing.T) {
+	d := MustNewDevice(smallSpec())
+	ps := d.Spec().PageSize
+	base := d.PageBase(2)
+	want := []byte{0x0F, 0xFF, 0x3C}
+	before := d.Stats()
+	if err := d.ProgramSpan(base+5, want); err != nil {
+		t.Fatal(err)
+	}
+	st := d.Stats().Sub(before)
+	if st.Programs != 2 || st.ProgramsSkipped != 1 {
+		t.Errorf("span program charged %d pulses, %d skips; want 2, 1", st.Programs, st.ProgramsSkipped)
+	}
+	got := make([]byte, len(want))
+	before = d.Stats()
+	if err := d.SenseSpan(base+5, got); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("sensed %x, want %x", got, want)
+	}
+	if r := d.Stats().Reads - before.Reads; r != uint64(len(want)) {
+		t.Errorf("span sense charged %d reads, want %d", r, len(want))
+	}
+	page := make([]byte, ps)
+	d.PeekPage(2, page)
+	for i, v := range page {
+		if (i < 5 || i >= 8) && v != 0xFF {
+			t.Errorf("byte %d outside the span = %02x, want erased", i, v)
+		}
+	}
+	// A margin-aware sense resolves marginal cells to their stored value.
+	d.recordRise(2, 5, 0x10)
+	for i := 0; i < 32; i++ {
+		if err := d.SenseSpan(base+5, got[:1]); err != nil || got[0] != 0x0F {
+			t.Fatalf("sense %d of a marginal cell = %02x, %v; want 0f", i, got[0], err)
+		}
+	}
+	if err := d.SenseSpan(base, nil); err != nil {
+		t.Errorf("empty sense: %v", err)
+	}
+	if err := d.ProgramSpan(base+5, []byte{0xFF}); !errors.Is(err, ErrNeedsErase) {
+		t.Errorf("0→1 span program: %v, want ErrNeedsErase", err)
+	}
+	cross := base + ps - 1
+	if err := d.SenseSpan(cross, make([]byte, 2)); !errors.Is(err, ErrBounds) {
+		t.Errorf("page-crossing sense: %v, want ErrBounds", err)
+	}
+	if err := d.ProgramSpan(cross, []byte{0, 0}); !errors.Is(err, ErrBounds) {
+		t.Errorf("page-crossing program: %v, want ErrBounds", err)
+	}
+	if err := d.ProgramSpan(d.Spec().Size(), []byte{0}); !errors.Is(err, ErrBounds) {
+		t.Errorf("past-the-end program: %v, want ErrBounds", err)
+	}
+}
+
 func TestProgramPageRejects0to1(t *testing.T) {
 	d := MustNewDevice(smallSpec())
 	base := d.PageBase(0)

@@ -14,9 +14,8 @@ import "time"
 //   - host-facing reads (Read, ReadByteAt) overlay flicker: each marginal
 //     bit independently reads as 1 with probability 1/2, drawn from the
 //     bank's seeded RNG so runs stay deterministic;
-//   - controller reads (ReadPage) are margin-aware senses and never
-//     flicker, so the read-modify-write commit path cannot bake noise back
-//     into a page;
+//   - controller reads (SenseSpan, ReadPage) are margin-aware senses and
+//     never flicker, so the commit path cannot bake noise back into a page;
 //   - a program pulse of a byte recharges it (clears its rise bits), and an
 //     erase clears the whole mask.
 //
