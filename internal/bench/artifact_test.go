@@ -177,8 +177,8 @@ func TestValidateArtifactRejects(t *testing.T) {
 		{"bad json", "lifetime", []byte(`{`)},
 		{"unknown top-level field", "crashcampaign", edit("crashcampaign", "{\n", "{\n  \"extra\": 1,\n")},
 		{"unknown row field", "crashcampaign", edit("crashcampaign", `"scenario": "kvs/mixed",`, `"scenario": "kvs/mixed", "bogus": 0,`)},
-		{"missing field", "crashcampaign", edit("crashcampaign", "\n      \"crashes\": 998,", "")},
-		{"wrong-typed field", "crashcampaign", edit("crashcampaign", `"crashes": 998,`, `"crashes": "998",`)},
+		{"missing field", "crashcampaign", edit("crashcampaign", "\n      \"crashes\": 999,", "")},
+		{"wrong-typed field", "crashcampaign", edit("crashcampaign", `"crashes": 999,`, `"crashes": "999",`)},
 	}
 	for _, tc := range raw {
 		if err := ValidateArtifact(tc.kind, tc.doc); err == nil {

@@ -6,11 +6,19 @@
 // number and the CRC32 of those four bytes (all-ones while the page is
 // free); records append within pages:
 //
-//	magic(0xA5) | flags | keyLen | valLen(2, LE) | key | value | crc32(4, LE)
+//	magic(0xA5) | ^flags | keyLen | ^valLen(2, LE) | key | value | crc32(4, LE)
 //
-// The CRC covers magic..value, so a record torn by power loss is detected
-// and skipped at mount, and a record with a single drifted cell (read
-// disturb, stuck bit) is repaired by single-bit correction.
+// The CRC covers magic..value as stored, so a record torn by power loss is
+// detected and skipped at mount, and a record with a single drifted cell
+// (read disturb, stuck bit) is repaired by single-bit correction. The flags
+// and value length are stored inverted: a program pulse is charged only
+// for a byte that leaves the erased 0xFF, and inverted, a live record's
+// flags and the high length byte of any value under 256 B stay erased. An
+// unwritten length then decodes as 0, a plausible frame, so a torn header
+// is rejected by its CRC rather than by an implausible length. The page
+// header's seq is not inverted: the CRC-32 of four 0xFF bytes is
+// 0xFFFFFFFF, so single-bit repair could turn a torn header into a valid
+// seq-0 page.
 // Updates append a new record; the highest-sequence copy of a key wins, and
 // a flags bit marks tombstones. Garbage collection copies a victim page's
 // live records to the log head and erases the victim — crash-safe, because
@@ -39,6 +47,10 @@ import (
 const (
 	recMagic      = 0xA5
 	flagTombstone = 0x01
+	// recInvert is XORed into a record's flags and valLen bytes on flash
+	// (see the package comment): the common values stay erased and cost
+	// no program pulse.
+	recInvert = 0xFF
 
 	pageHeaderSize = 8 // seq(4) + crc32(seq)(4)
 	recHeaderSize  = 5 // magic + flags + keyLen + valLen(2)
@@ -207,6 +219,9 @@ type Store struct {
 	inGC     bool
 	verify   bool   // read back every committed record
 	zone     []byte // commit's landing-zone and read-back scratch
+	// inv is the record framing's polarity mask: recInvert. Only the
+	// differential test mounts a store with the old zero mask.
+	inv byte
 
 	wb      WearBackend     // b, when it exposes per-page wear (else nil)
 	bw      BulkWearBackend // b, when it also reads wear in bulk (else nil)
@@ -254,6 +269,7 @@ func OpenOn(b Backend, opts ...Option) (*Store, error) {
 		np:    b.NumPages(),
 		index: make(map[string]location),
 		head:  -1,
+		inv:   recInvert,
 	}
 	for _, o := range opts {
 		o(s)
@@ -504,7 +520,7 @@ func (s *Store) replayPageFrom(page int, seq uint32, buf []byte, start int) {
 			}
 			break // free space from here on
 		}
-		flags := buf[off+1]
+		flags := buf[off+1] ^ s.inv
 		keyLen := int(buf[off+2])
 		key := string(buf[off+recHeaderSize : off+recHeaderSize+keyLen])
 		s.supersede(key)
@@ -541,7 +557,7 @@ func (s *Store) marginSense(page int, dst []byte) (bool, error) {
 // the bytes are free space or damaged beyond repair.
 func (s *Store) checkRecord(page int, buf []byte, off int) (int, bool) {
 	ps := len(buf)
-	size, ok := recordSize(buf, off, ps)
+	size, ok := recordSize(buf, off, ps, s.inv)
 	if ok && recordCRCValid(buf, off, size) {
 		return size, true
 	}
@@ -557,7 +573,7 @@ func (s *Store) checkRecord(page int, buf []byte, off int) (int, bool) {
 		if err := s.b.Read(s.pageBase(page)+off, buf[off:]); err != nil {
 			break
 		}
-		if size, ok := recordSize(buf, off, ps); ok && recordCRCValid(buf, off, size) {
+		if size, ok := recordSize(buf, off, ps, s.inv); ok && recordCRCValid(buf, off, size) {
 			s.stats.SenseRecovered++
 			return size, true
 		}
@@ -565,7 +581,7 @@ func (s *Store) checkRecord(page int, buf []byte, off int) (int, bool) {
 	// Fast re-reads flicker too; a margin sense strips the read noise so
 	// the repair below judges only persistent damage.
 	if ok, err := s.marginSense(page, buf); err == nil && ok {
-		if size, ok := recordSize(buf, off, ps); ok && recordCRCValid(buf, off, size) {
+		if size, ok := recordSize(buf, off, ps, s.inv); ok && recordCRCValid(buf, off, size) {
 			s.stats.SenseRecovered++
 			return size, true
 		}
@@ -579,15 +595,35 @@ func (s *Store) checkRecord(page int, buf []byte, off int) (int, bool) {
 	return 0, false
 }
 
-// recordSize reads the record framing at off; ok=false if the header is
-// not a plausible record.
-func recordSize(buf []byte, off, ps int) (int, bool) {
+// encodeRecord frames one record under polarity mask inv.
+func encodeRecord(key string, val []byte, flags, inv byte) []byte {
+	n := recHeaderSize + len(key) + len(val)
+	rec := make([]byte, n+crcSize)
+	rec[0] = recMagic
+	rec[1] = flags ^ inv
+	rec[2] = byte(len(key))
+	rec[3] = byte(len(val)) ^ inv
+	rec[4] = byte(len(val)>>8) ^ inv
+	copy(rec[recHeaderSize:], key)
+	copy(rec[recHeaderSize+len(key):], val)
+	putLEU32(rec[n:], crc32.ChecksumIEEE(rec[:n]))
+	return rec
+}
+
+// recordValLen decodes the value length of the record at off under
+// polarity mask inv.
+func recordValLen(buf []byte, off int, inv byte) int {
+	return int(buf[off+3]^inv) | int(buf[off+4]^inv)<<8
+}
+
+// recordSize reads the record framing at off under polarity mask inv;
+// ok=false if the header is not a plausible record.
+func recordSize(buf []byte, off, ps int, inv byte) (int, bool) {
 	if buf[off] != recMagic {
 		return 0, false
 	}
 	keyLen := int(buf[off+2])
-	valLen := int(buf[off+3]) | int(buf[off+4])<<8
-	size := recHeaderSize + keyLen + valLen + crcSize
+	size := recHeaderSize + keyLen + recordValLen(buf, off, inv) + crcSize
 	if keyLen == 0 || off+size > ps {
 		return 0, false
 	}
@@ -610,7 +646,7 @@ func (s *Store) repairRecord(buf []byte, off int) (int, bool) {
 	for i := off; i < ps; i++ {
 		for bit := 0; bit < 8; bit++ {
 			buf[i] ^= 1 << uint(bit)
-			if size, ok := recordSize(buf, off, ps); ok && i < off+size && recordCRCValid(buf, off, size) {
+			if size, ok := recordSize(buf, off, ps, s.inv); ok && i < off+size && recordCRCValid(buf, off, size) {
 				s.stats.CorrectedBits++
 				return size, true
 			}
@@ -715,7 +751,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 		}
 	}
 	keyLen := int(rec[2])
-	valLen := int(rec[3]) | int(rec[4])<<8
+	valLen := recordValLen(rec, 0, s.inv)
 	if recHeaderSize+keyLen+valLen+crcSize != len(rec) {
 		return nil, fmt.Errorf("%w: %q", ErrCorrupt, key)
 	}
@@ -806,15 +842,7 @@ func (s *Store) append(key string, val []byte, flags byte) error {
 	if pageHeaderSize+size > s.ps {
 		return fmt.Errorf("%w: %d bytes in a %d-byte page", ErrTooLarge, size, s.ps)
 	}
-	rec := make([]byte, size)
-	rec[0] = recMagic
-	rec[1] = flags
-	rec[2] = byte(len(key))
-	rec[3] = byte(len(val))
-	rec[4] = byte(len(val) >> 8)
-	copy(rec[recHeaderSize:], key)
-	copy(rec[recHeaderSize+len(key):], val)
-	putLEU32(rec[recHeaderSize+len(key)+len(val):], crc32.ChecksumIEEE(rec[:recHeaderSize+len(key)+len(val)]))
+	rec := encodeRecord(key, val, flags, s.inv)
 
 	gcBudget := 1
 	for attempt := 0; attempt < 2+verifyRetries; attempt++ {
