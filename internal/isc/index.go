@@ -1,7 +1,9 @@
 package isc
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 
 	"github.com/flipbit-sim/flipbit/internal/flash"
 )
@@ -35,10 +37,49 @@ func (c IndexConfig) totalBuckets() int {
 }
 
 // Pages returns how many flash pages the index region occupies, so callers
-// can carve the region before constructing the index.
+// can carve the region before constructing the index: the bitmaps' pages,
+// plus one for the header when it has no room in a bitmap page.
 func (c IndexConfig) Pages() int {
 	lay := newBitmapLayout(c.Slots, c.PageSize, c.Banks, c.FirstPage)
-	return lay.requiredPages(c.totalBuckets())
+	n := lay.requiredPages(c.totalBuckets())
+	if _, _, own := headerAt(lay, c.totalBuckets()); own {
+		n++
+	}
+	return n
+}
+
+// digest fingerprints every field of the configuration (FNV-1a), so a
+// header sealed under one configuration never vouches for another.
+func (c IndexConfig) digest() uint32 {
+	h := fnv.New32a()
+	fmt.Fprintf(h, "%d/%d/%d/%d/%d", c.PageSize, c.Banks, c.MaxSensePages, c.FirstPage, c.Slots)
+	for _, f := range c.Fields {
+		fmt.Fprintf(h, "|%q:%d", f.Name, f.Buckets)
+	}
+	return h.Sum32()
+}
+
+// The region header tells a remount whether the bitmaps in the array are
+// this index's: a flag byte, the config digest (little-endian) and a magic
+// byte, programmed last so a cut seal leaves no header.
+const (
+	hdrFlag     = 0 // 0xFF until the owner programs it (DivergedFlag)
+	hdrDigest   = 1
+	hdrMagic    = 5
+	headerLen   = 6
+	headerMagic = 0xB5
+)
+
+// headerAt locates the header of an index with n bitmaps: in the unused
+// tail of bitmap 0's last chunk when headerLen bytes fit there, so a Reset
+// erases it with a page it erases anyway; else on a page of its own (own)
+// just past the bitmaps.
+func headerAt(l bitmapLayout, n int) (page, off int, own bool) {
+	last := l.chunkPages - 1
+	if used := l.chunkLen(last); l.pageSize-used >= headerLen {
+		return l.page(0, last), used, false
+	}
+	return l.firstPage + l.requiredPages(n), 0, true
 }
 
 // Validate rejects malformed configurations.
@@ -73,14 +114,17 @@ type Index struct {
 	cfg    IndexConfig
 	r      *region
 	fields map[string]fieldRange
+	hdr    int // device address of the region header
 }
 
 // fieldRange locates one field's bitmaps: buckets consecutive bitmaps
 // starting at off.
 type fieldRange struct{ off, buckets int }
 
-// NewIndex builds an index over a carved region. The region's pages are
-// assumed erased or previously index-owned; call Reset to (re)initialise.
+// NewIndex builds the controller state of an index over a carved region
+// and touches no page. Before any Add, either Load to keep the bitmaps a
+// previous index sealed there, or Reset to start empty and Seal once the
+// bitmaps are rebuilt.
 func NewIndex(dev Device, cfg IndexConfig) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -96,6 +140,8 @@ func NewIndex(dev Device, cfg IndexConfig) (*Index, error) {
 	}
 	lay := newBitmapLayout(cfg.Slots, cfg.PageSize, cfg.Banks, cfg.FirstPage)
 	ix.r = newRegion(dev, lay, off, cfg.MaxSensePages)
+	page, hoff, _ := headerAt(lay, off)
+	ix.hdr = page*cfg.PageSize + hoff
 	return ix, nil
 }
 
@@ -120,9 +166,72 @@ func (ix *Index) SparePages() []int {
 	return spare
 }
 
-// Reset erases every bitmap page, emptying every bucket. Padding pages
-// are left alone.
-func (ix *Index) Reset() error { return ix.r.reset() }
+// Reset erases every bitmap page, emptying every bucket, and the header's
+// page first: a reset cut after that erase leaves no header. Padding
+// pages are left alone.
+func (ix *Index) Reset() error {
+	hp := ix.hdr / ix.cfg.PageSize
+	if err := ix.r.dev.ErasePage(hp); err != nil {
+		return err
+	}
+	return ix.r.reset(hp)
+}
+
+// LoadResult is Load's verdict on the bitmaps a previous index left.
+type LoadResult uint8
+
+// Load verdicts: only Loaded keeps the bitmaps.
+const (
+	Loaded        LoadResult = iota // header valid: the mirror holds the array's bitmaps
+	NoHeader                        // never sealed, or a reset or seal was cut
+	ConfigChanged                   // sealed under another IndexConfig
+	SlotsDiverged                   // the flag at DivergedFlag was programmed since the seal
+)
+
+// Load reattaches to the bitmaps a previous index sealed in the region. It
+// senses the header page and, when the header is valid, reloads the mirror
+// from the array with one single-page sense per bitmap page, so later Adds
+// stay erase-free programs whatever the array holds: bits of a torn
+// program, or bits no Add made. Any other verdict leaves the mirror
+// unspecified; Reset before the next Add.
+func (ix *Index) Load() (LoadResult, error) {
+	buf := ix.r.getBuf()
+	defer ix.r.putBuf(buf)
+	if err := ix.r.senseInto(ix.hdr/ix.cfg.PageSize, buf); err != nil {
+		return 0, err
+	}
+	h := buf[ix.hdr%ix.cfg.PageSize:][:headerLen]
+	switch {
+	case h[hdrMagic] != headerMagic:
+		return NoHeader, nil
+	case binary.LittleEndian.Uint32(h[hdrDigest:]) != ix.cfg.digest():
+		return ConfigChanged, nil
+	case h[hdrFlag] != 0xFF:
+		return SlotsDiverged, nil
+	}
+	return Loaded, ix.r.load()
+}
+
+// Seal programs the header for this configuration with the diverged flag
+// clear, magic byte last. Call it after a Reset and the Adds that rebuild
+// the bitmaps: until it lands, Load reports NoHeader.
+func (ix *Index) Seal() error {
+	var h [headerLen]byte
+	binary.LittleEndian.PutUint32(h[hdrDigest:], ix.cfg.digest())
+	h[hdrMagic] = headerMagic
+	for i := hdrDigest; i < headerLen; i++ {
+		if err := ix.r.dev.ProgramByte(ix.hdr+i, h[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// DivergedFlag returns the device address of the header's flag byte.
+// Programming it to 0 makes the next Load report SlotsDiverged: the owner
+// does so before a change that makes the slots a remount would assign
+// differ from the ones its bits sit at.
+func (ix *Index) DivergedFlag() int { return ix.hdr + hdrFlag }
 
 // globalBucket resolves (field, bucket) to a bitmap number.
 func (ix *Index) globalBucket(field string, bucket int) (int, error) {

@@ -347,7 +347,8 @@ func TestResetErasesBitmapPagesOnly(t *testing.T) {
 // TestMirrorHoldsBitmapPagesOnly: on the kvscan geometry (1,024 × 256 B
 // pages, 4 banks, 2,000 slots, 100 + 8 buckets) every bitmap is one page
 // padded to a four-page stride, so the 432-page region holds 108 bitmap
-// pages and 324 padding pages. The controller mirror covers the 108.
+// pages and 324 padding pages. The controller mirror covers the 108, and
+// the region header fits in the first one.
 func TestMirrorHoldsBitmapPagesOnly(t *testing.T) {
 	sp := flash.DefaultSpec()
 	sp.PageSize = 256
@@ -371,6 +372,11 @@ func TestMirrorHoldsBitmapPagesOnly(t *testing.T) {
 	}
 	if got, want := len(ix.r.mirror), 108*256; got != want {
 		t.Fatalf("mirror holds %d B, want %d (108 bitmap pages)", got, want)
+	}
+	// 2,000 slots fill 250 B of each bitmap page: the header takes the
+	// last 6 B of the region's first page and costs no page of its own.
+	if got, want := ix.hdr, cfg.FirstPage*256+250; got != want {
+		t.Fatalf("header at byte %d, want %d", got, want)
 	}
 }
 

@@ -108,10 +108,11 @@ func (l bitmapLayout) walk(n int, fn func(p int, used bool) error) error {
 	return nil
 }
 
-// eraseUsed erases the pages some of n bitmaps occupy, skipping padding.
-func (l bitmapLayout) eraseUsed(dev Device, n int) error {
+// eraseUsed erases the pages some of n bitmaps occupy, skipping padding
+// and page skip (one the caller has already erased; -1 for none).
+func (l bitmapLayout) eraseUsed(dev Device, n, skip int) error {
 	return l.walk(n, func(p int, used bool) error {
-		if !used {
+		if !used || p == skip {
 			return nil
 		}
 		return dev.ErasePage(p)
@@ -159,13 +160,38 @@ func (r *region) fillMirror() {
 	}
 }
 
-// reset erases every bitmap page, leaving the padding alone.
-func (r *region) reset() error {
-	if err := r.eraseUsed(r.dev, r.n); err != nil {
+// reset erases every bitmap page but skip (-1 for none), leaving the
+// padding alone.
+func (r *region) reset(skip int) error {
+	if err := r.eraseUsed(r.dev, r.n, skip); err != nil {
 		return err
 	}
 	r.fillMirror()
 	return nil
+}
+
+// load senses every bitmap page into its mirror slot, one single-page
+// sense each, so the mirror matches whatever the array holds.
+func (r *region) load() error {
+	for b := 0; b < r.n; b++ {
+		for c := 0; c < r.chunkPages; c++ {
+			m := (b*r.chunkPages + c) * r.pageSize
+			if err := r.senseInto(r.page(b, c), r.mirror[m:m+r.pageSize]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// senseInto copies the stored content of page into dst (one page) with a
+// single-page sense: the controller's margin-aware read, never a host one.
+func (r *region) senseInto(page int, dst []byte) error {
+	f := r.fold(flash.SenseAND, dst)
+	if err := f.sense(page, false); err != nil {
+		return err
+	}
+	return f.flush()
 }
 
 // clear programs bit slot of bitmap b to 0. A bit already 0 costs no

@@ -96,7 +96,7 @@ func (ps *PlaneStore) MaxObservedError() int { return ps.maxErr }
 // Reset erases every plane page, unassigning every slot. Padding pages
 // are left alone.
 func (ps *PlaneStore) Reset() error {
-	if err := ps.r.reset(); err != nil {
+	if err := ps.r.reset(-1); err != nil {
 		return err
 	}
 	ps.resetSlots()

@@ -162,6 +162,13 @@ type Stats struct {
 	ScanFalsePositives uint64 // candidates rejected by the exact re-check (stale bits)
 	ScanIndexDisabled  uint64 // times the index degraded to host scans
 
+	// A mount keeps the scan index's bitmaps, or erases and rebuilds them
+	// for one of three reasons.
+	ScanIndexKept        uint64 // mounts that kept the bitmaps a previous mount sealed
+	ScanRebuildsNoHeader uint64 // rebuilds: header missing (first mount, cut reset or seal)
+	ScanRebuildsConfig   uint64 // rebuilds: header sealed under another index configuration
+	ScanRebuildsDiverged uint64 // rebuilds: a delete or an out-of-order insert since the seal
+
 	Checkpoints        uint64 // index checkpoints committed to a slot
 	CheckpointFailures uint64 // checkpoint attempts that failed (oversize, erase/program error, torn)
 	CheckpointMounts   uint64 // mounts restored from a checkpoint (the O(tail) path)
@@ -315,7 +322,7 @@ func OpenOn(b Backend, opts ...Option) (*Store, error) {
 				s.nextSeq = seqFloor
 			}
 			s.stats.CheckpointMounts++
-			if err := s.rebuildScanIndex(); err != nil {
+			if err := s.mountScanIndex(); err != nil {
 				return nil, err
 			}
 			return s, nil
@@ -329,7 +336,7 @@ func OpenOn(b Backend, opts ...Option) (*Store, error) {
 		s.nextSeq = seqFloor
 	}
 	s.stats.ScanMounts++
-	if err := s.rebuildScanIndex(); err != nil {
+	if err := s.mountScanIndex(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -768,6 +775,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 
 // Put stores key → val, appending a new record.
 func (s *Store) Put(key string, val []byte) error {
+	s.noteScanOrder(key, false)
 	if err := s.append(key, val, 0); err != nil {
 		return err
 	}
@@ -781,6 +789,7 @@ func (s *Store) Delete(key string) error {
 	if loc, ok := s.index[key]; !ok || loc.dead {
 		return nil
 	}
+	s.noteScanOrder(key, true)
 	return s.append(key, nil, flagTombstone)
 }
 

@@ -64,6 +64,9 @@ type scanIndexState struct {
 	slotOf   map[string]int
 	slotKey  []string
 	disabled bool // capacity overflow or maintenance failure: host scans only
+	dev      isc.Device
+	flag     int  // device address of the index header's diverged flag
+	diverged bool // the flag is programmed
 }
 
 // layoutScanIndex carves the bitmap region (below the checkpoint slots,
@@ -120,21 +123,44 @@ func (s *Store) carveScanIndex() ([]int, error) {
 		return nil, err
 	}
 	si.ix = ix
+	si.dev, si.flag = ifb, ix.DivergedFlag()
 	si.slotOf = make(map[string]int)
 	return ix.SparePages(), nil
 }
 
-// rebuildScanIndex re-derives the bitmaps from the mounted records: the
-// index is an acceleration structure, so instead of journaling it, mount
-// resets the region and re-adds every live key (compacting slots freed by
-// deletes in passing).
-func (s *Store) rebuildScanIndex() error {
+// mountScanIndex reattaches the bitmaps at mount. Slots are derived the
+// same way on every mount, in sorted live-key order, and every live record
+// is re-added; an Add is idempotent and erase-free, so the re-add restores
+// the bits of a Put cut before it indexed and finishes a torn bitmap
+// program. The bitmaps a previous mount left are kept unless the region
+// header is missing, was sealed under another configuration, or carries
+// the diverged flag (noteScanOrder): then the region is erased first and
+// the header sealed last. A kept index may carry bits of slots that now
+// hold other keys; like stale bits they only add false positives, which
+// Scan's exact re-check filters.
+func (s *Store) mountScanIndex() error {
 	si := s.scanIdx
 	if si == nil || si.ix == nil || si.disabled {
 		return nil
 	}
-	if err := si.ix.Reset(); err != nil {
+	res, err := si.ix.Load()
+	if err != nil {
 		return err
+	}
+	switch res {
+	case isc.Loaded:
+		s.stats.ScanIndexKept++
+	case isc.NoHeader:
+		s.stats.ScanRebuildsNoHeader++
+	case isc.ConfigChanged:
+		s.stats.ScanRebuildsConfig++
+	case isc.SlotsDiverged:
+		s.stats.ScanRebuildsDiverged++
+	}
+	if res != isc.Loaded {
+		if err := si.ix.Reset(); err != nil {
+			return err
+		}
 	}
 	si.slotOf = make(map[string]int)
 	si.slotKey = si.slotKey[:0]
@@ -148,7 +174,37 @@ func (s *Store) rebuildScanIndex() error {
 		}
 		s.noteScanPut(key, val)
 	}
+	if res != isc.Loaded && !si.disabled {
+		if err := si.ix.Seal(); err != nil {
+			si.disabled = true
+			s.stats.ScanIndexDisabled++
+		}
+	}
 	return nil
+}
+
+// noteScanOrder runs before the append of a Put or a Delete. A delete of a
+// slotted key, or a new key that sorts before the last slotted one, makes
+// the slots the next mount derives differ from the ones the bits sit at;
+// the header's diverged flag, programmed before the append lands, makes
+// that mount rebuild the index rather than keep it.
+func (s *Store) noteScanOrder(key string, del bool) {
+	si := s.scanIdx
+	if si == nil || si.ix == nil || si.diverged {
+		return
+	}
+	_, slotted := si.slotOf[key]
+	if del != slotted {
+		return // an update of a slotted key, or a delete of an unslotted one
+	}
+	if !del && (len(si.slotKey) == 0 || key > si.slotKey[len(si.slotKey)-1]) {
+		return // a new key that sorts last keeps the order
+	}
+	si.diverged = true
+	if err := si.dev.ProgramByte(si.flag, 0); err != nil && !si.disabled {
+		si.disabled = true
+		s.stats.ScanIndexDisabled++
+	}
 }
 
 // noteScanPut indexes a committed record. Failures degrade, never corrupt:

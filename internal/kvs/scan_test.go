@@ -87,9 +87,10 @@ func sameKVs(t *testing.T, tag string, got, want []KV) {
 }
 
 // TestScanMatchesHostScan: under a churning workload — updates moving keys
-// between buckets, deletes, GC passes, remounts — every indexed scan must
-// return exactly what the read-everything host scan returns, while never
-// reading the bitmap pages.
+// between buckets, deletes, GC passes, remounts that keep or rebuild the
+// index — every indexed scan, and the fixed predicates after every
+// remount, must return exactly what the read-everything host scan
+// returns, while never reading the bitmap pages.
 func TestScanMatchesHostScan(t *testing.T) {
 	s, dev := newScanStore(t)
 	rng := xrand.New(0x5CA9)
@@ -106,13 +107,15 @@ func TestScanMatchesHostScan(t *testing.T) {
 	}
 	// Stats reset on remount; fold them so the end-of-test assertions see
 	// the whole run.
-	var scans, fallbacks, falsePos, compactions uint64
+	var scans, fallbacks, falsePos, compactions, kept, rebuilt uint64
 	fold := func() {
 		st := s.Stats()
 		scans += st.Scans
 		fallbacks += st.ScanFallbacks
 		falsePos += st.ScanFalsePositives
 		compactions += st.Compactions
+		kept += st.ScanIndexKept
+		rebuilt += st.ScanRebuildsDiverged
 	}
 	for step := 0; step < 600; step++ {
 		k := keys[rng.Intn(len(keys))]
@@ -131,6 +134,7 @@ func TestScanMatchesHostScan(t *testing.T) {
 			if !s.ScanIndexed() {
 				t.Fatalf("step %d: index gone after remount", step)
 			}
+			sameScans(t, s, fmt.Sprintf("step %d remount", step), scanPreds)
 		default:
 			if err := s.Put(k, val()); err != nil {
 				t.Fatalf("step %d: put: %v", step, err)
@@ -159,6 +163,9 @@ func TestScanMatchesHostScan(t *testing.T) {
 	}
 	if falsePos == 0 {
 		t.Error("no stale-bit false positives despite updates and deletes")
+	}
+	if kept == 0 || rebuilt == 0 {
+		t.Errorf("remounts kept the index %d times and rebuilt it after a delete %d; want both", kept, rebuilt)
 	}
 }
 
@@ -237,39 +244,265 @@ func TestScanIndexOverflowDegrades(t *testing.T) {
 	sameKVs(t, "overflow", got, want)
 }
 
-// TestScanIndexMaintenanceEraseFree: steady-state index maintenance (Puts,
-// updates, deletes) must never erase index pages — only mounts reset them.
-func TestScanIndexMaintenanceEraseFree(t *testing.T) {
-	s, dev := newScanStore(t)
-	for i := 0; i < 40; i++ {
-		// Updates that move the key between buckets leave stale bits
-		// instead of rewriting bitmaps.
-		if err := s.Put("hot", []byte{byte(i), byte(i), 1}); err != nil {
-			t.Fatal(err)
+// scanPreds are the fixed predicates the reboot tests check Scan against
+// ScanHost with: every node kind, both fields.
+var scanPreds = []isc.Pred{
+	isc.Eq("status", 1),
+	isc.Not(isc.Eq("region", 2)),
+	isc.And(isc.Eq("status", 0), isc.Eq("region", 1)),
+	isc.Or(isc.Eq("status", 2), isc.Eq("status", 3)),
+	isc.And(isc.In("status", 1, 3), isc.Not(isc.Eq("region", 0))),
+}
+
+// sameScans checks every predicate's indexed scan against the host scan.
+func sameScans(t *testing.T, s *Store, tag string, preds []isc.Pred) {
+	t.Helper()
+	for _, p := range preds {
+		got, err := s.Scan(p)
+		if err != nil {
+			t.Fatalf("%s: scan %s: %v", tag, p, err)
 		}
+		want, err := s.ScanHost(p)
+		if err != nil {
+			t.Fatalf("%s: host scan %s: %v", tag, p, err)
+		}
+		sameKVs(t, fmt.Sprintf("%s %s", tag, p), got, want)
 	}
-	// Data-log GC may erase data pages, the index's padding pages among
-	// them; assert the pages the index owns — every device page the
-	// data-page table does not name — specifically: one erase per page,
-	// from the mount-time reset only.
+}
+
+// indexPages lists the device pages the scan index owns: every page the
+// data-page table does not name.
+func indexPages(s *Store, dev *core.Device) []int {
 	data := map[int]bool{}
 	for _, d := range s.devPage {
 		data[d] = true
 	}
-	owned := 0
+	var owned []int
 	for p := 0; p < dev.Flash().Spec().NumPages; p++ {
-		if data[p] {
-			continue
-		}
-		owned++
-		if w := dev.Flash().Wear(p); w != 1 {
-			t.Errorf("index page %d wear %d, want 1", p, w)
+		if !data[p] {
+			owned = append(owned, p)
 		}
 	}
-	// 64 slots fit one 128 B page per bucket; 7 buckets.
-	if owned != 7 {
-		t.Errorf("index owns %d pages, want 7 (one per bucket)", owned)
+	return owned
+}
+
+// mountVerdicts is the slice of Stats a mount's index verdict shows in.
+type mountVerdicts struct{ kept, noHeader, config, diverged uint64 }
+
+func verdictsOf(st Stats) mountVerdicts {
+	return mountVerdicts{st.ScanIndexKept, st.ScanRebuildsNoHeader, st.ScanRebuildsConfig, st.ScanRebuildsDiverged}
+}
+
+// TestScanIndexRebootWear: index maintenance (Puts, updates) never erases
+// an index page, and neither does a reboot that keeps the bitmaps: the
+// pages stay at wear 1, from the first mount's reset, across update-only
+// reboots. A delete, an out-of-order insert or a changed index
+// configuration before a reboot costs exactly one more erase per page.
+// Every mount counts its verdict.
+func TestScanIndexRebootWear(t *testing.T) {
+	s, dev := newScanStore(t)
+	owned := indexPages(s, dev)
+	// 64 slots fit one 128 B page per bucket; 7 buckets, and the header
+	// fits in the first bitmap page.
+	if len(owned) != 7 {
+		t.Fatalf("index owns %d pages, want 7 (one per bucket)", len(owned))
 	}
+	spec := scanSpec(64)
+	wear := uint32(1)
+	preds := scanPreds
+	check := func(tag string, want mountVerdicts) {
+		t.Helper()
+		for _, p := range owned {
+			if w := dev.Flash().Wear(p); w != wear {
+				t.Fatalf("%s: index page %d wear %d, want %d", tag, p, w, wear)
+			}
+		}
+		if got := verdictsOf(s.Stats()); got != want {
+			t.Fatalf("%s: mount verdicts %+v, want %+v", tag, got, want)
+		}
+		if !s.ScanIndexed() {
+			t.Fatalf("%s: scans fell back to the host path", tag)
+		}
+		sameScans(t, s, tag, preds)
+	}
+	reboot := func() {
+		t.Helper()
+		var err error
+		if s, err = Open(dev, WithScanIndex(spec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("first mount", mountVerdicts{noHeader: 1})
+	for r := 0; r < 3; r++ {
+		for i := 0; i < 40; i++ {
+			// Updates that move keys between buckets leave stale bits
+			// instead of rewriting bitmaps; new keys sort last.
+			if err := s.Put(fmt.Sprintf("dev%02d", i%10+r*10), []byte{byte(i), byte(i + r), 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reboot()
+		check(fmt.Sprintf("update-only reboot %d", r), mountVerdicts{kept: 1})
+	}
+
+	if err := s.Delete("dev05"); err != nil {
+		t.Fatal(err)
+	}
+	reboot()
+	wear++
+	check("reboot after a delete", mountVerdicts{diverged: 1})
+
+	if err := s.Put("aaa", []byte{2, 2}); err != nil { // sorts before every slotted key
+		t.Fatal(err)
+	}
+	reboot()
+	wear++
+	check("reboot after an out-of-order insert", mountVerdicts{diverged: 1})
+	reboot()
+	check("reboot after the rebuild", mountVerdicts{kept: 1})
+
+	// The same layout under another schema: the header's digest differs.
+	spec.Fields[1].Name = "area"
+	preds = []isc.Pred{isc.Eq("status", 1), isc.Not(isc.Eq("status", 0)), isc.Eq("area", 2)}
+	reboot()
+	wear++
+	check("reboot with a renamed field", mountVerdicts{config: 1})
+	reboot()
+	check("reboot with the renamed field kept", mountVerdicts{kept: 1})
+}
+
+// TestScanIndexRebootRestoresCutAdd: a Put cut after its record landed but
+// before the index took its bits is whole again after a keeping reboot.
+func TestScanIndexRebootRestoresCutAdd(t *testing.T) {
+	s, dev := newScanStore(t)
+	for i := 0; i < 10; i++ {
+		if err := s.Put(fmt.Sprintf("dev%02d", i), []byte{0, 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The append of Put, without its noteScanPut: an update moving dev03
+	// into status 1, and a new key sorting last.
+	for _, key := range []string{"dev03", "dev10"} {
+		if err := s.append(key, []byte{1, 1}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := isc.Eq("status", 1)
+	if got, _ := s.Scan(p); len(got) != 0 {
+		t.Fatalf("before the reboot the index already finds %v", got)
+	}
+	s, err := Open(dev, WithScanIndex(scanSpec(64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Stats().ScanIndexKept != 1 {
+		t.Fatalf("reboot did not keep the index: %+v", s.Stats())
+	}
+	got, err := s.Scan(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Key != "dev03" || got[1].Key != "dev10" {
+		t.Fatalf("scan %s after the reboot = %v, want dev03 and dev10", p, got)
+	}
+}
+
+// TestScanIndexKeptAcrossRetention: marginal retention cells in the
+// bitmap pages (and the header in the first of them) do not stop a reboot
+// from keeping the index, nor its scans from matching the host scan:
+// senses resolve marginal cells to their stored values.
+func TestScanIndexKeptAcrossRetention(t *testing.T) {
+	s, dev := newScanStore(t)
+	rng := xrand.New(0xA6ED)
+	for i := 0; i < 60; i++ {
+		if err := s.Put(fmt.Sprintf("dev%02d", i%20), []byte{rng.Byte(), rng.Byte(), 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev.Flash().AgeRetention(400)
+	aged := 0
+	for _, p := range indexPages(s, dev) {
+		aged += dev.Flash().RiseBits(p)
+	}
+	if aged == 0 {
+		t.Fatal("aging left no marginal cell in the index pages")
+	}
+	s, err := Open(dev, WithScanIndex(scanSpec(64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := verdictsOf(s.Stats()); got != (mountVerdicts{kept: 1}) {
+		t.Fatalf("mount verdicts %+v, want one kept mount", got)
+	}
+	sameScans(t, s, fmt.Sprintf("%d marginal index cells", aged), scanPreds)
+}
+
+// FuzzScanIndexReboot runs a seeded Put/Delete/reboot script on a core
+// device, cut once by a power loss after a fuzzed number of programs and
+// erases, and before every remount programs fuzzed bytes of the index
+// region to 0: bits no Add made, on bitmaps or on the header. After every
+// remount, indexed scans must equal the host scan.
+func FuzzScanIndexReboot(f *testing.F) {
+	f.Add(uint64(1), uint16(40), []byte{0, 1, 2})
+	f.Add(uint64(2), uint16(3), []byte{})
+	f.Add(uint64(3), uint16(500), []byte{7, 9, 250, 1, 3, 0x80})
+	f.Add(uint64(4), uint16(0xFFFF), []byte{0xFF, 0xFF, 0x12, 0x34})
+	f.Fuzz(func(t *testing.T, seed uint64, cut uint16, foreign []byte) {
+		spec := flash.DefaultSpec()
+		spec.PageSize = 128
+		spec.NumPages = 32
+		spec.Banks = 2
+		dev := core.MustNewDevice(spec)
+		fl := dev.Flash()
+		fl.InjectPowerLoss(int(cut))
+		opts := []Option{WithScanIndex(scanSpec(64)), WithCompaction(CompactionConfig{})}
+		mount := func(tag string) *Store {
+			// The cut is one-shot: a mount it lands in succeeds on retry.
+			fired := fl.FaultsFired()
+			s, err := Open(dev, opts...)
+			if err != nil && fl.FaultsFired() != fired {
+				s, err = Open(dev, opts...)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			return s
+		}
+		s := mount("first mount")
+		owned := indexPages(s, dev)
+		rng := xrand.New(seed)
+		for step := 0; step < 150; step++ {
+			fired := fl.FaultsFired()
+			key := fmt.Sprintf("k%02d", rng.Intn(12))
+			var err error
+			switch r := rng.Intn(10); {
+			case r < 6:
+				err = s.Put(key, []byte{rng.Byte(), rng.Byte(), byte(step)})
+			case r < 8:
+				err = s.Delete(key)
+			}
+			if err != nil && fl.FaultsFired() == fired && !errors.Is(err, ErrFull) {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			if fl.FaultsFired() == fired && rng.Intn(10) < 8 {
+				continue // no reboot, and no power lost
+			}
+			for i := 0; i+1 < len(foreign) && i < 4; i += 2 {
+				off := (int(foreign[i])<<8 | int(foreign[i+1])) % (len(owned) * spec.PageSize)
+				_ = fl.ProgramByte(owned[off/spec.PageSize]*spec.PageSize+off%spec.PageSize, 0)
+			}
+			if len(foreign) > 4 {
+				foreign = foreign[4:]
+			}
+			s = mount(fmt.Sprintf("step %d remount", step))
+			if !s.ScanIndexed() && fl.FaultsFired() == 0 {
+				// Foreign bits alone never degrade the index: the mount's
+				// reload lets every Add program over them.
+				t.Fatalf("step %d: index degraded with no power lost", step)
+			}
+			sameScans(t, s, fmt.Sprintf("step %d", step), scanPreds)
+		}
+	})
 }
 
 // scanPerPageWear is perPageWear with the in-flash extension the scan
@@ -289,13 +522,6 @@ func (w scanPerPageWear) ErasePage(p int) error { return w.perPageWear.ErasePage
 // the model, indexed scans match host scans, and the page-table totals
 // hold.
 func TestScanIndexLogSpillsIntoPadding(t *testing.T) {
-	preds := []isc.Pred{
-		isc.Eq("status", 1),
-		isc.Not(isc.Eq("region", 2)),
-		isc.And(isc.Eq("status", 0), isc.Eq("region", 1)),
-		isc.Or(isc.Eq("status", 2), isc.Eq("status", 3)),
-		isc.And(isc.In("status", 1, 3), isc.Not(isc.Eq("region", 0))),
-	}
 	for _, ckpt := range []bool{false, true} {
 		t.Run(fmt.Sprintf("checkpoint=%v", ckpt), func(t *testing.T) {
 			spec := flash.DefaultSpec()
@@ -396,17 +622,7 @@ func TestScanIndexLogSpillsIntoPadding(t *testing.T) {
 						t.Fatalf("%s: Get(%q) = %v, %v; want %v", when, k, got, err, want)
 					}
 				}
-				for _, p := range preds {
-					got, err := s.Scan(p)
-					if err != nil {
-						t.Fatalf("%s: scan %s: %v", when, p, err)
-					}
-					want, err := s.ScanHost(p)
-					if err != nil {
-						t.Fatalf("%s: host scan %s: %v", when, p, err)
-					}
-					sameKVs(t, fmt.Sprintf("%s %s", when, p), got, want)
-				}
+				sameScans(t, s, when, scanPreds)
 				if !s.ScanIndexed() {
 					t.Fatalf("%s: scans fell back to the host path", when)
 				}
