@@ -267,7 +267,7 @@ func (ix *Index) Query(p Pred, dst []byte) error {
 	if len(dst) != ix.r.bytes {
 		return fmt.Errorf("%w: got %d, want %d", ErrBitmapSize, len(dst), ix.r.bytes)
 	}
-	if err := ix.checkPred(p); err != nil {
+	if err := ix.CheckPred(p); err != nil {
 		return err
 	}
 	buf := ix.r.getBuf()
@@ -282,9 +282,11 @@ func (ix *Index) Query(p Pred, dst []byte) error {
 	return nil
 }
 
-// checkPred validates every leaf against the schema up front, so plans
-// never fail half-evaluated.
-func (ix *Index) checkPred(p Pred) error {
+// CheckPred validates every leaf against the schema: an unknown field
+// fails with ErrUnknownField, a bucket outside the field's range with
+// ErrBucketRange. Query runs it up front, so plans never fail
+// half-evaluated.
+func (ix *Index) CheckPred(p Pred) error {
 	var err error
 	walk(p, func(n Pred) {
 		if eq, ok := n.(predEq); ok && err == nil {

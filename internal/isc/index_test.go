@@ -17,7 +17,7 @@ func (ix *Index) QueryHost(dev *flash.Device, p Pred, dst []byte) error {
 	if len(dst) != ix.r.bytes {
 		return fmt.Errorf("%w: got %d, want %d", ErrBitmapSize, len(dst), ix.r.bytes)
 	}
-	if err := ix.checkPred(p); err != nil {
+	if err := ix.CheckPred(p); err != nil {
 		return err
 	}
 	buf := make([]byte, ix.cfg.PageSize)

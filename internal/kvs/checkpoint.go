@@ -547,8 +547,9 @@ func (s *Store) applyCheckpoint(img *ckptImage) (ok bool, err error) {
 	}
 	s.stats.TailPagesReplayed += uint64(replayed)
 
-	// Resume appending into the newest page if it has room, and recount
-	// the quarantine pool — exactly what a scan would have concluded.
+	// Resume appending into the newest page if it has room, as the hot
+	// head with no cold head, and recount the quarantine pool — exactly
+	// what a scan would have concluded.
 	newest := -1
 	for p := 0; p < s.np; p++ {
 		if s.pageBad[p] {
@@ -562,7 +563,7 @@ func (s *Store) applyCheckpoint(img *ckptImage) (ok bool, err error) {
 			newest = p
 		}
 	}
-	s.head = -1
+	s.head, s.cold = -1, -1
 	if newest >= 0 && s.pageUsed[newest] < s.ps {
 		s.head = newest
 	}

@@ -5,12 +5,15 @@ import "errors"
 // Proactive compaction. Without it the store only garbage-collects when an
 // append finds no space (the forced path in gc()), so a long-lived store
 // runs permanently at the edge of full and every burst of writes stalls on
-// back-to-back GC. WithCompaction runs the collector *ahead* of need: after
-// a page fills, the store checks whether free pages are short or the
+// back-to-back GC. WithCompaction runs the collector *ahead* of need: once
+// per opened page, the store checks whether free pages are short or the
 // store-wide garbage ratio has drifted too high, and if so compacts the
 // most profitable victim — chosen by garbage ratio, biased toward low-wear
 // pages when the backend exposes erase counts (WearBackend), so collection
-// pressure doubles as wear leveling.
+// pressure doubles as wear leveling. Neither append head is ever a victim.
+// The victim's live records go to the cold head, apart from the hot keys'
+// appends, so the pages they fill hold long-lived records and later
+// victims carry fewer survivors to copy again.
 
 // CompactionConfig tunes the proactive garbage collector. The zero value
 // of every field selects a sensible default.
@@ -32,6 +35,12 @@ const (
 	// as a proactive victim — compacting a nearly-all-live page rewrites
 	// data for almost no reclaimed space.
 	minVictimGarbage = 0.25
+	// coldWindowDivisor sets the hot/cold split: a user append of a key
+	// whose live record was appended more than np/coldWindowDivisor page
+	// opens ago goes to the cold head (GC copies always do). perfbench's
+	// kvchurn and kvscan gains hold from np/2 to np/8, and kvchurn's falls
+	// from about 10% to 3% at np/16 (DESIGN.md §11).
+	coldWindowDivisor = 4
 	// maxPassesPerOp bounds how many pages one append may compact,
 	// keeping worst-case op latency bounded.
 	maxPassesPerOp = 2
@@ -133,7 +142,7 @@ func (s *Store) pickVictim() int {
 	}
 	victim, best := -1, 0.0
 	for p := 0; p < s.np; p++ {
-		if s.pageSeq[p] == freeSeq || p == s.head {
+		if s.pageSeq[p] == freeSeq || s.isHead(p) {
 			continue
 		}
 		recBytes := s.pageUsed[p] - pageHeaderSize

@@ -453,6 +453,7 @@ func compareFramingState(t *testing.T, step int, cur, old *framingRig) {
 	same("page live", a.pageLive, b.pageLive)
 	same("page bad", a.pageBad, b.pageBad)
 	same("head", a.head, b.head)
+	same("cold head", a.cold, b.cold)
 	same("next seq", a.nextSeq, b.nextSeq)
 	same("index", a.index, b.index)
 	same("stats", a.Stats(), b.Stats())

@@ -156,8 +156,8 @@ func compareMountStates(t testing.TB, a, b *Store) {
 				a.pageLive[p], b.pageLive[p], a.pageBad[p], b.pageBad[p])
 		}
 	}
-	if a.head != b.head {
-		t.Errorf("heads differ: %d vs %d", a.head, b.head)
+	if a.head != b.head || a.cold != b.cold {
+		t.Errorf("heads differ: hot %d vs %d, cold %d vs %d", a.head, b.head, a.cold, b.cold)
 	}
 	if a.nextSeq != b.nextSeq {
 		t.Errorf("nextSeq differs: %d vs %d", a.nextSeq, b.nextSeq)
@@ -202,6 +202,9 @@ func checkMountInvariants(t testing.TB, s *Store) {
 		if s.head < 0 || s.head >= s.np || s.pageSeq[s.head] == freeSeq || s.pageUsed[s.head] >= s.ps {
 			t.Errorf("head %d is not an appendable page", s.head)
 		}
+	}
+	if s.cold != -1 {
+		t.Errorf("mount kept a cold head (%d)", s.cold)
 	}
 }
 

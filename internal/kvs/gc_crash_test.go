@@ -12,9 +12,9 @@ import (
 // TestPowerLossDuringGC: a crash anywhere inside garbage collection (during
 // the live-record copies or the victim erase) must never lose committed
 // data — after remount every key written before GC began is readable with
-// its latest value. The copies carry later sequence numbers, so duplicates
-// resolve in their favour; a torn victim erase leaves CRC-invalid debris
-// that mount skips.
+// its latest value. The copies land on pages of a higher sequence number
+// than the victim's, so duplicates resolve in their favour; a torn victim
+// erase leaves CRC-invalid debris that mount skips.
 func TestPowerLossDuringGC(t *testing.T) {
 	// Sweep the fault position so the crash lands at different points of
 	// the GC (copy 1, copy 2, ..., the erase itself).

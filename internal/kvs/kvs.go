@@ -19,11 +19,18 @@
 // header's seq is not inverted: the CRC-32 of four 0xFF bytes is
 // 0xFFFFFFFF, so single-bit repair could turn a torn header into a valid
 // seq-0 page.
-// Updates append a new record; the highest-sequence copy of a key wins, and
-// a flags bit marks tombstones. Garbage collection copies a victim page's
-// live records to the log head and erases the victim — crash-safe, because
-// the copies carry later sequence numbers. Pages whose header cannot be
-// repaired are quarantined and reclaimed by an erase when space runs short.
+// Updates append a new record and a flags bit marks tombstones. The log has
+// two append heads: the hot head takes new keys and recently written ones,
+// the cold head takes garbage-collection copies and keys whose last write
+// is old, so long-lived records stop sharing pages with churning ones.
+// Mount replays records in (page seq, offset) order, and the key's
+// last record in that order wins. An order rule keeps that record the
+// newest: an append lands only on a page whose seq is at least that of the
+// page holding the key's current record. Garbage collection copies a victim
+// page's live records to a head and erases the victim — crash-safe, because
+// the copies land on pages with a higher seq than the victim's. Pages whose
+// header cannot be repaired are quarantined and reclaimed by an erase when
+// space runs short.
 //
 // The store runs on any Backend: a FlipBit core device directly, or an FTL
 // mounted on one so the log rides on wear-leveled, crash-consistent
@@ -155,6 +162,8 @@ type Stats struct {
 	QuarantinedPages uint64 // pages with unrepairable headers awaiting reclaim
 	RetiredPages     uint64 // pages abandoned mid-use after a verify failure
 	ReclaimRejected  uint64 // reclaim erases whose verify found residue (page stays quarantined)
+	ColdAppends      uint64 // appends that landed on the cold head
+	OrderRedirects   uint64 // appends the order rule turned away from a head with room
 
 	Scans              uint64 // predicate scans served by the in-flash index
 	ScanFallbacks      uint64 // predicate scans served by the host path
@@ -221,11 +230,13 @@ type Store struct {
 	// below it is usable and free. setPage lowers it when a page turns
 	// free, openPage raises it to the first free page it finds.
 	freeHint int
-	head     int // page currently being appended to (-1 = none)
-	nextSeq  uint32
-	inGC     bool
-	verify   bool   // read back every committed record
-	zone     []byte // commit's landing-zone and read-back scratch
+	// head is the hot append head (new and recently written keys), cold
+	// the cold one (GC copies and keys last written long ago); -1 = none.
+	head, cold int
+	nextSeq    uint32
+	inGC       bool
+	verify     bool   // read back every committed record
+	zone       []byte // commit's landing-zone and read-back scratch
 	// inv is the record framing's polarity mask: recInvert. Only the
 	// differential test mounts a store with the old zero mask.
 	inv byte
@@ -276,6 +287,7 @@ func OpenOn(b Backend, opts ...Option) (*Store, error) {
 		np:    b.NumPages(),
 		index: make(map[string]location),
 		head:  -1,
+		cold:  -1,
 		inv:   recInvert,
 	}
 	for _, o := range opts {
@@ -407,7 +419,8 @@ func (s *Store) scanMount() error {
 	}
 	if len(used) > 0 {
 		last := used[len(used)-1]
-		// Resume appending into the newest page if it has room.
+		// Resume appending into the newest page if it has room, as the hot
+		// head; the store starts with no cold head.
 		if s.pageUsed[last.page] < s.ps {
 			s.head = last.page
 		}
@@ -463,7 +476,7 @@ func (s *Store) resetMountState() {
 		s.pageLive[p] = 0
 		s.pageBad[p] = false
 	}
-	s.head = -1
+	s.head, s.cold = -1, -1
 	s.nextSeq = 0
 }
 
@@ -530,7 +543,8 @@ func (s *Store) replayPageFrom(page int, seq uint32, buf []byte, start int) {
 		flags := buf[off+1] ^ s.inv
 		keyLen := int(buf[off+2])
 		key := string(buf[off+recHeaderSize : off+recHeaderSize+keyLen])
-		s.supersede(key)
+		old, had := s.index[key]
+		s.supersede(old, had)
 		loc := location{seq: seq, page: page, off: off, size: size, dead: flags&flagTombstone != 0}
 		// Tombstones stay indexed (dead) so garbage collection keeps
 		// copying them forward; dropping one while an older copy of
@@ -699,10 +713,10 @@ func (s *Store) victimKeys(p int) []string {
 	return slices.Compact(keys)
 }
 
-// supersede removes the previous copy of key (if any) from its page's
-// must-preserve accounting.
-func (s *Store) supersede(key string) {
-	if old, ok := s.index[key]; ok {
+// supersede removes a key's previous copy old, when it had one, from its
+// page's must-preserve accounting.
+func (s *Store) supersede(old location, had bool) {
+	if had {
 		p := old.page
 		s.setPage(p, s.pageSeq[p], s.pageUsed[p], s.pageLive[p]-old.size, s.pageBad[p])
 	}
@@ -842,7 +856,10 @@ func (s *Store) SpaceAmplification() float64 {
 // Stats returns the store's resilience counters.
 func (s *Store) Stats() Stats { return s.stats }
 
-// append encodes and writes one record, garbage collecting as needed.
+// append encodes and writes one record, garbage collecting as needed. The
+// key's current record is looked up once per attempt and handed to reserve
+// (the order rule and the hot/cold choice) and to commit (its supersession);
+// only a forced GC between attempts can move it.
 func (s *Store) append(key string, val []byte, flags byte) error {
 	if len(key) == 0 || len(key) > 255 {
 		return fmt.Errorf("%w: %d bytes", ErrBadKey, len(key))
@@ -855,7 +872,16 @@ func (s *Store) append(key string, val []byte, flags byte) error {
 
 	gcBudget := 1
 	for attempt := 0; attempt < 2+verifyRetries; attempt++ {
-		page, off, err := s.reserve(size)
+		old, had := s.index[key]
+		var minSeq uint32
+		if had {
+			minSeq = old.seq
+			if s.inGC {
+				minSeq++ // a GC copy must land above its victim
+			}
+		}
+		cold := s.inGC || had && int(s.nextSeq-old.seq) > s.np/coldWindowDivisor
+		page, off, err := s.reserve(size, minSeq, cold)
 		if errors.Is(err, ErrFull) {
 			if gcBudget == 0 || s.inGC {
 				return s.fullErr()
@@ -872,8 +898,11 @@ func (s *Store) append(key string, val []byte, flags byte) error {
 		if err != nil {
 			return err
 		}
-		err = s.commit(key, page, off, rec, flags)
+		err = s.commit(key, old, had, page, off, rec, flags)
 		if err == nil {
+			if page == s.cold {
+				s.stats.ColdAppends++
+			}
 			if s.inGC {
 				return nil
 			}
@@ -913,13 +942,34 @@ func (s *Store) fullErr() error {
 // read back correctly.
 var errVerifyMismatch = errors.New("kvs: record read-back mismatch")
 
-// reserve finds space for a record, opening a fresh page when needed.
+// reserve finds space for a record of size bytes on the cold head when
+// cold is set, else on the hot head, under the order rule: the page's seq
+// must be at least minSeq. For a user append minSeq is the seq of the page
+// holding the key's current record; for a GC copy, whose current record
+// sits on the victim, it is one more, so a copy never lands on the page
+// about to be erased. A preferred head with room that breaks the rule
+// passes the record to the other head if that one has room and obeys.
+// Otherwise a fresh page, whose seq is nextSeq and so always obeys,
+// replaces the preferred head, stranding its tail until GC. A full
+// preferred head never passes a record to the other head: that would mix
+// the streams again.
+//
 // One free page is always held back as the garbage collector's copy
 // target; only GC itself may consume it. When free pages run short,
 // quarantined pages are reclaimed by erasing them.
-func (s *Store) reserve(size int) (page, off int, err error) {
-	if s.head >= 0 && s.pageSeq[s.head] != freeSeq && s.pageUsed[s.head]+size <= s.ps {
-		return s.head, s.pageUsed[s.head], nil
+func (s *Store) reserve(size int, minSeq uint32, cold bool) (page, off int, err error) {
+	pref, other := &s.head, &s.cold
+	if cold {
+		pref, other = other, pref
+	}
+	if s.fits(*pref, size) {
+		if s.pageSeq[*pref] >= minSeq {
+			return *pref, s.pageUsed[*pref], nil
+		}
+		s.stats.OrderRedirects++
+		if s.fits(*other, size) && s.pageSeq[*other] >= minSeq {
+			return *other, s.pageUsed[*other], nil
+		}
 	}
 	minFree := 2
 	if s.inGC {
@@ -931,10 +981,17 @@ func (s *Store) reserve(size int) (page, off int, err error) {
 			return 0, 0, ErrFull
 		}
 	}
-	if err := s.openPage(); err != nil {
+	p, err := s.openPage()
+	if err != nil {
 		return 0, 0, err
 	}
-	return s.head, s.pageUsed[s.head], nil
+	*pref = p
+	return p, s.pageUsed[p], nil
+}
+
+// fits reports whether head h is a page with room for size more bytes.
+func (s *Store) fits(h, size int) bool {
+	return h >= 0 && s.pageSeq[h] != freeSeq && s.pageUsed[h]+size <= s.ps
 }
 
 // hasFree reports whether at least n usable pages are free.
@@ -979,14 +1036,15 @@ func (s *Store) reclaimQuarantined() {
 	}
 }
 
-// openPage stamps the first free page with the next sequence number.
-// Under WithVerify a header that does not read back intact quarantines the
-// page and tries the next free one; a failed try changes no other page's
-// state, so the walk on from it still visits every free page in order.
+// openPage stamps the first free page with the next sequence number and
+// returns it. Under WithVerify a header that does not read back intact
+// quarantines the page and tries the next free one; a failed try changes
+// no other page's state, so the walk on from it still visits every free
+// page in order.
 // The walk starts at the first-free hint, which it raises to the first
 // free page: no usable free page lies below the hint, so the candidates
 // come in the same order as a walk from page 0.
-func (s *Store) openPage() error {
+func (s *Store) openPage() (int, error) {
 	first := s.nextFree(s.freeHint)
 	if first >= 0 {
 		s.freeHint = first
@@ -1001,7 +1059,7 @@ func (s *Store) openPage() error {
 		// is quarantined and the next candidate tried.
 		var zone [pageHeaderSize]byte
 		if err := s.b.Read(s.pageBase(cand), zone[:]); err != nil {
-			return err
+			return 0, err
 		}
 		if !allFF(zone[:]) {
 			s.quarantineFree(cand)
@@ -1012,12 +1070,12 @@ func (s *Store) openPage() error {
 				s.quarantineFree(cand)
 				continue
 			}
-			return err
+			return 0, err
 		}
 		if s.verify {
 			var got [pageHeaderSize]byte
 			if err := s.b.Read(s.pageBase(cand), got[:]); err != nil {
-				return err
+				return 0, err
 			}
 			if got != hdr {
 				s.quarantineFree(cand)
@@ -1026,20 +1084,20 @@ func (s *Store) openPage() error {
 		}
 		s.setPage(cand, s.nextSeq, pageHeaderSize, 0, false)
 		s.nextSeq++
-		s.head = cand
 		s.compactDue = true
-		return nil
+		return cand, nil
 	}
-	return ErrFull
+	return 0, ErrFull
 }
 
-// commit writes the record bytes and updates the index. Under WithVerify
-// the landing zone is checked to be erased first — a stuck cell there would
-// force a read-modify-write erase of the whole page, putting the page's
-// committed records at risk — and the record is read back after the write;
-// either failure retires the rest of the page and reports errVerifyMismatch
-// so append retries on fresh space.
-func (s *Store) commit(key string, page, off int, rec []byte, flags byte) error {
+// commit writes the record bytes and updates the index, superseding the
+// key's current record old (when it had one). Under WithVerify the landing
+// zone is checked to be erased first — a stuck cell there would force a
+// read-modify-write erase of the whole page, putting the page's committed
+// records at risk — and the record is read back after the write; either
+// failure retires the rest of the page and reports errVerifyMismatch so
+// append retries on fresh space.
+func (s *Store) commit(key string, old location, had bool, page, off int, rec []byte, flags byte) error {
 	base := s.pageBase(page)
 	// Landing-zone precheck, always on: a cleared cell under the landing
 	// zone (read disturb, stuck bit, torn remnant) would make the write
@@ -1079,7 +1137,7 @@ func (s *Store) commit(key string, page, off int, rec []byte, flags byte) error 
 			return errVerifyMismatch
 		}
 	}
-	s.supersede(key)
+	s.supersede(old, had)
 	s.setLocation(key, location{
 		seq: s.pageSeq[page], page: page, off: off, size: len(rec),
 		dead: flags&flagTombstone != 0,
@@ -1113,8 +1171,19 @@ func (s *Store) quarantineFree(p int) {
 func (s *Store) retireTail(page int) {
 	s.stats.RetiredPages++
 	s.setPage(page, s.pageSeq[page], s.ps, s.pageLive[page], s.pageBad[page])
-	if s.head == page {
+	s.dropHead(page)
+}
+
+// isHead reports whether page p is the hot or the cold head.
+func (s *Store) isHead(p int) bool { return p == s.head || p == s.cold }
+
+// dropHead stops appending to page p when it is a head.
+func (s *Store) dropHead(p int) {
+	if s.head == p {
 		s.head = -1
+	}
+	if s.cold == p {
+		s.cold = -1
 	}
 }
 
@@ -1124,7 +1193,7 @@ func (s *Store) retireTail(page int) {
 func (s *Store) gc() error {
 	victim, best := -1, 1<<30
 	for p := range s.pageSeq {
-		if s.pageSeq[p] == freeSeq || p == s.head {
+		if s.pageSeq[p] == freeSeq || s.isHead(p) {
 			continue
 		}
 		if s.pageLive[p] < best {
@@ -1137,15 +1206,16 @@ func (s *Store) gc() error {
 	return s.compactPage(victim)
 }
 
-// compactPage erases one victim page after copying its live records to the
-// log head. Crash-safe: copies carry later sequence numbers, so duplicates
-// resolve in their favour at mount.
+// compactPage erases one victim page after copying its live records to a
+// log head, the cold one by preference. Crash-safe: the order rule puts
+// every copy on a page with a higher seq than the victim's, so duplicates
+// resolve in the copies' favour at mount.
 func (s *Store) compactPage(victim int) error {
 	s.inGC = true
 	defer func() { s.inGC = false }()
 	// Copy the victim's must-preserve records (live values AND
-	// tombstones) to the log head; copies carry later sequence numbers,
-	// so a crash between copy and erase resolves in their favour.
+	// tombstones); a crash between copy and erase resolves in the copies'
+	// favour.
 	keys := s.victimKeys(victim)
 	for _, key := range keys {
 		loc := s.index[key]
@@ -1173,17 +1243,13 @@ func (s *Store) compactPage(victim int) error {
 		s.setPage(victim, freeSeq, s.ps, 0, true)
 		s.pageKeys[victim] = nil
 		s.stats.QuarantinedPages++
-		if s.head == victim {
-			s.head = -1
-		}
+		s.dropHead(victim)
 		s.stats.Compactions++
 		return nil
 	}
 	s.setPage(victim, freeSeq, 0, 0, false)
 	s.pageKeys[victim] = nil
-	if s.head == victim {
-		s.head = -1
-	}
+	s.dropHead(victim)
 	s.stats.Compactions++
 	return nil
 }

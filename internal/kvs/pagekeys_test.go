@@ -213,7 +213,7 @@ func BenchmarkCompact(b *testing.B) {
 			b.ResetTimer()
 			for i, next := 0, 0; i < b.N; i++ {
 				victim := s.head
-				for ; victim == s.head; next = (next + 7919) % keys {
+				for ; s.isHead(victim); next = (next + 7919) % keys {
 					victim = s.index[fmt.Sprintf("key%06d", next)].page
 				}
 				if err := s.compactPage(victim); err != nil {

@@ -258,10 +258,11 @@ func (si *scanIndexState) bucketsOf(key string, val []byte) func(string) int {
 // fetched; each candidate is re-checked exactly on its bytes, so stale
 // index bits (from updates and deletes) can add reads but never wrong
 // results. Without an index (none configured, backend can't sense, or the
-// index degraded) the host path scans every record.
+// index degraded), and for a predicate that names a field the index lacks
+// or a bucket outside a field's range, the host path scans every record.
 func (s *Store) Scan(p isc.Pred) ([]KV, error) {
 	si := s.scanIdx
-	if si == nil || si.ix == nil || si.disabled {
+	if si == nil || si.ix == nil || si.disabled || si.ix.CheckPred(p) != nil {
 		s.stats.ScanFallbacks++
 		return s.ScanHost(p)
 	}

@@ -169,6 +169,51 @@ func TestScanMatchesHostScan(t *testing.T) {
 	}
 }
 
+// TestScanUnplannablePredicatesUseHostPath: a predicate the index cannot
+// plan (a field it lacks, a bucket outside a field's range) is served by
+// the host path, so Scan agrees with ScanHost instead of planning an empty
+// In or failing; a plannable one still runs in flash.
+func TestScanUnplannablePredicatesUseHostPath(t *testing.T) {
+	s, _ := newScanStore(t)
+	// a has no region bucket (a 1-byte value extracts -1).
+	for k, v := range map[string][]byte{"a": {1}, "b": {1, 1}, "c": {2, 0}, "d": {1, 2, 7}} {
+		if err := s.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		p       isc.Pred
+		matches int
+		host    bool
+	}{
+		{"negated unindexed field", isc.Not(isc.Eq("zone", 0)), 4, true},
+		{"negative bucket", isc.Eq("region", -1), 1, true},
+		{"bucket past the range", isc.Eq("status", 9), 0, true},
+		{"unindexed field under And", isc.And(isc.Eq("status", 1), isc.Not(isc.Eq("zone", 3))), 3, true},
+		{"plannable", isc.Eq("status", 1), 3, false},
+	} {
+		before := s.Stats()
+		got, err := s.Scan(tc.p)
+		if err != nil {
+			t.Fatalf("%s: scan %s: %v", tc.name, tc.p, err)
+		}
+		want, err := s.ScanHost(tc.p)
+		if err != nil {
+			t.Fatalf("%s: host scan %s: %v", tc.name, tc.p, err)
+		}
+		sameKVs(t, tc.name, got, want)
+		if len(got) != tc.matches {
+			t.Errorf("%s: %d matches, want %d", tc.name, len(got), tc.matches)
+		}
+		after := s.Stats()
+		fallbacks, scans := after.ScanFallbacks-before.ScanFallbacks, after.Scans-before.Scans
+		if tc.host && (fallbacks != 1 || scans != 0) || !tc.host && (fallbacks != 0 || scans != 1) {
+			t.Errorf("%s: %d fallbacks and %d indexed scans, want host path %v", tc.name, fallbacks, scans, tc.host)
+		}
+	}
+}
+
 // TestScanFallbackWithoutExtension: on a backend that cannot sense, scans
 // must silently take the host path with identical results.
 func TestScanFallbackWithoutExtension(t *testing.T) {
@@ -363,7 +408,8 @@ func TestScanIndexRebootWear(t *testing.T) {
 
 	// The same layout under another schema: the header's digest differs.
 	spec.Fields[1].Name = "area"
-	preds = []isc.Pred{isc.Eq("status", 1), isc.Not(isc.Eq("status", 0)), isc.Eq("area", 2)}
+	// The old name is no longer indexed: Scan serves it by the host path.
+	preds = []isc.Pred{isc.Eq("status", 1), isc.Not(isc.Eq("status", 0)), isc.Eq("area", 2), isc.Not(isc.Eq("region", 2))}
 	reboot()
 	wear++
 	check("reboot with a renamed field", mountVerdicts{config: 1})
