@@ -344,6 +344,39 @@ func TestCampaignCompactionCheckpointReplay(t *testing.T) {
 	}
 }
 
+// TestCampaignRetentionCheckpoint combines retention aging with interval
+// checkpoints and compaction, which no published campaign row does: aged
+// cells flicker under checkpoint-slot reads and the mount's header reads
+// alike, and power loss tears checkpoints mid-write. Twelve seeds must all
+// run clean, and the mix must exercise both halves — checkpointed mounts
+// and the re-sense ladder.
+func TestCampaignRetentionCheckpoint(t *testing.T) {
+	var ckptMounts, senseRetries uint64
+	for seed := uint64(1); seed <= 12; seed++ {
+		cfg := ckptTestConfig(seed, 400)
+		cfg.Retry = 3
+		cfg.RetentionEvery = 2 * time.Millisecond
+		cfg.Mix = flash.FaultMix{
+			PowerLoss: 4, StuckBits: 1, ReadDisturb: 1,
+			TransientProgram: 3, TransientErase: 1, Retention: 4,
+			MaxGap: 250, MaxRetries: 3, MaxBits: 2,
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.ViolationCount != 0 {
+			t.Fatalf("seed %d: %d invariant violations, first: %v", seed, res.ViolationCount, res.Violations)
+		}
+		ckptMounts += res.CheckpointMounts
+		senseRetries += res.SenseRetries
+	}
+	if ckptMounts == 0 || senseRetries == 0 {
+		t.Fatalf("vacuous run: %d checkpointed mounts, %d sense retries", ckptMounts, senseRetries)
+	}
+	t.Logf("12 seeds x 400 cycles: %d checkpointed mounts, %d sense retries", ckptMounts, senseRetries)
+}
+
 // transientTestConfig arms the full robustness stack: transient program and
 // erase verify failures absorbed by the core retry budget, retention aging
 // on every reboot, and a scrub pass per cycle absorbing marginal cells in

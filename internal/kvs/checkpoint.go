@@ -10,23 +10,26 @@ import (
 	"github.com/flipbit-sim/flipbit/internal/flash"
 )
 
-// Index checkpointing. A plain mount reads every page twice (classify,
-// then replay) and CRC-checks every record — O(device). WithCheckpoint
-// reserves two slots at the end of the page array and periodically
-// serializes the whole in-memory state — index, per-page accounting,
-// nextSeq — into a CRC'd blob written ping-pong into the older slot, the
-// same discipline as the FTL's map checkpoints (internal/ftl/journal.go).
-// Mount then reads the newest valid blob plus one 8-byte header per page,
-// and replays only the pages written since the checkpoint: O(tail).
+// Index checkpointing. A plain mount reads one 8-byte header per page,
+// then reads and replays every page in use and CRC-checks every record —
+// O(device). WithCheckpoint reserves two slots at the end of the page
+// array and periodically serializes the whole in-memory state — index,
+// per-page accounting, nextSeq — into a CRC'd blob written ping-pong into
+// the older slot, the same discipline as the FTL's map checkpoints
+// (internal/ftl/journal.go). Mount then reads the newest valid blob plus
+// one 8-byte header per page, and replays only the pages written since
+// the checkpoint: O(tail).
 //
-// The full scan stays the universal safety valve: a torn, stale or
-// structurally implausible checkpoint — or any page whose header disagrees
-// with the blob in a way the divergence rules below cannot explain — is
-// rejected wholesale and the store falls back to scanning. Both mount
-// paths honor the nextSeq floor recorded in every valid slot, so sequence
-// numbers are monotonic across mounts whichever path ran, and a surviving
-// checkpoint can never mistake a recycled sequence number for a page it
-// knew.
+// Both are one routine, applyCheckpoint: a plain (scan) mount applies the
+// empty image of a blank store, against which every page in use is tail.
+// The scan stays the universal safety valve: a torn, stale or structurally
+// implausible checkpoint — or any page whose header disagrees with the
+// blob in a way the divergence rules below cannot explain — is rejected
+// wholesale and the store mounts from the empty image instead. Every mount
+// honors the nextSeq floor recorded in every valid slot, so sequence
+// numbers are monotonic across mounts whichever image was applied, and a
+// surviving checkpoint can never mistake a recycled sequence number for a
+// page it knew.
 //
 // Checkpoint blob layout (all integers little-endian):
 //
@@ -60,8 +63,8 @@ type CheckpointConfig struct {
 	// (0 = manual Checkpoint calls only).
 	Interval int
 	// ScanOnly reserves the region and honors the recorded nextSeq floor,
-	// but always mounts by full scan — the differential baseline for the
-	// checkpointed mount path.
+	// but always mounts by full scan (the empty image, never the loaded
+	// one) — the differential baseline for checkpointed mounts.
 	ScanOnly bool
 }
 
@@ -275,62 +278,104 @@ type ckptImage struct {
 	entries  map[string]location
 }
 
-// loadCheckpoint reads both slots and returns the newest valid image (nil
-// when neither slot holds one) plus the nextSeq floor across every valid
-// slot. It also primes the writer state — slot rotation and checkpoint
-// sequence continue from the newest image whichever mount path runs.
+// emptyImage is the image of a blank store: every page free, no keys,
+// nextSeq 0. applyCheckpoint over it finds every page on flash divergent
+// and replays them all oldest first: a scan mount.
+func (s *Store) emptyImage() *ckptImage {
+	img := &ckptImage{
+		pageSeq:  make([]uint32, s.np),
+		pageUsed: make([]int, s.np),
+		pageLive: make([]int, s.np),
+		pageBad:  make([]bool, s.np),
+		entries:  make(map[string]location),
+	}
+	for p := range img.pageSeq {
+		img.pageSeq[p] = freeSeq
+	}
+	return img
+}
+
+// ckptHeader is a slot's blob header, as read ahead of the blob.
+type ckptHeader struct {
+	raw     [ckptHdrSize]byte
+	ok      bool // right magic and version, and a length the slot can hold
+	blobLen int
+	cpSeq   uint64
+	nextSeq uint32
+}
+
+// loadCheckpoint returns the newest valid image (nil when neither slot
+// holds one) plus the nextSeq floor across every valid slot. It reads both
+// slots' headers, then validates whole blobs newest cpSeq first. The older
+// slot is read only when the newer one fails validation or its header
+// claims a higher nextSeq: a valid older slot's nextSeq is the one its
+// header shows, so a header at or below the newer image's cannot raise the
+// floor. It also primes the writer state — slot rotation and checkpoint
+// sequence continue from the newest image whichever image the mount
+// applies.
 func (s *Store) loadCheckpoint() (*ckptImage, uint32, error) {
+	var hdrs [2]ckptHeader
+	for slot := range hdrs {
+		if err := s.readCkptHeader(slot, &hdrs[slot]); err != nil {
+			return nil, 0, err
+		}
+	}
+	// Slot 0 goes first on a cpSeq tie.
+	order := [2]int{0, 1}
+	if hdrs[1].ok && (!hdrs[0].ok || hdrs[1].cpSeq > hdrs[0].cpSeq) {
+		order = [2]int{1, 0}
+	}
 	var best *ckptImage
 	var floor uint32
-	bestSlot := 0
-	for slot := 0; slot < 2; slot++ {
-		img, err := s.readCkptSlot(slot)
+	for _, slot := range order {
+		if !hdrs[slot].ok || best != nil && hdrs[slot].nextSeq <= floor {
+			continue
+		}
+		img, err := s.readCkptSlot(slot, &hdrs[slot])
 		if err != nil {
 			return nil, 0, err
 		}
 		if img == nil {
 			continue
 		}
-		if img.nextSeq > floor {
-			floor = img.nextSeq
+		floor = max(floor, img.nextSeq)
+		if best == nil {
+			best = img
+			s.ckpt.lastSlot = slot
+			s.ckpt.cpSeq = img.cpSeq
 		}
-		if best == nil || img.cpSeq > best.cpSeq {
-			best, bestSlot = img, slot
-		}
-	}
-	if best != nil {
-		s.ckpt.lastSlot = bestSlot
-		s.ckpt.cpSeq = best.cpSeq
 	}
 	return best, floor, nil
 }
 
-// readCkptSlot reads and fully validates one slot. A nil image (with nil
-// error) means the slot holds no usable checkpoint; only backend read
-// errors propagate. Validation is strict on purpose: every field an
-// attacker — or a torn write — could skew either fails a check here or is
-// caught by the divergence rules in applyCheckpoint, and anything
-// suspicious rejects the whole blob rather than risking a wrong index.
-func (s *Store) readCkptSlot(slot int) (*ckptImage, error) {
-	base := s.ckpt.slotBase[slot]
-	capacity := s.ckpt.cfg.SlotPages * s.ps
-	first := make([]byte, s.ps)
-	if err := s.b.Read(base*s.ps, first); err != nil {
-		return nil, err
+// readCkptHeader reads one slot's blob header into h; h.ok is false when
+// the slot holds no plausible blob. Only backend read errors propagate.
+func (s *Store) readCkptHeader(slot int, h *ckptHeader) error {
+	if err := s.b.Read(s.ckpt.slotBase[slot]*s.ps, h.raw[:]); err != nil {
+		return err
 	}
-	if string(first[:4]) != ckptMagic || first[4] != ckptVersion {
-		return nil, nil
-	}
-	blobLen := int(leU32(first[6:]))
-	if blobLen < ckptHdrSize+crcSize || blobLen > capacity {
-		return nil, nil
-	}
+	b := h.raw[:]
+	h.blobLen = int(leU32(b[6:]))
+	h.cpSeq = leU64(b[10:])
+	h.nextSeq = leU32(b[18:])
+	h.ok = string(b[:4]) == ckptMagic && b[4] == ckptVersion &&
+		h.blobLen >= ckptHdrSize+crcSize && h.blobLen <= s.ckpt.cfg.SlotPages*s.ps
+	return nil
+}
+
+// readCkptSlot reads the rest of the blob whose header h was read from
+// slot, and fully validates it. A nil image (with nil error) means the slot
+// holds no usable checkpoint; only backend read errors propagate.
+// Validation is strict on purpose: every field an attacker — or a torn
+// write — could skew either fails a check here or is caught by the
+// divergence rules in applyCheckpoint, and anything suspicious rejects the
+// whole blob rather than risking a wrong index.
+func (s *Store) readCkptSlot(slot int, h *ckptHeader) (*ckptImage, error) {
+	blobLen := h.blobLen
 	blob := make([]byte, blobLen)
-	n := copy(blob, first)
-	if n < blobLen {
-		if err := s.b.Read(base*s.ps+n, blob[n:]); err != nil {
-			return nil, err
-		}
+	copy(blob, h.raw[:])
+	if err := s.b.Read(s.ckpt.slotBase[slot]*s.ps+ckptHdrSize, blob[ckptHdrSize:]); err != nil {
+		return nil, err
 	}
 	if crc32.ChecksumIEEE(blob[:blobLen-crcSize]) != leU32(blob[blobLen-crcSize:]) {
 		return nil, nil
@@ -389,6 +434,7 @@ func (s *Store) readCkptSlot(slot int) (*ckptImage, error) {
 	}
 	img.entries = make(map[string]location, keyCount)
 	entryLive := make([]int, dataPages)
+	var prev string
 	for i := 0; i < keyCount; i++ {
 		if off+1 > blobLen-crcSize {
 			return nil, nil
@@ -413,9 +459,13 @@ func (s *Store) readCkptSlot(slot int) (*ckptImage, error) {
 		if recOff < pageHeaderSize || size < recHeaderSize+1+crcSize || recOff+size > img.pageUsed[page] {
 			return nil, nil
 		}
-		if _, dup := img.entries[key]; dup {
+		// The encoder emits keys sorted, so a key at or below its
+		// predecessor (a duplicate among them) is damage or forgery. Keys
+		// are never empty, so the first key passes.
+		if key <= prev {
 			return nil, nil
 		}
+		prev = key
 		img.entries[key] = location{
 			seq: img.pageSeq[page], page: page, off: recOff, size: size,
 			dead: flags&ckptEntryDead != 0,
@@ -437,8 +487,9 @@ func (s *Store) readCkptSlot(slot int) (*ckptImage, error) {
 }
 
 // applyCheckpoint installs a checkpoint image and reconciles it with the
-// flash, reading one 8-byte header per page to classify each page against
-// the blob's page table:
+// flash, reading one 8-byte header per page (re-sensed by readPageHeader
+// before a page is quarantined) to classify each page against the blob's
+// page table:
 //
 //	blob state  header state          meaning                     action
 //	─────────── ───────────────────── ──────────────────────────  ──────────
@@ -450,15 +501,18 @@ func (s *Store) readCkptSlot(slot int) (*ckptImage, error) {
 //	free/bad    seq >= blob nextSeq   opened after ckpt           replay fully
 //	bad         quarantined           still bad                   keep bad
 //	free        quarantined           torn header after ckpt      mark bad
-//	any         seq < blob nextSeq,   a page the checkpoint       REJECT: full-scan fallback
+//	any         seq < blob nextSeq,   a page the checkpoint       REJECT: the caller scans
 //	            and != blob seq       cannot explain
 //
-// Tail pages replay in sequence order after the checkpoint's index is
-// installed, exactly as the scan path would order them — every pre-ckpt
-// page's sequence is below blob nextSeq, every replayed page's is at or
-// above it (or is the partially-filled head continuing its own page).
-// ok=false means the image was rejected; the caller falls back to a scan.
-func (s *Store) applyCheckpoint(img *ckptImage) (ok bool, err error) {
+// The empty image (emptyImage) has every page free and nextSeq 0, so only
+// the free/bad rows apply and every in-use page replays: a scan mount.
+// Tail pages replay in sequence order after the image's index is
+// installed: every pre-ckpt page's sequence is below blob nextSeq, every
+// replayed page's is at or above it (or is the partially-filled head
+// continuing its own page). tail counts the pages whose replay found
+// records past the image; ok=false means the image was rejected, and the
+// caller falls back to a scan mount.
+func (s *Store) applyCheckpoint(img *ckptImage) (tail int, ok bool, err error) {
 	saved := s.stats
 	copy(s.pageSeq, img.pageSeq)
 	copy(s.pageUsed, img.pageUsed)
@@ -468,13 +522,13 @@ func (s *Store) applyCheckpoint(img *ckptImage) (ok bool, err error) {
 	s.ckptKeys = nil
 	s.nextSeq = img.nextSeq
 
-	var partial, tail []pageInfo
-	var hdr [pageHeaderSize]byte
+	var partial, fresh []pageInfo
+	buf := make([]byte, s.ps)
 	for p := 0; p < s.np; p++ {
-		if err := s.b.Read(s.pageBase(p), hdr[:]); err != nil {
-			return false, err
+		seq, state, err := s.readPageHeader(p, buf)
+		if err != nil {
+			return 0, false, err
 		}
-		seq, state := parsePageHeader(hdr[:], &s.stats)
 		switch {
 		case img.pageBad[p] || img.pageSeq[p] == freeSeq: // free or bad at ckpt
 			switch state {
@@ -485,10 +539,10 @@ func (s *Store) applyCheckpoint(img *ckptImage) (ok bool, err error) {
 			default:
 				if seq < img.nextSeq {
 					s.stats = saved
-					return false, nil
+					return 0, false, nil
 				}
 				s.markMountFree(p)
-				tail = append(tail, pageInfo{p, seq})
+				fresh = append(fresh, pageInfo{p, seq})
 			}
 		default: // in use at ckpt
 			switch {
@@ -505,21 +559,19 @@ func (s *Store) applyCheckpoint(img *ckptImage) (ok bool, err error) {
 			case seq >= img.nextSeq:
 				s.dropPageEntries(p)
 				s.markMountFree(p)
-				tail = append(tail, pageInfo{p, seq})
+				fresh = append(fresh, pageInfo{p, seq})
 			default:
 				s.stats = saved
-				return false, nil
+				return 0, false, nil
 			}
 		}
 	}
 
-	// Replay the divergent pages oldest-first, the same order a scan
-	// imposes; partially-filled checkpointed pages (sequences below the
-	// blob's nextSeq) replay before post-checkpoint pages by construction.
+	// Replay the divergent pages oldest-first; partially-filled
+	// checkpointed pages (sequences below the blob's nextSeq) replay before
+	// post-checkpoint pages by construction.
 	sort.Slice(partial, func(i, j int) bool { return partial[i].seq < partial[j].seq })
-	sort.Slice(tail, func(i, j int) bool { return tail[i].seq < tail[j].seq })
-	buf := make([]byte, s.ps)
-	replayed := 0
+	sort.Slice(fresh, func(i, j int) bool { return fresh[i].seq < fresh[j].seq })
 	for _, pi := range partial {
 		// Only the suffix past the checkpointed fill point can hold new
 		// records; the parse below starts there, so skip re-reading the
@@ -527,39 +579,38 @@ func (s *Store) applyCheckpoint(img *ckptImage) (ok bool, err error) {
 		// few slack bytes).
 		start := img.pageUsed[pi.page]
 		if err := s.b.Read(s.pageBase(pi.page)+start, buf[start:]); err != nil {
-			return false, err
+			return 0, false, err
 		}
 		s.replayPageFrom(pi.page, pi.seq, buf, start)
 		if s.pageUsed[pi.page] != start {
-			replayed++
+			tail++
 		}
 	}
-	for _, pi := range tail {
+	for _, pi := range fresh {
 		if err := s.b.Read(s.pageBase(pi.page), buf); err != nil {
-			return false, err
+			return 0, false, err
 		}
 		s.pageSeq[pi.page] = pi.seq
 		s.replayPage(pi.page, pi.seq, buf)
 		if pi.seq >= s.nextSeq {
 			s.nextSeq = pi.seq + 1
 		}
-		replayed++
+		tail++
 	}
-	s.stats.TailPagesReplayed += uint64(replayed)
 
 	// Resume appending into the newest page if it has room, as the hot
-	// head with no cold head, and recount the quarantine pool — exactly
-	// what a scan would have concluded.
+	// head with no cold head, and recount the quarantine pool. Every fresh
+	// page is younger than every page the image knew, so the newest is the
+	// last fresh page when there is one.
 	newest := -1
+	if len(fresh) > 0 {
+		newest = fresh[len(fresh)-1].page
+	}
 	for p := 0; p < s.np; p++ {
 		if s.pageBad[p] {
 			s.stats.QuarantinedPages++
-			continue
-		}
-		if s.pageSeq[p] == freeSeq {
-			continue
-		}
-		if newest < 0 || s.pageSeq[p] > s.pageSeq[newest] {
+		} else if len(fresh) == 0 && s.pageSeq[p] != freeSeq &&
+			(newest < 0 || s.pageSeq[p] > s.pageSeq[newest]) {
 			newest = p
 		}
 	}
@@ -568,7 +619,7 @@ func (s *Store) applyCheckpoint(img *ckptImage) (ok bool, err error) {
 		s.head = newest
 	}
 	s.recount()
-	return true, nil
+	return tail, true, nil
 }
 
 // markMountFree resets a page's accounting to free during checkpoint mount.

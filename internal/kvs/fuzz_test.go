@@ -2,6 +2,7 @@ package kvs
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/flipbit-sim/flipbit/internal/xrand"
@@ -122,6 +123,50 @@ func mountImage(t testing.TB, m *memBackend, scanOnly bool) *Store {
 	return s
 }
 
+// compareWithOracle mounts a copy of the image through the two-routine
+// reference mount (oracleOpen) and asserts that s, OpenOn's mount of the
+// same image with the same ScanOnly setting, equals it on every piece of
+// logical state and every Stats field.
+func compareWithOracle(t testing.TB, m *memBackend, s *Store, scanOnly bool) {
+	t.Helper()
+	o, err := oracleOpen(m.clone(), WithCheckpoint(CheckpointConfig{SlotPages: fuzzSlots, ScanOnly: scanOnly}))
+	if err != nil {
+		t.Fatalf("reference mount (scanOnly=%v): %v", scanOnly, err)
+	}
+	compareMountStates(t, s, o)
+	if s.stats != o.stats {
+		t.Errorf("stats differ from the reference mount (scanOnly=%v):\n%+v\nvs\n%+v", scanOnly, s.stats, o.stats)
+	}
+}
+
+// compareLoaders asserts that the newest-first checkpoint loader and the
+// read-both-slots reference pick the same image, the same nextSeq floor,
+// and leave the same slot rotation and checkpoint sequence.
+func compareLoaders(t testing.TB, m *memBackend) {
+	t.Helper()
+	var st [2]*Store
+	for i := range st {
+		s, err := layoutStore(m.clone(), WithCheckpoint(CheckpointConfig{SlotPages: fuzzSlots}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st[i] = s
+	}
+	imgA, floorA, errA := st[0].loadCheckpoint()
+	imgB, floorB, errB := st[1].loadBothSlots()
+	if errA != nil || errB != nil {
+		t.Fatalf("loaders failed: %v, %v", errA, errB)
+	}
+	if !reflect.DeepEqual(imgA, imgB) {
+		t.Errorf("loaders chose different images: %+v vs %+v", imgA, imgB)
+	}
+	a, b := st[0].ckpt, st[1].ckpt
+	if floorA != floorB || a.lastSlot != b.lastSlot || a.cpSeq != b.cpSeq {
+		t.Errorf("loaders differ: floor %d/%d lastSlot %d/%d cpSeq %d/%d",
+			floorA, floorB, a.lastSlot, b.lastSlot, a.cpSeq, b.cpSeq)
+	}
+}
+
 // compareMountStates asserts that two mounts of the same image agree on
 // every piece of logical state — the differential oracle for the
 // checkpointed mount path against the full scan.
@@ -218,6 +263,10 @@ func checkMountInvariants(t testing.TB, s *Store) {
 //     structural invariants; when the checkpointed mount fell back to a
 //     scan, it must again match the scan-only mount exactly.
 //
+// Under both, each mount must equal the two-routine reference mount
+// (oracleOpen) on its state and every Stats field, and the checkpoint
+// loader must agree with the read-both-slots reference.
+//
 // Every mount's running page-table totals must also match a walk.
 func FuzzMountReplay(f *testing.F) {
 	f.Add(byte(1), byte(40), byte(30), []byte{})
@@ -242,6 +291,9 @@ func FuzzMountReplay(f *testing.F) {
 		checkTotals(t, a, "checkpoint-damage mount")
 		checkTotals(t, b, "checkpoint-damage scan-only mount")
 		compareMountStates(t, a, b)
+		compareWithOracle(t, img, a, false)
+		compareWithOracle(t, img, b, true)
+		compareLoaders(t, img)
 
 		// Oracle 2: damage anywhere in the image.
 		img = base.clone()
@@ -258,5 +310,8 @@ func FuzzMountReplay(f *testing.F) {
 		if c.stats.ScanMounts == 1 {
 			compareMountStates(t, c, d)
 		}
+		compareWithOracle(t, img, c, false)
+		compareWithOracle(t, img, d, true)
+		compareLoaders(t, img)
 	})
 }

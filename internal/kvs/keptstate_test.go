@@ -86,9 +86,10 @@ func pagesDroppedAtMount(t *testing.T, s *Store) int {
 // compactions, checkpoints and reboots, and requires the checkpoint blob
 // built from the kept key list to equal one built from a fresh sort at
 // random points. Every mount runs on a fresh Store, whose list is nil, so
-// the calls that must clear the list — dropPageEntries and the two index
-// replacements, resetMountState and applyCheckpoint — are also driven on
-// a live store whose list is built, each followed by a remount from flash.
+// the calls that must clear the list — dropPageEntries and applyCheckpoint,
+// the one index replacement, with a checkpoint image and with the empty
+// image of a scan mount — are also driven on a live store whose list is
+// built, each followed by a remount from flash.
 func TestCheckpointKeysMatchFreshSort(t *testing.T) {
 	spec := flash.DefaultSpec()
 	spec.PageSize = 128
@@ -172,11 +173,10 @@ func TestCheckpointKeysMatchFreshSort(t *testing.T) {
 			}
 			s = reboot(s, false)
 		case r == 94 && s.ckptKeys != nil:
-			s.resetMountState()
-			if err := s.scanMount(); err != nil {
+			if _, _, err := s.applyCheckpoint(s.emptyImage()); err != nil {
 				t.Fatal(err)
 			}
-			check(s, step, "resetMountState and scanMount")
+			check(s, step, "applyCheckpoint of the empty image")
 			events["rescan"]++
 			s = reboot(s, false)
 		case r == 95 && s.ckptKeys != nil:
@@ -202,7 +202,7 @@ func TestCheckpointKeysMatchFreshSort(t *testing.T) {
 				t.Fatalf("step %d: no checkpoint to apply (%v)", step, err)
 			}
 			s.checkpointKeys() // fold the new keys into the kept list
-			if ok, err := s.applyCheckpoint(img); err != nil || !ok {
+			if _, ok, err := s.applyCheckpoint(img); err != nil || !ok {
 				t.Fatalf("step %d: applyCheckpoint = %v, %v", step, ok, err)
 			}
 			check(s, step, "applyCheckpoint")

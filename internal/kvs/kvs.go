@@ -181,7 +181,7 @@ type Stats struct {
 	Checkpoints        uint64 // index checkpoints committed to a slot
 	CheckpointFailures uint64 // checkpoint attempts that failed (oversize, erase/program error, torn)
 	CheckpointMounts   uint64 // mounts restored from a checkpoint (the O(tail) path)
-	ScanMounts         uint64 // mounts that scanned every page (no, stale, or rejected checkpoint)
+	ScanMounts         uint64 // mounts that replayed every page in use (no, stale or rejected checkpoint, or ScanOnly)
 	TailPagesReplayed  uint64 // pages replayed past the checkpoint across all mounts
 }
 
@@ -281,6 +281,54 @@ func Open(dev *core.Device, opts ...Option) (*Store, error) {
 // WithCheckpoint, mount restores the index from the newest valid checkpoint
 // and replays only the log tail written since it.
 func OpenOn(b Backend, opts ...Option) (*Store, error) {
+	s, err := layoutStore(b, opts...)
+	if err != nil {
+		return nil, err
+	}
+	// With checkpointing configured, read the newest valid image and the
+	// nextSeq floor across every valid slot. The floor is honored by every
+	// mount, so sequence numbers stay monotonic across mounts and a stale
+	// checkpoint can never see a recycled sequence number collide with its
+	// page table.
+	var img *ckptImage
+	var seqFloor uint32
+	if s.ckpt != nil {
+		if img, seqFloor, err = s.loadCheckpoint(); err != nil {
+			return nil, err
+		}
+	}
+	restored := false
+	if img != nil && !s.ckpt.cfg.ScanOnly {
+		tail, ok, err := s.applyCheckpoint(img)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			restored = true
+			s.stats.CheckpointMounts++
+			s.stats.TailPagesReplayed += uint64(tail)
+		}
+	}
+	if !restored {
+		// A scan mount is the same reconciliation from a blank store's
+		// image, against which every page in use is tail.
+		if _, _, err := s.applyCheckpoint(s.emptyImage()); err != nil {
+			return nil, err
+		}
+		s.stats.ScanMounts++
+	}
+	if seqFloor > s.nextSeq {
+		s.nextSeq = seqFloor
+	}
+	if err := s.mountScanIndex(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// layoutStore applies the options and lays out the page array, leaving an
+// unmounted store: empty index, zeroed page table.
+func layoutStore(b Backend, opts ...Option) (*Store, error) {
 	s := &Store{
 		b:     b,
 		ps:    b.PageSize(),
@@ -309,48 +357,6 @@ func OpenOn(b Backend, opts ...Option) (*Store, error) {
 	s.wb, _ = b.(WearBackend)
 	s.bw, _ = b.(BulkWearBackend)
 	s.compactDue = true
-
-	// With checkpointing configured, read both slots up front: the newest
-	// valid image drives the O(tail) mount, and the nextSeq floor across
-	// every valid slot is honored by BOTH mount paths, so sequence numbers
-	// stay monotonic across mounts and a stale checkpoint can never see a
-	// recycled sequence number collide with its page table.
-	var img *ckptImage
-	var seqFloor uint32
-	if s.ckpt != nil {
-		var err error
-		img, seqFloor, err = s.loadCheckpoint()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if img != nil && !s.ckpt.cfg.ScanOnly {
-		ok, err := s.applyCheckpoint(img)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			if seqFloor > s.nextSeq {
-				s.nextSeq = seqFloor
-			}
-			s.stats.CheckpointMounts++
-			if err := s.mountScanIndex(); err != nil {
-				return nil, err
-			}
-			return s, nil
-		}
-		s.resetMountState()
-	}
-	if err := s.scanMount(); err != nil {
-		return nil, err
-	}
-	if seqFloor > s.nextSeq {
-		s.nextSeq = seqFloor
-	}
-	s.stats.ScanMounts++
-	if err := s.mountScanIndex(); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 
@@ -360,73 +366,38 @@ type pageInfo struct {
 	seq  uint32
 }
 
-// scanMount rebuilds the store state by reading and replaying every data
-// page. It assumes zeroed page accounting (a fresh Store or resetMountState).
-func (s *Store) scanMount() error {
-	var used []pageInfo
-	buf := make([]byte, s.ps)
-	for p := 0; p < s.np; p++ {
-		if err := s.b.Read(s.pageBase(p), buf); err != nil {
-			return err
+// readPageHeader reads and classifies page p's 8-byte header. A quarantine
+// verdict is worth a re-sense: retention flicker on top of a stuck cell can
+// push a header past single-bit repair on one read and back within reach
+// on the next. So the header is re-read up to senseRetries times, then
+// margin-sensed into buf (one page) before the page is given up.
+func (s *Store) readPageHeader(p int, buf []byte) (uint32, int, error) {
+	hdr := buf[:pageHeaderSize]
+	if err := s.b.Read(s.pageBase(p), hdr); err != nil {
+		return 0, 0, err
+	}
+	seq, state := parsePageHeader(hdr, &s.stats)
+	for try := 0; try < senseRetries && state == pageQuarantined; try++ {
+		s.stats.SenseRetries++
+		if err := s.b.Read(s.pageBase(p), hdr); err != nil {
+			return 0, 0, err
 		}
-		seq, state := parsePageHeader(buf, &s.stats)
-		// A quarantine verdict is worth a re-sense: retention flicker on
-		// top of a stuck cell can push a header past single-bit repair on
-		// one read and back within reach on the next.
-		for try := 0; try < senseRetries && state == pageQuarantined; try++ {
-			s.stats.SenseRetries++
-			if err := s.b.Read(s.pageBase(p), buf); err != nil {
-				return err
-			}
-			seq, state = parsePageHeader(buf, &s.stats)
-			if state != pageQuarantined {
+		seq, state = parsePageHeader(hdr, &s.stats)
+		if state != pageQuarantined {
+			s.stats.SenseRecovered++
+		}
+	}
+	if state == pageQuarantined {
+		if ok, err := s.marginSense(p, buf); err != nil {
+			return 0, 0, err
+		} else if ok {
+			if seq2, st2 := parsePageHeader(buf, &s.stats); st2 != pageQuarantined {
 				s.stats.SenseRecovered++
+				seq, state = seq2, st2
 			}
 		}
-		if state == pageQuarantined {
-			if ok, err := s.marginSense(p, buf); err != nil {
-				return err
-			} else if ok {
-				if seq2, st2 := parsePageHeader(buf, &s.stats); st2 != pageQuarantined {
-					s.stats.SenseRecovered++
-					seq, state = seq2, st2
-				}
-			}
-		}
-		s.pageSeq[p] = seq
-		switch state {
-		case pageFree:
-			continue
-		case pageQuarantined:
-			s.pageBad[p] = true
-			s.pageSeq[p] = freeSeq // not addressable; reclaimed by erase
-			s.pageUsed[p] = s.ps
-			s.stats.QuarantinedPages++
-			continue
-		}
-		used = append(used, pageInfo{p, seq})
-		if seq >= s.nextSeq {
-			s.nextSeq = seq + 1
-		}
 	}
-	// Replay pages in sequence order so newer records win.
-	sort.Slice(used, func(i, j int) bool { return used[i].seq < used[j].seq })
-	for _, pi := range used {
-		if err := s.b.Read(s.pageBase(pi.page), buf); err != nil {
-			return err
-		}
-		s.replayPage(pi.page, pi.seq, buf)
-	}
-	if len(used) > 0 {
-		last := used[len(used)-1]
-		// Resume appending into the newest page if it has room, as the hot
-		// head; the store starts with no cold head.
-		if s.pageUsed[last.page] < s.ps {
-			s.head = last.page
-		}
-	}
-	s.recount()
-	return nil
+	return seq, state, nil
 }
 
 // recount rebuilds the running page-table totals and resets the first-free
@@ -463,21 +434,6 @@ func (s *Store) setPage(p int, seq uint32, used, live int, bad bool) {
 	if seq == freeSeq && !bad && p < s.freeHint {
 		s.freeHint = p
 	}
-}
-
-// resetMountState discards everything a rejected checkpoint mount may have
-// half-built, so scanMount starts from a clean slate.
-func (s *Store) resetMountState() {
-	s.index = make(map[string]location)
-	s.ckptKeys = nil
-	for p := 0; p < s.np; p++ {
-		s.pageSeq[p] = 0
-		s.pageUsed[p] = 0
-		s.pageLive[p] = 0
-		s.pageBad[p] = false
-	}
-	s.head, s.cold = -1, -1
-	s.nextSeq = 0
 }
 
 // Page header states.
