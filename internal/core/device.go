@@ -105,12 +105,20 @@ func (s *Stats) add(o Stats) {
 // serialize on the bank's commit lock, and controller statistics are
 // sharded per bank and merged deterministically, so a concurrent run
 // reports totals identical to a serial run of the same per-bank workload.
-// Configuration (WriteReg, SetThreshold, SetEncoder, …) is not
+// Configuration (SetApproxRegion, SetThreshold, SetEncoder, …) is not
 // synchronised against in-flight writes: configure, then commit traffic.
 type Device struct {
-	fl   *flash.Device
-	regs registerFile
-	enc  approx.Encoder
+	fl  *flash.Device
+	enc approx.Encoder
+
+	// The four §III-C configuration registers ("two to store the start
+	// and end address of the approximatable memory region, one for the
+	// variable type, and one for the MAE threshold"), set only through
+	// their validating setters: the region [approxStart, approxEnd), the
+	// value width, and the threshold in Q16.16 fixed point.
+	approxStart, approxEnd int
+	width                  bits.Width
+	threshold              uint32
 
 	// cell caches the flash spec's cell mode (immutable after
 	// construction) so the commit hot path never re-copies the Spec.
@@ -222,7 +230,7 @@ func NewDevice(spec flash.Spec, opts ...Option) (*Device, error) {
 	d := &Device{
 		enc: approx.MustNBit(2),
 	}
-	d.regs[RegWidth] = uint32(bits.W8)
+	d.width = bits.W8
 	for _, o := range opts {
 		o(d)
 	}
@@ -294,87 +302,46 @@ func (d *Device) ResetStats() {
 // hardware is run-time configurable for n = 1..8, §III-B).
 func (d *Device) SetEncoder(e approx.Encoder) { d.enc = e }
 
-// --- Memory-mapped register interface (§III-C) ---
-
-// WriteReg stores val into register r. The width register validates its
-// encoding (the hardware decodes it combinationally); the region registers
-// accept any value — a half-configured or inconsistent region simply marks
-// nothing approximatable until both registers are coherent, so the order of
-// MMIO writes does not matter.
-func (d *Device) WriteReg(r Reg, val uint32) error {
-	switch r {
-	case RegApproxStart, RegApproxEnd:
-		d.regs[r] = val
-		return nil
-	case RegWidth:
-		if _, err := widthFromReg(val); err != nil {
-			return err
-		}
-		d.regs[r] = val
-		return nil
-	case RegThreshold:
-		d.regs[r] = val
-		return nil
-	default:
-		return fmt.Errorf("%w: %d", ErrBadReg, int(r))
-	}
-}
-
-func (d *Device) validateRegion() error {
-	start, end := int(d.regs[RegApproxStart]), int(d.regs[RegApproxEnd])
-	ps := d.fl.Spec().PageSize
-	if start > end || end > d.fl.Spec().Size() || start%ps != 0 || end%ps != 0 {
-		return fmt.Errorf("%w: [%#x, %#x)", ErrBadRegion, start, end)
-	}
-	return nil
-}
-
 // --- Convenience configuration (what setApproxThreshold() and the linker
 // script of Listing 1/2 boil down to) ---
 
 // SetApproxRegion marks [start, end) as approximatable. Both bounds must be
 // page aligned. Setting an empty region disables approximation.
 func (d *Device) SetApproxRegion(start, end int) error {
-	old0, old1 := d.regs[RegApproxStart], d.regs[RegApproxEnd]
-	d.regs[RegApproxStart] = uint32(start)
-	d.regs[RegApproxEnd] = uint32(end)
-	if err := d.validateRegion(); err != nil {
-		d.regs[RegApproxStart], d.regs[RegApproxEnd] = old0, old1
-		return err
+	ps := d.fl.Spec().PageSize
+	if start < 0 || start > end || end > d.fl.Spec().Size() || start%ps != 0 || end%ps != 0 {
+		return fmt.Errorf("%w: [%#x, %#x)", ErrBadRegion, start, end)
 	}
+	d.approxStart, d.approxEnd = start, end
 	return nil
 }
 
 // SetWidth configures the value width used for approximation and error
 // accounting.
 func (d *Device) SetWidth(w bits.Width) error {
-	return d.WriteReg(RegWidth, uint32(w))
+	if !w.Valid() {
+		return fmt.Errorf("%w: got %d", ErrBadWidth, w)
+	}
+	d.width = w
+	return nil
 }
 
 // Width returns the configured value width.
-func (d *Device) Width() bits.Width {
-	w, _ := widthFromReg(d.regs[RegWidth])
-	return w
-}
+func (d *Device) Width() bits.Width { return d.width }
 
 // SetThreshold sets the error threshold (MAE or MSE depending on metric) in
 // value units. This is the library equivalent of setApproxThreshold() in
 // Listing 1. Thresholds at or above 65536 saturate the Q16.16 register to
 // ThresholdUnlimited, which disables the error gate.
 func (d *Device) SetThreshold(t float64) {
-	d.regs[RegThreshold] = ThresholdToFixed(t)
+	d.threshold = ThresholdToFixed(t)
 }
 
 // Approximatable reports whether the given page lies entirely in the
-// configured approximatable region. An incoherent region configuration
-// (inverted, misaligned or out of range) marks nothing approximatable.
+// configured approximatable region.
 func (d *Device) Approximatable(page int) bool {
-	if d.validateRegion() != nil {
-		return false
-	}
-	start, end := int(d.regs[RegApproxStart]), int(d.regs[RegApproxEnd])
 	base := d.fl.PageBase(page)
-	return base >= start && base+d.fl.Spec().PageSize <= end
+	return base >= d.approxStart && base+d.fl.Spec().PageSize <= d.approxEnd
 }
 
 // --- Data path ---
@@ -725,7 +692,7 @@ func (s *session) encodeBatch(be approx.BatchEncoder, lo, hi int, w bits.Width) 
 	res.approximated = st.Approximated
 	res.unreachable = st.Unreachable
 	if s.d.fallback == FallbackPerValue {
-		threshold := s.d.regs[RegThreshold]
+		threshold := s.d.threshold
 		res.exceeded = threshold != ThresholdUnlimited &&
 			uint64(st.MaxAbs)<<ThresholdFracBits > uint64(threshold)
 	}
@@ -740,7 +707,7 @@ func encodeScalarLoop[E approx.Encoder](enc E, s *session, lo, hi int, w bits.Wi
 	d := s.d
 	vb := w.Bytes()
 	cell := d.cell
-	threshold := d.regs[RegThreshold]
+	threshold := d.threshold
 	perValue := d.fallback == FallbackPerValue && threshold != ThresholdUnlimited
 	var res encodeResult
 	for i := lo; i < hi; i += vb {
@@ -771,7 +738,7 @@ func encodeScalarLoop[E approx.Encoder](enc E, s *session, lo, hi int, w bits.Wi
 func (s *session) gate(enc encodeResult) bool {
 	exceeded := enc.exceeded
 	if s.d.fallback == FallbackPerPage {
-		exceeded = s.d.overThreshold(&enc.tracker, s.d.regs[RegThreshold])
+		exceeded = s.d.overThreshold(&enc.tracker, s.d.threshold)
 	}
 	return exceeded || enc.unreachable
 }

@@ -220,24 +220,24 @@ func TestWidth16And32(t *testing.T) {
 
 func TestRegisterInterface(t *testing.T) {
 	d := MustNewDevice(testSpec())
-	if err := d.WriteReg(RegWidth, 16); err != nil {
+	if err := d.SetWidth(bits.W16); err != nil {
 		t.Fatal(err)
 	}
 	if d.Width() != bits.W16 {
 		t.Error("width register did not take")
 	}
-	if err := d.WriteReg(RegWidth, 12); !errors.Is(err, ErrBadWidth) {
+	if err := d.SetWidth(12); !errors.Is(err, ErrBadWidth) {
 		t.Errorf("invalid width accepted: %v", err)
 	}
+	if d.Width() != bits.W16 {
+		t.Error("rejected width clobbered the register")
+	}
 	d.SetThreshold(2.5)
-	if got := FixedToThreshold(d.regs[RegThreshold]); got != 2.5 {
+	if got := FixedToThreshold(d.threshold); got != 2.5 {
 		t.Errorf("threshold round trip = %v", got)
 	}
-	if got := d.regs[RegThreshold]; got != ThresholdToFixed(2.5) {
+	if got := d.threshold; got != ThresholdToFixed(2.5) {
 		t.Errorf("raw threshold = %#x", got)
-	}
-	if err := d.WriteReg(Reg(99), 1); !errors.Is(err, ErrBadReg) {
-		t.Error("unmapped register write should fail")
 	}
 }
 
@@ -451,6 +451,46 @@ func wearOut(t *testing.T, d *Device, p int) {
 		if err := fl.ErasePage(p); err != nil && !errors.Is(err, flash.ErrWornOut) {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestHealthGateRefusesApproxFallbackAtRating: on an approximatable page
+// at its endurance rating, a page the gate sends to the exact fallback is
+// refused rather than erased, since that erase would be the one that
+// sticks its cells.
+func TestHealthGateRefusesApproxFallbackAtRating(t *testing.T) {
+	s := gateSpec()
+	s.EnduranceCycles = 3
+	d := MustNewDevice(s, WithHealthGate())
+	if err := d.SetApproxRegion(0, s.Size()); err != nil {
+		t.Fatal(err)
+	}
+	const p = 0
+	fl := d.Flash()
+	for !fl.AtRating(p) {
+		if err := fl.ErasePage(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := fl.PageBase(p)
+	// Zeros are reachable from erased cells: an approximate commit.
+	if err := d.Write(base, make([]byte, s.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	erases := fl.Stats().Erases
+	up := make([]byte, s.PageSize)
+	for i := range up {
+		up[i] = 0xFF
+	}
+	// Raising the bits back exceeds the zero threshold: the exact fallback.
+	if err := d.Write(base, up); !errors.Is(err, ErrExactDegraded) {
+		t.Fatalf("exact fallback at rating: got %v, want ErrExactDegraded", err)
+	}
+	if got := d.Stats().ExactRefused; got != 1 {
+		t.Errorf("ExactRefused = %d, want 1", got)
+	}
+	if got := fl.Stats().Erases; got != erases {
+		t.Errorf("refused fallback erased %d times", got-erases)
 	}
 }
 

@@ -6,44 +6,18 @@
 // cheap 1→0 programs only or must fall back to an exact erase-and-program.
 package core
 
-import (
-	"errors"
-	"fmt"
-
-	"github.com/flipbit-sim/flipbit/internal/bits"
-)
-
-// Reg identifies one of the controller's memory-mapped configuration
-// registers (§III-C: "we require 4 registers, two to store the start and end
-// address of the approximatable memory region, one for the variable type,
-// and one for the MAE threshold").
-type Reg int
-
-// Register file layout. Offsets are word indices; the MCU bus maps them at
-// RegBankBase.
-const (
-	RegApproxStart Reg = iota // first byte of the approximatable region
-	RegApproxEnd              // one past the last byte of the region
-	RegWidth                  // value width: 8, 16 or 32
-	RegThreshold              // MAE threshold, Q16.16 fixed point
-	numRegs
-)
+import "errors"
 
 // ThresholdFracBits is the number of fractional bits in the threshold
 // register. The DNN experiments use sub-integer thresholds (e.g. 0.1), so
 // the hardware compares sum(|err|) << 16 against threshold * count.
 const ThresholdFracBits = 16
 
-// Errors returned by register programming and the write path.
+// Errors returned by the register setters and the write path.
 var (
 	ErrBadWidth  = errors.New("core: width register must be 8, 16 or 32")
 	ErrBadRegion = errors.New("core: approximatable region must be page aligned with start <= end")
-	ErrBadReg    = errors.New("core: no such register")
 )
-
-// registerFile holds the raw register values; semantic accessors live on
-// Device so validation can use the flash geometry.
-type registerFile [numRegs]uint32
 
 // ThresholdToFixed converts a floating MAE threshold to the Q16.16 register
 // encoding, saturating at the register's maximum.
@@ -61,13 +35,4 @@ func ThresholdToFixed(mae float64) uint32 {
 // FixedToThreshold converts the Q16.16 register encoding back to a float.
 func FixedToThreshold(v uint32) float64 {
 	return float64(v) / (1 << ThresholdFracBits)
-}
-
-// widthFromReg decodes the width register.
-func widthFromReg(v uint32) (bits.Width, error) {
-	w := bits.Width(v)
-	if !w.Valid() {
-		return 0, fmt.Errorf("%w: got %d", ErrBadWidth, v)
-	}
-	return w, nil
 }

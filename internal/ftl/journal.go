@@ -33,6 +33,7 @@
 package ftl
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -386,9 +387,7 @@ func (f *FTL) writeCheckpoint(slot int) error {
 
 	fl := f.dev.Flash()
 	ps := f.lay.ps
-	var lastErr error
-	for attempt := 0; attempt < writeRetries; attempt++ {
-		ok := true
+	err := retryMeta(func() error {
 		for i := 0; i < f.lay.mapPages; i++ {
 			page := f.lay.slot[slot] + i
 			chunk := make([]byte, ps)
@@ -397,33 +396,24 @@ func (f *FTL) writeCheckpoint(slot int) error {
 			}
 			copy(chunk, blob[min(i*ps, len(blob)):min((i+1)*ps, len(blob))])
 			if err := fl.EraseProgramPage(page, chunk); err != nil {
-				if !retryableWriteErr(err) {
-					return err
-				}
-				lastErr, ok = err, false
-				break
+				return err
 			}
 			got := make([]byte, ps)
 			if err := fl.ReadPage(page, got); err != nil {
 				return err
 			}
-			for j := range chunk {
-				if got[j] != chunk[j] {
-					lastErr, ok = errCheckpointVerify, false
-					break
-				}
-			}
-			if !ok {
-				break
+			if !bytes.Equal(got, chunk) {
+				return errCheckpointVerify
 			}
 		}
-		if ok {
-			f.checkpointSlot = slot
-			f.stats.Checkpoints++
-			return nil
-		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	return lastErr
+	f.checkpointSlot = slot
+	f.stats.Checkpoints++
+	return nil
 }
 
 // readSlot loads and validates one checkpoint slot, applying single-bit
@@ -473,19 +463,20 @@ func (f *FTL) readSlot(slot int) ([]int, uint32, bool) {
 // directly (erase + program, no approximation), retrying so a stuck cell
 // left by a faulted erase gets cleared by the next one.
 func (f *FTL) writeExactPage(p int, buf []byte) error {
-	fl := f.dev.Flash()
-	var lastErr error
+	return retryMeta(func() error { return f.dev.Flash().EraseProgramPage(p, buf) })
+}
+
+// retryMeta runs a metadata write op up to writeRetries times, until it
+// succeeds or fails with an error retryableWriteErr rejects, and returns
+// the last attempt's error.
+func retryMeta(op func() error) error {
+	var err error
 	for attempt := 0; attempt < writeRetries; attempt++ {
-		err := fl.EraseProgramPage(p, buf)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if !retryableWriteErr(err) {
+		if err = op(); err == nil || !retryableWriteErr(err) {
 			return err
 		}
 	}
-	return lastErr
+	return err
 }
 
 // retryableWriteErr reports whether a metadata write failure is worth
@@ -500,19 +491,7 @@ func retryableWriteErr(err error) bool {
 
 // eraseMetaPage erases a metadata page, retrying recoverable failures.
 func (f *FTL) eraseMetaPage(p int) error {
-	fl := f.dev.Flash()
-	var lastErr error
-	for attempt := 0; attempt < writeRetries; attempt++ {
-		err := fl.ErasePage(p)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if !retryableWriteErr(err) {
-			return err
-		}
-	}
-	return lastErr
+	return retryMeta(func() error { return f.dev.Flash().ErasePage(p) })
 }
 
 // pageCRC returns the CRC32 of a physical page's current contents.

@@ -146,16 +146,12 @@ func (s *Store) Checkpoint() error {
 	}
 	// Read-back: a checkpoint that does not verify is worse than none — a
 	// stuck cell in the blob would burn a mount's fallback scan every boot.
-	got := make([]byte, len(blob))
-	if err := s.b.Read(addr, got); err != nil {
+	if ok, err := s.readsBack(addr, blob); err != nil || !ok {
 		s.stats.CheckpointFailures++
-		return err
-	}
-	for i := range blob {
-		if got[i] != blob[i] {
-			s.stats.CheckpointFailures++
-			return fmt.Errorf("kvs: checkpoint read-back mismatch at byte %d", i)
+		if err != nil {
+			return err
 		}
+		return errors.New("kvs: checkpoint read-back mismatch")
 	}
 	c.lastSlot = slot
 	c.cpSeq++
@@ -487,8 +483,8 @@ func (s *Store) readCkptSlot(slot int, h *ckptHeader) (*ckptImage, error) {
 }
 
 // applyCheckpoint installs a checkpoint image and reconciles it with the
-// flash, reading one 8-byte header per page (re-sensed by readPageHeader
-// before a page is quarantined) to classify each page against the blob's
+// flash, reading one 8-byte header per page (re-sensed by resense before a
+// page is quarantined) to classify each page against the blob's
 // page table:
 //
 //	blob state  header state          meaning                     action
@@ -525,7 +521,7 @@ func (s *Store) applyCheckpoint(img *ckptImage) (tail int, ok bool, err error) {
 	var partial, fresh []pageInfo
 	buf := make([]byte, s.ps)
 	for p := 0; p < s.np; p++ {
-		seq, state, err := s.readPageHeader(p, buf)
+		seq, state, err := s.readPageHeader(p, buf[:pageHeaderSize])
 		if err != nil {
 			return 0, false, err
 		}
@@ -533,15 +529,15 @@ func (s *Store) applyCheckpoint(img *ckptImage) (tail int, ok bool, err error) {
 		case img.pageBad[p] || img.pageSeq[p] == freeSeq: // free or bad at ckpt
 			switch state {
 			case pageFree:
-				s.markMountFree(p)
+				s.setPage(p, freeSeq, 0, 0, false)
 			case pageQuarantined:
-				s.markMountBad(p)
+				s.setPage(p, freeSeq, s.ps, 0, true)
 			default:
 				if seq < img.nextSeq {
 					s.stats = saved
 					return 0, false, nil
 				}
-				s.markMountFree(p)
+				s.setPage(p, seq, 0, 0, false)
 				fresh = append(fresh, pageInfo{p, seq})
 			}
 		default: // in use at ckpt
@@ -552,13 +548,13 @@ func (s *Store) applyCheckpoint(img *ckptImage) (tail int, ok bool, err error) {
 				}
 			case state == pageFree:
 				s.dropPageEntries(p)
-				s.markMountFree(p)
+				s.setPage(p, freeSeq, 0, 0, false)
 			case state == pageQuarantined:
 				s.dropPageEntries(p)
-				s.markMountBad(p)
+				s.setPage(p, freeSeq, s.ps, 0, true)
 			case seq >= img.nextSeq:
 				s.dropPageEntries(p)
-				s.markMountFree(p)
+				s.setPage(p, seq, 0, 0, false)
 				fresh = append(fresh, pageInfo{p, seq})
 			default:
 				s.stats = saved
@@ -590,8 +586,7 @@ func (s *Store) applyCheckpoint(img *ckptImage) (tail int, ok bool, err error) {
 		if err := s.b.Read(s.pageBase(pi.page), buf); err != nil {
 			return 0, false, err
 		}
-		s.pageSeq[pi.page] = pi.seq
-		s.replayPage(pi.page, pi.seq, buf)
+		s.replayPageFrom(pi.page, pi.seq, buf, pageHeaderSize)
 		if pi.seq >= s.nextSeq {
 			s.nextSeq = pi.seq + 1
 		}
@@ -622,22 +617,6 @@ func (s *Store) applyCheckpoint(img *ckptImage) (tail int, ok bool, err error) {
 	return tail, true, nil
 }
 
-// markMountFree resets a page's accounting to free during checkpoint mount.
-func (s *Store) markMountFree(p int) {
-	s.pageSeq[p] = freeSeq
-	s.pageUsed[p] = 0
-	s.pageLive[p] = 0
-	s.pageBad[p] = false
-}
-
-// markMountBad quarantines a page during checkpoint mount.
-func (s *Store) markMountBad(p int) {
-	s.pageSeq[p] = freeSeq
-	s.pageUsed[p] = s.ps
-	s.pageLive[p] = 0
-	s.pageBad[p] = true
-}
-
 // dropPageEntries removes every index entry pointing at page p — the page
 // was erased, reused or quarantined after the checkpoint, and whatever was
 // live on it either lives on in GC copies past the checkpoint's nextSeq
@@ -649,7 +628,6 @@ func (s *Store) dropPageEntries(p int) {
 		}
 	}
 	s.ckptKeys = nil
-	s.pageLive[p] = 0
 }
 
 func leU16(b []byte) uint16 { return uint16(b[0]) | uint16(b[1])<<8 }

@@ -236,7 +236,9 @@ type Store struct {
 	nextSeq    uint32
 	inGC       bool
 	verify     bool   // read back every committed record
-	zone       []byte // commit's landing-zone and read-back scratch
+	scratch    []byte // readsBack's read buffer
+	erased     []byte // one page of 0xFF: what a landing zone must read back as
+	sensed     []byte // resense's margin-sense buffer, one page (nil until needed)
 	// inv is the record framing's polarity mask: recInvert. Only the
 	// differential test mounts a store with the old zero mask.
 	inv byte
@@ -338,6 +340,7 @@ func layoutStore(b Backend, opts ...Option) (*Store, error) {
 		cold:  -1,
 		inv:   recInvert,
 	}
+	s.erased = bytes.Repeat([]byte{0xFF}, s.ps)
 	for _, o := range opts {
 		o(s)
 	}
@@ -366,35 +369,21 @@ type pageInfo struct {
 	seq  uint32
 }
 
-// readPageHeader reads and classifies page p's 8-byte header. A quarantine
-// verdict is worth a re-sense: retention flicker on top of a stuck cell can
-// push a header past single-bit repair on one read and back within reach
-// on the next. So the header is re-read up to senseRetries times, then
-// margin-sensed into buf (one page) before the page is given up.
-func (s *Store) readPageHeader(p int, buf []byte) (uint32, int, error) {
-	hdr := buf[:pageHeaderSize]
+// readPageHeader reads page p's 8-byte header into hdr and classifies it.
+// A quarantine verdict is worth a re-sense: retention flicker on top of a
+// stuck cell can push a header past single-bit repair on one read and back
+// within reach on the next.
+func (s *Store) readPageHeader(p int, hdr []byte) (uint32, int, error) {
 	if err := s.b.Read(s.pageBase(p), hdr); err != nil {
 		return 0, 0, err
 	}
 	seq, state := parsePageHeader(hdr, &s.stats)
-	for try := 0; try < senseRetries && state == pageQuarantined; try++ {
-		s.stats.SenseRetries++
-		if err := s.b.Read(s.pageBase(p), hdr); err != nil {
-			return 0, 0, err
-		}
-		seq, state = parsePageHeader(hdr, &s.stats)
-		if state != pageQuarantined {
-			s.stats.SenseRecovered++
-		}
-	}
 	if state == pageQuarantined {
-		if ok, err := s.marginSense(p, buf); err != nil {
+		if _, err := s.resense(p, 0, hdr, func() bool {
+			seq, state = parsePageHeader(hdr, &s.stats)
+			return state != pageQuarantined
+		}); err != nil {
 			return 0, 0, err
-		} else if ok {
-			if seq2, st2 := parsePageHeader(buf, &s.stats); st2 != pageQuarantined {
-				s.stats.SenseRecovered++
-				seq, state = seq2, st2
-			}
 		}
 	}
 	return seq, state, nil
@@ -469,11 +458,6 @@ func parsePageHeader(buf []byte, st *Stats) (uint32, int) {
 // pageBase returns the backend address of data page p.
 func (s *Store) pageBase(p int) int { return s.devPage[p] * s.ps }
 
-// replayPage parses the records of one page into the index.
-func (s *Store) replayPage(page int, seq uint32, buf []byte) {
-	s.replayPageFrom(page, seq, buf, pageHeaderSize)
-}
-
 // replayPageFrom parses the records of one page into the index starting at
 // byte offset start — pageHeaderSize for a full replay, or the used-bytes
 // watermark a checkpoint recorded for the page, so only the tail appended
@@ -513,19 +497,43 @@ func (s *Store) replayPageFrom(page int, seq uint32, buf []byte, start int) {
 	s.pageUsed[page] = off
 }
 
-// marginSense performs a slow margin-aware controller sense of one store
-// page into dst (one full page) when the backend supports it. ok reports
-// whether a sense was issued; a read failure (e.g. power loss mid-sense)
-// is returned so callers on error-propagating paths can surface it.
-func (s *Store) marginSense(page int, dst []byte) (bool, error) {
-	b, can := s.b.(PageSenser)
+// resense is the hardened read path's one ladder, run when the bytes read
+// into dst from page's offset off failed the caller's check ok. A marginal
+// retention cell (flash/retention.go) resolves randomly per read, so dst is
+// re-read up to senseRetries times; then, when the backend is a
+// PageSenser, the page is margin-sensed and dst's window copied out of it.
+// A margin sense strips the read noise, so whatever the caller repairs
+// after a failed ladder is persistent damage alone. ok re-checks dst after
+// each sense, and resense reports whether one passed; a backend error ends
+// the ladder. SenseRetries, SenseRecovered and MarginSenses are counted
+// here and nowhere else.
+func (s *Store) resense(page, off int, dst []byte, ok func() bool) (bool, error) {
+	for try := 0; try < senseRetries; try++ {
+		s.stats.SenseRetries++
+		if err := s.b.Read(s.pageBase(page)+off, dst); err != nil {
+			return false, err
+		}
+		if ok() {
+			s.stats.SenseRecovered++
+			return true, nil
+		}
+	}
+	senser, can := s.b.(PageSenser)
 	if !can {
 		return false, nil
 	}
 	s.stats.MarginSenses++
-	if err := b.SensePage(s.devPage[page], dst); err != nil {
+	if s.sensed == nil {
+		s.sensed = make([]byte, s.ps)
+	}
+	if err := senser.SensePage(s.devPage[page], s.sensed); err != nil {
 		return false, err
 	}
+	copy(dst, s.sensed[off:])
+	if !ok() {
+		return false, nil
+	}
+	s.stats.SenseRecovered++
 	return true, nil
 }
 
@@ -541,35 +549,18 @@ func (s *Store) checkRecord(page int, buf []byte, off int) (int, bool) {
 	if allFF(buf[off:min(off+recHeaderSize+crcSize, ps)]) {
 		return 0, false // free space, not damage
 	}
-	// Re-sense before repairing: a marginal retention cell flickers per
-	// read, so a fresh read of the page tail usually comes back clean —
-	// and when flicker stacks on top of a genuinely stuck cell, the
-	// re-read narrows the damage back within single-bit reach.
-	for try := 0; try < senseRetries; try++ {
-		s.stats.SenseRetries++
-		if err := s.b.Read(s.pageBase(page)+off, buf[off:]); err != nil {
-			break
-		}
-		if size, ok := recordSize(buf, off, ps, s.inv); ok && recordCRCValid(buf, off, size) {
-			s.stats.SenseRecovered++
-			return size, true
-		}
-	}
-	// Fast re-reads flicker too; a margin sense strips the read noise so
-	// the repair below judges only persistent damage.
-	if ok, err := s.marginSense(page, buf); err == nil && ok {
-		if size, ok := recordSize(buf, off, ps, s.inv); ok && recordCRCValid(buf, off, size) {
-			s.stats.SenseRecovered++
-			return size, true
-		}
+	// A re-read narrows flicker stacked on a stuck cell back within
+	// single-bit reach; a read error leaves the repair to judge buf as is.
+	if sensed, _ := s.resense(page, off, buf[off:], func() bool {
+		size, ok = recordSize(buf, off, ps, s.inv)
+		return ok && recordCRCValid(buf, off, size)
+	}); sensed {
+		return size, true
 	}
 	// The damage may be a single drifted cell anywhere in the record —
 	// including inside the length fields, which is why the repair must
 	// re-derive the size after each candidate flip.
-	if size, ok := s.repairRecord(buf, off); ok {
-		return size, true
-	}
-	return 0, false
+	return s.repairRecord(buf, off)
 }
 
 // encodeRecord frames one record under polarity mask inv.
@@ -679,10 +670,9 @@ func (s *Store) supersede(old location, had bool) {
 }
 
 // Get returns the value stored for key, verifying the record CRC. A CRC
-// failure first earns a bounded re-sense — a marginal retention cell reads
-// differently on the next try, and a clean re-read proves the on-flash copy
-// is intact — before falling back to single-bit repair of the
-// returned copy.
+// failure first earns the re-sense ladder (resense) — a clean re-sense
+// proves the on-flash copy intact — before falling back to single-bit
+// repair of the returned copy, whose length the index already knows.
 func (s *Store) Get(key string) ([]byte, error) {
 	loc, ok := s.index[key]
 	if !ok || loc.dead {
@@ -694,37 +684,16 @@ func (s *Store) Get(key string) ([]byte, error) {
 	}
 	repaired := false
 	if !recordCRCValid(rec, 0, len(rec)) {
-		sensed := false
-		for try := 0; try < senseRetries; try++ {
-			s.stats.SenseRetries++
-			if err := s.b.Read(s.pageBase(loc.page)+loc.off, rec); err != nil {
-				return nil, err
-			}
-			if recordCRCValid(rec, 0, len(rec)) {
-				s.stats.SenseRecovered++
-				sensed = true
-				break
-			}
+		sensed, err := s.resense(loc.page, loc.off, rec, func() bool { return recordCRCValid(rec, 0, len(rec)) })
+		if err != nil {
+			return nil, err
 		}
 		if !sensed {
-			pg := make([]byte, s.ps)
-			if ok, err := s.marginSense(loc.page, pg); err != nil {
-				return nil, err
-			} else if ok {
-				copy(rec, pg[loc.off:loc.off+loc.size])
-				if recordCRCValid(rec, 0, len(rec)) {
-					s.stats.SenseRecovered++
-					sensed = true
-				}
-			}
-		}
-		if !sensed {
-			if _, ok := bits.CorrectSingleBit(rec, len(rec)-crcSize); ok {
-				s.stats.CorrectedBits++
-				repaired = true
-			} else {
+			if _, ok := bits.CorrectSingleBit(rec, len(rec)-crcSize); !ok {
 				return nil, fmt.Errorf("%w: %q", ErrCorrupt, key)
 			}
+			s.stats.CorrectedBits++
+			repaired = true
 		}
 	}
 	keyLen := int(rec[2])
@@ -972,7 +941,6 @@ func (s *Store) nextFree(from int) int {
 // reclaim therefore ends with an erase-verify pass; only an all-0xFF page
 // rejoins the pool.
 func (s *Store) reclaimQuarantined() {
-	var buf []byte
 	for p := range s.pageBad {
 		if !s.pageBad[p] {
 			continue
@@ -980,10 +948,7 @@ func (s *Store) reclaimQuarantined() {
 		if err := s.b.ErasePage(s.devPage[p]); err != nil {
 			continue
 		}
-		if buf == nil {
-			buf = make([]byte, s.ps)
-		}
-		if err := s.b.Read(s.pageBase(p), buf); err != nil || !allFF(buf) {
+		if ok, err := s.readsBack(s.pageBase(p), s.erased); err != nil || !ok {
 			s.stats.ReclaimRejected++
 			continue
 		}
@@ -993,10 +958,9 @@ func (s *Store) reclaimQuarantined() {
 }
 
 // openPage stamps the first free page with the next sequence number and
-// returns it. Under WithVerify a header that does not read back intact
-// quarantines the page and tries the next free one; a failed try changes
-// no other page's state, so the walk on from it still visits every free
-// page in order.
+// returns it. A header that does not land (land) quarantines the page and
+// tries the next free one; a failed try changes no other page's state, so
+// the walk on from it still visits every free page in order.
 // The walk starts at the first-free hint, which it raises to the first
 // free page: no usable free page lies below the hint, so the candidates
 // come in the same order as a walk from page 0.
@@ -1009,34 +973,13 @@ func (s *Store) openPage() (int, error) {
 		var hdr [pageHeaderSize]byte
 		putLEU32(hdr[:], s.nextSeq)
 		putLEU32(hdr[4:], crc32.ChecksumIEEE(hdr[:4]))
-		// The header zone must be pristine for the same reason commit
-		// prechecks its landing zone: a cleared cell would force a
-		// read-modify-write erase. A page that is not cleanly writable
-		// is quarantined and the next candidate tried.
-		var zone [pageHeaderSize]byte
-		if err := s.b.Read(s.pageBase(cand), zone[:]); err != nil {
+		landed, err := s.land(s.pageBase(cand), hdr[:])
+		if err != nil {
 			return 0, err
 		}
-		if !allFF(zone[:]) {
+		if !landed {
 			s.quarantineFree(cand)
 			continue
-		}
-		if err := s.b.Write(s.pageBase(cand), hdr[:]); err != nil {
-			if errors.Is(err, flash.ErrNeedsErase) || degradedWriteErr(err) {
-				s.quarantineFree(cand)
-				continue
-			}
-			return 0, err
-		}
-		if s.verify {
-			var got [pageHeaderSize]byte
-			if err := s.b.Read(s.pageBase(cand), got[:]); err != nil {
-				return 0, err
-			}
-			if got != hdr {
-				s.quarantineFree(cand)
-				continue
-			}
 		}
 		s.setPage(cand, s.nextSeq, pageHeaderSize, 0, false)
 		s.nextSeq++
@@ -1046,52 +989,19 @@ func (s *Store) openPage() (int, error) {
 	return 0, ErrFull
 }
 
-// commit writes the record bytes and updates the index, superseding the
-// key's current record old (when it had one). Under WithVerify the landing
-// zone is checked to be erased first — a stuck cell there would force a
-// read-modify-write erase of the whole page, putting the page's committed
-// records at risk — and the record is read back after the write; either
-// failure retires the rest of the page and reports errVerifyMismatch so
+// commit lands the record bytes (land) and updates the index, superseding
+// the key's current record old (when it had one). A record that does not
+// land retires the rest of the page and reports errVerifyMismatch, so
 // append retries on fresh space.
 func (s *Store) commit(key string, old location, had bool, page, off int, rec []byte, flags byte) error {
-	base := s.pageBase(page)
-	// Landing-zone precheck, always on: a cleared cell under the landing
-	// zone (read disturb, stuck bit, torn remnant) would make the write
-	// fall back to a read-modify-write erase of the whole page, and a
-	// power loss during that erase destroys every committed record on it.
-	// The store never erases in place through the write path.
-	if cap(s.zone) < len(rec) {
-		s.zone = make([]byte, len(rec))
-	}
-	zone := s.zone[:len(rec)]
-	if err := s.b.Read(base+off, zone); err != nil {
+	landed, err := s.land(s.pageBase(page)+off, rec)
+	if err != nil {
 		return err
 	}
-	if !allFF(zone) {
+	if !landed {
 		s.stats.VerifyFailures++
 		s.retireTail(page)
 		return errVerifyMismatch
-	}
-	if err := s.b.Write(base+off, rec); err != nil {
-		if errors.Is(err, flash.ErrNeedsErase) || degradedWriteErr(err) {
-			// A silently stuck cell under the landing zone, or the health
-			// gate refusing a degraded page: abandon the page tail rather
-			// than erase over live records.
-			s.stats.VerifyFailures++
-			s.retireTail(page)
-			return errVerifyMismatch
-		}
-		return err
-	}
-	if s.verify {
-		if err := s.b.Read(base+off, zone); err != nil {
-			return err
-		}
-		if !bytes.Equal(zone, rec) {
-			s.stats.VerifyFailures++
-			s.retireTail(page)
-			return errVerifyMismatch
-		}
 	}
 	s.supersede(old, had)
 	s.setLocation(key, location{
@@ -1100,6 +1010,43 @@ func (s *Store) commit(key string, old location, had bool, page, off int, rec []
 	})
 	s.setPage(page, s.pageSeq[page], off+len(rec), s.pageLive[page]+len(rec), s.pageBad[page])
 	return nil
+}
+
+// land writes data at addr under the store's one write rule: it never
+// erases in place. The zone must read back erased first — a cleared cell
+// there (read disturb, stuck bit, torn remnant) would make the write fall
+// back to a read-modify-write erase of the whole page, and a power loss
+// during that erase destroys every committed record on it. A write refused
+// for a stuck cell or a degraded page did not land either, nor, under
+// WithVerify, did one that does not read back as data. The caller abandons
+// a zone that did not land; only other backend errors are returned.
+func (s *Store) land(addr int, data []byte) (bool, error) {
+	if erased, err := s.readsBack(addr, s.erased[:len(data)]); !erased || err != nil {
+		return false, err
+	}
+	if err := s.b.Write(addr, data); err != nil {
+		if errors.Is(err, flash.ErrNeedsErase) || degradedWriteErr(err) {
+			return false, nil
+		}
+		return false, err
+	}
+	if !s.verify {
+		return true, nil
+	}
+	return s.readsBack(addr, data)
+}
+
+// readsBack reports whether the len(want) bytes at addr read back as want,
+// reading them into the store's scratch buffer.
+func (s *Store) readsBack(addr int, want []byte) (bool, error) {
+	if cap(s.scratch) < len(want) {
+		s.scratch = make([]byte, len(want))
+	}
+	got := s.scratch[:len(want)]
+	if err := s.b.Read(addr, got); err != nil {
+		return false, err
+	}
+	return bytes.Equal(got, want), nil
 }
 
 // degradedWriteErr reports a write refused for page-health reasons: the

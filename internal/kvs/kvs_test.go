@@ -301,3 +301,61 @@ func TestPutSteadyStateAllocs(t *testing.T) {
 		t.Errorf("Put allocates %.1f times, want at most 1", allocs)
 	}
 }
+
+// fastReadFlip is a memBackend whose fast reads always see one bit of addr
+// flipped, while a margin sense reads the stored byte: a retention cell no
+// re-read settles.
+type fastReadFlip struct {
+	*memBackend
+	addr int
+}
+
+func (f fastReadFlip) Read(addr int, dst []byte) error {
+	if err := f.memBackend.Read(addr, dst); err != nil {
+		return err
+	}
+	if addr <= f.addr && f.addr < addr+len(dst) {
+		dst[f.addr-addr] ^= 0x10
+	}
+	return nil
+}
+
+func (f fastReadFlip) SensePage(p int, dst []byte) error {
+	return f.memBackend.Read(p*f.ps, dst)
+}
+
+// TestGetSteadyStateAllocs pins a Get's allocations at two, the record and
+// the value: on a clean read, and on one only the margin sense settles,
+// which reuses the store's sense buffer and whose re-sense check does not
+// escape.
+func TestGetSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	m := newMemBackend(128, 8)
+	s, err := OpenOn(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"clean", "flicker"} {
+		if err := s.Put(k, []byte("sixteen byte val")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loc := s.index["flicker"]
+	s.b = fastReadFlip{memBackend: m, addr: s.pageBase(loc.page) + loc.off + recHeaderSize}
+	for _, k := range []string{"clean", "flicker"} {
+		before := s.Stats()
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := s.Get(k); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 2 {
+			t.Errorf("Get(%q) allocates %.1f times, want 2", k, allocs)
+		}
+		if st := s.Stats(); k == "flicker" && st.MarginSenses == before.MarginSenses {
+			t.Errorf("Get(%q) never margin-sensed", k)
+		}
+	}
+}

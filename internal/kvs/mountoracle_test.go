@@ -12,7 +12,9 @@ import (
 // rejected checkpoint; the checkpoint loader read and decoded both slots
 // whole, rejecting duplicate keys by lookup. scanMount, resetMountState,
 // the loader and its slot reader are that code unchanged, except that the
-// loader and the slot reader are renamed loadBothSlots and readWholeSlot.
+// loader and the slot reader are renamed loadBothSlots and readWholeSlot,
+// and that scanMount margin-senses and replays through the oracle copies of
+// the old read path (ladderoracle_test.go), not the store's resense.
 
 // oracleOpen mounts the store the way OpenOn did with two mount routines.
 // Checkpointed mounts share applyCheckpoint with OpenOn; everything else —
@@ -85,7 +87,7 @@ func (s *Store) scanMount() error {
 			}
 		}
 		if state == pageQuarantined {
-			if ok, err := s.marginSense(p, buf); err != nil {
+			if ok, err := s.oracleMarginSense(p, buf); err != nil {
 				return err
 			} else if ok {
 				if seq2, st2 := parsePageHeader(buf, &s.stats); st2 != pageQuarantined {
@@ -116,7 +118,7 @@ func (s *Store) scanMount() error {
 		if err := s.b.Read(s.pageBase(pi.page), buf); err != nil {
 			return err
 		}
-		s.replayPage(pi.page, pi.seq, buf)
+		s.oracleReplayPage(pi.page, pi.seq, buf)
 	}
 	if len(used) > 0 {
 		last := used[len(used)-1]
