@@ -462,10 +462,7 @@ func (s *Store) readCkptSlot(slot int, h *ckptHeader) (*ckptImage, error) {
 			return nil, nil
 		}
 		prev = key
-		img.entries[key] = location{
-			seq: img.pageSeq[page], page: page, off: recOff, size: size,
-			dead: flags&ckptEntryDead != 0,
-		}
+		img.entries[key] = location{page: page, off: recOff, size: size, dead: flags&ckptEntryDead != 0}
 		entryLive[page] += size
 	}
 	if off != blobLen-crcSize {
@@ -503,7 +500,8 @@ func (s *Store) readCkptSlot(slot int, h *ckptHeader) (*ckptImage, error) {
 // The empty image (emptyImage) has every page free and nextSeq 0, so only
 // the free/bad rows apply and every in-use page replays: a scan mount.
 // Tail pages replay in sequence order after the image's index is
-// installed: every pre-ckpt page's sequence is below blob nextSeq, every
+// installed and one pass has dropped the entries on pages that diverged:
+// every pre-ckpt page's sequence is below blob nextSeq, every
 // replayed page's is at or above it (or is the partially-filled head
 // continuing its own page). tail counts the pages whose replay found
 // records past the image; ok=false means the image was rejected, and the
@@ -519,6 +517,7 @@ func (s *Store) applyCheckpoint(img *ckptImage) (tail int, ok bool, err error) {
 	s.nextSeq = img.nextSeq
 
 	var partial, fresh []pageInfo
+	dropped := false
 	buf := make([]byte, s.ps)
 	for p := 0; p < s.np; p++ {
 		seq, state, err := s.readPageHeader(p, buf[:pageHeaderSize])
@@ -547,18 +546,30 @@ func (s *Store) applyCheckpoint(img *ckptImage) (tail int, ok bool, err error) {
 					partial = append(partial, pageInfo{p, seq})
 				}
 			case state == pageFree:
-				s.dropPageEntries(p)
 				s.setPage(p, freeSeq, 0, 0, false)
 			case state == pageQuarantined:
-				s.dropPageEntries(p)
 				s.setPage(p, freeSeq, s.ps, 0, true)
 			case seq >= img.nextSeq:
-				s.dropPageEntries(p)
 				s.setPage(p, seq, 0, 0, false)
 				fresh = append(fresh, pageInfo{p, seq})
 			default:
 				s.stats = saved
 				return 0, false, nil
+			}
+			dropped = dropped || s.pageSeq[p] != img.pageSeq[p]
+		}
+	}
+
+	// Every entry on a page erased, reused or quarantined since the
+	// checkpoint goes, in one pass over the index: the page table now
+	// disagrees with the image's for exactly those pages. What was live on
+	// them lives on in GC copies past the image's nextSeq, which the replay
+	// below restores, or is gone with the quarantine, matching a scan. The
+	// pass runs before the replay, whose entries on reused pages must stay.
+	if dropped {
+		for k, loc := range s.index {
+			if s.pageSeq[loc.page] != img.pageSeq[loc.page] {
+				delete(s.index, k)
 			}
 		}
 	}
@@ -577,7 +588,7 @@ func (s *Store) applyCheckpoint(img *ckptImage) (tail int, ok bool, err error) {
 		if err := s.b.Read(s.pageBase(pi.page)+start, buf[start:]); err != nil {
 			return 0, false, err
 		}
-		s.replayPageFrom(pi.page, pi.seq, buf, start)
+		s.replayPageFrom(pi.page, buf, start)
 		if s.pageUsed[pi.page] != start {
 			tail++
 		}
@@ -586,7 +597,7 @@ func (s *Store) applyCheckpoint(img *ckptImage) (tail int, ok bool, err error) {
 		if err := s.b.Read(s.pageBase(pi.page), buf); err != nil {
 			return 0, false, err
 		}
-		s.replayPageFrom(pi.page, pi.seq, buf, pageHeaderSize)
+		s.replayPageFrom(pi.page, buf, pageHeaderSize)
 		if pi.seq >= s.nextSeq {
 			s.nextSeq = pi.seq + 1
 		}
@@ -615,19 +626,6 @@ func (s *Store) applyCheckpoint(img *ckptImage) (tail int, ok bool, err error) {
 	}
 	s.recount()
 	return tail, true, nil
-}
-
-// dropPageEntries removes every index entry pointing at page p — the page
-// was erased, reused or quarantined after the checkpoint, and whatever was
-// live on it either lives on in GC copies past the checkpoint's nextSeq
-// (restored by tail replay) or is gone with the quarantine, matching scan.
-func (s *Store) dropPageEntries(p int) {
-	for k, loc := range s.index {
-		if loc.page == p {
-			delete(s.index, k)
-		}
-	}
-	s.ckptKeys = nil
 }
 
 func leU16(b []byte) uint16 { return uint16(b[0]) | uint16(b[1])<<8 }

@@ -82,15 +82,16 @@ func TestOrderRuleKeepsNewestRecordLast(t *testing.T) {
 		t.Fatal(err)
 	}
 	hot, copied := s.head, s.index["k"]
-	if copied.page != s.cold || s.pageSeq[hot] >= copied.seq {
+	copiedSeq := s.pageSeq[copied.page]
+	if copied.page != s.cold || s.pageSeq[hot] >= copiedSeq {
 		t.Fatalf("setup: copy of k on page %d (seq %d), cold head %d, hot head %d (seq %d)",
-			copied.page, copied.seq, s.cold, hot, s.pageSeq[hot])
+			copied.page, copiedSeq, s.cold, hot, s.pageSeq[hot])
 	}
 	put(s, "k", v2)
 	loc := s.index["k"]
-	if loc.page == hot || s.pageSeq[loc.page] < copied.seq {
+	if loc.page == hot || s.pageSeq[loc.page] < copiedSeq {
 		t.Fatalf("Put k landed on page %d (seq %d); hot head %d, cold copy's seq %d",
-			loc.page, s.pageSeq[loc.page], hot, copied.seq)
+			loc.page, s.pageSeq[loc.page], hot, copiedSeq)
 	}
 	// The rule turned the Put away from the hot head, which had room; the
 	// cold head took it along with the two GC copies.
@@ -153,7 +154,7 @@ func TestColdKeysAppendToColdHead(t *testing.T) {
 		return s.index[key]
 	}
 	put("old", val(1))
-	for i := 0; int(s.nextSeq-s.index["old"].seq) <= s.np/coldWindowDivisor; i++ {
+	for i := 0; int(s.nextSeq-s.pageSeq[s.index["old"].page]) <= s.np/coldWindowDivisor; i++ {
 		put(string(rune('a'+i)), val(byte(i)))
 	}
 	if loc := put("old", val(2)); loc.page != s.cold || s.cold == s.head {
@@ -179,7 +180,7 @@ func TestColdKeysAppendToColdHead(t *testing.T) {
 	if err := s.compactPage(victim); err != nil {
 		t.Fatal(err)
 	}
-	if s.isHead(victim) || s.index["old"].seq <= victimSeq {
+	if s.isHead(victim) || s.pageSeq[s.index["old"].page] <= victimSeq {
 		t.Fatalf("after compacting cold head %d: heads %d/%d, old on page %d", victim, s.head, s.cold, s.index["old"].page)
 	}
 	mustGet(t, s, "after compacting the cold head", "old", val(4))

@@ -61,10 +61,10 @@ func freshSortCheckpoint(s *Store, cpSeq uint64) []byte {
 	return blob
 }
 
-// pagesDroppedAtMount counts the pages a checkpoint mount of s's device
-// would run dropPageEntries on: in use in the newest checkpoint, erased
-// or reused since.
-func pagesDroppedAtMount(t *testing.T, s *Store) int {
+// pagesDroppedAtMount counts the pages whose entries a checkpoint mount of
+// s's device would drop: in use in the newest checkpoint, erased or reused
+// since.
+func pagesDroppedAtMount(t testing.TB, s *Store) int {
 	t.Helper()
 	img, _, err := s.loadCheckpoint()
 	if err != nil {
@@ -86,10 +86,11 @@ func pagesDroppedAtMount(t *testing.T, s *Store) int {
 // compactions, checkpoints and reboots, and requires the checkpoint blob
 // built from the kept key list to equal one built from a fresh sort at
 // random points. Every mount runs on a fresh Store, whose list is nil, so
-// the calls that must clear the list — dropPageEntries and applyCheckpoint,
-// the one index replacement, with a checkpoint image and with the empty
-// image of a scan mount — are also driven on a live store whose list is
-// built, each followed by a remount from flash.
+// applyCheckpoint, the one index replacement and the one place keys leave
+// the index, which must clear the list, is also driven on a live store
+// whose list is built: with the empty image of a scan mount, with a
+// checkpoint image whose replay re-adds a listed key, and with one that
+// drops pages erased since it. Each is followed by a remount from flash.
 func TestCheckpointKeysMatchFreshSort(t *testing.T) {
 	spec := flash.DefaultSpec()
 	spec.PageSize = 128
@@ -161,15 +162,25 @@ func TestCheckpointKeysMatchFreshSort(t *testing.T) {
 		case r < 93:
 			s = reboot(s, r == 92)
 		case r == 93 && s.ckptKeys != nil:
-			// Drop a written page's entries as a checkpoint mount does
-			// for a page erased since the checkpoint.
-			for p := 0; p < s.np; p++ {
-				if p != s.head && s.pageSeq[p] != freeSeq && len(indexKeysOn(s, p)) > 0 {
-					s.dropPageEntries(p)
-					check(s, step, "dropPageEntries")
-					events["drop"]++
-					break
+			// Compact until a page the last checkpoint knew is erased,
+			// then apply that checkpoint as a mount does: its entries on
+			// the erased page are dropped and the replay re-adds the
+			// copies.
+			for i := 0; i < s.np && pagesDroppedAtMount(t, s) == 0; i++ {
+				if err := s.gc(); err != nil && !errors.Is(err, ErrFull) {
+					t.Fatalf("step %d: gc: %v", step, err)
 				}
+			}
+			if pagesDroppedAtMount(t, s) > 0 {
+				img, _, err := s.loadCheckpoint()
+				if err != nil || img == nil {
+					t.Fatalf("step %d: no checkpoint to apply (%v)", step, err)
+				}
+				if _, ok, err := s.applyCheckpoint(img); err != nil || !ok {
+					t.Fatalf("step %d: applyCheckpoint = %v, %v", step, ok, err)
+				}
+				check(s, step, "applyCheckpoint with dropped pages")
+				events["drop"]++
 			}
 			s = reboot(s, false)
 		case r == 94 && s.ckptKeys != nil:

@@ -185,9 +185,9 @@ type Stats struct {
 	TailPagesReplayed  uint64 // pages replayed past the checkpoint across all mounts
 }
 
-// location addresses the newest record for a key.
+// location addresses the newest record for a key. It carries no seq: its
+// page is in use, and pageSeq[page] with off is the record's place in time.
 type location struct {
-	seq  uint32 // sequence of the page holding it
 	page int
 	off  int // offset of the record within the page (past the page header)
 	size int // full record size in bytes
@@ -462,7 +462,7 @@ func (s *Store) pageBase(p int) int { return s.devPage[p] * s.ps }
 // byte offset start — pageHeaderSize for a full replay, or the used-bytes
 // watermark a checkpoint recorded for the page, so only the tail appended
 // since the checkpoint is parsed.
-func (s *Store) replayPageFrom(page int, seq uint32, buf []byte, start int) {
+func (s *Store) replayPageFrom(page int, buf []byte, start int) {
 	ps := len(buf)
 	off := start
 	for off+recHeaderSize+crcSize <= ps {
@@ -485,7 +485,7 @@ func (s *Store) replayPageFrom(page int, seq uint32, buf []byte, start int) {
 		key := string(buf[off+recHeaderSize : off+recHeaderSize+keyLen])
 		old, had := s.index[key]
 		s.supersede(old, had)
-		loc := location{seq: seq, page: page, off: off, size: size, dead: flags&flagTombstone != 0}
+		loc := location{page: page, off: off, size: size, dead: flags&flagTombstone != 0}
 		// Tombstones stay indexed (dead) so garbage collection keeps
 		// copying them forward; dropping one while an older copy of
 		// the key survived elsewhere would resurrect the old value
@@ -800,12 +800,12 @@ func (s *Store) append(key string, val []byte, flags byte) error {
 		old, had := s.index[key]
 		var minSeq uint32
 		if had {
-			minSeq = old.seq
-			if s.inGC {
-				minSeq++ // a GC copy must land above its victim
-			}
+			minSeq = s.pageSeq[old.page]
 		}
-		cold := s.inGC || had && int(s.nextSeq-old.seq) > s.np/coldWindowDivisor
+		cold := s.inGC || had && int(s.nextSeq-minSeq) > s.np/coldWindowDivisor
+		if had && s.inGC {
+			minSeq++ // a GC copy must land above its victim
+		}
 		page, off, err := s.reserve(size, minSeq, cold)
 		if errors.Is(err, ErrFull) {
 			if gcBudget == 0 || s.inGC {
@@ -1004,10 +1004,7 @@ func (s *Store) commit(key string, old location, had bool, page, off int, rec []
 		return errVerifyMismatch
 	}
 	s.supersede(old, had)
-	s.setLocation(key, location{
-		seq: s.pageSeq[page], page: page, off: off, size: len(rec),
-		dead: flags&flagTombstone != 0,
-	})
+	s.setLocation(key, location{page: page, off: off, size: len(rec), dead: flags&flagTombstone != 0})
 	s.setPage(page, s.pageSeq[page], off+len(rec), s.pageLive[page]+len(rec), s.pageBad[page])
 	return nil
 }

@@ -78,7 +78,7 @@ func (s *Store) oracleReplayPageFrom(page int, seq uint32, buf []byte, start int
 		key := string(buf[off+recHeaderSize : off+recHeaderSize+keyLen])
 		old, had := s.index[key]
 		s.supersede(old, had)
-		loc := location{seq: seq, page: page, off: off, size: size, dead: flags&flagTombstone != 0}
+		loc := location{page: page, off: off, size: size, dead: flags&flagTombstone != 0}
 		// Tombstones stay indexed (dead) so garbage collection keeps
 		// copying them forward; dropping one while an older copy of
 		// the key survived elsewhere would resurrect the old value

@@ -289,7 +289,7 @@ func (s *Store) readWholeSlot(slot int) (*ckptImage, error) {
 			return nil, nil
 		}
 		img.entries[key] = location{
-			seq: img.pageSeq[page], page: page, off: recOff, size: size,
+			page: page, off: recOff, size: size,
 			dead: flags&ckptEntryDead != 0,
 		}
 		entryLive[page] += size

@@ -16,8 +16,25 @@ import (
 // the page table, checks that no usable free page lies below the
 // first-free hint, and, when compaction is configured, that
 // compactionNeeded gives the verdict of the walk-based check it replaced.
+// It also checks the invariant that lets an index entry carry no seq of its
+// own: every entry lies within the used bytes of a page in use, whose
+// pageSeq is then the entry's, and a page's entries (tombstones included)
+// add up to its live bytes.
 func checkTotals(t testing.TB, s *Store, when string) {
 	t.Helper()
+	entryLive := make([]int, s.np)
+	for k, loc := range s.index {
+		if s.pageSeq[loc.page] == freeSeq || loc.off < pageHeaderSize || loc.off+loc.size > s.pageUsed[loc.page] {
+			t.Fatalf("%s: entry %q at [%d, %d) of page %d, whose seq is %#x and used bytes %d",
+				when, k, loc.off, loc.off+loc.size, loc.page, s.pageSeq[loc.page], s.pageUsed[loc.page])
+		}
+		entryLive[loc.page] += loc.size
+	}
+	for p, live := range entryLive {
+		if live != s.pageLive[p] {
+			t.Fatalf("%s: page %d holds %d bytes of entries, its live bytes say %d", when, p, live, s.pageLive[p])
+		}
+	}
 	var free, rec, live int
 	first := s.np
 	for p := 0; p < s.np; p++ {
