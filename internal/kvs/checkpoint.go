@@ -430,6 +430,10 @@ func (s *Store) readCkptSlot(slot int, h *ckptHeader) (*ckptImage, error) {
 	}
 	img.entries = make(map[string]location, keyCount)
 	entryLive := make([]int, dataPages)
+	// Every key is sliced out of one string of the key area: one
+	// allocation in place of one per key. The index keeps the area alive,
+	// entry bytes included, until every key it holds is replaced.
+	area, areaBase := string(blob[off:blobLen-crcSize]), off
 	var prev string
 	for i := 0; i < keyCount; i++ {
 		if off+1 > blobLen-crcSize {
@@ -439,7 +443,7 @@ func (s *Store) readCkptSlot(slot int, h *ckptHeader) (*ckptImage, error) {
 		if keyLen == 0 || off+1+keyLen+ckptKeyFixed-1 > blobLen-crcSize {
 			return nil, nil
 		}
-		key := string(blob[off+1 : off+1+keyLen])
+		key := area[off+1-areaBase : off+1+keyLen-areaBase]
 		off += 1 + keyLen
 		page := int(leU32(blob[off:]))
 		recOff := int(leU16(blob[off+4:]))

@@ -355,3 +355,41 @@ func TestCheckpointLayoutRejectsTinyGeometry(t *testing.T) {
 		t.Fatal("mount accepted a checkpoint region leaving <3 data pages")
 	}
 }
+
+// TestCheckpointMountAllocsFlatInKeys: a checkpointed mount slices every
+// key out of one string of the blob's key area, so its allocations do not
+// grow with the key count. The same geometry is mounted holding 3,000 and
+// 30,000 keys, with no tail to replay; ten times the keys may add at most
+// one allocation per 100 keys (the index map's own tables grow with it).
+func TestCheckpointMountAllocsFlatInKeys(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	cfg := CheckpointConfig{SlotPages: 140}
+	allocs := map[int]float64{}
+	for _, keys := range []int{3000, 30000} {
+		m := newMemBackend(4096, 600)
+		s, err := OpenOn(m, WithCheckpoint(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < keys; i++ {
+			if err := s.Put(fmt.Sprintf("key%05d", i), []byte("value")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		allocs[keys] = testing.AllocsPerRun(3, func() {
+			s, err := OpenOn(m, WithCheckpoint(cfg))
+			if err != nil || s.Stats().CheckpointMounts != 1 || len(s.index) != keys {
+				t.Fatalf("mount: %v, %+v, %d keys", err, s.Stats(), len(s.index))
+			}
+		})
+	}
+	t.Logf("mount allocations: %.0f at 3k keys, %.0f at 30k", allocs[3000], allocs[30000])
+	if allocs[30000] > allocs[3000]+(30000-3000)/100 {
+		t.Errorf("mount allocations grow with the keys: %.0f at 3k keys, %.0f at 30k", allocs[3000], allocs[30000])
+	}
+}

@@ -11,9 +11,10 @@ import "errors"
 // most profitable victim — chosen by garbage ratio, biased toward low-wear
 // pages when the backend exposes erase counts (WearBackend), so collection
 // pressure doubles as wear leveling. Neither append head is ever a victim.
-// The victim's live records go to the cold head, apart from the hot keys'
-// appends, so the pages they fill hold long-lived records and later
-// victims carry fewer survivors to copy again.
+// A pass walks the victim for the records its keys' index entries point at
+// and copies them as read (compactPage) to the cold head, apart from the
+// hot keys' appends, so the pages they fill hold long-lived records and
+// later victims carry fewer survivors to copy again.
 
 // CompactionConfig tunes the proactive garbage collector. The zero value
 // of every field selects a sensible default.

@@ -205,13 +205,9 @@ type Store struct {
 	// goes through it.
 	devPage []int
 
+	// index maps every key to its newest record; a GC pass finds a page's
+	// survivors by walking the page against it (walkSurvivors).
 	index map[string]location
-	// pageKeys lists, per page, every key whose index entry pointed at the
-	// page since it was last erased — a superset of the page's live keys,
-	// filtered against the index when the page is compacted (victimKeys).
-	// nil until the first compaction builds it from the index, so every
-	// mount path (a fresh Store) replays without it.
-	pageKeys [][]string
 	// ckptKeys is every index key, sorted, as the last checkpoint encode
 	// left it; ckptNew queues the keys added to the index since. nil until
 	// the first encode builds it, and cleared by every change that removes
@@ -237,6 +233,7 @@ type Store struct {
 	inGC       bool
 	verify     bool   // read back every committed record
 	scratch    []byte // readsBack's read buffer
+	victimBuf  []byte // copySurvivors' read of its victim's used bytes, one page
 	erased     []byte // one page of 0xFF: what a landing zone must read back as
 	sensed     []byte // resense's margin-sense buffer, one page (nil until needed)
 	// inv is the record framing's polarity mask: recInvert. Only the
@@ -341,6 +338,7 @@ func layoutStore(b Backend, opts ...Option) (*Store, error) {
 		inv:   recInvert,
 	}
 	s.erased = bytes.Repeat([]byte{0xFF}, s.ps)
+	s.victimBuf = make([]byte, s.ps)
 	for _, o := range opts {
 		o(s)
 	}
@@ -585,9 +583,9 @@ func recordValLen(buf []byte, off int, inv byte) int {
 }
 
 // recordSize reads the record framing at off under polarity mask inv;
-// ok=false if the header is not a plausible record.
+// ok=false if the header is not a plausible record within buf[:ps].
 func recordSize(buf []byte, off, ps int, inv byte) (int, bool) {
-	if buf[off] != recMagic {
+	if off+recHeaderSize+crcSize > ps || buf[off] != recMagic {
 		return 0, false
 	}
 	keyLen := int(buf[off+2])
@@ -624,40 +622,15 @@ func (s *Store) repairRecord(buf []byte, off int) (int, bool) {
 	return 0, false
 }
 
-// setLocation points key's index entry at loc, queues a key new to the
+// setLocation points key's index entry at loc and queues a key new to the
 // index for the kept checkpoint key list (checkpointKeys) once that list
-// exists, and, once the per-page key lists exist, notes the key on loc's
-// page.
+// exists.
 func (s *Store) setLocation(key string, loc location) {
 	n := len(s.index)
 	s.index[key] = loc
 	if s.ckptKeys != nil && len(s.index) != n {
 		s.ckptNew = append(s.ckptNew, key)
 	}
-	if s.pageKeys != nil {
-		s.pageKeys[loc.page] = append(s.pageKeys[loc.page], key)
-	}
-}
-
-// victimKeys returns, sorted, the keys whose index entry points at page p:
-// its list filtered against the index and deduplicated (a key re-put on
-// the same page is listed twice). The first call builds every page's list
-// with one walk of the index.
-func (s *Store) victimKeys(p int) []string {
-	if s.pageKeys == nil {
-		s.pageKeys = make([][]string, s.np)
-		for k, loc := range s.index {
-			s.pageKeys[loc.page] = append(s.pageKeys[loc.page], k)
-		}
-	}
-	keys := make([]string, 0, len(s.pageKeys[p]))
-	for _, k := range s.pageKeys[p] {
-		if loc, ok := s.index[k]; ok && loc.page == p {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return slices.Compact(keys)
 }
 
 // supersede removes a key's previous copy old, when it had one, from its
@@ -669,10 +642,8 @@ func (s *Store) supersede(old location, had bool) {
 	}
 }
 
-// Get returns the value stored for key, verifying the record CRC. A CRC
-// failure first earns the re-sense ladder (resense) — a clean re-sense
-// proves the on-flash copy intact — before falling back to single-bit
-// repair of the returned copy, whose length the index already knows.
+// Get returns the value stored for key, verifying the record through
+// checkIndexed.
 func (s *Store) Get(key string) ([]byte, error) {
 	loc, ok := s.index[key]
 	if !ok || loc.dead {
@@ -682,54 +653,69 @@ func (s *Store) Get(key string) ([]byte, error) {
 	if err := s.b.Read(s.pageBase(loc.page)+loc.off, rec); err != nil {
 		return nil, err
 	}
-	repaired := false
+	repaired, err := s.checkIndexed(key, loc, rec)
+	if err != nil {
+		return nil, err
+	}
+	val := slices.Clone(rec[recHeaderSize+int(rec[2]) : len(rec)-crcSize])
+	if repaired {
+		// Read repair: the on-flash copy still carries the drifted cell,
+		// and a second drift in the same record would be beyond repair.
+		// Re-appending moves the data to a clean copy; best-effort.
+		_ = s.append(key, rec)
+	}
+	return val, nil
+}
+
+// checkIndexed verifies rec, the bytes read from loc, key's index entry. A
+// CRC failure first earns the re-sense ladder (resense) — a clean re-sense
+// proves the on-flash copy intact — before falling back to single-bit
+// repair of rec, whose length the index already knows; a record past both
+// is ErrCorrupt. Get and the GC copy (copySurvivors) share it.
+func (s *Store) checkIndexed(key string, loc location, rec []byte) (repaired bool, err error) {
 	if !recordCRCValid(rec, 0, len(rec)) {
 		sensed, err := s.resense(loc.page, loc.off, rec, func() bool { return recordCRCValid(rec, 0, len(rec)) })
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		if !sensed {
 			if _, ok := bits.CorrectSingleBit(rec, len(rec)-crcSize); !ok {
-				return nil, fmt.Errorf("%w: %q", ErrCorrupt, key)
+				return false, fmt.Errorf("%w: %q", ErrCorrupt, key)
 			}
 			s.stats.CorrectedBits++
 			repaired = true
 		}
 	}
-	keyLen := int(rec[2])
-	valLen := recordValLen(rec, 0, s.inv)
-	if recHeaderSize+keyLen+valLen+crcSize != len(rec) {
-		return nil, fmt.Errorf("%w: %q", ErrCorrupt, key)
+	if recHeaderSize+int(rec[2])+recordValLen(rec, 0, s.inv)+crcSize != len(rec) {
+		return false, fmt.Errorf("%w: %q", ErrCorrupt, key)
 	}
-	val := make([]byte, valLen)
-	copy(val, rec[recHeaderSize+keyLen:recHeaderSize+keyLen+valLen])
-	if repaired && !s.inGC {
-		// Read repair: the on-flash copy still carries the drifted cell,
-		// and a second drift in the same record would be beyond repair.
-		// Re-appending moves the data to a clean copy; best-effort.
-		_ = s.append(key, val, 0)
-	}
-	return val, nil
+	return repaired, nil
 }
 
 // Put stores key → val, appending a new record.
 func (s *Store) Put(key string, val []byte) error {
+	if len(key) == 0 || len(key) > 255 {
+		return fmt.Errorf("%w: %d bytes", ErrBadKey, len(key))
+	}
+	if size := recHeaderSize + len(key) + len(val) + crcSize; pageHeaderSize+size > s.ps {
+		return fmt.Errorf("%w: %d bytes in a %d-byte page", ErrTooLarge, size, s.ps)
+	}
 	s.noteScanOrder(key, false)
-	if err := s.append(key, val, 0); err != nil {
+	if err := s.append(key, encodeRecord(key, val, 0, s.inv)); err != nil {
 		return err
 	}
 	s.noteScanPut(key, val)
 	return nil
 }
 
-// Delete removes key by appending a tombstone. Deleting an absent or
-// already-deleted key is a no-op.
+// Delete removes key by appending a tombstone, which fits wherever the
+// key's record did. Deleting an absent or already-deleted key is a no-op.
 func (s *Store) Delete(key string) error {
 	if loc, ok := s.index[key]; !ok || loc.dead {
 		return nil
 	}
 	s.noteScanOrder(key, true)
-	return s.append(key, nil, flagTombstone)
+	return s.append(key, encodeRecord(key, nil, flagTombstone, s.inv))
 }
 
 // Keys returns the live keys in sorted order.
@@ -781,20 +767,12 @@ func (s *Store) SpaceAmplification() float64 {
 // Stats returns the store's resilience counters.
 func (s *Store) Stats() Stats { return s.stats }
 
-// append encodes and writes one record, garbage collecting as needed. The
-// key's current record is looked up once per attempt and handed to reserve
-// (the order rule and the hot/cold choice) and to commit (its supersession);
-// only a forced GC between attempts can move it.
-func (s *Store) append(key string, val []byte, flags byte) error {
-	if len(key) == 0 || len(key) > 255 {
-		return fmt.Errorf("%w: %d bytes", ErrBadKey, len(key))
-	}
-	size := recHeaderSize + len(key) + len(val) + crcSize
-	if pageHeaderSize+size > s.ps {
-		return fmt.Errorf("%w: %d bytes in a %d-byte page", ErrTooLarge, size, s.ps)
-	}
-	rec := encodeRecord(key, val, flags, s.inv)
-
+// append writes rec, one framed record of key (for a GC copy, the victim's
+// bytes as read), garbage collecting as needed. The key's current record is
+// looked up once per attempt and handed to reserve (the order rule and the
+// hot/cold choice) and to commit (its supersession); only a forced GC
+// between attempts can move it.
+func (s *Store) append(key string, rec []byte) error {
 	gcBudget := 1
 	for attempt := 0; attempt < 2+verifyRetries; attempt++ {
 		old, had := s.index[key]
@@ -806,7 +784,7 @@ func (s *Store) append(key string, val []byte, flags byte) error {
 		if had && s.inGC {
 			minSeq++ // a GC copy must land above its victim
 		}
-		page, off, err := s.reserve(size, minSeq, cold)
+		page, off, err := s.reserve(len(rec), minSeq, cold)
 		if errors.Is(err, ErrFull) {
 			if gcBudget == 0 || s.inGC {
 				return s.fullErr()
@@ -823,7 +801,7 @@ func (s *Store) append(key string, val []byte, flags byte) error {
 		if err != nil {
 			return err
 		}
-		err = s.commit(key, old, had, page, off, rec, flags)
+		err = s.commit(key, old, had, page, off, rec)
 		if err == nil {
 			if page == s.cold {
 				s.stats.ColdAppends++
@@ -993,7 +971,7 @@ func (s *Store) openPage() (int, error) {
 // the key's current record old (when it had one). A record that does not
 // land retires the rest of the page and reports errVerifyMismatch, so
 // append retries on fresh space.
-func (s *Store) commit(key string, old location, had bool, page, off int, rec []byte, flags byte) error {
+func (s *Store) commit(key string, old location, had bool, page, off int, rec []byte) error {
 	landed, err := s.land(s.pageBase(page)+off, rec)
 	if err != nil {
 		return err
@@ -1004,7 +982,7 @@ func (s *Store) commit(key string, old location, had bool, page, off int, rec []
 		return errVerifyMismatch
 	}
 	s.supersede(old, had)
-	s.setLocation(key, location{page: page, off: off, size: len(rec), dead: flags&flagTombstone != 0})
+	s.setLocation(key, location{page: page, off: off, size: len(rec), dead: (rec[1]^s.inv)&flagTombstone != 0})
 	s.setPage(page, s.pageSeq[page], off+len(rec), s.pageLive[page]+len(rec), s.pageBad[page])
 	return nil
 }
@@ -1106,52 +1084,88 @@ func (s *Store) gc() error {
 	return s.compactPage(victim)
 }
 
-// compactPage erases one victim page after copying its live records to a
-// log head, the cold one by preference. Crash-safe: the order rule puts
-// every copy on a page with a higher seq than the victim's, so duplicates
-// resolve in the copies' favour at mount.
+// compactPage erases one victim page after copying its survivors to a log
+// head, the cold one by preference; a victim with no live bytes is erased
+// unread. Crash-safe: the order rule puts every copy above the victim in
+// replay order, and a pass cut short leaves the uncopied survivors'
+// entries on the victim for the next pass to find.
 func (s *Store) compactPage(victim int) error {
 	s.inGC = true
 	defer func() { s.inGC = false }()
-	// Copy the victim's must-preserve records (live values AND
-	// tombstones); a crash between copy and erase resolves in the copies'
-	// favour.
-	keys := s.victimKeys(victim)
-	for _, key := range keys {
-		loc := s.index[key]
-		if loc.dead {
-			if err := s.append(key, nil, flagTombstone); err != nil {
-				return err
-			}
-			continue
-		}
-		val, err := s.Get(key)
-		if err != nil {
-			return err
-		}
-		if err := s.append(key, val, 0); err != nil {
+	if s.pageLive[victim] > 0 {
+		if err := s.copySurvivors(victim); err != nil {
 			return err
 		}
 	}
-	if err := s.b.ErasePage(s.devPage[victim]); err != nil {
-		if errors.Is(err, flash.ErrPowerLoss) {
-			return err
-		}
+	switch err := s.b.ErasePage(s.devPage[victim]); {
+	case errors.Is(err, flash.ErrPowerLoss):
+		return err
+	case err != nil:
 		// The victim cannot be erased (worn out, fenced): its live records
 		// are already copied forward, so quarantine it as lost capacity
 		// instead of failing the append that triggered this GC.
 		s.setPage(victim, freeSeq, s.ps, 0, true)
-		s.pageKeys[victim] = nil
 		s.stats.QuarantinedPages++
-		s.dropHead(victim)
-		s.stats.Compactions++
-		return nil
+	default:
+		s.setPage(victim, freeSeq, 0, 0, false)
 	}
-	s.setPage(victim, freeSeq, 0, 0, false)
-	s.pageKeys[victim] = nil
 	s.dropHead(victim)
 	s.stats.Compactions++
 	return nil
+}
+
+// copySurvivors reads the victim's used bytes once and appends each
+// survivor's bytes as read, in offset order, after Get's check
+// (checkIndexed): a survivor that fails its CRC lands repaired or fails
+// the pass with ErrCorrupt. When a damaged dead record stops
+// walkSurvivors, one walk of the index finds the survivors instead.
+func (s *Store) copySurvivors(victim int) error {
+	buf := s.victimBuf[:s.pageUsed[victim]]
+	if err := s.b.Read(s.pageBase(victim)+pageHeaderSize, buf[pageHeaderSize:]); err != nil {
+		return err
+	}
+	keys, ok := s.walkSurvivors(victim, buf)
+	if !ok {
+		for k, loc := range s.index {
+			if loc.page == victim {
+				keys = append(keys, k)
+			}
+		}
+		slices.SortFunc(keys, func(a, b string) int { return s.index[a].off - s.index[b].off })
+	}
+	for _, key := range keys {
+		loc := s.index[key]
+		rec := buf[loc.off : loc.off+loc.size]
+		if _, err := s.checkIndexed(key, loc, rec); err != nil {
+			return err
+		}
+		if err := s.append(key, rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// walkSurvivors returns the keys of page victim's survivors in offset
+// order, from buf, the page's used bytes: it walks the records by the
+// lengths their frames claim and keeps each one its key's index entry
+// points at, until they add up to the page's live bytes. Dead records go
+// unchecked, so a damaged one can stop the walk: ok=false when a frame
+// does not parse or the walk runs off the end.
+func (s *Store) walkSurvivors(victim int, buf []byte) (keys []string, ok bool) {
+	for off, found := pageHeaderSize, 0; found < s.pageLive[victim]; {
+		size, ok := recordSize(buf, off, len(buf), s.inv)
+		if !ok {
+			return nil, false
+		}
+		key := buf[off+recHeaderSize : off+recHeaderSize+int(buf[off+2])]
+		if loc, ok := s.index[string(key)]; ok && loc.page == victim && loc.off == off {
+			keys = append(keys, string(key))
+			found, size = found+loc.size, loc.size
+		}
+		off += size
+	}
+	return keys, true
 }
 
 // allFF reports whether every byte is erased.

@@ -209,7 +209,7 @@ func (s *Store) oracleGet(key string) ([]byte, error) {
 		// Read repair: the on-flash copy still carries the drifted cell,
 		// and a second drift in the same record would be beyond repair.
 		// Re-appending moves the data to a clean copy; best-effort.
-		_ = s.append(key, val, 0)
+		_ = s.append(key, encodeRecord(key, val, 0, s.inv))
 	}
 	return val, nil
 }

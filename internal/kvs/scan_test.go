@@ -429,7 +429,7 @@ func TestScanIndexRebootRestoresCutAdd(t *testing.T) {
 	// The append of Put, without its noteScanPut: an update moving dev03
 	// into status 1, and a new key sorting last.
 	for _, key := range []string{"dev03", "dev10"} {
-		if err := s.append(key, []byte{1, 1}, 0); err != nil {
+		if err := s.append(key, encodeRecord(key, []byte{1, 1}, 0, s.inv)); err != nil {
 			t.Fatal(err)
 		}
 	}
