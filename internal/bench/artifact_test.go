@@ -37,35 +37,54 @@ func TestCommittedArtifacts(t *testing.T) {
 }
 
 // TestArtifactsRegenerateIdentically runs every artifact's experiment twice
-// and requires byte-identical output: a committed artifact holds only
-// figures the simulator determines, never host timings, so CI can diff a
-// fresh run against the committed copy.
+// at quick scale and requires byte-identical output: a committed artifact
+// holds only figures the simulator determines, never host timings, so CI
+// can diff a fresh run against the committed copy. Outside -short and the
+// race detector it also runs each experiment once at full scale, as
+// flipbit -benchjson does, and requires the committed copy byte for byte,
+// so a change that moves an artifact's figures without regenerating it
+// fails here.
 func TestArtifactsRegenerateIdentically(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every artifact experiment twice; skipped in -short")
 	}
 	for _, a := range Artifacts() {
 		t.Run(a.Kind, func(t *testing.T) {
-			var out [2]bytes.Buffer
-			for i := range out {
-				rep, err := a.Run(quick)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := WriteArtifact(&out[i], rep); err != nil {
-					t.Fatal(err)
-				}
+			first, second := runArtifact(t, a, quick), runArtifact(t, a, quick)
+			diffLines(t, "two quick runs", first, second)
+			if raceEnabled {
+				return // the full-scale run is skipped under -race, as TestFullRunResults is
 			}
-			first, second := strings.Split(out[0].String(), "\n"), strings.Split(out[1].String(), "\n")
-			for i := range min(len(first), len(second)) {
-				if first[i] != second[i] {
-					t.Fatalf("two runs differ at line %d:\n%s\n%s", i+1, first[i], second[i])
-				}
-			}
-			if len(first) != len(second) {
-				t.Fatalf("two runs differ in length: %d vs %d lines", len(first), len(second))
-			}
+			diffLines(t, "committed copy and a full run", string(committedArtifact(t, a.Kind)), runArtifact(t, a, Config{}))
 		})
+	}
+}
+
+// runArtifact runs a's experiment under cfg and returns its artifact.
+func runArtifact(t *testing.T, a Artifact, cfg Config) string {
+	t.Helper()
+	rep, err := a.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := WriteArtifact(&out, rep); err != nil {
+		t.Fatal(err)
+	}
+	return out.String()
+}
+
+// diffLines fails t at the first line where want and got differ.
+func diffLines(t *testing.T, what, want, got string) {
+	t.Helper()
+	first, second := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := range min(len(first), len(second)) {
+		if first[i] != second[i] {
+			t.Fatalf("%s differ at line %d:\n%s\n%s", what, i+1, first[i], second[i])
+		}
+	}
+	if len(first) != len(second) {
+		t.Fatalf("%s differ in length: %d vs %d lines", what, len(first), len(second))
 	}
 }
 

@@ -159,8 +159,9 @@ type Result struct {
 	RecoveryEnergy   energy.Energy `json:"recovery_energy_j"`
 	MeanRecoveryBusy time.Duration `json:"mean_recovery_busy_ns"`
 
-	// Resilience counters from the final store state; Compactions and the
-	// checkpoint counters accumulate across every reboot's store lifetime.
+	// Resilience counters. WastedPages is the final store's alone; the
+	// rest, CorrectedBits (store and FTL repairs) included, accumulate
+	// across every reboot's store and FTL lifetimes.
 	WastedPages   uint64 `json:"wasted_pages"` // retired + quarantined
 	CorrectedBits uint64 `json:"corrected_bits"`
 	TornSkipped   uint64 `json:"torn_skipped"`
@@ -209,13 +210,13 @@ type campaign struct {
 
 	// cursor is the drift census's per-bank index of the next page to
 	// sample, reset on every mount (a reboot loses its RAM cursors);
-	// ftlRetireTotal accumulates the retirements of FTLs retired by
-	// reboots.
-	cursor         []int
-	ftlRetireTotal uint64
-	// kvsTotals accumulates the lifetime counters (compactions,
-	// checkpoints, mount paths) of stores retired by reboots — a remount
-	// starts a fresh kvs.Stats, but the campaign reports totals.
+	// ftlTotals accumulates the retirements and corrected bits of FTLs
+	// retired by reboots.
+	cursor    []int
+	ftlTotals ftl.Stats
+	// kvsTotals accumulates the lifetime counters (repairs, compactions,
+	// checkpoints, mount paths, senses) of stores retired by reboots — a
+	// remount starts a fresh kvs.Stats, but the campaign reports totals.
 	kvsTotals kvs.Stats
 
 	model   map[string][]byte // acked key → value
@@ -283,7 +284,8 @@ func (c *campaign) mount() error {
 	if c.cfg.UseFTL {
 		if c.ftl != nil {
 			fst := c.ftl.Stats()
-			c.ftlRetireTotal += fst.Retirements
+			c.ftlTotals.Retirements += fst.Retirements
+			c.ftlTotals.CorrectedBits += fst.CorrectedBits
 		}
 		f, err := ftl.Open(c.dev, ftl.WithSpares(c.cfg.Spares))
 		if err != nil {
@@ -309,6 +311,8 @@ func (c *campaign) mount() error {
 
 // foldStoreStats accumulates a retired store's lifetime counters.
 func (c *campaign) foldStoreStats(st kvs.Stats) {
+	c.kvsTotals.CorrectedBits += st.CorrectedBits
+	c.kvsTotals.TornSkipped += st.TornSkipped
 	c.kvsTotals.Compactions += st.Compactions
 	c.kvsTotals.Checkpoints += st.Checkpoints
 	c.kvsTotals.CheckpointFailures += st.CheckpointFailures
@@ -663,8 +667,8 @@ func (c *campaign) finish() {
 	st := c.store.Stats()
 	c.foldStoreStats(st)
 	c.res.WastedPages = st.RetiredPages + st.QuarantinedPages
-	c.res.CorrectedBits = st.CorrectedBits
-	c.res.TornSkipped = st.TornSkipped
+	c.res.CorrectedBits = c.kvsTotals.CorrectedBits
+	c.res.TornSkipped = c.kvsTotals.TornSkipped
 	c.res.Compactions = c.kvsTotals.Compactions
 	c.res.Checkpoints = c.kvsTotals.Checkpoints
 	c.res.CheckpointFailures = c.kvsTotals.CheckpointFailures
@@ -676,8 +680,8 @@ func (c *campaign) finish() {
 		fst := c.ftl.Stats()
 		c.res.FTLRolledForward = fst.RolledForward
 		c.res.FTLRolledBack = fst.RolledBack
-		c.res.FTLRetirements = c.ftlRetireTotal + fst.Retirements
-		c.res.CorrectedBits += fst.CorrectedBits
+		c.res.FTLRetirements = c.ftlTotals.Retirements + fst.Retirements
+		c.res.CorrectedBits += c.ftlTotals.CorrectedBits + fst.CorrectedBits
 	}
 	cs := c.dev.Stats()
 	c.res.RetryAttempts = cs.RetryAttempts

@@ -34,6 +34,7 @@ package ftl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -305,12 +306,12 @@ func (f *FTL) appendIntent(it intentRec) error {
 	}
 	rec := make([]byte, intentRecSize)
 	rec[0] = intentMagic
-	putU32(rec[1:], it.seq)
-	putU16(rec[5:], uint16(it.a))
-	putU16(rec[7:], uint16(it.b))
-	putU32(rec[9:], it.crcA)
-	putU32(rec[13:], it.crcB)
-	putU32(rec[17:], crc32.ChecksumIEEE(rec[:17]))
+	binary.LittleEndian.PutUint32(rec[1:], it.seq)
+	binary.LittleEndian.PutUint16(rec[5:], uint16(it.a))
+	binary.LittleEndian.PutUint16(rec[7:], uint16(it.b))
+	binary.LittleEndian.PutUint32(rec[9:], it.crcA)
+	binary.LittleEndian.PutUint32(rec[13:], it.crcB)
+	binary.LittleEndian.PutUint32(rec[17:], crc32.ChecksumIEEE(rec[:17]))
 	base := f.dev.Flash().PageBase(f.lay.intent) + f.intentOff
 	// Mark the space consumed before programming: if the program tears,
 	// the dirty bytes must never be reused.
@@ -339,7 +340,7 @@ func (f *FTL) parseIntents() ([]intentRec, int) {
 		if allFF(rec) {
 			break
 		}
-		if crc32.ChecksumIEEE(rec[:17]) != readU32(rec[17:]) || rec[0] != intentMagic {
+		if crc32.ChecksumIEEE(rec[:17]) != binary.LittleEndian.Uint32(rec[17:]) || rec[0] != intentMagic {
 			if n, ok := bits.CorrectSingleBit(rec, 17); ok && rec[0] == intentMagic {
 				f.stats.CorrectedBits += uint64(n)
 			} else {
@@ -349,11 +350,11 @@ func (f *FTL) parseIntents() ([]intentRec, int) {
 			}
 		}
 		it := intentRec{
-			seq:  readU32(rec[1:]),
-			a:    int(readU16(rec[5:])),
-			b:    int(readU16(rec[7:])),
-			crcA: readU32(rec[9:]),
-			crcB: readU32(rec[13:]),
+			seq:  binary.LittleEndian.Uint32(rec[1:]),
+			a:    int(binary.LittleEndian.Uint16(rec[5:])),
+			b:    int(binary.LittleEndian.Uint16(rec[7:])),
+			crcA: binary.LittleEndian.Uint32(rec[9:]),
+			crcB: binary.LittleEndian.Uint32(rec[13:]),
 		}
 		off += intentRecSize
 		if it.a == it.b {
@@ -379,11 +380,11 @@ func (f *FTL) parseIntents() ([]intentRec, int) {
 // get a second erase.
 func (f *FTL) writeCheckpoint(slot int) error {
 	blob := make([]byte, mapBlobSize(f.lay.nl))
-	putU32(blob, f.mapSeq)
+	binary.LittleEndian.PutUint32(blob, f.mapSeq)
 	for lp, pp := range f.l2p {
-		putU16(blob[4+2*lp:], uint16(pp))
+		binary.LittleEndian.PutUint16(blob[4+2*lp:], uint16(pp))
 	}
-	putU32(blob[len(blob)-4:], crc32.ChecksumIEEE(blob[:len(blob)-4]))
+	binary.LittleEndian.PutUint32(blob[len(blob)-4:], crc32.ChecksumIEEE(blob[:len(blob)-4]))
 
 	fl := f.dev.Flash()
 	ps := f.lay.ps
@@ -431,14 +432,14 @@ func (f *FTL) readSlot(slot int) ([]int, uint32, bool) {
 		}
 	}
 	blob = blob[:mapBlobSize(f.lay.nl)]
-	if crc32.ChecksumIEEE(blob[:len(blob)-4]) != readU32(blob[len(blob)-4:]) {
+	if crc32.ChecksumIEEE(blob[:len(blob)-4]) != binary.LittleEndian.Uint32(blob[len(blob)-4:]) {
 		n, ok := bits.CorrectSingleBit(blob, len(blob)-4)
 		if !ok {
 			return nil, 0, false
 		}
 		f.stats.CorrectedBits += uint64(n)
 	}
-	seq := readU32(blob)
+	seq := binary.LittleEndian.Uint32(blob)
 	if seq == 0 || seq == ^uint32(0) {
 		return nil, 0, false
 	}
@@ -449,7 +450,7 @@ func (f *FTL) readSlot(slot int) ([]int, uint32, bool) {
 			(pp >= f.lay.poolBase && pp < f.lay.poolBase+f.lay.spares)
 	}
 	for lp := range m {
-		pp := int(readU16(blob[4+2*lp:]))
+		pp := int(binary.LittleEndian.Uint16(blob[4+2*lp:]))
 		if pp >= len(seen) || !validPhys(pp) || seen[pp] {
 			return nil, 0, false
 		}
@@ -511,13 +512,4 @@ func allFF(b []byte) bool {
 		}
 	}
 	return true
-}
-
-func readU16(b []byte) uint16 { return uint16(b[0]) | uint16(b[1])<<8 }
-func readU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-func putU16(b []byte, v uint16) { b[0], b[1] = byte(v), byte(v>>8) }
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 }

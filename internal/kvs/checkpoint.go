@@ -1,6 +1,7 @@
 package kvs
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -195,16 +196,16 @@ func (s *Store) encodeCheckpoint(cpSeq uint64) []byte {
 	copy(blob, ckptMagic)
 	blob[4] = ckptVersion
 	blob[5] = 0
-	putLEU32(blob[6:], uint32(n))
-	putLEU64(blob[10:], cpSeq)
-	putLEU32(blob[18:], s.nextSeq)
-	putLEU32(blob[22:], uint32(s.np))
-	putLEU32(blob[26:], uint32(len(keys)))
+	binary.LittleEndian.PutUint32(blob[6:], uint32(n))
+	binary.LittleEndian.PutUint64(blob[10:], cpSeq)
+	binary.LittleEndian.PutUint32(blob[18:], s.nextSeq)
+	binary.LittleEndian.PutUint32(blob[22:], uint32(s.np))
+	binary.LittleEndian.PutUint32(blob[26:], uint32(len(keys)))
 	off := ckptHdrSize
 	for p := 0; p < s.np; p++ {
-		putLEU32(blob[off:], s.pageSeq[p])
-		putLEU32(blob[off+4:], uint32(s.pageUsed[p]))
-		putLEU32(blob[off+8:], uint32(s.pageLive[p]))
+		binary.LittleEndian.PutUint32(blob[off:], s.pageSeq[p])
+		binary.LittleEndian.PutUint32(blob[off+4:], uint32(s.pageUsed[p]))
+		binary.LittleEndian.PutUint32(blob[off+8:], uint32(s.pageLive[p]))
 		if s.pageBad[p] {
 			blob[off+12] = ckptPageBad
 		}
@@ -215,15 +216,15 @@ func (s *Store) encodeCheckpoint(cpSeq uint64) []byte {
 		blob[off] = byte(len(k))
 		copy(blob[off+1:], k)
 		off += 1 + len(k)
-		putLEU32(blob[off:], uint32(loc.page))
-		putLEU16(blob[off+4:], uint16(loc.off))
-		putLEU16(blob[off+6:], uint16(loc.size))
+		binary.LittleEndian.PutUint32(blob[off:], uint32(loc.page))
+		binary.LittleEndian.PutUint16(blob[off+4:], uint16(loc.off))
+		binary.LittleEndian.PutUint16(blob[off+6:], uint16(loc.size))
 		if loc.dead {
 			blob[off+8] = ckptEntryDead
 		}
 		off += ckptKeyFixed - 1
 	}
-	putLEU32(blob[off:], crc32.ChecksumIEEE(blob[:off]))
+	binary.LittleEndian.PutUint32(blob[off:], crc32.ChecksumIEEE(blob[:off]))
 	return blob
 }
 
@@ -351,9 +352,9 @@ func (s *Store) readCkptHeader(slot int, h *ckptHeader) error {
 		return err
 	}
 	b := h.raw[:]
-	h.blobLen = int(leU32(b[6:]))
-	h.cpSeq = leU64(b[10:])
-	h.nextSeq = leU32(b[18:])
+	h.blobLen = int(binary.LittleEndian.Uint32(b[6:]))
+	h.cpSeq = binary.LittleEndian.Uint64(b[10:])
+	h.nextSeq = binary.LittleEndian.Uint32(b[18:])
 	h.ok = string(b[:4]) == ckptMagic && b[4] == ckptVersion &&
 		h.blobLen >= ckptHdrSize+crcSize && h.blobLen <= s.ckpt.cfg.SlotPages*s.ps
 	return nil
@@ -373,16 +374,16 @@ func (s *Store) readCkptSlot(slot int, h *ckptHeader) (*ckptImage, error) {
 	if err := s.b.Read(s.ckpt.slotBase[slot]*s.ps+ckptHdrSize, blob[ckptHdrSize:]); err != nil {
 		return nil, err
 	}
-	if crc32.ChecksumIEEE(blob[:blobLen-crcSize]) != leU32(blob[blobLen-crcSize:]) {
+	if crc32.ChecksumIEEE(blob[:blobLen-crcSize]) != binary.LittleEndian.Uint32(blob[blobLen-crcSize:]) {
 		return nil, nil
 	}
 
 	img := &ckptImage{
-		cpSeq:   leU64(blob[10:]),
-		nextSeq: leU32(blob[18:]),
+		cpSeq:   binary.LittleEndian.Uint64(blob[10:]),
+		nextSeq: binary.LittleEndian.Uint32(blob[18:]),
 	}
-	dataPages := int(leU32(blob[22:]))
-	keyCount := int(leU32(blob[26:]))
+	dataPages := int(binary.LittleEndian.Uint32(blob[22:]))
+	keyCount := int(binary.LittleEndian.Uint32(blob[26:]))
 	if dataPages != s.np || img.nextSeq == freeSeq || keyCount < 0 {
 		return nil, nil
 	}
@@ -397,9 +398,9 @@ func (s *Store) readCkptSlot(slot int, h *ckptHeader) (*ckptImage, error) {
 	seen := make(map[uint32]bool, dataPages)
 	off := ckptHdrSize
 	for p := 0; p < dataPages; p++ {
-		seq := leU32(blob[off:])
-		used := int(leU32(blob[off+4:]))
-		live := int(leU32(blob[off+8:]))
+		seq := binary.LittleEndian.Uint32(blob[off:])
+		used := int(binary.LittleEndian.Uint32(blob[off+4:]))
+		live := int(binary.LittleEndian.Uint32(blob[off+8:]))
 		flags := blob[off+12]
 		off += ckptPageSize
 		if flags&^byte(ckptPageBad) != 0 {
@@ -445,9 +446,9 @@ func (s *Store) readCkptSlot(slot int, h *ckptHeader) (*ckptImage, error) {
 		}
 		key := area[off+1-areaBase : off+1+keyLen-areaBase]
 		off += 1 + keyLen
-		page := int(leU32(blob[off:]))
-		recOff := int(leU16(blob[off+4:]))
-		size := int(leU16(blob[off+6:]))
+		page := int(binary.LittleEndian.Uint32(blob[off:]))
+		recOff := int(binary.LittleEndian.Uint16(blob[off+4:]))
+		size := int(binary.LittleEndian.Uint16(blob[off+6:]))
 		flags := blob[off+8]
 		off += ckptKeyFixed - 1
 		if flags&^byte(ckptEntryDead) != 0 {
@@ -630,17 +631,4 @@ func (s *Store) applyCheckpoint(img *ckptImage) (tail int, ok bool, err error) {
 	}
 	s.recount()
 	return tail, true, nil
-}
-
-func leU16(b []byte) uint16 { return uint16(b[0]) | uint16(b[1])<<8 }
-
-func putLEU16(b []byte, v uint16) { b[0], b[1] = byte(v), byte(v>>8) }
-
-func leU64(b []byte) uint64 {
-	return uint64(leU32(b)) | uint64(leU32(b[4:]))<<32
-}
-
-func putLEU64(b []byte, v uint64) {
-	putLEU32(b, uint32(v))
-	putLEU32(b[4:], uint32(v>>32))
 }

@@ -232,12 +232,16 @@ func TestTornAppendSweep(t *testing.T) {
 
 // TestErasedLengthFrameRejected: a header torn before its length bytes
 // were programmed decodes as a zero-length value — a plausible frame whose
-// trailer lands on the erased key bytes. Its CRC must fail, and single-bit
-// repair, which re-derives the frame after each candidate flip, must never
-// turn it into a record.
+// trailer lands on the erased key bytes. Its CRC must fail, and replay's
+// record check, whose single-bit repair re-derives the frame for every
+// flip of a length bit, must never turn it into a record.
 func TestErasedLengthFrameRejected(t *testing.T) {
 	const ps = 512
-	s := &Store{inv: recInvert}
+	m := newMemBackend(ps, 1)
+	s, err := layoutStore(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for keyLen := 1; keyLen <= 255; keyLen++ {
 		for _, tomb := range []bool{false, true} {
 			buf := bytes.Repeat([]byte{0xFF}, ps)
@@ -255,8 +259,9 @@ func TestErasedLengthFrameRejected(t *testing.T) {
 				t.Fatalf("keyLen %d tomb=%v: erased-length frame passes its CRC", keyLen, tomb)
 			}
 			want := slices.Clone(buf)
-			if size, ok := s.repairRecord(buf, off); ok {
-				t.Fatalf("keyLen %d tomb=%v: repair made a %d-byte record of a torn header", keyLen, tomb, size)
+			copy(m.data, buf)
+			if size, _, err := s.checkRecord(0, off, buf[off:], ""); size != 0 || !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("keyLen %d tomb=%v: check made a %d-byte record of a torn header (%v)", keyLen, tomb, size, err)
 			}
 			if !bytes.Equal(buf, want) {
 				t.Fatalf("keyLen %d: failed repair left the buffer changed", keyLen)
@@ -271,14 +276,24 @@ func TestErasedLengthFrameRejected(t *testing.T) {
 // FuzzRecordFrame: encoding then decoding round-trips any key, flags and
 // value that fit a page, and no strict prefix of an encoded record followed
 // by erased bytes — the image a power cut leaves — parses as a CRC-valid
-// frame.
+// frame. With one or two of the record's bits flipped (flip1, and flip2
+// when it is not 0: bit numbers across the record, counted from the magic
+// byte's bit 0), replay's record check (checkRecord) and the brute-force
+// repair it replaced (oracleRepairRecord, behind the old ladder) agree on
+// the size, the verdict, the bytes they leave and every Stats field, and
+// one flip is always repaired back to the record as encoded.
 func FuzzRecordFrame(f *testing.F) {
-	f.Add([]byte("k"), byte(0), []byte("v"))
-	f.Add([]byte("sensor-7"), byte(flagTombstone), []byte{})
-	f.Add(bytes.Repeat([]byte{0xFF}, 255), byte(0xFF), bytes.Repeat([]byte{0xFF}, 255))
-	f.Add([]byte("k"), byte(0), bytes.Repeat([]byte{0x00}, 300))
+	f.Add([]byte("k"), byte(0), []byte("v"), uint16(0), uint16(0))
+	f.Add([]byte("sensor-7"), byte(flagTombstone), []byte{}, uint16(9), uint16(0))
+	f.Add(bytes.Repeat([]byte{0xFF}, 255), byte(0xFF), bytes.Repeat([]byte{0xFF}, 255), uint16(17), uint16(4000))
+	f.Add([]byte("k"), byte(0), bytes.Repeat([]byte{0x00}, 300), uint16(30), uint16(38))
+	f.Add([]byte("key"), byte(0), []byte("value"), uint16(1), uint16(0))     // magic
+	f.Add([]byte("key"), byte(0), []byte("value"), uint16(16), uint16(25))   // keyLen, valLen low
+	f.Add([]byte("key"), byte(0), []byte("value"), uint16(39), uint16(0))    // valLen high
+	f.Add([]byte("key"), byte(0), []byte("value"), uint16(130), uint16(135)) // trailer
+	f.Add([]byte("key"), byte(0), []byte("value"), uint16(2), uint16(60))    // magic and value
 	const ps = 1024
-	f.Fuzz(func(t *testing.T, key []byte, flags byte, val []byte) {
+	f.Fuzz(func(t *testing.T, key []byte, flags byte, val []byte, flip1, flip2 uint16) {
 		size := recHeaderSize + len(key) + len(val) + crcSize
 		if len(key) == 0 || len(key) > 255 || pageHeaderSize+size > ps {
 			t.Skip()
@@ -314,6 +329,39 @@ func FuzzRecordFrame(f *testing.F) {
 			if n, ok := recordSize(torn, off, ps, recInvert); ok && recordCRCValid(torn, off, n) {
 				t.Fatalf("%d-byte prefix of a %d-byte record parses as a %d-byte frame", p, size, n)
 			}
+		}
+		flips := []int{int(flip1) % (8 * size)}
+		if flip2 != 0 {
+			flips = append(flips, int(flip2-1)%(8*size))
+		}
+		dmg := slices.Clone(buf)
+		for _, b := range flips {
+			dmg[off+b/8] ^= 1 << (b % 8)
+		}
+		var st [2]*Store
+		var left [2][]byte
+		for i := range st {
+			m := newMemBackend(ps, 1)
+			copy(m.data, dmg)
+			var err error
+			if st[i], err = layoutStore(m); err != nil {
+				t.Fatal(err)
+			}
+			left[i] = slices.Clone(dmg)
+		}
+		size0, ok0 := st[0].oracleCheckRecord(0, left[0], off)
+		size1, _, err := st[1].checkRecord(0, off, left[1][off:], "")
+		if size0 != size1 || ok0 != (size1 > 0) || ok0 != (err == nil) || err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("flips %v: oracle (%d, %v), check (%d, %v)", flips, size0, ok0, size1, err)
+		}
+		if !bytes.Equal(left[0], left[1]) {
+			t.Fatalf("flips %v: bytes differ:\noracle % x\ncheck  % x", flips, left[0][off:off+size], left[1][off:off+size])
+		}
+		if st[0].stats != st[1].stats {
+			t.Fatalf("flips %v: stats differ:\noracle %+v\ncheck  %+v", flips, st[0].stats, st[1].stats)
+		}
+		if len(flips) == 1 && (size1 != size || !bytes.Equal(left[1], buf)) {
+			t.Fatalf("flip %d: checked as a %d-byte record, want the %d-byte original", flips[0], size1, size)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package kvs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -29,16 +30,16 @@ func freshSortCheckpoint(s *Store, cpSeq uint64) []byte {
 	blob := make([]byte, n)
 	copy(blob, ckptMagic)
 	blob[4] = ckptVersion
-	putLEU32(blob[6:], uint32(n))
-	putLEU64(blob[10:], cpSeq)
-	putLEU32(blob[18:], s.nextSeq)
-	putLEU32(blob[22:], uint32(s.np))
-	putLEU32(blob[26:], uint32(len(keys)))
+	binary.LittleEndian.PutUint32(blob[6:], uint32(n))
+	binary.LittleEndian.PutUint64(blob[10:], cpSeq)
+	binary.LittleEndian.PutUint32(blob[18:], s.nextSeq)
+	binary.LittleEndian.PutUint32(blob[22:], uint32(s.np))
+	binary.LittleEndian.PutUint32(blob[26:], uint32(len(keys)))
 	off := ckptHdrSize
 	for p := 0; p < s.np; p++ {
-		putLEU32(blob[off:], s.pageSeq[p])
-		putLEU32(blob[off+4:], uint32(s.pageUsed[p]))
-		putLEU32(blob[off+8:], uint32(s.pageLive[p]))
+		binary.LittleEndian.PutUint32(blob[off:], s.pageSeq[p])
+		binary.LittleEndian.PutUint32(blob[off+4:], uint32(s.pageUsed[p]))
+		binary.LittleEndian.PutUint32(blob[off+8:], uint32(s.pageLive[p]))
 		if s.pageBad[p] {
 			blob[off+12] = ckptPageBad
 		}
@@ -49,15 +50,15 @@ func freshSortCheckpoint(s *Store, cpSeq uint64) []byte {
 		blob[off] = byte(len(k))
 		copy(blob[off+1:], k)
 		off += 1 + len(k)
-		putLEU32(blob[off:], uint32(loc.page))
-		putLEU16(blob[off+4:], uint16(loc.off))
-		putLEU16(blob[off+6:], uint16(loc.size))
+		binary.LittleEndian.PutUint32(blob[off:], uint32(loc.page))
+		binary.LittleEndian.PutUint16(blob[off+4:], uint16(loc.off))
+		binary.LittleEndian.PutUint16(blob[off+6:], uint16(loc.size))
 		if loc.dead {
 			blob[off+8] = ckptEntryDead
 		}
 		off += ckptKeyFixed - 1
 	}
-	putLEU32(blob[off:], crc32.ChecksumIEEE(blob[:off]))
+	binary.LittleEndian.PutUint32(blob[off:], crc32.ChecksumIEEE(blob[:off]))
 	return blob
 }
 

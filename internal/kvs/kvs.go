@@ -39,6 +39,7 @@ package kvs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -437,14 +438,14 @@ func parsePageHeader(buf []byte, st *Stats) (uint32, int) {
 	if allFF(hdr) {
 		return freeSeq, pageFree
 	}
-	if crc32.ChecksumIEEE(hdr[:4]) != leU32(hdr[4:]) {
+	if crc32.ChecksumIEEE(hdr[:4]) != binary.LittleEndian.Uint32(hdr[4:]) {
 		if n, ok := bits.CorrectSingleBit(hdr, 4); ok {
 			st.CorrectedBits += uint64(n)
 		} else {
 			return freeSeq, pageQuarantined
 		}
 	}
-	seq := leU32(hdr)
+	seq := binary.LittleEndian.Uint32(hdr)
 	if seq == freeSeq {
 		// A "free" sequence with a valid CRC cannot be written by the
 		// store; treat it as damage.
@@ -464,8 +465,8 @@ func (s *Store) replayPageFrom(page int, buf []byte, start int) {
 	ps := len(buf)
 	off := start
 	for off+recHeaderSize+crcSize <= ps {
-		size, ok := s.checkRecord(page, buf, off)
-		if !ok {
+		size, _, _ := s.checkRecord(page, off, buf[off:], "")
+		if size == 0 {
 			if !allFF(buf[off:min(off+recHeaderSize+crcSize, ps)]) {
 				// Torn write or unrepairable damage: the tail is
 				// unusable. Appending over its cleared bits would force
@@ -478,12 +479,10 @@ func (s *Store) replayPageFrom(page int, buf []byte, start int) {
 			}
 			break // free space from here on
 		}
-		flags := buf[off+1] ^ s.inv
-		keyLen := int(buf[off+2])
-		key := string(buf[off+recHeaderSize : off+recHeaderSize+keyLen])
+		key := string(buf[off+recHeaderSize : off+recHeaderSize+int(buf[off+2])])
 		old, had := s.index[key]
 		s.supersede(old, had)
-		loc := location{page: page, off: off, size: size, dead: flags&flagTombstone != 0}
+		loc := location{page: page, off: off, size: size, dead: (buf[off+1]^s.inv)&flagTombstone != 0}
 		// Tombstones stay indexed (dead) so garbage collection keeps
 		// copying them forward; dropping one while an older copy of
 		// the key survived elsewhere would resurrect the old value
@@ -535,30 +534,75 @@ func (s *Store) resense(page, off int, dst []byte, ok func() bool) (bool, error)
 	return true, nil
 }
 
-// checkRecord validates (and if needed re-senses or single-bit-repairs, in
-// buf) the record of page at off, returning its size. Returns ok=false when
-// the bytes are free space or damaged beyond repair.
-func (s *Store) checkRecord(page int, buf []byte, off int) (int, bool) {
-	ps := len(buf)
-	size, ok := recordSize(buf, off, ps, s.inv)
-	if ok && recordCRCValid(buf, off, size) {
-		return size, true
+// checkRecord is the one record check of mount replay, Get and the GC
+// copy. rec holds the bytes read from page at offset off, the record
+// first. Get and GC pass the record's key: the index gave its size, so rec
+// is exactly the record. Replay passes "": the frame claims the size, and
+// rec runs to the end of the page. A CRC failure earns the re-sense ladder
+// over rec, then one single-bit repair in place (repairBit). checkRecord
+// returns the size and whether a bit was repaired. It returns 0 for free
+// space, and ErrCorrupt for a record past repair or an indexed frame that
+// claims another size. A re-sense error is returned to Get and GC; replay
+// judges rec as read.
+func (s *Store) checkRecord(page, off int, rec []byte, key string) (size int, repaired bool, err error) {
+	indexed := key != ""
+	valid := func() bool {
+		size = len(rec)
+		ok := true
+		if !indexed {
+			size, ok = recordSize(rec, 0, len(rec), s.inv)
+		}
+		return ok && recordCRCValid(rec, 0, size)
 	}
-	if allFF(buf[off:min(off+recHeaderSize+crcSize, ps)]) {
-		return 0, false // free space, not damage
+	if !valid() {
+		if !indexed && allFF(rec[:recHeaderSize+crcSize]) {
+			return 0, false, nil // free space, not damage
+		}
+		sensed, err := s.resense(page, off, rec, valid)
+		if err != nil && indexed {
+			return 0, false, err
+		}
+		if !sensed && !s.repairBit(rec, indexed, valid) {
+			return 0, false, fmt.Errorf("%w: %q", ErrCorrupt, key)
+		}
+		repaired = !sensed
 	}
-	// A re-read narrows flicker stacked on a stuck cell back within
-	// single-bit reach; a read error leaves the repair to judge buf as is.
-	if sensed, _ := s.resense(page, off, buf[off:], func() bool {
-		size, ok = recordSize(buf, off, ps, s.inv)
-		return ok && recordCRCValid(buf, off, size)
-	}); sensed {
-		return size, true
+	if indexed && recHeaderSize+int(rec[2])+recordValLen(rec, 0, s.inv)+crcSize != size {
+		return 0, false, fmt.Errorf("%w: %q", ErrCorrupt, key)
 	}
-	// The damage may be a single drifted cell anywhere in the record —
-	// including inside the length fields, which is why the repair must
-	// re-derive the size after each candidate flip.
-	return s.repairRecord(buf, off)
+	return size, repaired, nil
+}
+
+// repairBit flips back, in place, the first single bit in (byte, bit)
+// order whose flip makes rec pass valid, as a brute force over every bit
+// would, and counts it; else it leaves rec unchanged. A flip of a framed
+// record's header can change its frame, so each is tried on its own.
+// Every other flip leaves the size as claimed, so one syndrome search
+// (bits.CorrectSingleBit) over the record decides them all; a hit inside
+// a framed header was rejected above and is undone. valid re-derives the
+// size checkRecord returns.
+func (s *Store) repairBit(rec []byte, indexed bool, valid func() bool) bool {
+	size := len(rec)
+	if !indexed {
+		for i := 0; i < recHeaderSize*8; i++ {
+			if rec[i/8] ^= 1 << (i % 8); valid() {
+				s.stats.CorrectedBits++
+				return true
+			}
+			rec[i/8] ^= 1 << (i % 8)
+		}
+		var ok bool
+		if size, ok = recordSize(rec, 0, len(rec), s.inv); !ok {
+			return false
+		}
+	}
+	hdr := [recHeaderSize]byte(rec)
+	if _, ok := bits.CorrectSingleBit(rec[:size], size-crcSize); ok && (indexed || [recHeaderSize]byte(rec) == hdr) {
+		s.stats.CorrectedBits++
+		return valid()
+	}
+	copy(rec, hdr[:])
+	return false
 }
 
 // encodeRecord frames one record under polarity mask inv.
@@ -572,7 +616,7 @@ func encodeRecord(key string, val []byte, flags, inv byte) []byte {
 	rec[4] = byte(len(val)>>8) ^ inv
 	copy(rec[recHeaderSize:], key)
 	copy(rec[recHeaderSize+len(key):], val)
-	putLEU32(rec[n:], crc32.ChecksumIEEE(rec[:n]))
+	binary.LittleEndian.PutUint32(rec[n:], crc32.ChecksumIEEE(rec[:n]))
 	return rec
 }
 
@@ -599,27 +643,7 @@ func recordSize(buf []byte, off, ps int, inv byte) (int, bool) {
 // recordCRCValid checks the trailer CRC of the record at [off, off+size).
 func recordCRCValid(buf []byte, off, size int) bool {
 	body := buf[off : off+size-crcSize]
-	return crc32.ChecksumIEEE(body) == leU32(buf[off+size-crcSize:])
-}
-
-// repairRecord brute-forces a single-bit repair of the record starting at
-// off: each candidate flip must yield a consistent frame whose CRC passes.
-func (s *Store) repairRecord(buf []byte, off int) (int, bool) {
-	ps := len(buf)
-	// A flipped bit can sit anywhere in the record, whose true extent is
-	// unknown when the length fields themselves are suspect. Bound the
-	// search to the rest of the page.
-	for i := off; i < ps; i++ {
-		for bit := 0; bit < 8; bit++ {
-			buf[i] ^= 1 << uint(bit)
-			if size, ok := recordSize(buf, off, ps, s.inv); ok && i < off+size && recordCRCValid(buf, off, size) {
-				s.stats.CorrectedBits++
-				return size, true
-			}
-			buf[i] ^= 1 << uint(bit)
-		}
-	}
-	return 0, false
+	return crc32.ChecksumIEEE(body) == binary.LittleEndian.Uint32(buf[off+size-crcSize:])
 }
 
 // setLocation points key's index entry at loc and queues a key new to the
@@ -643,7 +667,7 @@ func (s *Store) supersede(old location, had bool) {
 }
 
 // Get returns the value stored for key, verifying the record through
-// checkIndexed.
+// checkRecord; a record past repair is ErrCorrupt.
 func (s *Store) Get(key string) ([]byte, error) {
 	loc, ok := s.index[key]
 	if !ok || loc.dead {
@@ -653,7 +677,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 	if err := s.b.Read(s.pageBase(loc.page)+loc.off, rec); err != nil {
 		return nil, err
 	}
-	repaired, err := s.checkIndexed(key, loc, rec)
+	_, repaired, err := s.checkRecord(loc.page, loc.off, rec, key)
 	if err != nil {
 		return nil, err
 	}
@@ -665,31 +689,6 @@ func (s *Store) Get(key string) ([]byte, error) {
 		_ = s.append(key, rec)
 	}
 	return val, nil
-}
-
-// checkIndexed verifies rec, the bytes read from loc, key's index entry. A
-// CRC failure first earns the re-sense ladder (resense) — a clean re-sense
-// proves the on-flash copy intact — before falling back to single-bit
-// repair of rec, whose length the index already knows; a record past both
-// is ErrCorrupt. Get and the GC copy (copySurvivors) share it.
-func (s *Store) checkIndexed(key string, loc location, rec []byte) (repaired bool, err error) {
-	if !recordCRCValid(rec, 0, len(rec)) {
-		sensed, err := s.resense(loc.page, loc.off, rec, func() bool { return recordCRCValid(rec, 0, len(rec)) })
-		if err != nil {
-			return false, err
-		}
-		if !sensed {
-			if _, ok := bits.CorrectSingleBit(rec, len(rec)-crcSize); !ok {
-				return false, fmt.Errorf("%w: %q", ErrCorrupt, key)
-			}
-			s.stats.CorrectedBits++
-			repaired = true
-		}
-	}
-	if recHeaderSize+int(rec[2])+recordValLen(rec, 0, s.inv)+crcSize != len(rec) {
-		return false, fmt.Errorf("%w: %q", ErrCorrupt, key)
-	}
-	return repaired, nil
 }
 
 // Put stores key → val, appending a new record.
@@ -731,7 +730,15 @@ func (s *Store) Keys() []string {
 }
 
 // Len returns the number of live keys.
-func (s *Store) Len() int { return len(s.Keys()) }
+func (s *Store) Len() int {
+	n := 0
+	for _, loc := range s.index {
+		if !loc.dead {
+			n++
+		}
+	}
+	return n
+}
 
 // DataPages returns the number of pages available to the log — the whole
 // backend, minus the checkpoint region when one is configured.
@@ -949,8 +956,8 @@ func (s *Store) openPage() (int, error) {
 	}
 	for cand := first; cand >= 0; cand = s.nextFree(cand + 1) {
 		var hdr [pageHeaderSize]byte
-		putLEU32(hdr[:], s.nextSeq)
-		putLEU32(hdr[4:], crc32.ChecksumIEEE(hdr[:4]))
+		binary.LittleEndian.PutUint32(hdr[:], s.nextSeq)
+		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(hdr[:4]))
 		landed, err := s.land(s.pageBase(cand), hdr[:])
 		if err != nil {
 			return 0, err
@@ -1115,8 +1122,8 @@ func (s *Store) compactPage(victim int) error {
 }
 
 // copySurvivors reads the victim's used bytes once and appends each
-// survivor's bytes as read, in offset order, after Get's check
-// (checkIndexed): a survivor that fails its CRC lands repaired or fails
+// survivor's bytes as read, in offset order, after the check Get makes
+// (checkRecord): a survivor that fails its CRC lands repaired or fails
 // the pass with ErrCorrupt. When a damaged dead record stops
 // walkSurvivors, one walk of the index finds the survivors instead.
 func (s *Store) copySurvivors(victim int) error {
@@ -1136,7 +1143,7 @@ func (s *Store) copySurvivors(victim int) error {
 	for _, key := range keys {
 		loc := s.index[key]
 		rec := buf[loc.off : loc.off+loc.size]
-		if _, err := s.checkIndexed(key, loc, rec); err != nil {
+		if _, _, err := s.checkRecord(victim, loc.off, rec, key); err != nil {
 			return err
 		}
 		if err := s.append(key, rec); err != nil {
@@ -1176,12 +1183,4 @@ func allFF(b []byte) bool {
 		}
 	}
 	return true
-}
-
-func leU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putLEU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 }

@@ -7,10 +7,12 @@ import (
 )
 
 // The hardened read path as it was with one ladder per site, kept as the
-// reference the shared ladder (resense) is compared against
-// (FuzzResenseMatchesOracle) and as the read path of the reference scan
-// mount (scanMount, mountoracle_test.go). Each function is the old code
-// unchanged, except for its oracle name and the oracle names it calls.
+// reference the shared ladder (resense) and the one record check
+// (checkRecord) are compared against (FuzzResenseMatchesOracle,
+// FuzzRecordFrame) and as the read path of the reference scan mount
+// (scanMount, mountoracle_test.go). Each function is the old code
+// unchanged, except for its oracle name and the oracle names it calls;
+// oracleRepairRecord is replay's old brute-force repair.
 
 // oracleReadPageHeader reads and classifies page p's 8-byte header. A quarantine
 // verdict is worth a re-sense: retention flicker on top of a stuck cell can
@@ -143,8 +145,28 @@ func (s *Store) oracleCheckRecord(page int, buf []byte, off int) (int, bool) {
 	// The damage may be a single drifted cell anywhere in the record —
 	// including inside the length fields, which is why the repair must
 	// re-derive the size after each candidate flip.
-	if size, ok := s.repairRecord(buf, off); ok {
+	if size, ok := s.oracleRepairRecord(buf, off); ok {
 		return size, true
+	}
+	return 0, false
+}
+
+// oracleRepairRecord brute-forces a single-bit repair of the record starting at
+// off: each candidate flip must yield a consistent frame whose CRC passes.
+func (s *Store) oracleRepairRecord(buf []byte, off int) (int, bool) {
+	ps := len(buf)
+	// A flipped bit can sit anywhere in the record, whose true extent is
+	// unknown when the length fields themselves are suspect. Bound the
+	// search to the rest of the page.
+	for i := off; i < ps; i++ {
+		for bit := 0; bit < 8; bit++ {
+			buf[i] ^= 1 << uint(bit)
+			if size, ok := recordSize(buf, off, ps, s.inv); ok && i < off+size && recordCRCValid(buf, off, size) {
+				s.stats.CorrectedBits++
+				return size, true
+			}
+			buf[i] ^= 1 << uint(bit)
+		}
 	}
 	return 0, false
 }

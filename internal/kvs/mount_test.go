@@ -2,6 +2,7 @@ package kvs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"testing"
@@ -133,10 +134,10 @@ func twoCheckpointImage(t *testing.T) (*memBackend, [2]int) {
 // editBlob applies edit to the checkpoint blob at addr; with reCRC it then
 // recomputes the blob's CRC, so the edit passes the CRC check.
 func editBlob(m *memBackend, addr int, reCRC bool, edit func(blob []byte)) {
-	blob := m.data[addr : addr+int(leU32(m.data[addr+6:]))]
+	blob := m.data[addr : addr+int(binary.LittleEndian.Uint32(m.data[addr+6:]))]
 	edit(blob)
 	if reCRC {
-		putLEU32(blob[len(blob)-crcSize:], crc32.ChecksumIEEE(blob[:len(blob)-crcSize]))
+		binary.LittleEndian.PutUint32(blob[len(blob)-crcSize:], crc32.ChecksumIEEE(blob[:len(blob)-crcSize]))
 	}
 }
 
@@ -168,14 +169,14 @@ func TestLoadCheckpointMatchesReference(t *testing.T) {
 		{
 			name: "older claims a higher nextSeq",
 			damage: func(m *memBackend, slots [2]int) {
-				editBlob(m, slots[1], true, func(b []byte) { putLEU32(b[18:], higherSeq) })
+				editBlob(m, slots[1], true, func(b []byte) { binary.LittleEndian.PutUint32(b[18:], higherSeq) })
 			},
 			slot: 0, floor: higherSeq, readOlder: true,
 		},
 		{
 			name: "older claims a higher nextSeq, torn",
 			damage: func(m *memBackend, slots [2]int) {
-				editBlob(m, slots[1], false, func(b []byte) { putLEU32(b[18:], higherSeq) })
+				editBlob(m, slots[1], false, func(b []byte) { binary.LittleEndian.PutUint32(b[18:], higherSeq) })
 			},
 			slot: 0, readOlder: true,
 		},

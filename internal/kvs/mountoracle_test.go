@@ -1,6 +1,7 @@
 package kvs
 
 import (
+	"encoding/binary"
 	"hash/crc32"
 	"sort"
 )
@@ -193,7 +194,7 @@ func (s *Store) readWholeSlot(slot int) (*ckptImage, error) {
 	if string(first[:4]) != ckptMagic || first[4] != ckptVersion {
 		return nil, nil
 	}
-	blobLen := int(leU32(first[6:]))
+	blobLen := int(binary.LittleEndian.Uint32(first[6:]))
 	if blobLen < ckptHdrSize+crcSize || blobLen > capacity {
 		return nil, nil
 	}
@@ -204,16 +205,16 @@ func (s *Store) readWholeSlot(slot int) (*ckptImage, error) {
 			return nil, err
 		}
 	}
-	if crc32.ChecksumIEEE(blob[:blobLen-crcSize]) != leU32(blob[blobLen-crcSize:]) {
+	if crc32.ChecksumIEEE(blob[:blobLen-crcSize]) != binary.LittleEndian.Uint32(blob[blobLen-crcSize:]) {
 		return nil, nil
 	}
 
 	img := &ckptImage{
-		cpSeq:   leU64(blob[10:]),
-		nextSeq: leU32(blob[18:]),
+		cpSeq:   binary.LittleEndian.Uint64(blob[10:]),
+		nextSeq: binary.LittleEndian.Uint32(blob[18:]),
 	}
-	dataPages := int(leU32(blob[22:]))
-	keyCount := int(leU32(blob[26:]))
+	dataPages := int(binary.LittleEndian.Uint32(blob[22:]))
+	keyCount := int(binary.LittleEndian.Uint32(blob[26:]))
 	if dataPages != s.np || img.nextSeq == freeSeq || keyCount < 0 {
 		return nil, nil
 	}
@@ -228,9 +229,9 @@ func (s *Store) readWholeSlot(slot int) (*ckptImage, error) {
 	seen := make(map[uint32]bool, dataPages)
 	off := ckptHdrSize
 	for p := 0; p < dataPages; p++ {
-		seq := leU32(blob[off:])
-		used := int(leU32(blob[off+4:]))
-		live := int(leU32(blob[off+8:]))
+		seq := binary.LittleEndian.Uint32(blob[off:])
+		used := int(binary.LittleEndian.Uint32(blob[off+4:]))
+		live := int(binary.LittleEndian.Uint32(blob[off+8:]))
 		flags := blob[off+12]
 		off += ckptPageSize
 		if flags&^byte(ckptPageBad) != 0 {
@@ -271,9 +272,9 @@ func (s *Store) readWholeSlot(slot int) (*ckptImage, error) {
 		}
 		key := string(blob[off+1 : off+1+keyLen])
 		off += 1 + keyLen
-		page := int(leU32(blob[off:]))
-		recOff := int(leU16(blob[off+4:]))
-		size := int(leU16(blob[off+6:]))
+		page := int(binary.LittleEndian.Uint32(blob[off:]))
+		recOff := int(binary.LittleEndian.Uint16(blob[off+4:]))
+		size := int(binary.LittleEndian.Uint16(blob[off+6:]))
 		flags := blob[off+8]
 		off += ckptKeyFixed - 1
 		if flags&^byte(ckptEntryDead) != 0 {

@@ -231,7 +231,8 @@ func (lp *ladderPair) records(t *testing.T) {
 		}
 		for off := pageHeaderSize; off+recHeaderSize+crcSize <= diffPS; {
 			size0, ok0 := lp.s[0].oracleCheckRecord(p, buf[0], off)
-			size1, ok1 := lp.s[1].checkRecord(p, buf[1], off)
+			size1, _, _ := lp.s[1].checkRecord(p, off, buf[1][off:], "")
+			ok1 := size1 > 0
 			what := fmt.Sprintf("record at page %d offset %d", p, off)
 			if size0 != size1 || ok0 != ok1 {
 				t.Fatalf("%s: old (%d, %v), new (%d, %v)", what, size0, ok0, size1, ok1)

@@ -21,11 +21,13 @@ type InFlashBackend interface {
 
 // IndexField declares one indexed attribute of the records: how many
 // buckets it quantises into and how to derive a record's bucket. Extract
-// may return a negative value for records the field does not apply to;
-// such records match no positive predicate on the field, and — because
-// negated predicates are planned as "any other bucket" to stay sound
-// against stale bits — they are invisible to negated predicates on it too.
-// Fields queried under Not should therefore bucket every record.
+// may return a value outside [0, Buckets) for records the field does not
+// apply to; such records get no bit in the field and match no positive
+// predicate on it. Negated predicates, planned as "any other bucket" to
+// stay sound against stale bits, cannot see them in the bitmaps, so Scan
+// fetches every such record as a candidate and the exact re-check decides:
+// results stay exact, at the cost of one record read per such record per
+// scan.
 type IndexField struct {
 	Name    string
 	Buckets int
@@ -67,6 +69,9 @@ type scanIndexState struct {
 	dev      isc.Device
 	flag     int  // device address of the index header's diverged flag
 	diverged bool // the flag is programmed
+	// unbucketed marks the slots whose record has a field outside the
+	// field's buckets, and so no bit there; Scan fetches them always.
+	unbucketed []bool
 }
 
 // layoutScanIndex carves the bitmap region (below the checkpoint slots,
@@ -164,6 +169,7 @@ func (s *Store) mountScanIndex() error {
 	}
 	si.slotOf = make(map[string]int)
 	si.slotKey = si.slotKey[:0]
+	si.unbucketed = si.unbucketed[:0]
 	for _, key := range s.Keys() {
 		val, err := s.Get(key)
 		if err != nil {
@@ -226,10 +232,13 @@ func (s *Store) noteScanPut(key string, val []byte) {
 		slot = len(si.slotKey)
 		si.slotOf[key] = slot
 		si.slotKey = append(si.slotKey, key)
+		si.unbucketed = append(si.unbucketed, false)
 	}
+	si.unbucketed[slot] = false
 	for _, f := range si.spec.Fields {
 		b := f.Extract(key, val)
 		if b < 0 || b >= f.Buckets {
+			si.unbucketed[slot] = true
 			continue
 		}
 		if err := si.ix.Add(slot, f.Name, b); err != nil {
@@ -255,9 +264,10 @@ func (si *scanIndexState) bucketsOf(key string, val []byte) func(string) int {
 // Scan returns the records matching the predicate, sorted by key. With a
 // live scan index the predicate is evaluated inside the flash array —
 // bitmap senses, never bitmap reads — and only candidate records are
-// fetched; each candidate is re-checked exactly on its bytes, so stale
-// index bits (from updates and deletes) can add reads but never wrong
-// results. Without an index (none configured, backend can't sense, or the
+// fetched, along with every record that has a field outside its buckets
+// (IndexField); each candidate is re-checked exactly on its bytes, so
+// stale index bits (from updates and deletes) can add reads but never
+// wrong results. Without an index (none configured, backend can't sense, or the
 // index degraded), and for a predicate that names a field the index lacks
 // or a bucket outside a field's range, the host path scans every record.
 func (s *Store) Scan(p isc.Pred) ([]KV, error) {
@@ -285,7 +295,7 @@ func (s *Store) Scan(p isc.Pred) ([]KV, error) {
 	}
 	var out []KV
 	for slot, key := range si.slotKey {
-		if bm[slot/8]&(1<<(slot%8)) == 0 {
+		if bm[slot/8]&(1<<(slot%8)) == 0 && !si.unbucketed[slot] {
 			continue
 		}
 		loc, ok := s.index[key]

@@ -99,7 +99,7 @@ func TestScanMatchesHostScan(t *testing.T) {
 		keys[i] = fmt.Sprintf("dev%02d", i)
 	}
 	val := func() []byte {
-		v := make([]byte, 2+rng.Intn(20))
+		v := make([]byte, 1+rng.Intn(21))
 		for i := range v {
 			v[i] = rng.Byte()
 		}
@@ -287,6 +287,46 @@ func TestScanIndexOverflowDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameKVs(t, "overflow", got, want)
+}
+
+// TestScanFindsUnbucketedRecords: a record whose field extracts outside
+// the field's buckets has no bit in that field, and a negated predicate on
+// the field, planned as an In over the other buckets, must still return
+// it. a={1} has no region (scanSpec's region needs two bytes) and b={1,1}
+// has region 1: both satisfy Not(region=0) and Not(region=0 or 2), so the
+// indexed scan must find both, as the host scan does, before and after a
+// remount and after a moves into a region.
+func TestScanFindsUnbucketedRecords(t *testing.T) {
+	s, dev := newScanStore(t)
+	if err := s.Put("a", []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("b", []byte{1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	preds := []isc.Pred{
+		isc.Not(isc.Eq("region", 0)),
+		isc.Not(isc.Or(isc.Eq("region", 0), isc.Eq("region", 2))),
+		isc.Eq("status", 1),
+	}
+	for _, p := range preds[:2] {
+		if got, err := s.Scan(p); err != nil || len(got) != 2 {
+			t.Fatalf("scan %s: %d records (%v), want a and b", p, len(got), err)
+		}
+	}
+	sameScans(t, s, "first mount", preds)
+	s, err := Open(dev, WithScanIndex(scanSpec(64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameScans(t, s, "remount", preds)
+	if err := s.Put("a", []byte{1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	sameScans(t, s, "a in region 0", preds)
+	if st := s.Stats(); st.Scans == 0 || st.ScanFallbacks != 0 {
+		t.Fatalf("stats %+v: want every scan served by the index", st)
+	}
 }
 
 // scanPreds are the fixed predicates the reboot tests check Scan against
@@ -523,7 +563,7 @@ func FuzzScanIndexReboot(f *testing.F) {
 			var err error
 			switch r := rng.Intn(10); {
 			case r < 6:
-				err = s.Put(key, []byte{rng.Byte(), rng.Byte(), byte(step)})
+				err = s.Put(key, []byte{rng.Byte(), rng.Byte(), byte(step)}[:1+rng.Intn(3)])
 			case r < 8:
 				err = s.Delete(key)
 			}

@@ -2,6 +2,7 @@ package kvs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -286,8 +287,8 @@ func TestTotalsAfterRejectedCheckpoint(t *testing.T) {
 		t.Fatal("no free page to plant a header on")
 	}
 	var hdr [pageHeaderSize]byte
-	putLEU32(hdr[:], 0)
-	putLEU32(hdr[4:], crc32.ChecksumIEEE(hdr[:4]))
+	binary.LittleEndian.PutUint32(hdr[:], 0)
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(hdr[:4]))
 	for i, b := range hdr {
 		if err := dev.Flash().ProgramByte(s.pageBase(victim)+i, b); err != nil {
 			t.Fatal(err)
